@@ -12,6 +12,7 @@ measured is how many hop intervals survive the churn.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import statistics
@@ -26,7 +27,7 @@ from .topology import (
     build_misery_digraph,
     canonical_chain_description,
     extract_connectivity,
-    replacement_id,
+    next_replacement_id,
 )
 
 
@@ -55,7 +56,9 @@ class AttackerState:
                 del self.knowledge[holder]
 
 
+@functools.lru_cache(maxsize=None)
 def attack_digraph(d: int, k: int) -> MiseryDigraph:
+    """The replay's starting digraph; immutable, so built once per shape."""
     conn = extract_connectivity(canonical_chain_description(),
                                ("instance_type", "mdg"))
     return build_misery_digraph(conn, MiseryDigraphSpec(d, k))
@@ -67,14 +70,7 @@ def _apply_cycle(digraph: MiseryDigraph, rng: random.Random,
     op = select_transformation(digraph, rng)
     out = digraph.with_positions_swapped(*op.nodes)
     for old in op.nodes:
-        layer, slot = out.position(old)
-        width = out.spec.layer_width(layer)
-        tree, offset = divmod(slot, width)
-        key = (tree, layer, offset)
-        generations[key] = generations.get(key, 0) + 1
-        prefix = f"{out.layer(1)[tree]}~" if len(out.layer(1)) > 1 else ""
-        out = out.with_node_replaced(
-            old, replacement_id(layer, offset, generations[key], prefix))
+        out = out.with_node_replaced(old, next_replacement_id(out, old, generations))
     return out, op.nodes
 
 

@@ -13,6 +13,7 @@ cluster under load.  Layer 1 and the target are never selected.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -27,7 +28,13 @@ from .errors import (
 )
 from .eventlog import EventLog
 from .sim import PRIO_CONTROL, Simulation
-from .topology import MiseryDigraph, derive_firewall_rules, replacement_id
+from .topology import (
+    MiseryDigraph,
+    MiseryDigraphSpec,
+    derive_firewall_rules,
+    layer_sizes,
+    next_replacement_id,
+)
 
 
 @dataclass(frozen=True)
@@ -74,15 +81,22 @@ class MovementEvent:
                 "new_ids": list(self.new_ids), "versions": dict(self.versions)}
 
 
+@functools.lru_cache(maxsize=None)
+def _eligible_layers(spec: MiseryDigraphSpec, n_roots: int) -> tuple[int, ...]:
+    """Layers in 2..d with at least two nodes; fixed by the shape."""
+    sizes = layer_sizes(spec, n_roots)
+    return tuple(a for a in range(2, spec.d + 1) if sizes[a - 1] >= 2)
+
+
 def select_transformation(digraph: MiseryDigraph, rng: random.Random) -> SwitchOp:
     """Uniform layer from the eligible middle layers, then a uniform node
     pair without replacement from that layer."""
-    eligible = [a for a in range(2, digraph.d + 1) if len(digraph.layer(a)) >= 2]
+    eligible = _eligible_layers(digraph.spec, digraph.n_roots)
     if not eligible:
         raise NoEligibleLayer(
             f"no layer in 2..{digraph.d} has two nodes (k={digraph.k})")
     layer = rng.choice(eligible)
-    u, v = rng.sample(list(digraph.layer(layer)), 2)
+    u, v = rng.sample(digraph.layer(layer), 2)
     return SwitchOp(layer, (u, v))
 
 
@@ -221,17 +235,11 @@ class MovementManager:
     def _execute_reset(self, old: str):
         """Replace one node with a pool instance at its current position."""
         digraph = self.deployment.digraph
-        layer, slot = digraph.position(old)
-        width = digraph.spec.layer_width(layer)
-        tree, offset = divmod(slot, width)
-        image = (ImageKind.REQUESTS_SERVER if layer == digraph.d
+        image = (ImageKind.REQUESTS_SERVER if digraph.position(old)[0] == digraph.d
                  else ImageKind.MULTICASTER)
         instance = yield self.provider.pool.allocate(image)
         yield self.provider.api_latency()
-        key = (tree, layer, offset)
-        self._generation[key] = self._generation.get(key, 0) + 1
-        prefix = f"{digraph.roots[tree]}~" if digraph.n_roots > 1 else ""
-        new_id = replacement_id(layer, offset, self._generation[key], prefix)
+        new_id = next_replacement_id(digraph, old, self._generation)
         self.provider.adopt_instance(
             instance.id, new_id,
             tags={"role": digraph.role_of(old), **self.deployment.base_tags})

@@ -15,6 +15,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import logging
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -187,6 +188,12 @@ class MiseryDigraphSpec:
         return (self.k ** self.d - 1) // (self.k - 1)
 
 
+@functools.lru_cache(maxsize=None)
+def layer_sizes(spec: MiseryDigraphSpec, n_roots: int) -> tuple[int, ...]:
+    """Node count of layers 1..d in a forest of n_roots trees."""
+    return tuple(n_roots * spec.layer_width(i) for i in range(1, spec.d + 1))
+
+
 @dataclass(frozen=True, eq=False)
 class MiseryDigraph:
     """A layered k-ary deception digraph (possibly a forest) plus its target.
@@ -307,20 +314,23 @@ class MiseryDigraph:
         return out
 
     def validate(self) -> None:
-        n = self.n_roots
+        """Shape invariants in O(d); the ids were indexed once, in _slots."""
+        layers, d = self.layers, self.spec.d
+        n = len(layers[0])
         if n < 1:
             raise TopologyError("no roots")
-        if len(self.layers) != self.d:
-            raise TopologyError(f"expected {self.d} layers, found {len(self.layers)}")
-        for i, layer in enumerate(self.layers, start=1):
-            expect = n * self.spec.layer_width(i)
+        if len(layers) != d:
+            raise TopologyError(f"expected {d} layers, found {len(layers)}")
+        for i, (layer, expect) in enumerate(zip(layers, layer_sizes(self.spec, n)), 1):
             if len(layer) != expect:
                 raise TopologyError(
                     f"layer {i} has {len(layer)} nodes, expected {expect}")
-        roots = set(self.roots)
-        if {r for r, _ in self.tree_services} != roots or len(self.tree_services) != n:
+        # services_of_tree indexes tree_services by tree number, so they
+        # must name layer 1's roots in order
+        if tuple(root for root, _ in self.tree_services) != layers[0]:
             raise TopologyError("tree_services do not match roots")
-        if self.enabled_leaf not in self.layers[-1]:
+        leaf = self._slots.get(self.enabled_leaf)
+        if leaf is None or leaf[0] != d:
             raise TopologyError(f"enabled leaf {self.enabled_leaf!r} not in layer d")
 
     # -- transforms ----------------------------------------------------------
@@ -336,11 +346,7 @@ class MiseryDigraph:
             raise LayerConflict(f"{u!r} at layer {lu}, {v!r} at layer {lv}")
         if not 2 <= lu <= self.d:
             raise TopologyError(f"layer {lu} excluded from switching")
-        layer = list(self.layers[lu - 1])
-        layer[su], layer[sv] = layer[sv], layer[su]
-        layers = self.layers[:lu - 1] + (tuple(layer),) + self.layers[lu:]
-        return MiseryDigraph(self.spec, layers, self.target, self.tree_services,
-                             self.poll_services, self.enabled_leaf)
+        return self._derive(lu, {su: v, sv: u}, self.enabled_leaf)
 
     def with_node_replaced(self, old: str, new: str) -> "MiseryDigraph":
         """Substitute a fresh id at old's position; designation follows."""
@@ -349,12 +355,32 @@ class MiseryDigraph:
             raise TopologyError("entry points are never replaced")
         if new in self._slots or new == self.target:
             raise TopologyError(f"replacement id {new!r} already present")
-        row = list(self.layers[layer - 1])
-        row[slot] = new
-        layers = self.layers[:layer - 1] + (tuple(row),) + self.layers[layer:]
         enabled = new if self.enabled_leaf == old else self.enabled_leaf
-        return MiseryDigraph(self.spec, layers, self.target, self.tree_services,
-                             self.poll_services, enabled)
+        return self._derive(layer, {slot: new}, enabled, gone=old)
+
+    def _derive(self, layer: int, placed: dict[int, str], enabled_leaf: str,
+                gone: str | None = None) -> "MiseryDigraph":
+        """A copy with `placed` (slot -> node) written into one layer and
+        `gone` dropped.  Only the changed slots are re-indexed, on a copy of
+        _slots, because digraphs are shared and the parent must not change.
+        Callers have ruled out duplicate ids, so the result is valid by
+        construction; validate() re-checks the shape in O(d)."""
+        row = list(self.layers[layer - 1])
+        slots = self._slots.copy()
+        if gone is not None:
+            del slots[gone]
+        for slot, node in placed.items():
+            row[slot] = node
+            slots[node] = (layer, slot)
+        out = object.__new__(MiseryDigraph)
+        out.__dict__.update(
+            spec=self.spec,
+            layers=self.layers[:layer - 1] + (tuple(row),) + self.layers[layer:],
+            target=self.target, tree_services=self.tree_services,
+            poll_services=self.poll_services, enabled_leaf=enabled_leaf,
+            _slots=slots)
+        out.validate()
+        return out
 
     # -- serialization -------------------------------------------------------
 
@@ -488,6 +514,19 @@ def _decoy_id(tree_prefix: str, layer: int, slot: int, generation: int = 0) -> s
 def replacement_id(layer: int, slot: int, generation: int, tree_prefix: str = "") -> str:
     """Positional id for a reset replacement (generation >= 1)."""
     return _decoy_id(tree_prefix, layer, slot, generation)
+
+
+def next_replacement_id(digraph: MiseryDigraph, node: str,
+                        generations: dict[tuple[int, int, int], int]) -> str:
+    """Fresh id for a reset of `node` at its current position.  Bumps the
+    generation of its (tree, layer, offset-in-tree) in `generations`; in a
+    forest the id carries the tree's root as a prefix."""
+    layer, slot = digraph.position(node)
+    tree, offset = divmod(slot, digraph.spec.layer_width(layer))
+    key = (tree, layer, offset)
+    generations[key] = generations.get(key, 0) + 1
+    prefix = f"{digraph.roots[tree]}~" if digraph.n_roots > 1 else ""
+    return replacement_id(layer, offset, generations[key], prefix)
 
 
 def build_misery_digraph(conn: ConnectivityDigraph,

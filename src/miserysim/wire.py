@@ -352,27 +352,45 @@ def encode_http_request(method: str, path: str, body: bytes = b"") -> bytes:
     return head.encode("ascii") + body
 
 
-def parse_http_request(data: bytes) -> tuple[str, str, bytes]:
+def _http_head(data: bytes, what: str) -> tuple[list[str], bytes]:
+    """Split a message into its ASCII head lines and its body."""
     head, sep, body = data.partition(b"\r\n\r\n")
     if not sep:
-        raise ProtocolViolation("truncated HTTP request")
-    lines = head.split(b"\r\n")
+        raise ProtocolViolation(f"truncated HTTP {what}")
     try:
-        method, path, version = lines[0].decode("ascii").split(" ")
+        return head.decode("ascii").split("\r\n"), body
+    except UnicodeDecodeError:
+        raise ProtocolViolation(f"non-ASCII byte in HTTP {what} head") from None
+
+
+def _http_body(header_lines: list[str], body: bytes) -> bytes:
+    """The body cut to its Content-Length (0 when absent); repeated
+    Content-Length headers must agree, and the body must be complete."""
+    values = {value.strip()
+              for name, _, value in (line.partition(":") for line in header_lines)
+              if name.strip().lower() == "content-length"}
+    if not values:
+        return b""
+    value = values.pop()
+    if values or not value.isdigit():
+        raise ProtocolViolation(f"bad or conflicting Content-Length {value!r}")
+    length = int(value)
+    if len(body) < length:
+        raise ProtocolViolation("HTTP body shorter than Content-Length")
+    return body[:length]
+
+
+def parse_http_request(data: bytes) -> tuple[str, str, bytes]:
+    lines, body = _http_head(data, "request")
+    try:
+        method, path, version = lines[0].split(" ")
     except ValueError:
         raise ProtocolViolation("malformed HTTP request line") from None
     if not version.startswith("HTTP/1."):
         raise ProtocolViolation(f"unsupported HTTP version {version!r}")
     if method not in ("GET", "POST"):
         raise ProtocolViolation(f"unsupported method {method!r}")
-    length = 0
-    for line in lines[1:]:
-        name, _, value = line.partition(b":")
-        if name.strip().lower() == b"content-length":
-            length = int(value.strip())
-    if len(body) < length:
-        raise ProtocolViolation("HTTP body shorter than Content-Length")
-    return method, path, body[:length]
+    return method, path, _http_body(lines[1:], body)
 
 
 _HTTP_STATUS = {200: "OK", 400: "Bad Request", 502: "Bad Gateway",
@@ -395,18 +413,17 @@ def encode_http_response(status: int, body: bytes,
 
 def parse_http_response(data: bytes) -> tuple[int, dict[str, str], bytes]:
     """Returns (status, headers with lower-case names, body)."""
-    head, sep, body = data.partition(b"\r\n\r\n")
-    if not sep:
-        raise ProtocolViolation("truncated HTTP response")
-    lines = head.split(b"\r\n")
-    parts = lines[0].decode("ascii").split(" ", 2)
-    status = int(parts[1])
+    lines, body = _http_head(data, "response")
+    parts = lines[0].split(" ", 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+        raise ProtocolViolation(f"malformed HTTP status line {lines[0]!r}")
+    if not parts[1].isdigit():
+        raise ProtocolViolation(f"bad HTTP status {parts[1]!r}")
     headers: dict[str, str] = {}
     for line in lines[1:]:
-        name, _, value = line.partition(b":")
-        headers[name.strip().lower().decode("ascii")] = value.strip().decode("ascii")
-    length = int(headers.get("content-length", "0"))
-    return status, headers, body[:length]
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(parts[1]), headers, _http_body(lines[1:], body)
 
 
 def new_correlation_id(rng: Random) -> bytes:

@@ -263,3 +263,17 @@ def test_http_rejects_empty_and_malformed():
     sim2, provider2, node2, _, _ = setup_node(is_entry=True)
     status, _, _ = http_roundtrip(sim2, provider2, node2, b"BOGUS / HTTP/1.1\r\n\r\n")
     assert status == 400
+
+
+def test_malformed_public_request_gets_400_and_entry_keeps_serving():
+    sim, provider, node, _, _ = setup_node(is_entry=True)
+    reply_child(sim, provider, "c0", b"VAL 1")
+    reply_child(sim, provider, "c1", b"VAL 1")
+    for raw in (b"POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\nGET k",
+                b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\nGET k",
+                b"POST /\xff HTTP/1.1\r\n\r\nGET k"):
+        status, _, _ = http_roundtrip(sim, provider, node, raw)
+        assert status == 400
+    status, _, body = http_roundtrip(
+        sim, provider, node, wire.encode_http_request("POST", "/", b"GET k"))
+    assert (status, body) == (200, b"VAL 1")

@@ -19,6 +19,7 @@ from miserysim.errors import (
     NoTaggedInstances,
     NoTarget,
     TopologyError,
+    UnknownNode,
 )
 from miserysim.topology import (
     PUBLIC_INTERNET,
@@ -36,6 +37,7 @@ from miserysim.topology import (
     derive_firewall_rules,
     enabled_path,
     extract_connectivity,
+    next_replacement_id,
     replacement_id,
     split_by_service,
     union_misery_digraphs,
@@ -314,6 +316,120 @@ def test_random_transform_sequences_preserve_invariants():
         dg.validate()
         assert {(s, t) for s, t, _ in dg.edges()} == oracle_expand_edges(dg)
         assert len(derive_firewall_rules(dg)) == oracle_rule_count(1, 2, 4, 1, 1)
+
+
+# --- incremental transforms against full rebuilds -------------------------------
+
+def rebuilt(dg: MiseryDigraph) -> MiseryDigraph:
+    """The same layers through the full constructor: index every id, check
+    for duplicates, validate."""
+    return MiseryDigraph(dg.spec, dg.layers, dg.target, dg.tree_services,
+                         dg.poll_services, dg.enabled_leaf)
+
+
+def forest():
+    parts = split_by_service(both_services_conn(("web1", "web2")))
+    return union_misery_digraphs(
+        [build_misery_digraph(p, MiseryDigraphSpec(3, 2)) for p in parts])
+
+
+@pytest.mark.parametrize("start", [
+    lambda: build_misery_digraph(chain(), MiseryDigraphSpec(3, 2)),
+    lambda: build_misery_digraph(chain(), MiseryDigraphSpec(4, 2)),
+    lambda: build_misery_digraph(chain(), MiseryDigraphSpec(5, 3)),
+    forest,
+], ids=["d3k2", "d4k2", "d5k3", "forest-d3k2"])
+def test_incremental_transforms_equal_full_rebuilds(start):
+    rng = random.Random(7)
+    dg = start()
+    generations: dict = {}
+    for _ in range(150):
+        parent_slots = dict(dg._slots)
+        layer = rng.randrange(2, dg.d + 1)
+        if rng.random() < 0.5:
+            dg_next = dg.with_positions_swapped(*rng.sample(dg.layer(layer), 2))
+        else:
+            old = rng.choice(dg.layer(layer))
+            dg_next = dg.with_node_replaced(
+                old, next_replacement_id(dg, old, generations))
+        assert dg._slots == parent_slots
+        full = rebuilt(dg_next)
+        assert dg_next._slots == full._slots
+        for node in full.all_nodes()[:-1]:
+            assert dg_next.position(node) == full.position(node)
+        assert dg_next.enabled_leaf == full.enabled_leaf
+        assert dg_next.edges() == full.edges()
+        assert derive_firewall_rules(dg_next) == derive_firewall_rules(full)
+        dg = dg_next
+
+
+def test_forest_replacements_carry_their_tree_prefix():
+    dg = forest()
+    generations: dict = {}
+    old = dg.layer(3)[5]          # tree 1 (web2), offset 1
+    new = next_replacement_id(dg, old, generations)
+    assert new == "web2~L3.s1.g1"
+    assert generations == {(1, 3, 1): 1}
+    assert next_replacement_id(dg, old, generations) == "web2~L3.s1.g2"
+
+
+@pytest.mark.parametrize("case", [
+    ("swap", "nowhere", "L2.s0.g0", UnknownNode, "nowhere"),
+    ("swap", "L2.s0.g0", "L2.s0.g0", TopologyError, "with itself"),
+    ("swap", "L2.s0.g0", "L3.s1.g0", LayerConflict, "at layer 2"),
+    ("replace", "nowhere", "fresh", UnknownNode, "nowhere"),
+    ("replace", "web", "fresh", TopologyError, "never replaced"),
+    ("replace", "app", "L2.s1.g0", TopologyError, "already present"),
+    ("replace", "app", "db", TopologyError, "already present"),
+], ids=["swap-unknown", "swap-self", "swap-cross-layer",
+        "replace-unknown", "replace-layer-1", "replace-id-present",
+        "replace-id-is-target"])
+def test_transforms_still_reject_invalid_requests(case):
+    op, a, b, error, message = case
+    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    before = dict(dg._slots)
+    transform = dg.with_positions_swapped if op == "swap" else dg.with_node_replaced
+    with pytest.raises(error, match=message):
+        transform(a, b)
+    assert dg._slots == before
+
+
+def test_swapping_layer_1_of_a_forest_is_refused():
+    dg = forest()
+    with pytest.raises(TopologyError, match="excluded from switching"):
+        dg.with_positions_swapped("web1", "web2")
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("layers", lambda ls: ((),) + ls[1:], "no roots"),
+    ("layers", lambda ls: ls[:-1], "expected 3 layers"),
+    ("layers", lambda ls: ls[:2] + (ls[2][:-1],), "layer 3 has 3 nodes"),
+    ("layers", lambda ls: ls[:2] + (("app", ls[1][0]) + ls[2][2:],),
+     "duplicate node id"),
+    ("layers", lambda ls: ls[:2] + (("app", "db") + ls[2][2:],),
+     "target also occurs"),
+    ("tree_services", lambda ts: (), "tree_services"),
+    ("tree_services", lambda ts: (("other", ts[0][1]),), "tree_services"),
+    ("enabled_leaf", lambda leaf: "L2.s0.g0", "enabled leaf"),
+    ("enabled_leaf", lambda leaf: "db", "enabled leaf"),
+], ids=["no-roots", "layer-count", "layer-size", "duplicate-id",
+        "target-in-layer", "no-tree-services", "tree-services-root",
+        "leaf-not-in-layer-d", "leaf-is-target"])
+def test_constructor_still_rejects_invalid_shapes(name, change, message):
+    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    fields = {f: getattr(dg, f) for f in ("spec", "layers", "target", "tree_services",
+                                          "poll_services", "enabled_leaf")}
+    fields[name] = change(fields[name])
+    with pytest.raises(TopologyError, match=message):
+        MiseryDigraph(**fields)
+
+
+def test_forest_tree_services_must_follow_root_order():
+    dg = forest()
+    with pytest.raises(TopologyError, match="tree_services"):
+        MiseryDigraph(dg.spec, dg.layers, dg.target,
+                      tuple(reversed(dg.tree_services)), dg.poll_services,
+                      dg.enabled_leaf)
 
 
 # --- serialization ------------------------------------------------------------

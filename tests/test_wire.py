@@ -292,6 +292,36 @@ def test_http_request_violations():
         parse_http_request(b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc")
 
 
+@pytest.mark.parametrize("raw", [
+    b"POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\nx",
+    b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\nx",
+    b"POST / HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nxy",
+    b"POST /\xff HTTP/1.1\r\n\r\n",
+    b"POST / HTTP/1.1\r\nX-\xe9: 1\r\n\r\n",
+], ids=["non-numeric-length", "negative-length", "conflicting-lengths",
+        "non-ascii-request-line", "non-ascii-header"])
+def test_http_request_malformed_head_is_a_protocol_violation(raw):
+    with pytest.raises(ProtocolViolation):
+        parse_http_request(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    b"HTTP/1.1\r\n\r\n",
+    b"HTTP/1.1 OK\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: -3\r\n\r\nabc",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nabc",
+    b"HTTP/1.1 200 OK\r\nX-Request-Id: \xff\r\n\r\n",
+    b"\xffTTP/1.1 200 OK\r\n\r\n",
+    b"SPDY/3 200 OK\r\n\r\n",
+], ids=["no-status", "non-numeric-status", "non-numeric-length",
+        "negative-length", "short-body", "non-ascii-header", "non-ascii-status-line",
+        "not-http"])
+def test_http_response_malformed_head_is_a_protocol_violation(raw):
+    with pytest.raises(ProtocolViolation):
+        parse_http_response(raw)
+
+
 def test_http_response_headers_round_trip():
     raw = encode_http_response(200, b"OK", {"X-Request-Id": "00ff"})
     status, headers, body = parse_http_response(raw)
