@@ -83,7 +83,7 @@ def simulate_one(d: int, k: int, *, hop_time: float, strategy: Strategy,
     move_rng = random.Random(f"{seed}/movement")
     attack_rng = random.Random(f"{seed}/attack")
     generations: dict = {}
-    entry = digraph.layer(1)[0]
+    entry = digraph.root
     state = AttackerState(current=entry, hop_time=hop_time, strategy=strategy)
     if horizon is None:
         horizon = 500.0 * hop_time

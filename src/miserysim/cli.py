@@ -101,7 +101,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_deploy(args: argparse.Namespace) -> int:
     with open(args.digraph, "r", encoding="utf-8") as fh:
-        digraph = MiseryDigraph.from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"bad digraph file {args.digraph}: {err}") from err
+    digraph = MiseryDigraph.from_json_dict(doc)
     sim = Simulation(args.seed or 0)
     events = EventLog()
     provider = CloudProvider(sim, events)

@@ -52,7 +52,6 @@ class Instance:
     tags: dict[str, str]
     created_at: float
     ready: Future = field(repr=False, default_factory=Future)
-    marks: set[str] = field(repr=False, default_factory=set)  # simulated compromise markers
 
     def to_dict(self) -> dict:
         return {"id": self.id, "image": self.image.value, "address": self.address,
@@ -596,9 +595,3 @@ class CloudProvider:
         instances = tuple(sorted(self.instances.values(), key=lambda i: i.id))
         rules = tuple(sorted(self.rules, key=lambda r: (r.src, r.dst, r.port)))
         return CloudSnapshot(self.sim.now, instances, rules)
-
-    def open_sessions(self, node: str | None = None) -> list[Channel]:
-        out = [ch for ch in self.channels if ch.state == "open"]
-        if node is not None:
-            out = [ch for ch in out if node in (ch.a, ch.b)]
-        return out

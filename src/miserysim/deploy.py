@@ -21,7 +21,7 @@ from .cloud import CloudProvider, ImageKind, Instance, min_pool_requirements
 from .errors import TopologyError
 from .eventlog import EventLog
 from .multicaster import AddressTable, ForwardPolicy, MulticasterNode
-from .sim import Future, Simulation
+from .sim import Simulation, gather
 from .target import (
     AppServerNode,
     BackendStore,
@@ -48,32 +48,6 @@ def swappable_image_counts(digraph: MiseryDigraph) -> dict[ImageKind, int]:
         kind = image_for_layer(digraph, layer_no)
         counts[kind] = counts.get(kind, 0) + len(digraph.layer(layer_no))
     return counts
-
-
-def gather(futures: list[Future]) -> Future:
-    """Future resolving to all results in order; rejects on the first failure."""
-    out = Future()
-    results: list = [None] * len(futures)
-    remaining = len(futures)
-    if remaining == 0:
-        out.resolve(results)
-        return out
-
-    def make_cb(index: int):
-        def cb(fut: Future) -> None:
-            nonlocal remaining
-            if fut.failed:
-                out.reject(fut.exception())
-                return
-            results[index] = fut.result()
-            remaining -= 1
-            if remaining == 0:
-                out.resolve(results)
-        return cb
-
-    for index, fut in enumerate(futures):
-        fut.add_done_callback(make_cb(index))
-    return out
 
 
 def image_for_layer(digraph: MiseryDigraph, layer: int) -> ImageKind:
@@ -106,34 +80,29 @@ class Deployment:
         self.node_instances: dict[str, Instance] = {}
         self.store = BackendStore()
         self.ps: PollingServerNode | None = None
-        self.entry_addresses: dict[str, str] = {}
-
-    @property
-    def entry_address(self) -> str:
-        return next(iter(self.entry_addresses.values()))
+        self.entry_address: str | None = None
 
     def set_digraph(self, digraph: MiseryDigraph) -> None:
         self.digraph = digraph
 
     # -- runtime construction ------------------------------------------------
 
-    def _child_entries(self, node: str) -> list[tuple[str, str]]:
+    def child_entries(self, owner: str) -> list[tuple[str, str]]:
+        """(id, address) of every node `owner` routes to: its children, or
+        for the target every layer-d node it polls."""
+        digraph = self.digraph
+        if owner == digraph.target:
+            children = digraph.layer(digraph.d)
+        else:
+            children = digraph.children_of(owner)
         return [(child, self.provider.instance(child).address)
-                for child in self.digraph.children_of(node)]
-
-    def _layer_d_entries(self) -> list[tuple[str, str]]:
-        return [(leaf, self.provider.instance(leaf).address)
-                for leaf in self.digraph.layer(self.digraph.d)]
+                for child in children]
 
     def _new_registry(self, node: str) -> RequestRegistry:
         if self.registry_dir is None:
             return RequestRegistry(None)
         return RequestRegistry(os.path.join(self.registry_dir, f"{node}.log"),
                                fsync=self.fsync)
-
-    def _transport_ports(self, node: str) -> list[int]:
-        tree = self.digraph.tree_of(node)
-        return [s.port for s in self.digraph.services_of_tree(tree)]
 
     def attach_node(self, node: str) -> None:
         """Build and wire the runtime for one digraph node (initial deploy
@@ -144,19 +113,19 @@ class Deployment:
         if layer < digraph.d:
             runtime = MulticasterNode(
                 self.sim, self.provider, self.log, node, ForwardPolicy(self.u),
-                self.counters, layer=layer, is_entry=(layer == 1),
-                table=AddressTable(1, tuple(self._child_entries(node))))
+                self.counters, is_entry=(layer == 1),
+                table=AddressTable(1, tuple(self.child_entries(node))))
             handler = runtime.on_http if layer == 1 else runtime.on_request
-            for port in self._transport_ports(node):
-                self.provider.bind(node, port, on_request=handler)
-            self.addresses.register(node, self._child_entries(node))
+            for service in digraph.transport_services:
+                self.provider.bind(node, service.port, on_request=handler)
+            self.addresses.register(node, self.child_entries(node))
             self.addresses.subscribe(node, runtime.apply_update)
         elif layer == digraph.d:
             runtime = RequestsServerNode(
                 self.sim, self.provider, self.log, node,
                 self._new_registry(node), self.u, self.counters)
-            for port in self._transport_ports(node):
-                self.provider.bind(node, port, on_request=runtime.on_request)
+            for service in digraph.transport_services:
+                self.provider.bind(node, service.port, on_request=runtime.on_request)
             for service in digraph.poll_services:
                 self.provider.bind(node, service.port,
                                    on_channel=runtime.on_poll_channel)
@@ -177,8 +146,8 @@ class Deployment:
         ps = PollingServerNode(
             self.sim, self.provider, self.log, target, self.store, self.m,
             digraph.poll_services[0].port, self.counters)
-        ps.set_record(self._layer_d_entries())
-        self.addresses.register(target, self._layer_d_entries())
+        ps.set_record(self.child_entries(target))
+        self.addresses.register(target, self.child_entries(target))
         self.addresses.subscribe(target, lambda record: ps.set_record(record.entries))
         self.ps = ps
         self.runtimes[target] = ps
@@ -195,7 +164,7 @@ class Deployment:
             return problems
         for layer_no in range(1, digraph.d):
             for node in digraph.layer(layer_no):
-                expected = tuple(self._child_entries(node))
+                expected = tuple(self.child_entries(node))
                 runtime = self.runtimes.get(node)
                 if runtime is None:
                     problems.append(f"{node}: no runtime attached")
@@ -207,7 +176,7 @@ class Deployment:
                 if tuple(record.entries) != expected:
                     problems.append(
                         f"{node}: address record {record.entries} != {expected}")
-        expected = tuple(self._layer_d_entries())
+        expected = tuple(self.child_entries(digraph.target))
         if self.ps is not None and tuple(self.ps.endpoints) != expected:
             problems.append(
                 f"{digraph.target}: poll endpoints {self.ps.endpoints} != {expected}")
@@ -251,8 +220,7 @@ def deploy_misery(sim: Simulation, provider: CloudProvider,
         for node in digraph.layer(layer_no):
             deployment.attach_node(node)
     deployment.attach_target()
-    for root in digraph.roots:
-        deployment.entry_addresses[root] = provider.instance(root).address
+    deployment.entry_address = provider.instance(digraph.root).address
     log.emit(sim.now, "deploy.complete", instance=None,
              detail={"nodes": len(digraph.all_nodes()), "pool": s})
     return deployment
@@ -285,8 +253,8 @@ def deploy_normal(sim: Simulation, provider: CloudProvider,
     app_address = provider.instance(app).address
     db_address = provider.instance(db).address
     web_node = MulticasterNode(
-        sim, provider, log, web, ForwardPolicy(u), counters, layer=1,
-        is_entry=True, table=AddressTable(1, ((app, app_address),)))
+        sim, provider, log, web, ForwardPolicy(u), counters, is_entry=True,
+        table=AddressTable(1, ((app, app_address),)))
     app_node = AppServerNode(sim, provider, log, app, db_address, 3306, u,
                              counters)
     db_node = DatabaseServerNode(sim, provider, log, db, deployment.store,
@@ -299,7 +267,7 @@ def deploy_normal(sim: Simulation, provider: CloudProvider,
 
     deployment.runtimes = {web: web_node, app: app_node, db: db_node}
     deployment.node_instances = {n: provider.instance(n) for n in NORMAL_CHAIN}
-    deployment.entry_addresses[web] = provider.instance(web).address
+    deployment.entry_address = provider.instance(web).address
     log.emit(sim.now, "deploy.complete", instance=None,
              detail={"nodes": 3, "pool": 0})
     return deployment

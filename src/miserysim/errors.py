@@ -37,12 +37,8 @@ class DisconnectedPath(TopologyError):
     """The target is not reachable from every entry point."""
 
 
-class IncompatibleSpecs(TopologyError):
-    """Union inputs disagree on d or k."""
-
-
 class LayerConflict(TopologyError):
-    """A shared node appears at conflicting layers/positions in a union."""
+    """A switch names two nodes at different layers."""
 
 
 class UnknownNode(TopologyError):

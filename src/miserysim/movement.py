@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass, field
 
 from .addresses import AddressServer
-from .cloud import CloudProvider, ImageKind, Instance
+from .cloud import CloudProvider
+from .deploy import image_for_layer
 from .errors import (
     CloudError,
     ConcurrentMutation,
@@ -31,7 +32,7 @@ from .sim import PRIO_CONTROL, Simulation
 from .topology import (
     MiseryDigraph,
     MiseryDigraphSpec,
-    derive_firewall_rules,
+    inbound_rules,
     layer_sizes,
     next_replacement_id,
 )
@@ -58,13 +59,6 @@ class SwitchOp:
     nodes: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class ResetOp:
-    old: str
-    replacement: Instance
-    image: ImageKind
-
-
 @dataclass
 class MovementEvent:
     t: float
@@ -82,16 +76,32 @@ class MovementEvent:
 
 
 @functools.lru_cache(maxsize=None)
-def _eligible_layers(spec: MiseryDigraphSpec, n_roots: int) -> tuple[int, ...]:
+def _eligible_layers(spec: MiseryDigraphSpec) -> tuple[int, ...]:
     """Layers in 2..d with at least two nodes; fixed by the shape."""
-    sizes = layer_sizes(spec, n_roots)
+    sizes = layer_sizes(spec)
     return tuple(a for a in range(2, spec.d + 1) if sizes[a - 1] >= 2)
+
+
+def rule_delta(before: MiseryDigraph, after: MiseryDigraph,
+               gone: tuple[str, ...], placed: tuple[str, ...]):
+    """(revoke, grant) as sorted (src, dst, port) triples for a transform
+    that moved or removed `gone` and put `placed` in their slots.  Only the
+    inbound rules of those nodes and of their children can differ."""
+    def around(digraph: MiseryDigraph, nodes: tuple[str, ...]) -> set:
+        return {rule for node in nodes
+                for n in (node, *digraph.children_of(node))
+                for rule in inbound_rules(digraph, n)}
+
+    old, new = around(before, gone), around(after, placed)
+    revoke = sorted((r.src, r.dst, r.port) for r in old - new)
+    grant = sorted((r.src, r.dst, r.port) for r in new - old)
+    return revoke, grant
 
 
 def select_transformation(digraph: MiseryDigraph, rng: random.Random) -> SwitchOp:
     """Uniform layer from the eligible middle layers, then a uniform node
     pair without replacement from that layer."""
-    eligible = _eligible_layers(digraph.spec, digraph.n_roots)
+    eligible = _eligible_layers(digraph.spec)
     if not eligible:
         raise NoEligibleLayer(
             f"no layer in 2..{digraph.d} has two nodes (k={digraph.k})")
@@ -115,7 +125,7 @@ class MovementManager:
         self.counters = counters
         self._rng = sim.rng("movement")
         self._busy = False
-        self._generation: dict[tuple[int, int, int], int] = {}
+        self._generation: dict[tuple[int, int], int] = {}
         self._retry_owners: set[str] = set()
         self.cycle_no = 0
         self.events: list[MovementEvent] = []
@@ -171,8 +181,7 @@ class MovementManager:
         # Don't start a switch the pool cannot finish: a reset stalled on
         # provisioning would leave the switched layer routing nowhere for the
         # whole provisioning latency.
-        image = (ImageKind.REQUESTS_SERVER if op.layer == digraph.d
-                 else ImageKind.MULTICASTER)
+        image = image_for_layer(digraph, op.layer)
         pool = self.provider.pool
         if pool is not None and pool.s > 0 and pool.ready_count(image) < 2:
             self.counters["skipped_pool_short"] = self.counters.get(
@@ -214,19 +223,12 @@ class MovementManager:
         payload.pop("t")
         self.log.emit(event.t, "movement", instance=None, **payload)
 
-    def _rule_delta(self, before: MiseryDigraph, after: MiseryDigraph):
-        old = set(derive_firewall_rules(before).rules)
-        new = set(derive_firewall_rules(after).rules)
-        revoke = sorted((r.src, r.dst, r.port) for r in old - new)
-        grant = sorted((r.src, r.dst, r.port) for r in new - old)
-        return revoke, grant
-
     def _execute_switch(self, cycle: int, op: SwitchOp):
         digraph = self.deployment.digraph
         u, v = op.nodes
         swapped = digraph.with_positions_swapped(u, v)
         yield self.provider.api_latency()
-        revoke, grant = self._rule_delta(digraph, swapped)
+        revoke, grant = rule_delta(digraph, swapped, op.nodes, op.nodes)
         self.provider.rewrite_rules(revoke, grant)
         self.deployment.set_digraph(swapped)
         self._emit(MovementEvent(self.sim.now, cycle, "switch", op.layer,
@@ -235,16 +237,15 @@ class MovementManager:
     def _execute_reset(self, old: str):
         """Replace one node with a pool instance at its current position."""
         digraph = self.deployment.digraph
-        image = (ImageKind.REQUESTS_SERVER if digraph.position(old)[0] == digraph.d
-                 else ImageKind.MULTICASTER)
-        instance = yield self.provider.pool.allocate(image)
+        instance = yield self.provider.pool.allocate(
+            image_for_layer(digraph, digraph.layer_of(old)))
         yield self.provider.api_latency()
         new_id = next_replacement_id(digraph, old, self._generation)
         self.provider.adopt_instance(
             instance.id, new_id,
             tags={"role": digraph.role_of(old), **self.deployment.base_tags})
         replaced = digraph.with_node_replaced(old, new_id)
-        revoke, grant = self._rule_delta(digraph, replaced)
+        revoke, grant = rule_delta(digraph, replaced, (old,), (new_id,))
         self.provider.rewrite_rules(revoke, grant)
         self.deployment.set_digraph(replaced)
         self.deployment.attach_node(new_id)
@@ -276,18 +277,9 @@ class MovementManager:
                 versions[digraph.target] = version
         return versions
 
-    def _entries_for(self, owner: str) -> list[tuple[str, str]]:
-        digraph = self.deployment.digraph
-        if owner == digraph.target:
-            children = digraph.layer(digraph.d)
-        else:
-            children = digraph.children_of(owner)
-        return [(child, self.provider.instance(child).address)
-                for child in children]
-
     def _update_owner(self, owner: str) -> int | None:
         try:
-            record = self.addresses.update(owner, self._entries_for(owner))
+            record = self.addresses.update(owner, self.deployment.child_entries(owner))
         except (UnknownOwner, CloudError):
             self._retry_owners.add(owner)
             self.counters["propagation_retries"] = self.counters.get(

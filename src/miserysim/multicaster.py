@@ -21,17 +21,6 @@ from .sim import PRIO_RESOLVE, Simulation
 
 
 @dataclass(frozen=True)
-class RequestEnvelope:
-    """In-node view of one request copy; the wire form is the internal frame
-    (the hop index and deadline are node-local, never serialized)."""
-
-    correlation_id: bytes
-    payload: bytes
-    hop: int
-    deadline: float
-
-
-@dataclass(frozen=True)
 class AddressTable:
     version: int
     children: tuple[tuple[str, str], ...]   # (node id, address)
@@ -121,7 +110,7 @@ class _Job:
 class MulticasterNode:
     def __init__(self, sim: Simulation, provider: CloudProvider, log: EventLog,
                  node_id: str, policy: ForwardPolicy, counters: dict,
-                 *, layer: int = 1, is_entry: bool = False,
+                 *, is_entry: bool = False,
                  table: AddressTable = EMPTY_TABLE):
         self.sim = sim
         self.provider = provider
@@ -129,7 +118,6 @@ class MulticasterNode:
         self.id = node_id
         self.policy = policy
         self.counters = counters
-        self.layer = layer
         self.is_entry = is_entry
         self.table = table
         self._corr_rng = sim.rng("correlation") if is_entry else None
@@ -171,6 +159,10 @@ class MulticasterNode:
         if not payload:
             self.provider.respond(ex, wire.encode_http_response(400, b"empty request"))
             return
+        if len(payload) > wire.MAX_PAYLOAD:
+            # the internal frame could not carry it
+            self.provider.respond(ex, wire.encode_http_response(400, b"request too large"))
+            return
         corr = wire.new_correlation_id(self._corr_rng)
         headers = {"X-Request-Id": corr.hex()}
 
@@ -190,8 +182,6 @@ class MulticasterNode:
 
     def handle_request(self, corr: bytes, payload: bytes, port: int, respond) -> None:
         """Fan out to every child on the same service port; first success wins."""
-        env = RequestEnvelope(corr, payload, self.layer,
-                              self.sim.now + self.policy.u)
         children = self.table.children
         job = _Job(self, corr, respond)
         if not children:
@@ -200,7 +190,7 @@ class MulticasterNode:
             job._finish_error(b"no-children")
             return
         job.fanout = len(children)
-        frame = wire.encode_request(env.correlation_id, env.payload)
+        frame = wire.encode_request(corr, payload)
         futures = [
             (index, self.provider.request(self.id, address, port, frame))
             for index, (_, address) in enumerate(children)

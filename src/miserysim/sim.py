@@ -106,6 +106,32 @@ class Future:
             fn(self)
 
 
+def gather(futures: list[Future]) -> Future:
+    """Future resolving to all results in order; rejects on the first failure."""
+    out = Future()
+    results: list = [None] * len(futures)
+    remaining = len(futures)
+    if remaining == 0:
+        out.resolve(results)
+        return out
+
+    def make_cb(index: int):
+        def cb(fut: Future) -> None:
+            nonlocal remaining
+            if fut.failed:
+                out.reject(fut.exception())
+                return
+            results[index] = fut.result()
+            remaining -= 1
+            if remaining == 0:
+                out.resolve(results)
+        return cb
+
+    for index, fut in enumerate(futures):
+        fut.add_done_callback(make_cb(index))
+    return out
+
+
 class Task:
     """A generator driven by the simulation.
 

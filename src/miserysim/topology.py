@@ -6,7 +6,7 @@ it wholesale on every transformation; nothing here mutates in place.
 
 A misery digraph is stored positionally: layer i (1-based, i = 1..d) is a
 tuple of node ids, and the parent/child edges are implied by slot arithmetic
-(slot g of layer i+1 hangs under slot g // k of layer i, per tree).  The
+(slot g of layer i+1 hangs under slot g // k of layer i).  The
 target sits alone past layer d with no inbound edges at all.  Storing
 positions instead of an edge list makes switches (position exchanges) and
 resets (id substitutions) trivial and keeps the k-ary shape true by
@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import logging
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .errors import (
     DisconnectedPath,
-    IncompatibleSpecs,
     InvalidSpec,
     LayerConflict,
     NoEntryPoint,
@@ -76,9 +75,6 @@ class ConnectivityDigraph:
     """Permitted-flow graph: edge (u, v, s) means u may reach v on service s.
 
     `roles` maps every node id to entry-point | intermediate | target.
-    Service-restricted subgraphs produced by split_by_service may lack an
-    entry point; full digraphs (extract_connectivity output) always satisfy
-    validate().
     """
 
     roles: tuple[tuple[str, str], ...]          # (node id, role), sorted by id
@@ -104,10 +100,6 @@ class ConnectivityDigraph:
               edges: Iterable[tuple[str, str, ServiceKind]]) -> "ConnectivityDigraph":
         return cls(tuple(sorted(roles.items())), frozenset(edges))
 
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.roles)
-
     def role_of(self, node: str) -> str:
         for n, role in self.roles:
             if n == node:
@@ -130,9 +122,6 @@ class ConnectivityDigraph:
         if len(targets) > 1:
             raise TopologyError(f"multiple targets: {targets}")
         return targets[0]
-
-    def services(self) -> tuple[ServiceKind, ...]:
-        return tuple(sorted({s for _, _, s in self.edges}))
 
     def out_edges(self, node: str) -> list[tuple[str, str, ServiceKind]]:
         return sorted(e for e in self.edges if e[0] == node)
@@ -175,41 +164,32 @@ class MiseryDigraphSpec:
             raise InvalidSpec(f"k must be >= 1, got {self.k}")
 
     def layer_width(self, layer: int) -> int:
-        """Nodes per tree at a 1-based layer in 1..d."""
+        """Nodes at a 1-based layer in 1..d."""
         if not 1 <= layer <= self.d:
             raise InvalidSpec(f"layer {layer} outside 1..{self.d}")
         return self.k ** (layer - 1)
 
-    @property
-    def non_target_count(self) -> int:
-        """Per-tree node count over layers 1..d (closed form from the k-ary sum)."""
-        if self.k == 1:
-            return self.d
-        return (self.k ** self.d - 1) // (self.k - 1)
-
 
 @functools.lru_cache(maxsize=None)
-def layer_sizes(spec: MiseryDigraphSpec, n_roots: int) -> tuple[int, ...]:
-    """Node count of layers 1..d in a forest of n_roots trees."""
-    return tuple(n_roots * spec.layer_width(i) for i in range(1, spec.d + 1))
+def layer_sizes(spec: MiseryDigraphSpec) -> tuple[int, ...]:
+    """Node count of layers 1..d."""
+    return tuple(spec.layer_width(i) for i in range(1, spec.d + 1))
 
 
 @dataclass(frozen=True, eq=False)
 class MiseryDigraph:
-    """A layered k-ary deception digraph (possibly a forest) plus its target.
+    """A layered k-ary deception tree plus its target.
 
-    layers[i] holds layer i+1 left to right; with n roots, layer i is the
-    concatenation of n blocks of k^(i-1) slots, one block per tree.  The
-    target is not part of any layer tuple and has no parent edges (Isolated
-    Target).  tree_services maps each root id to the service set riding every
-    edge of its tree; poll_services are the services the target uses to poll
-    layer d.
+    layers[i] holds layer i+1 left to right; layer 1 is the single root, the
+    public entry point.  The target is not part of any layer tuple and has no
+    parent edges (Isolated Target).  transport_services ride every edge;
+    poll_services are the services the target uses to poll layer d.
     """
 
     spec: MiseryDigraphSpec
     layers: tuple[tuple[str, ...], ...]
     target: str
-    tree_services: tuple[tuple[str, tuple[ServiceKind, ...]], ...]
+    transport_services: tuple[ServiceKind, ...]
     poll_services: tuple[ServiceKind, ...]
     enabled_leaf: str
     _slots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -235,12 +215,8 @@ class MiseryDigraph:
         return self.spec.k
 
     @property
-    def roots(self) -> tuple[str, ...]:
-        return self.layers[0]
-
-    @property
-    def n_roots(self) -> int:
-        return len(self.layers[0])
+    def root(self) -> str:
+        return self.layers[0][0]
 
     def layer(self, i: int) -> tuple[str, ...]:
         if not 1 <= i <= self.d:
@@ -268,22 +244,14 @@ class MiseryDigraph:
         layer, slot = self.position(node)
         if layer == 1:
             return None
-        k = self.k
-        width = self.spec.layer_width(layer)
-        tree, offset = divmod(slot, width)
-        parent_width = self.spec.layer_width(layer - 1)
-        return self.layers[layer - 2][tree * parent_width + offset // k]
+        return self.layers[layer - 2][slot // self.spec.k]
 
     def children_of(self, node: str) -> tuple[str, ...]:
         layer, slot = self.position(node)
         if layer == self.d:
             return ()
-        k = self.k
-        width = self.spec.layer_width(layer)
-        tree, offset = divmod(slot, width)
-        child_width = self.spec.layer_width(layer + 1)
-        base = tree * child_width + offset * k
-        return self.layers[layer][base:base + k]
+        k = self.spec.k
+        return self.layers[layer][slot * k:slot * k + k]
 
     def role_of(self, node: str) -> str:
         layer = self.layer_of(node)
@@ -295,40 +263,25 @@ class MiseryDigraph:
             return ROLE_REQUESTS_SERVER
         return ROLE_MULTICASTER
 
-    def tree_of(self, node: str) -> int:
-        layer, slot = self.position(node)
-        return slot // self.spec.layer_width(layer)
-
-    def services_of_tree(self, tree: int) -> tuple[ServiceKind, ...]:
-        return self.tree_services[tree][1]
-
     def edges(self) -> list[tuple[str, str, tuple[ServiceKind, ...]]]:
         """All parent->child edges with their service labels, layer by layer."""
-        out = []
-        for layer_idx in range(1, self.d):
-            for node in self.layers[layer_idx - 1]:
-                tree = self.tree_of(node)
-                services = self.services_of_tree(tree)
-                for child in self.children_of(node):
-                    out.append((node, child, services))
-        return out
+        return [(node, child, self.transport_services)
+                for layer in self.layers[:-1] for node in layer
+                for child in self.children_of(node)]
 
     def validate(self) -> None:
-        """Shape invariants in O(d); the ids were indexed once, in _slots."""
+        """Shape invariants in O(d); the ids were indexed once, in _slots.
+        The expected layer sizes start at 1, so this also checks that
+        layer 1 holds exactly one root."""
         layers, d = self.layers, self.spec.d
-        n = len(layers[0])
-        if n < 1:
-            raise TopologyError("no roots")
         if len(layers) != d:
             raise TopologyError(f"expected {d} layers, found {len(layers)}")
-        for i, (layer, expect) in enumerate(zip(layers, layer_sizes(self.spec, n)), 1):
+        for i, (layer, expect) in enumerate(zip(layers, layer_sizes(self.spec)), 1):
             if len(layer) != expect:
                 raise TopologyError(
                     f"layer {i} has {len(layer)} nodes, expected {expect}")
-        # services_of_tree indexes tree_services by tree number, so they
-        # must name layer 1's roots in order
-        if tuple(root for root, _ in self.tree_services) != layers[0]:
-            raise TopologyError("tree_services do not match roots")
+        if not self.transport_services:
+            raise TopologyError("no transport services")
         leaf = self._slots.get(self.enabled_leaf)
         if leaf is None or leaf[0] != d:
             raise TopologyError(f"enabled leaf {self.enabled_leaf!r} not in layer d")
@@ -337,15 +290,14 @@ class MiseryDigraph:
 
     def with_positions_swapped(self, u: str, v: str) -> "MiseryDigraph":
         """Exchange the positions of u and v (same layer, 2..d): parents and
-        children swap with the positions; each node's own subtree stays put."""
+        children swap with the positions; each node's own subtree stays put.
+        Layer 1 holds one node, so a same-layer pair never lies there."""
         lu, su = self.position(u)
         lv, sv = self.position(v)
         if u == v:
             raise TopologyError("cannot switch a node with itself")
         if lu != lv:
             raise LayerConflict(f"{u!r} at layer {lu}, {v!r} at layer {lv}")
-        if not 2 <= lu <= self.d:
-            raise TopologyError(f"layer {lu} excluded from switching")
         return self._derive(lu, {su: v, sv: u}, self.enabled_leaf)
 
     def with_node_replaced(self, old: str, new: str) -> "MiseryDigraph":
@@ -376,7 +328,7 @@ class MiseryDigraph:
         out.__dict__.update(
             spec=self.spec,
             layers=self.layers[:layer - 1] + (tuple(row),) + self.layers[layer:],
-            target=self.target, tree_services=self.tree_services,
+            target=self.target, transport_services=self.transport_services,
             poll_services=self.poll_services, enabled_leaf=enabled_leaf,
             _slots=slots)
         out.validate()
@@ -394,10 +346,7 @@ class MiseryDigraph:
                 {"src": src, "dst": dst, "services": [s.to_dict() for s in services]}
                 for src, dst, services in self.edges()
             ],
-            "tree_services": {
-                root: [s.to_dict() for s in services]
-                for root, services in self.tree_services
-            },
+            "transport_services": [s.to_dict() for s in self.transport_services],
             "poll_services": [s.to_dict() for s in self.poll_services],
             "enabled_leaf": self.enabled_leaf,
             "enabled_path": enabled_path(self),
@@ -405,31 +354,19 @@ class MiseryDigraph:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "MiseryDigraph":
-        spec = MiseryDigraphSpec(int(doc["spec"]["d"]), int(doc["spec"]["k"]))
-        layers = tuple(tuple(layer) for layer in doc["layers"])
-        tree_services = tuple(
-            (root, tuple(ServiceKind.from_dict(s) for s in services))
-            for root, services in doc["tree_services"].items()
-        )
-        poll = tuple(ServiceKind.from_dict(s) for s in doc["poll_services"])
-        return cls(spec, layers, doc["target"], tree_services, poll,
-                   doc["enabled_leaf"])
-
-    def to_dot(self) -> str:
-        lines = ["digraph misery {", "  rankdir=TB;"]
-        for node in self.all_nodes():
-            role = self.role_of(node)
-            shape = {"entry-point": "invhouse", "target": "doubleoctagon",
-                     "requests-server": "box"}.get(role, "ellipse")
-            lines.append(f'  "{node}" [shape={shape} label="{node}\\n{role}"];')
-        for src, dst, services in self.edges():
-            label = ",".join(f"{s.name}:{s.port}" for s in services)
-            lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
-        for leaf in self.layers[-1]:
-            label = ",".join(f"{s.name}:{s.port}" for s in self.poll_services)
-            lines.append(f'  "{self.target}" -> "{leaf}" [style=dashed label="poll {label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        """Inverse of to_json_dict (roles, edges and enabled_path are derived,
+        so they are not read).  A document with a missing key, a value of the
+        wrong type or more than one root raises TopologyError."""
+        try:
+            spec = MiseryDigraphSpec(int(doc["spec"]["d"]), int(doc["spec"]["k"]))
+            layers = tuple(tuple(layer) for layer in doc["layers"])
+            return cls(spec, layers, doc["target"],
+                       tuple(ServiceKind.from_dict(s) for s in doc["transport_services"]),
+                       tuple(ServiceKind.from_dict(s) for s in doc["poll_services"]),
+                       doc["enabled_leaf"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise TopologyError(
+                f"malformed digraph document: {type(err).__name__}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -494,55 +431,41 @@ def extract_connectivity(snapshot, tag: tuple[str, str]) -> ConnectivityDigraph:
     return ConnectivityDigraph.build(roles, edges)
 
 
-def split_by_service(conn: ConnectivityDigraph) -> list[ConnectivityDigraph]:
-    """Partition into one digraph per ServiceKind (edges disjoint, covering)."""
-    if not conn.roles:
-        raise TopologyError("empty digraph")
-    out = []
-    for service in conn.services():
-        edges = {e for e in conn.edges if e[2] == service}
-        touched = {n for src, dst, _ in edges for n in (src, dst)}
-        roles = {n: role for n, role in conn.roles if n in touched}
-        out.append(ConnectivityDigraph.build(roles, edges))
-    return out
+def _decoy_id(layer: int, slot: int, generation: int = 0) -> str:
+    return f"L{layer}.s{slot}.g{generation}"
 
 
-def _decoy_id(tree_prefix: str, layer: int, slot: int, generation: int = 0) -> str:
-    return f"{tree_prefix}L{layer}.s{slot}.g{generation}"
-
-
-def replacement_id(layer: int, slot: int, generation: int, tree_prefix: str = "") -> str:
+def replacement_id(layer: int, slot: int, generation: int) -> str:
     """Positional id for a reset replacement (generation >= 1)."""
-    return _decoy_id(tree_prefix, layer, slot, generation)
+    return _decoy_id(layer, slot, generation)
 
 
 def next_replacement_id(digraph: MiseryDigraph, node: str,
-                        generations: dict[tuple[int, int, int], int]) -> str:
+                        generations: dict[tuple[int, int], int]) -> str:
     """Fresh id for a reset of `node` at its current position.  Bumps the
-    generation of its (tree, layer, offset-in-tree) in `generations`; in a
-    forest the id carries the tree's root as a prefix."""
-    layer, slot = digraph.position(node)
-    tree, offset = divmod(slot, digraph.spec.layer_width(layer))
-    key = (tree, layer, offset)
+    generation of its (layer, slot) in `generations`."""
+    key = digraph.position(node)
     generations[key] = generations.get(key, 0) + 1
-    prefix = f"{digraph.roots[tree]}~" if digraph.n_roots > 1 else ""
-    return replacement_id(layer, offset, generations[key], prefix)
+    return replacement_id(*key, generations[key])
 
 
 def build_misery_digraph(conn: ConnectivityDigraph,
                          spec: MiseryDigraphSpec) -> MiseryDigraph:
-    """Expand an attack path into a full k-ary misery digraph (one tree per
-    entry point, all sharing the single target).
+    """Expand an attack path into a full k-ary misery digraph rooted at the
+    connectivity digraph's single entry point.
 
-    Per tree: the root is the entry point; the first original intermediate on
-    the path is absorbed at layer-d slot 0 (it carries the application logic);
-    any further original intermediates are discarded with a warning; every
-    other non-root, non-target slot is filled with a fresh decoy.  Transport
-    services are the entry's own outbound services and ride every tree edge;
-    poll services are the target's inbound services.
+    The root is the entry point; the first original intermediate on the path
+    is absorbed at layer-d slot 0 (it carries the application logic); any
+    further original intermediates are discarded with a warning; every other
+    non-root, non-target slot is filled with a fresh decoy.  Transport
+    services are the entry's own outbound services and ride every edge; poll
+    services are the target's inbound services.
     """
     conn.validate()
-    entries = conn.entry_points
+    if len(conn.entry_points) != 1:
+        raise TopologyError(
+            f"a misery digraph has one entry point, found {conn.entry_points}")
+    entry = conn.entry_points[0]
     target = conn.target
     adjacency: dict[str, list[str]] = {}
     for src, dst, _ in sorted(conn.edges):
@@ -553,133 +476,55 @@ def build_misery_digraph(conn: ConnectivityDigraph,
     poll_services = tuple(sorted({s for _, _, s in conn.in_edges(target)}))
     if not poll_services:
         raise DisconnectedPath(f"target {target!r} has no inbound service")
+    transport = tuple(sorted({s for _, _, s in conn.out_edges(entry)}))
+    if not transport:
+        raise DisconnectedPath(f"entry {entry!r} has no outbound service")
 
-    multi = len(entries) > 1
-    tree_services: list[tuple[str, tuple[ServiceKind, ...]]] = []
-    absorbed: list[str | None] = []
-    for entry in entries:
-        transport = tuple(sorted({s for _, _, s in conn.out_edges(entry)}))
-        if not transport:
-            raise DisconnectedPath(f"entry {entry!r} has no outbound service")
-        tree_services.append((entry, transport))
-        # BFS for the original path's intermediates, in discovery order.
-        order, seen, frontier = [], {entry}, [entry]
-        while frontier:
-            node = frontier.pop(0)
-            for nxt in adjacency.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if nxt != target:
-                        order.append(nxt)
-                        frontier.append(nxt)
-        absorbed.append(order[0] if order else None)
-        if len(order) > 1:
-            logger.warning("discarding %d original intermediate(s) beyond %r: %s",
-                           len(order) - 1, order[0], order[1:])
+    # BFS for the original path's intermediates, in discovery order.
+    order, seen, frontier = [], {entry}, [entry]
+    while frontier:
+        node = frontier.pop(0)
+        for nxt in adjacency.get(node, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                if nxt != target:
+                    order.append(nxt)
+                    frontier.append(nxt)
+    if len(order) > 1:
+        logger.warning("discarding %d original intermediate(s) beyond %r: %s",
+                       len(order) - 1, order[0], order[1:])
 
-    layers: list[tuple[str, ...]] = [entries]
-    for layer_idx in range(2, spec.d + 1):
-        width = spec.layer_width(layer_idx)
-        row: list[str] = []
-        for tree, entry in enumerate(entries):
-            prefix = f"{entry}~" if multi else ""
-            for slot in range(width):
-                if layer_idx == spec.d and slot == 0 and absorbed[tree] is not None:
-                    row.append(absorbed[tree])
-                else:
-                    row.append(_decoy_id(prefix, layer_idx, slot))
-        layers.append(tuple(row))
-
+    layers = [(entry,)] + [
+        tuple(_decoy_id(layer_idx, slot) for slot in range(spec.layer_width(layer_idx)))
+        for layer_idx in range(2, spec.d + 1)]
+    if order:
+        layers[-1] = (order[0],) + layers[-1][1:]
     enabled = layers[-1][0]
-    return MiseryDigraph(spec, tuple(layers), target, tuple(tree_services),
-                         poll_services, enabled)
-
-
-def union_misery_digraphs(digraphs: Sequence[MiseryDigraph]) -> MiseryDigraph:
-    """Merge misery digraphs over the same spec and target.
-
-    Same-root trees must be positionally identical and contribute the union
-    of their service labels; distinct roots juxtapose as a forest.  Any node
-    appearing at two different positions is a LayerConflict.
-    """
-    if not digraphs:
-        raise TopologyError("union of zero digraphs")
-    first = digraphs[0]
-    for other in digraphs[1:]:
-        if other.spec != first.spec:
-            raise IncompatibleSpecs(f"{other.spec} != {first.spec}")
-        if other.target != first.target:
-            raise LayerConflict(
-                f"targets differ: {other.target!r} != {first.target!r}")
-
-    roots: list[str] = []
-    services: dict[str, set[ServiceKind]] = {}
-    tree_rows: dict[str, list[tuple[str, ...]]] = {}
-    for dg in digraphs:
-        for tree, root in enumerate(dg.roots):
-            rows = []
-            for layer_idx in range(1, dg.d + 1):
-                width = dg.spec.layer_width(layer_idx)
-                row = dg.layers[layer_idx - 1][tree * width:(tree + 1) * width]
-                rows.append(row)
-            if root in tree_rows:
-                if tree_rows[root] != rows:
-                    raise LayerConflict(f"tree {root!r} has diverging structure")
-            else:
-                roots.append(root)
-                tree_rows[root] = rows
-            services.setdefault(root, set()).update(dg.services_of_tree(tree))
-
-    placement: dict[str, tuple[str, int, int]] = {}
-    for root in roots:
-        for layer_idx, row in enumerate(tree_rows[root], start=1):
-            for slot, node in enumerate(row):
-                prior = placement.get(node)
-                if prior is not None and prior != (root, layer_idx, slot):
-                    raise LayerConflict(
-                        f"node {node!r} at layer {layer_idx} conflicts with {prior}")
-                placement[node] = (root, layer_idx, slot)
-
-    layers = tuple(
-        tuple(n for root in roots for n in tree_rows[root][layer_idx - 1])
-        for layer_idx in range(1, first.d + 1)
-    )
-    tree_services = tuple((root, tuple(sorted(services[root]))) for root in roots)
-    poll = tuple(sorted(set().union(*(set(dg.poll_services) for dg in digraphs))))
-    enabled = first.enabled_leaf
-    return MiseryDigraph(first.spec, layers, first.target, tree_services, poll,
+    return MiseryDigraph(spec, tuple(layers), target, transport, poll_services,
                          enabled)
+
+
+def inbound_rules(mdg: MiseryDigraph, node: str) -> list[FirewallRule]:
+    """The rules that let traffic into one non-target node: from its parent
+    (the public internet for the root) on the transport ports, and at layer
+    d from the target on the poll ports.  Every rule of a digraph is the
+    inbound rule of exactly one such node."""
+    parent = mdg.parent_of(node)
+    src = PUBLIC_INTERNET if parent is None else parent
+    rules = [FirewallRule(src, node, s.port) for s in mdg.transport_services]
+    if mdg.position(node)[0] == mdg.d:
+        rules += [FirewallRule(mdg.target, node, s.port) for s in mdg.poll_services]
+    return rules
 
 
 def derive_firewall_rules(mdg: MiseryDigraph) -> FirewallRuleSet:
     """Rule per tree edge and service, plus the two exceptions: public ->
-    entry on transport ports, and target -> each layer-d node on poll ports
+    root on transport ports, and target -> each layer-d node on poll ports
     (the target itself gets zero inbound rules)."""
     mdg.validate()
-    rules = set()
-    for tree, root in enumerate(mdg.roots):
-        for service in mdg.services_of_tree(tree):
-            rules.add(FirewallRule(PUBLIC_INTERNET, root, service.port))
-    for src, dst, services in mdg.edges():
-        for service in services:
-            rules.add(FirewallRule(src, dst, service.port))
-    for leaf in mdg.layers[-1]:
-        for service in mdg.poll_services:
-            rules.add(FirewallRule(mdg.target, leaf, service.port))
-    return FirewallRuleSet(frozenset(rules))
-
-
-def classify_rules(ruleset: FirewallRuleSet, target: str) -> dict[str, list[FirewallRule]]:
-    """Partition a derived rule set into public / polling / edge rules."""
-    out: dict[str, list[FirewallRule]] = {"public": [], "polling": [], "edges": []}
-    for rule in ruleset:
-        if rule.src == PUBLIC_INTERNET:
-            out["public"].append(rule)
-        elif rule.src == target:
-            out["polling"].append(rule)
-        else:
-            out["edges"].append(rule)
-    return out
+    return FirewallRuleSet(frozenset(
+        rule for layer in mdg.layers for node in layer
+        for rule in inbound_rules(mdg, node)))
 
 
 def enabled_path(mdg: MiseryDigraph) -> list[str]:

@@ -51,6 +51,18 @@ def test_deploy_missing_digraph_file(tmp_path):
     assert main(["deploy", "--digraph", str(tmp_path / "nope.json")]) == 2
 
 
+def test_deploy_malformed_digraph_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "digraph.json"
+    assert main(["build", "--d", "3", "--k", "2", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    two_roots = dict(doc, layers=[doc["layers"][0] + ["web2"]] + doc["layers"][1:])
+    for bad in ({k: v for k, v in doc.items() if k != "layers"}, [doc], two_roots,
+                "{not json"):
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        assert main(["deploy", "--digraph", str(path)]) == 2
+    assert "runtime failure" not in capsys.readouterr().err
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     outdir = tmp_path / "out"
     code = main(["run", "--d", "3", "--k", "2", "--n-requests", "10",

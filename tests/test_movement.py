@@ -276,17 +276,14 @@ def test_abort_on_capacity_error_repairs_tables():
 # --- repeated cycles ------------------------------------------------------------
 
 def expected_edges(digraph) -> set[tuple[str, str]]:
-    """Positional oracle: slot s at layer i feeds slots [k*off, k*off+k)."""
+    """Positional oracle: slot s at layer i feeds slots [k*s, k*s+k)."""
     k = digraph.k
     out = set()
     for i in range(1, digraph.d):
         row, nxt = digraph.layer(i), digraph.layer(i + 1)
-        width = len(row) // digraph.n_roots
-        nxt_width = len(nxt) // digraph.n_roots
         for s, node in enumerate(row):
-            tree, off = divmod(s, width)
-            for j in range(k * off, k * off + k):
-                out.add((node, nxt[tree * nxt_width + j]))
+            for j in range(k * s, k * s + k):
+                out.add((node, nxt[j]))
     return out
 
 

@@ -35,7 +35,7 @@ def setup_node(n_children=2, u=0.5, is_entry=False):
     table = AddressTable(1, tuple((c.id, c.address) for c in children))
     node = MulticasterNode(sim, provider, EventLog(), "web",
                            ForwardPolicy(u), counters,
-                           layer=1, is_entry=is_entry, table=table)
+                           is_entry=is_entry, table=table)
     return sim, provider, node, children, counters
 
 
@@ -274,6 +274,19 @@ def test_malformed_public_request_gets_400_and_entry_keeps_serving():
                 b"POST /\xff HTTP/1.1\r\n\r\nGET k"):
         status, _, _ = http_roundtrip(sim, provider, node, raw)
         assert status == 400
+    status, _, body = http_roundtrip(
+        sim, provider, node, wire.encode_http_request("POST", "/", b"GET k"))
+    assert (status, body) == (200, b"VAL 1")
+
+
+def test_oversized_public_request_gets_400_and_entry_keeps_serving():
+    sim, provider, node, _, _ = setup_node(is_entry=True)
+    reply_child(sim, provider, "c0", b"VAL 1")
+    reply_child(sim, provider, "c1", b"VAL 1")
+    big = b"x" * (wire.MAX_PAYLOAD + 1)
+    status, _, _ = http_roundtrip(
+        sim, provider, node, wire.encode_http_request("POST", "/", big))
+    assert status == 400
     status, _, body = http_roundtrip(
         sim, provider, node, wire.encode_http_request("POST", "/", b"GET k"))
     assert (status, body) == (200, b"VAL 1")

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from miserysim.errors import (
-    IncompatibleSpecs,
     LayerConflict,
     NoEntryPoint,
     NoTaggedInstances,
@@ -33,45 +32,39 @@ from miserysim.topology import (
     NetworkDescription,
     build_misery_digraph,
     canonical_chain_description,
-    classify_rules,
     derive_firewall_rules,
     enabled_path,
     extract_connectivity,
     next_replacement_id,
     replacement_id,
-    split_by_service,
-    union_misery_digraphs,
 )
+from miserysim.movement import rule_delta
 
 
 # --- oracles (independent of the implementation) ---------------------------
 
-def oracle_layer_count(n_roots: int, k: int, layer: int) -> int:
-    return n_roots * k ** (layer - 1)
+def oracle_layer_count(k: int, layer: int) -> int:
+    return k ** (layer - 1)
 
 
-def oracle_rule_count(n_roots: int, k: int, d: int,
-                      n_transport: int, n_poll: int) -> int:
-    """public->roots + every tree edge x transport services + target->leaf
+def oracle_rule_count(k: int, d: int, n_transport: int, n_poll: int) -> int:
+    """public->root + every tree edge x transport services + target->leaf
     polls, counted from scratch."""
-    public = n_roots * n_transport
-    edges = sum(oracle_layer_count(n_roots, k, i + 1) for i in range(1, d))
-    polls = oracle_layer_count(n_roots, k, d) * n_poll
-    return public + edges * n_transport + polls
+    edges = sum(oracle_layer_count(k, i + 1) for i in range(1, d))
+    polls = oracle_layer_count(k, d) * n_poll
+    return n_transport + edges * n_transport + polls
 
 
 def oracle_expand_edges(digraph: MiseryDigraph) -> set[tuple[str, str]]:
-    """Edges recomputed from positions alone: global slot s at layer i maps
-    to slots [k*off, k*off+k) of the next layer within the same tree."""
+    """Edges recomputed from positions alone: slot s at layer i maps to
+    slots [k*s, k*s+k) of the next layer."""
     k = digraph.k
     out = set()
     for i in range(1, digraph.d):
         row, nxt = digraph.layer(i), digraph.layer(i + 1)
-        width, nxt_width = len(row) // digraph.n_roots, len(nxt) // digraph.n_roots
         for s, node in enumerate(row):
-            tree, off = divmod(s, width)
-            for j in range(k * off, k * off + k):
-                out.add((node, nxt[tree * nxt_width + j]))
+            for j in range(k * s, k * s + k):
+                out.add((node, nxt[j]))
     return out
 
 
@@ -112,18 +105,6 @@ def test_extract_requires_target_and_entry():
         extract_connectivity(NetworkDescription.from_json_dict(doc), ("t", "x"))
 
 
-def test_split_by_service_partitions_edges():
-    conn = chain()
-    parts = split_by_service(conn)
-    assert len(parts) == 2
-    all_edges = set()
-    for part in parts:
-        assert len({s for _, _, s in part.edges}) == 1
-        assert not (all_edges & part.edges)
-        all_edges |= part.edges
-    assert all_edges == conn.edges
-
-
 # --- spec and expansion ------------------------------------------------------
 
 def test_spec_rejects_degenerate_shapes():
@@ -162,9 +143,9 @@ def test_expansion_layer_counts_match_oracle():
             dg = build_misery_digraph(chain(), MiseryDigraphSpec(d, k))
             dg.validate()
             for layer in range(1, d + 1):
-                assert len(dg.layer(layer)) == oracle_layer_count(1, k, layer)
+                assert len(dg.layer(layer)) == oracle_layer_count(k, layer)
             assert len(dg.all_nodes()) == sum(
-                oracle_layer_count(1, k, i) for i in range(1, d + 1)) + 1
+                oracle_layer_count(k, i) for i in range(1, d + 1)) + 1
 
 
 def test_edges_match_positional_oracle():
@@ -196,19 +177,18 @@ def test_rule_count_matches_oracle_fig_style():
     # 1 public + 6 edges + 4 polls = 11
     dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
     rules = derive_firewall_rules(dg)
-    assert oracle_rule_count(1, 2, 3, 1, 1) == 11
+    assert oracle_rule_count(2, 3, 1, 1) == 11
     assert len(rules) == 11
-    grouped = classify_rules(rules, dg.target)
-    assert len(grouped["public"]) == 1
-    assert len(grouped["edges"]) == 6
-    assert len(grouped["polling"]) == 4
+    assert len([r for r in rules if r.src == PUBLIC_INTERNET]) == 1
+    assert len([r for r in rules if r.src not in (PUBLIC_INTERNET, dg.target)]) == 6
+    assert len([r for r in rules if r.src == dg.target]) == 4
 
 
 def test_rule_counts_match_oracle_across_shapes():
     for d in range(2, 6):
         for k in range(1, 4):
             dg = build_misery_digraph(chain(), MiseryDigraphSpec(d, k))
-            assert len(derive_firewall_rules(dg)) == oracle_rule_count(1, k, d, 1, 1)
+            assert len(derive_firewall_rules(dg)) == oracle_rule_count(k, d, 1, 1)
 
 
 def test_target_has_zero_inbound_rules():
@@ -315,7 +295,7 @@ def test_random_transform_sequences_preserve_invariants():
             dg = dg.with_node_replaced(old, f"fresh.g{gen}.{slot}")
         dg.validate()
         assert {(s, t) for s, t, _ in dg.edges()} == oracle_expand_edges(dg)
-        assert len(derive_firewall_rules(dg)) == oracle_rule_count(1, 2, 4, 1, 1)
+        assert len(derive_firewall_rules(dg)) == oracle_rule_count(2, 4, 1, 1)
 
 
 # --- incremental transforms against full rebuilds -------------------------------
@@ -323,22 +303,15 @@ def test_random_transform_sequences_preserve_invariants():
 def rebuilt(dg: MiseryDigraph) -> MiseryDigraph:
     """The same layers through the full constructor: index every id, check
     for duplicates, validate."""
-    return MiseryDigraph(dg.spec, dg.layers, dg.target, dg.tree_services,
+    return MiseryDigraph(dg.spec, dg.layers, dg.target, dg.transport_services,
                          dg.poll_services, dg.enabled_leaf)
-
-
-def forest():
-    parts = split_by_service(both_services_conn(("web1", "web2")))
-    return union_misery_digraphs(
-        [build_misery_digraph(p, MiseryDigraphSpec(3, 2)) for p in parts])
 
 
 @pytest.mark.parametrize("start", [
     lambda: build_misery_digraph(chain(), MiseryDigraphSpec(3, 2)),
     lambda: build_misery_digraph(chain(), MiseryDigraphSpec(4, 2)),
     lambda: build_misery_digraph(chain(), MiseryDigraphSpec(5, 3)),
-    forest,
-], ids=["d3k2", "d4k2", "d5k3", "forest-d3k2"])
+], ids=["d3k2", "d4k2", "d5k3"])
 def test_incremental_transforms_equal_full_rebuilds(start):
     rng = random.Random(7)
     dg = start()
@@ -347,11 +320,12 @@ def test_incremental_transforms_equal_full_rebuilds(start):
         parent_slots = dict(dg._slots)
         layer = rng.randrange(2, dg.d + 1)
         if rng.random() < 0.5:
-            dg_next = dg.with_positions_swapped(*rng.sample(dg.layer(layer), 2))
+            gone = placed = tuple(rng.sample(dg.layer(layer), 2))
+            dg_next = dg.with_positions_swapped(*gone)
         else:
             old = rng.choice(dg.layer(layer))
-            dg_next = dg.with_node_replaced(
-                old, next_replacement_id(dg, old, generations))
+            gone, placed = (old,), (next_replacement_id(dg, old, generations),)
+            dg_next = dg.with_node_replaced(old, placed[0])
         assert dg._slots == parent_slots
         full = rebuilt(dg_next)
         assert dg_next._slots == full._slots
@@ -359,18 +333,12 @@ def test_incremental_transforms_equal_full_rebuilds(start):
             assert dg_next.position(node) == full.position(node)
         assert dg_next.enabled_leaf == full.enabled_leaf
         assert dg_next.edges() == full.edges()
-        assert derive_firewall_rules(dg_next) == derive_firewall_rules(full)
+        before, after = derive_firewall_rules(dg).rules, derive_firewall_rules(full).rules
+        assert derive_firewall_rules(dg_next).rules == after
+        assert rule_delta(dg, dg_next, gone, placed) == (
+            sorted((r.src, r.dst, r.port) for r in before - after),
+            sorted((r.src, r.dst, r.port) for r in after - before))
         dg = dg_next
-
-
-def test_forest_replacements_carry_their_tree_prefix():
-    dg = forest()
-    generations: dict = {}
-    old = dg.layer(3)[5]          # tree 1 (web2), offset 1
-    new = next_replacement_id(dg, old, generations)
-    assert new == "web2~L3.s1.g1"
-    assert generations == {(1, 3, 1): 1}
-    assert next_replacement_id(dg, old, generations) == "web2~L3.s1.g2"
 
 
 @pytest.mark.parametrize("case", [
@@ -394,42 +362,29 @@ def test_transforms_still_reject_invalid_requests(case):
     assert dg._slots == before
 
 
-def test_swapping_layer_1_of_a_forest_is_refused():
-    dg = forest()
-    with pytest.raises(TopologyError, match="excluded from switching"):
-        dg.with_positions_swapped("web1", "web2")
-
-
 @pytest.mark.parametrize("name, change, message", [
-    ("layers", lambda ls: ((),) + ls[1:], "no roots"),
+    ("layers", lambda ls: ((),) + ls[1:], "layer 1 has 0 nodes"),
+    ("layers", lambda ls: (ls[0] + ("web2",),) + ls[1:], "layer 1 has 2 nodes"),
     ("layers", lambda ls: ls[:-1], "expected 3 layers"),
     ("layers", lambda ls: ls[:2] + (ls[2][:-1],), "layer 3 has 3 nodes"),
     ("layers", lambda ls: ls[:2] + (("app", ls[1][0]) + ls[2][2:],),
      "duplicate node id"),
     ("layers", lambda ls: ls[:2] + (("app", "db") + ls[2][2:],),
      "target also occurs"),
-    ("tree_services", lambda ts: (), "tree_services"),
-    ("tree_services", lambda ts: (("other", ts[0][1]),), "tree_services"),
+    ("transport_services", lambda ts: (), "no transport services"),
     ("enabled_leaf", lambda leaf: "L2.s0.g0", "enabled leaf"),
     ("enabled_leaf", lambda leaf: "db", "enabled leaf"),
-], ids=["no-roots", "layer-count", "layer-size", "duplicate-id",
-        "target-in-layer", "no-tree-services", "tree-services-root",
+], ids=["no-roots", "two-roots", "layer-count", "layer-size", "duplicate-id",
+        "target-in-layer", "no-transport-services",
         "leaf-not-in-layer-d", "leaf-is-target"])
 def test_constructor_still_rejects_invalid_shapes(name, change, message):
     dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
-    fields = {f: getattr(dg, f) for f in ("spec", "layers", "target", "tree_services",
-                                          "poll_services", "enabled_leaf")}
+    fields = {f: getattr(dg, f) for f in ("spec", "layers", "target",
+                                          "transport_services", "poll_services",
+                                          "enabled_leaf")}
     fields[name] = change(fields[name])
     with pytest.raises(TopologyError, match=message):
         MiseryDigraph(**fields)
-
-
-def test_forest_tree_services_must_follow_root_order():
-    dg = forest()
-    with pytest.raises(TopologyError, match="tree_services"):
-        MiseryDigraph(dg.spec, dg.layers, dg.target,
-                      tuple(reversed(dg.tree_services)), dg.poll_services,
-                      dg.enabled_leaf)
 
 
 # --- serialization ------------------------------------------------------------
@@ -442,24 +397,38 @@ def test_json_round_trip():
     assert back.layers == dg.layers
     assert back.spec == dg.spec
     assert back.target == dg.target
-    assert back.tree_services == dg.tree_services
+    assert back.transport_services == dg.transport_services
     assert back.poll_services == dg.poll_services
     assert back.enabled_leaf == dg.enabled_leaf
 
 
-def test_dot_output_mentions_every_node_and_edge():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
-    dot = dg.to_dot()
-    assert dot.startswith("digraph")
-    for node in dg.all_nodes():
-        assert f'"{node}"' in dot
-    for src, dst, _ in dg.edges():
-        assert f'"{src}" -> "{dst}"' in dot
+def test_json_with_two_roots_is_rejected():
+    doc = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2)).to_json_dict()
+    doc["layers"][0].append("web2")
+    with pytest.raises(TopologyError, match="layer 1 has 2 nodes"):
+        MiseryDigraph.from_json_dict(doc)
 
 
-# --- union ---------------------------------------------------------------------
+@pytest.mark.parametrize("change", [
+    lambda doc: doc.pop("layers"),
+    lambda doc: doc.pop("transport_services"),
+    lambda doc: doc.update(spec=[3, 2]),
+    lambda doc: doc.update(spec={"d": "three", "k": 2}),
+    lambda doc: doc.update(layers=3),
+    lambda doc: doc.update(poll_services=["db"]),
+])
+def test_json_with_missing_or_mistyped_keys_is_rejected(change):
+    doc = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2)).to_json_dict()
+    change(doc)
+    with pytest.raises(TopologyError, match="malformed digraph document"):
+        MiseryDigraph.from_json_dict(doc)
+    with pytest.raises(TopologyError, match="malformed digraph document"):
+        MiseryDigraph.from_json_dict([doc])
 
-def two_entry_conn():
+
+# --- one entry point ---------------------------------------------------------
+
+def test_two_entry_description_is_rejected():
     doc = {
         "instances": [
             {"id": "web1", "tags": {"t": "x"}},
@@ -473,89 +442,12 @@ def two_entry_conn():
         "entry_points": ["web1", "web2"],
         "target": "db",
     }
-    return extract_connectivity(NetworkDescription.from_json_dict(doc), ("t", "x"))
+    conn = extract_connectivity(NetworkDescription.from_json_dict(doc), ("t", "x"))
+    with pytest.raises(TopologyError, match="one entry point"):
+        build_misery_digraph(conn, MiseryDigraphSpec(3, 2))
 
 
-def test_multi_entry_forest_prefixes_decoys():
-    dg = build_misery_digraph(two_entry_conn(), MiseryDigraphSpec(3, 2))
-    assert dg.roots == ("web1", "web2")
-    assert len(dg.layer(2)) == 4
-    assert any(n.startswith("web1~") for n in dg.layer(2))
-    assert any(n.startswith("web2~") for n in dg.layer(2))
-    # transports are per tree (one service each) while the target polls every
-    # leaf on the union of its inbound services (two here):
-    # 2 public + 2x6 edges + 8x2 polls
-    assert len(derive_firewall_rules(dg)) == 2 + 12 + 16
-
-
-def both_services_conn(entries):
-    doc = {
-        "instances": [{"id": e, "tags": {"t": "x"}} for e in entries]
-        + [{"id": "db", "tags": {"t": "x"}}],
-        "rules": [{"src": e, "dst": "db", "port": p}
-                  for e in entries for p in (80, 443)],
-        "entry_points": list(entries),
-        "target": "db",
-    }
-    return extract_connectivity(NetworkDescription.from_json_dict(doc), ("t", "x"))
-
-
-def test_union_merges_parallel_service_trees():
-    conn = both_services_conn(("web1", "web2"))
-    parts = split_by_service(conn)
-    digraphs = [build_misery_digraph(p, MiseryDigraphSpec(3, 2)) for p in parts]
-    merged = union_misery_digraphs(digraphs)
-    merged.validate()
-    reversed_merge = union_misery_digraphs(list(reversed(digraphs)))
-    whole_edges = {(s, t) for s, t, _ in merged.edges()}
-    assert whole_edges == set.union(
-        *({(s, t) for s, t, _ in dg.edges()} for dg in digraphs))
-    assert reversed_merge.layers == merged.layers
-    assert merged.roots == ("web1", "web2")
-    for tree in range(2):
-        assert sorted(s.port for s in merged.services_of_tree(tree)) == [80, 443]
-
-
-def test_union_juxtaposes_distinct_roots():
-    a = build_misery_digraph(both_services_conn(("web1", "web2")),
-                             MiseryDigraphSpec(3, 2))
-    b = build_misery_digraph(both_services_conn(("web1", "web3")),
-                             MiseryDigraphSpec(3, 2))
-    merged = union_misery_digraphs([a, b])
-    merged.validate()
-    assert merged.roots == ("web1", "web2", "web3")
-    assert len(merged.layer(3)) == 12
-    got = {(s, t) for s, t, _ in merged.edges()}
-    assert got == ({(s, t) for s, t, _ in a.edges()}
-                   | {(s, t) for s, t, _ in b.edges()})
-
-
-def test_union_rejects_colliding_decoy_namespaces():
-    # two single-entry builds both name their decoys L2.s0.g0 etc; merging
-    # them as a forest would place one id under two roots
-    parts = split_by_service(two_entry_conn())
-    digraphs = [build_misery_digraph(p, MiseryDigraphSpec(3, 2)) for p in parts]
-    with pytest.raises(LayerConflict):
-        union_misery_digraphs(digraphs)
-
-
-def test_union_rejects_diverged_tree():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
-    mutated = dg.with_node_replaced(dg.layer(2)[0], "L2.s0.g1")
-    with pytest.raises(LayerConflict):
-        union_misery_digraphs([dg, mutated])
-
-
-def test_union_rejects_mismatched_specs():
-    conn = two_entry_conn()
-    parts = split_by_service(conn)
-    a = build_misery_digraph(parts[0], MiseryDigraphSpec(3, 2))
-    b = build_misery_digraph(parts[1], MiseryDigraphSpec(4, 2))
-    with pytest.raises(IncompatibleSpecs):
-        union_misery_digraphs([a, b])
-
-
-def test_union_merges_same_root_service_labels():
+def test_two_service_entry_labels_every_edge():
     doc = {
         "instances": [
             {"id": "web", "tags": {"t": "x"}},
@@ -569,12 +461,9 @@ def test_union_merges_same_root_service_labels():
         "target": "db",
     }
     conn = extract_connectivity(NetworkDescription.from_json_dict(doc), ("t", "x"))
-    parts = split_by_service(conn)
-    digraphs = [build_misery_digraph(p, MiseryDigraphSpec(3, 2)) for p in parts]
-    merged = union_misery_digraphs(digraphs)
-    assert merged.n_roots == 1
-    ports = sorted(s.port for s in merged.services_of_tree(0))
-    assert ports == [80, 443]
+    dg = build_misery_digraph(conn, MiseryDigraphSpec(3, 2))
+    assert dg.root == "web"
+    assert sorted(s.port for s in dg.transport_services) == [80, 443]
     # both services ride every edge and both are polled (the entry feeds the
     # target directly here, so the inbound-service union is {80, 443})
-    assert len(derive_firewall_rules(merged)) == oracle_rule_count(1, 2, 3, 2, 2)
+    assert len(derive_firewall_rules(dg)) == oracle_rule_count(2, 3, 2, 2)
