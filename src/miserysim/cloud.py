@@ -3,7 +3,7 @@
 The provider is the single authority over instance lifecycles, pair rules and
 every byte in flight.  Traffic comes in two shapes: a one-shot request/reply
 Exchange (one frame each way, used on tree hops and for the public entry
-surface) and a Channel (an ordered bidirectional byte stream, used for the
+surface) and a Channel (an ordered bidirectional pipe, used for the
 handshake and poll dialogues).  Both check the firewall at the attempt
 instant; a later rule revocation or instance termination severs them, which
 is how transformation windows surface as failed requests.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -96,12 +97,15 @@ class Exchange:
 
 
 class Channel:
-    """Ordered bidirectional byte stream; sides are "a" (opener) and "b".
+    """Ordered bidirectional message pipe; sides are "a" (opener) and "b".
 
-    Incoming bytes are buffered until the side installs an on_message
-    callback.  state is open | closed | severed; severance rejects both
-    sides via their on_error callbacks (this is the attacker-session audit
-    surface for movement).
+    The bus is message-framed: each send arrives at the peer as one whole
+    message, never split or merged, so receivers decode one message at a
+    time.  Incoming messages are buffered until the side installs an
+    on_message callback.  state is open | closed | severed; severance
+    rejects both sides via their on_error callbacks (this is the
+    attacker-session audit surface for movement), and a close by one side
+    rejects the other's.
     """
 
     __slots__ = ("seq", "a", "b", "port", "state", "_provider",
@@ -139,9 +143,17 @@ class Channel:
             return
         self._provider._channel_send(self, "b" if side == "a" else "a", data)
 
-    def close(self) -> None:
-        if self.state == "open":
-            self.state = "closed"
+    def close(self, side: str) -> None:
+        """Close from `side`; the peer's on_error, if it installed one,
+        hears SessionSevered at this instant."""
+        if self.state != "open":
+            return
+        self.state = "closed"
+        fn = self._on_error["b" if side == "a" else "a"]
+        if fn is not None:
+            self._provider.sim.schedule(
+                0.0, fn, SessionSevered(f"channel closed by {self.endpoint(side)}"),
+                priority=PRIO_NETWORK)
 
     def _deliver(self, side: str, data: bytes) -> None:
         if self.state != "open":
@@ -225,8 +237,7 @@ class InstancePool:
             out.resolve(ready)
         else:
             self.stats.misses += 1
-            self.provider.counters["pool_misses"] = self.provider.counters.get(
-                "pool_misses", 0) + 1
+            self.provider.counters["pool_misses"] += 1
             self.provider.log.emit(self.provider.sim.now, "pool.allocate",
                                    instance=None,
                                    detail={"image": image.value, "hit": False})
@@ -295,7 +306,7 @@ class CloudProvider:
         self.channels: list[Channel] = []
         self._seq = itertools.count(1)
         self._addr_seq = itertools.count(1)
-        self.counters: dict[str, int] = {}
+        self.counters: Counter[str] = Counter()
         self.pool: InstancePool | None = None
         self._net_rng = sim.rng("net")
         self._api_rng = sim.rng("cloud-api")
@@ -471,7 +482,7 @@ class CloudProvider:
                 self._handlers[(inst.id, port)]["request"] is None:
             refusal = ConnectionRefused(f"{inst.id}:{port} has no request endpoint")
         if refusal is not None:
-            self.counters["refused"] = self.counters.get("refused", 0) + 1
+            self.counters["refused"] += 1
             self.sim.schedule(latency, future.reject, refusal, priority=PRIO_NETWORK)
             return future
         ex = Exchange(next(self._seq), src, inst.id, port, future)
@@ -526,7 +537,7 @@ class CloudProvider:
                 self._handlers[(inst.id, port)]["channel"] is None:
             refusal = ConnectionRefused(f"{inst.id}:{port} has no channel endpoint")
         if refusal is not None:
-            self.counters["refused"] = self.counters.get("refused", 0) + 1
+            self.counters["refused"] += 1
             self.sim.schedule(latency, future.reject, refusal, priority=PRIO_NETWORK)
             return future
         if len(self.channels) > 64:
@@ -543,7 +554,7 @@ class CloudProvider:
             return
         handler = self._handlers.get((channel.b, channel.port))
         if handler is None or handler["channel"] is None:
-            channel.close()
+            channel.close("b")
             future.reject(ConnectionRefused(f"{channel.b}:{channel.port} endpoint gone"))
             return
         handler["channel"](channel)
@@ -585,7 +596,7 @@ class CloudProvider:
 
     def _kill_exchange(self, ex: Exchange, reason: Exception) -> None:
         self._finish_exchange(ex)
-        self.counters["severed"] = self.counters.get("severed", 0) + 1
+        self.counters["severed"] += 1
         self.sim.schedule(self.hop_latency(), ex.future.reject, reason,
                           priority=PRIO_NETWORK)
 

@@ -83,10 +83,6 @@ class TimeoutFailure(MiserySimError):
     """All children exceeded the response timeout u."""
 
 
-class NoChildren(MiserySimError):
-    """A forwarding node's address table is empty (address desynchronization)."""
-
-
 # --- isolated target ---
 
 class StorageFailure(MiserySimError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .addresses import AddressServer
 from .cloud import CloudProvider
@@ -57,22 +57,6 @@ class MovementSchedule:
 class SwitchOp:
     layer: int
     nodes: tuple[str, str]
-
-
-@dataclass
-class MovementEvent:
-    t: float
-    cycle: int
-    op: str                  # "switch" | "reset"
-    layer: int
-    nodes: list[str]
-    new_ids: list[str] = field(default_factory=list)
-    versions: dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"t": self.t, "cycle": self.cycle, "op": self.op,
-                "layer": self.layer, "nodes": list(self.nodes),
-                "new_ids": list(self.new_ids), "versions": dict(self.versions)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,7 +112,6 @@ class MovementManager:
         self._generation: dict[tuple[int, int], int] = {}
         self._retry_owners: set[str] = set()
         self.cycle_no = 0
-        self.events: list[MovementEvent] = []
         self._task = None
 
     # -- scheduling --------------------------------------------------------
@@ -175,8 +158,7 @@ class MovementManager:
         try:
             op = select_transformation(digraph, self._rng)
         except NoEligibleLayer:
-            self.counters["skipped_cycles"] = self.counters.get(
-                "skipped_cycles", 0) + 1
+            self.counters["skipped_cycles"] += 1
             return
         # Don't start a switch the pool cannot finish: a reset stalled on
         # provisioning would leave the switched layer routing nowhere for the
@@ -184,8 +166,7 @@ class MovementManager:
         image = image_for_layer(digraph, op.layer)
         pool = self.provider.pool
         if pool is not None and pool.s > 0 and pool.ready_count(image) < 2:
-            self.counters["skipped_pool_short"] = self.counters.get(
-                "skipped_pool_short", 0) + 1
+            self.counters["skipped_pool_short"] += 1
             self.log.emit(self.sim.now, "movement.skip", instance=None,
                           detail={"cycle": cycle, "layer": op.layer,
                                   "image": image.value})
@@ -200,28 +181,26 @@ class MovementManager:
         except (CloudError, StorageFailure) as err:
             # Abort cleanly; the digraph cell always reflects applied steps,
             # so the next cycle starts from a consistent state.
-            self.counters["aborted_cycles"] = self.counters.get(
-                "aborted_cycles", 0) + 1
+            self.counters["aborted_cycles"] += 1
             self.log.emit(self.sim.now, "movement.abort", instance=None,
                           detail={"cycle": cycle, "error": type(err).__name__})
             self._repair_layer_tables(op.layer)
             return
         for old, new in zip(op.nodes, new_ids):
-            self._emit(MovementEvent(self.sim.now, cycle, "reset", op.layer,
-                                     [old], [new], dict(versions)))
-        self.counters["transformations"] = self.counters.get(
-            "transformations", 0) + 1
+            self._emit(cycle, "reset", op.layer, [old], [new], versions)
+        self.counters["transformations"] += 1
         self.log.emit(self.sim.now, "movement.window", instance=None,
                       detail={"cycle": cycle, "layer": op.layer,
                               "t0": started,
                               "t1": self.sim.now + self.addresses.notify_bound,
                               "nodes": list(op.nodes), "new_ids": new_ids})
 
-    def _emit(self, event: MovementEvent) -> None:
-        self.events.append(event)
-        payload = event.to_dict()
-        payload.pop("t")
-        self.log.emit(event.t, "movement", instance=None, **payload)
+    def _emit(self, cycle: int, op: str, layer: int, nodes: list[str],
+              new_ids: list[str], versions: dict[str, int]) -> None:
+        """One "movement" record per switch and per reset."""
+        self.log.emit(self.sim.now, "movement", instance=None, cycle=cycle,
+                      op=op, layer=layer, nodes=nodes, new_ids=new_ids,
+                      versions=dict(versions))
 
     def _execute_switch(self, cycle: int, op: SwitchOp):
         digraph = self.deployment.digraph
@@ -231,8 +210,7 @@ class MovementManager:
         revoke, grant = rule_delta(digraph, swapped, op.nodes, op.nodes)
         self.provider.rewrite_rules(revoke, grant)
         self.deployment.set_digraph(swapped)
-        self._emit(MovementEvent(self.sim.now, cycle, "switch", op.layer,
-                                 [u, v]))
+        self._emit(cycle, "switch", op.layer, [u, v], [], {})
 
     def _execute_reset(self, old: str):
         """Replace one node with a pool instance at its current position."""
@@ -253,7 +231,7 @@ class MovementManager:
         self.provider.terminate_instance(old)
         self.deployment.detach_node(old)
         self.addresses.remove(old)
-        self.counters["resets"] = self.counters.get("resets", 0) + 1
+        self.counters["resets"] += 1
         return new_id
 
     def _propagate(self, layer: int, new_ids: list[str]):
@@ -282,8 +260,7 @@ class MovementManager:
             record = self.addresses.update(owner, self.deployment.child_entries(owner))
         except (UnknownOwner, CloudError):
             self._retry_owners.add(owner)
-            self.counters["propagation_retries"] = self.counters.get(
-                "propagation_retries", 0) + 1
+            self.counters["propagation_retries"] += 1
             return None
         return record.version
 

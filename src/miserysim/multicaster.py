@@ -63,7 +63,7 @@ class _Job:
 
     def child_succeeded(self, index: int, payload: bytes) -> None:
         if self.decided:
-            self.node.counters["discarded"] = self.node.counters.get("discarded", 0) + 1
+            self.node.counters["discarded"] += 1
             return
         if self.winner is None or index < self.winner[0]:
             self.winner = (index, payload)
@@ -74,8 +74,7 @@ class _Job:
                 0.0, self._resolve, priority=PRIO_RESOLVE)
 
     def child_failed(self, index: int) -> None:
-        self.node.counters["child_failures"] = self.node.counters.get(
-            "child_failures", 0) + 1
+        self.node.counters["child_failures"] += 1
         if self.decided:
             return
         self.failures += 1
@@ -185,7 +184,7 @@ class MulticasterNode:
         children = self.table.children
         job = _Job(self, corr, respond)
         if not children:
-            self.counters["no_children"] = self.counters.get("no_children", 0) + 1
+            self.counters["no_children"] += 1
             job.fanout = 0
             job._finish_error(b"no-children")
             return

@@ -1,16 +1,17 @@
 """Isolated Target machinery.
 
-Layer-d Requests Servers imitate a database server during connection setup
-(the real handshake protocol from wire.py), then durably register the request
-and hold the client session open.  The target never accepts a connection;
-its Polling Server dials out to every RS each interval m, collects pending
-entries, deduplicates across RSs and against an executed-id cache, executes
-each unique payload exactly once against the backend store, and delivers the
+Layer-d Requests Servers stand in for the database: each registers the
+request it is handed directly in its durable registry and holds the client
+session open.  The target never accepts a connection; its Polling Server
+dials out to every RS each interval m, collects pending entries,
+deduplicates across RSs and against an executed-id cache, executes each
+unique payload exactly once against the backend store, and delivers the
 cached response to every holder.
 
-The baseline (d=0) chain reuses the same protocol pieces: DatabaseServerNode
-speaks the genuine handshake the RS imitates, and AppServerNode is its
-client, so the differential oracle exercises a truly independent data path.
+Only the baseline (d=0) chain and the loopback TCP demo (sockets.py) speak
+the real database handshake: DatabaseServerNode owns it and AppServerNode
+is its client, so the differential oracle exercises a truly independent
+data path.
 """
 
 from __future__ import annotations
@@ -239,19 +240,17 @@ class RequestRegistry:
 class _RsSession:
     """One upstream request blocked at an RS awaiting the polled response."""
 
-    __slots__ = ("corr", "server", "client", "respond", "timer", "done")
+    __slots__ = ("corr", "respond", "timer", "done")
 
-    def __init__(self, corr, server, client, respond):
+    def __init__(self, corr, respond):
         self.corr = corr
-        self.server = server
-        self.client = client
         self.respond = respond
         self.timer = None
         self.done = False
 
 
 class RequestsServerNode:
-    """Layer-d node: database impostor in front, durable registry behind."""
+    """Layer-d node: registers requests for the poller, holds their sessions."""
 
     def __init__(self, sim: Simulation, provider: CloudProvider, log: EventLog,
                  node_id: str, registry: RequestRegistry, u: float,
@@ -264,7 +263,6 @@ class RequestsServerNode:
         self.u = u
         self.counters = counters
         self._waiters: dict[bytes, list[_RsSession]] = {}
-        self._nonce_rng = sim.rng("nonce")
 
     # -- upstream transport endpoint ------------------------------------------
 
@@ -282,39 +280,18 @@ class RequestsServerNode:
                           lambda frame: self.provider.respond(ex, frame))
 
     def open_session(self, corr: bytes, payload: bytes, respond) -> None:
-        """Run the full handshake between the local web-app client half and
-        this node's database-impostor half over a synchronous in-process
-        pipe (same instance, zero network latency), then register and wait."""
-        server = wire.HandshakeServer(rng=self._nonce_rng)
-        try:
-            client = wire.HandshakeClient(corr, payload)
-            to_client = server.start()
-            captured = None
-            guard = 0
-            while to_client and captured is None:
-                to_server, _ = client.feed(to_client)
-                to_client = b""
-                if to_server:
-                    out, events = server.feed(to_server)
-                    to_client = out
-                    for event in events:
-                        if event[0] == "request":
-                            captured = (event[1], event[2])
-                guard += 1
-                if guard > 8:
-                    raise ProtocolViolation("handshake did not converge")
-        except ProtocolViolation as err:
-            self.counters["protocol_violations"] = self.counters.get(
-                "protocol_violations", 0) + 1
-            respond(wire.encode_error(corr, str(err).encode("ascii", "replace")))
+        """Register the request and hold its session until the poller
+        delivers the response or u runs out."""
+        if not payload:
+            self.counters["protocol_violations"] += 1
+            respond(wire.encode_error(corr, b"empty request payload"))
             return
-        corr, payload = captured
         try:
             self.registry.enqueue(corr, payload, self.sim.now)
         except StorageFailure:
             respond(wire.encode_error(corr, b"storage-failure"))
             return
-        session = _RsSession(corr, server, client, respond)
+        session = _RsSession(corr, respond)
         session.timer = self.sim.schedule(self.u, self._session_timeout, session)
         self._waiters.setdefault(corr, []).append(session)
 
@@ -332,45 +309,34 @@ class RequestsServerNode:
 
     def deliver(self, corr: bytes, response: bytes) -> None:
         """Poll-protocol delivery: answer the registry, release any blocked
-        sessions through their own handshake state machines."""
+        sessions."""
         try:
             self.registry.deliver(corr, response)
         except UnknownId:
-            self.counters["unknown_deliveries"] = self.counters.get(
-                "unknown_deliveries", 0) + 1
+            self.counters["unknown_deliveries"] += 1
             return
         except ConflictingResponse:
-            self.counters["conflicting_deliveries"] = self.counters.get(
-                "conflicting_deliveries", 0) + 1
+            self.counters["conflicting_deliveries"] += 1
             return
         sessions = self._waiters.pop(corr, [])
         if not sessions:
-            self.counters["late_deliveries"] = self.counters.get(
-                "late_deliveries", 0) + 1
+            self.counters["late_deliveries"] += 1
             return
         for session in sessions:
             session.done = True
             if session.timer is not None:
                 session.timer.cancel()
                 session.timer = None
-            frame = session.server.respond(corr, response)
-            _, events = session.client.feed(frame)
-            answered = [e for e in events if e[0] == "response"]
-            if answered:
-                session.respond(wire.encode_response(corr, answered[0][2]))
-            else:
-                session.respond(wire.encode_error(corr, b"protocol-violation"))
+            session.respond(wire.encode_response(corr, response))
 
     # -- poll endpoint ----------------------------------------------------------
 
     def on_poll_channel(self, channel: Channel) -> None:
-        parser = wire.PollParser()
-
         def on_message(data: bytes) -> None:
             try:
-                events = parser.feed(data)
+                events = wire.decode_poll(data)
             except ProtocolViolation:
-                channel.close()
+                channel.close("b")
                 return
             replies = []
             for event in events:
@@ -381,7 +347,7 @@ class RequestsServerNode:
                     self.deliver(event[1], event[2])
                     replies.append(wire.POLL_ACK_FRAME)
                 else:
-                    channel.close()
+                    channel.close("b")
                     return
             if replies:
                 channel.send("b", b"".join(replies))
@@ -389,21 +355,24 @@ class RequestsServerNode:
         channel.on_message("b", on_message)
 
 
+# an ask that failed leaves its link unusable: cut, refused or garbled
+_LINK_FAILURES = (ConnectionRefused, SessionSevered, ProtocolViolation)
+
+
 class _PollLink:
     """Persistent channel to one RS with FIFO request/response matching."""
 
-    __slots__ = ("channel", "parser", "pending")
+    __slots__ = ("channel", "pending")
 
     def __init__(self, channel: Channel):
         self.channel = channel
-        self.parser = wire.PollParser()
         self.pending: list[Future] = []
         channel.on_message("a", self._on_message)
         channel.on_error("a", self._on_error)
 
     def _on_message(self, data: bytes) -> None:
         try:
-            events = self.parser.feed(data)
+            events = wire.decode_poll(data)
         except ProtocolViolation as err:
             self._on_error(err)
             return
@@ -455,7 +424,7 @@ class PollingServerNode:
         self.endpoints = [tuple(e) for e in entries]
         live = {rs_id for rs_id, _ in self.endpoints}
         for rs_id in [r for r in self._links if r not in live]:
-            self._links.pop(rs_id).channel.close()
+            self._links.pop(rs_id).channel.close("a")
         self.redeliver = {r: ids for r, ids in self.redeliver.items() if r in live}
 
     def start(self) -> None:
@@ -484,11 +453,18 @@ class PollingServerNode:
         try:
             channel = yield self.provider.open_channel(self.id, address, self.poll_port)
         except (ConnectionRefused, SessionSevered):
-            self.counters["poll_errors"] = self.counters.get("poll_errors", 0) + 1
+            self.counters["poll_errors"] += 1
             return None
         link = _PollLink(channel)
         self._links[rs_id] = link
         return link
+
+    def _drop_link(self, rs_id: str) -> None:
+        """Count a failed ask and forget its link; the next cycle redials."""
+        self.counters["poll_errors"] += 1
+        link = self._links.pop(rs_id, None)
+        if link is not None:
+            link.channel.close("a")
 
     def _cycle(self):
         self.cycle_no += 1
@@ -502,11 +478,11 @@ class PollingServerNode:
                 continue
             try:
                 event = yield link.ask(wire.encode_poll_list(self.cursors.get(rs_id, 0)))
-            except (ConnectionRefused, SessionSevered):
-                self.counters["poll_errors"] = self.counters.get("poll_errors", 0) + 1
+            except _LINK_FAILURES:
+                self._drop_link(rs_id)
                 continue
             if event[0] != "listing":
-                self.counters["poll_errors"] = self.counters.get("poll_errors", 0) + 1
+                self.counters["poll_errors"] += 1
                 continue
             entries = event[1]
             self.cursors[rs_id] = self.cursors.get(rs_id, 0) + len(entries)
@@ -537,8 +513,8 @@ class PollingServerNode:
                     continue
                 try:
                     event = yield link.ask(wire.encode_poll_delivery(corr, cached[1]))
-                except (ConnectionRefused, SessionSevered):
-                    self.counters["poll_errors"] = self.counters.get("poll_errors", 0) + 1
+                except _LINK_FAILURES:
+                    self._drop_link(rs_id)
                     self.redeliver.setdefault(rs_id, {})[corr] = None
                     link = None
                     continue
@@ -580,9 +556,8 @@ class DatabaseServerNode:
             try:
                 out, events = server.feed(data)
             except ProtocolViolation:
-                self.counters["protocol_violations"] = self.counters.get(
-                    "protocol_violations", 0) + 1
-                channel.close()
+                self.counters["protocol_violations"] += 1
+                channel.close("b")
                 return
             buffered = [out] if out else []
             for event in events:
@@ -653,13 +628,13 @@ class AppServerNode:
             response = yield done
         except TimeoutFailure:
             self.provider.respond(ex, wire.encode_error(corr, b"timeout"))
-            channel.close()
+            channel.close("a")
             return
         except (ProtocolViolation, SessionSevered):
             self.provider.respond(ex, wire.encode_error(corr, b"upstream-failure"))
-            channel.close()
+            channel.close("a")
             return
         finally:
             timer.cancel()
-        channel.close()
+        channel.close("a")
         self.provider.respond(ex, wire.encode_response(corr, response))

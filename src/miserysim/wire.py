@@ -5,8 +5,8 @@ Three byte-level protocols share this module:
 * Internal framing, used on every tree hop: magic 0x4D, version 0x01, a type
   byte (0x01 request / 0x02 response / 0x03 error), a 16-byte correlation id,
   a 4-byte big-endian payload length, then the payload.
-* The database-style handshake spoken by the layer-d Requests Servers (and by
-  the real database node in the baseline chain): server greeting (0x44 0x42,
+* The database-style handshake spoken by the baseline chain's database and
+  app server and by the loopback TCP demo: server greeting (0x44 0x42,
   version 0x01, 8-byte nonce), client echo of the same layout, server OK
   (0x4F 0x4B), then exactly one request frame (16-byte id, 4-byte big-endian
   length, payload) answered by one mirrored response frame.
@@ -14,8 +14,10 @@ Three byte-level protocols share this module:
   Servers: {0x10, 8-byte cursor} -> {0x11, 4-byte count, entries}, and
   {0x12, id, 4-byte length, bytes} -> {0x13}.
 
-Parsers are incremental (feed arbitrary byte chunks) so the same state
-machines run over the in-process bus and over real stream sockets.
+The simulated bus hands every send over as one whole message, so the frame
+and poll decoders take one message each and a message cut inside a frame is
+a violation.  Only the handshake state machines are incremental (feed
+arbitrary byte chunks), because they also run over real stream sockets.
 """
 
 from __future__ import annotations
@@ -69,42 +71,23 @@ def encode_error(corr: bytes, reason: bytes) -> bytes:
     return encode_frame(TYPE_ERROR, corr, reason)
 
 
-class FrameParser:
-    """Incremental decoder for internal frames."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[tuple[int, bytes, bytes]]:
-        self._buf.extend(data)
-        frames = []
-        while True:
-            if len(self._buf) < _FRAME_HEAD.size:
-                return frames
-            magic, version, ftype, corr, length = _FRAME_HEAD.unpack_from(self._buf)
-            if magic != FRAME_MAGIC:
-                raise ProtocolViolation(f"bad frame magic 0x{magic:02x}")
-            if version != FRAME_VERSION:
-                raise ProtocolViolation(f"unsupported frame version {version}")
-            if ftype not in (TYPE_REQUEST, TYPE_RESPONSE, TYPE_ERROR):
-                raise ProtocolViolation(f"unknown frame type 0x{ftype:02x}")
-            if length > MAX_PAYLOAD:
-                raise ProtocolViolation("frame payload too large")
-            total = _FRAME_HEAD.size + length
-            if len(self._buf) < total:
-                return frames
-            payload = bytes(self._buf[_FRAME_HEAD.size:total])
-            del self._buf[:total]
-            frames.append((ftype, corr, payload))
-
-
 def decode_frame(data: bytes) -> tuple[int, bytes, bytes]:
-    """Decode exactly one frame; trailing bytes are a violation."""
-    parser = FrameParser()
-    frames = parser.feed(data)
-    if len(frames) != 1 or parser._buf:
+    """Decode one whole message as exactly one frame; a cut or trailing
+    byte is a violation."""
+    if len(data) < _FRAME_HEAD.size:
+        raise ProtocolViolation("truncated frame header")
+    magic, version, ftype, corr, length = _FRAME_HEAD.unpack_from(data)
+    if magic != FRAME_MAGIC:
+        raise ProtocolViolation(f"bad frame magic 0x{magic:02x}")
+    if version != FRAME_VERSION:
+        raise ProtocolViolation(f"unsupported frame version {version}")
+    if ftype not in (TYPE_REQUEST, TYPE_RESPONSE, TYPE_ERROR):
+        raise ProtocolViolation(f"unknown frame type 0x{ftype:02x}")
+    if length > MAX_PAYLOAD:
+        raise ProtocolViolation("frame payload too large")
+    if len(data) != _FRAME_HEAD.size + length:
         raise ProtocolViolation("expected exactly one frame")
-    return frames[0]
+    return ftype, corr, data[_FRAME_HEAD.size:]
 
 
 # --- handshake protocol ---------------------------------------------------
@@ -275,70 +258,52 @@ def encode_poll_delivery(corr: bytes, response: bytes) -> bytes:
 POLL_ACK_FRAME = struct.pack("!B", POLL_ACK)
 
 
-class PollParser:
-    """Incremental decoder for poll-protocol frames (either direction).
+def _poll_record(data: bytes, offset: int) -> tuple[bytes, bytes, int]:
+    """(id, bytes, next offset) of the id-length-bytes record at offset."""
+    corr, length = _REQ_HEAD.unpack_from(data, offset)
+    if length > MAX_PAYLOAD:
+        raise ProtocolViolation("poll payload too large")
+    start = offset + _REQ_HEAD.size
+    end = start + length
+    if len(data) < end:
+        raise ProtocolViolation("poll message ends inside a payload")
+    return corr, data[start:end], end
 
-    Yields ("list", cursor), ("listing", [(corr, payload), ...]),
-    ("deliver", corr, response) and ("ack",).
-    """
 
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[tuple]:
-        self._buf.extend(data)
-        events: list[tuple] = []
-        while self._buf:
-            kind = self._buf[0]
+def decode_poll(data: bytes) -> list[tuple]:
+    """Decode one whole poll message (either direction, one or more frames)
+    into ("list", cursor), ("listing", [(corr, payload), ...]),
+    ("deliver", corr, response) and ("ack",) events."""
+    if not data:
+        raise ProtocolViolation("empty poll message")
+    events: list[tuple] = []
+    offset = 0
+    try:
+        while offset < len(data):
+            kind = data[offset]
             if kind == POLL_LIST:
-                if len(self._buf) < 9:
-                    break
-                (cursor,) = struct.unpack_from("!Q", self._buf, 1)
-                del self._buf[:9]
+                (cursor,) = struct.unpack_from("!Q", data, offset + 1)
+                offset += 9
                 events.append(("list", cursor))
             elif kind == POLL_LISTING:
-                parsed = self._parse_listing()
-                if parsed is None:
-                    break
-                events.append(("listing", parsed))
+                (count,) = struct.unpack_from("!I", data, offset + 1)
+                offset += 5
+                entries = []
+                for _ in range(count):
+                    corr, payload, offset = _poll_record(data, offset)
+                    entries.append((corr, payload))
+                events.append(("listing", entries))
             elif kind == POLL_DELIVER:
-                need = 1 + _REQ_HEAD.size
-                if len(self._buf) < need:
-                    break
-                corr, length = _REQ_HEAD.unpack_from(self._buf, 1)
-                if length > MAX_PAYLOAD:
-                    raise ProtocolViolation("delivery payload too large")
-                if len(self._buf) < need + length:
-                    break
-                response = bytes(self._buf[need:need + length])
-                del self._buf[:need + length]
+                corr, response, offset = _poll_record(data, offset + 1)
                 events.append(("deliver", corr, response))
             elif kind == POLL_ACK:
-                del self._buf[:1]
+                offset += 1
                 events.append(("ack",))
             else:
                 raise ProtocolViolation(f"unknown poll frame type 0x{kind:02x}")
-        return events
-
-    def _parse_listing(self) -> list[tuple[bytes, bytes]] | None:
-        if len(self._buf) < 5:
-            return None
-        (count,) = struct.unpack_from("!I", self._buf, 1)
-        offset = 5
-        entries = []
-        for _ in range(count):
-            if len(self._buf) < offset + _REQ_HEAD.size:
-                return None
-            corr, length = _REQ_HEAD.unpack_from(self._buf, offset)
-            if length > MAX_PAYLOAD:
-                raise ProtocolViolation("listing payload too large")
-            offset += _REQ_HEAD.size
-            if len(self._buf) < offset + length:
-                return None
-            entries.append((corr, bytes(self._buf[offset:offset + length])))
-            offset += length
-        del self._buf[:offset]
-        return entries
+    except struct.error:
+        raise ProtocolViolation("poll message ends inside a frame head") from None
+    return events
 
 
 # --- minimal HTTP/1.1 (entry point's public surface) -----------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -212,7 +213,7 @@ def test_transformation_cycles_preserve_isomorphism(capsys):
     log = EventLog()
     provider = CloudProvider(sim, log, provisioning_latency=2.0)
     addresses = AddressServer(sim, log)
-    counters: dict = {}
+    counters = Counter()
     task = sim.spawn(deploy_misery(sim, provider, addresses, log, counters,
                                    make_digraph(4, 2), u=1.0, m=1.0, s=8))
     deployment = sim.run_until(task.future)
@@ -240,9 +241,9 @@ def test_transformation_cycles_preserve_isomorphism(capsys):
                 elif inst.address != address:
                     problems.append(f"cycle {cycle}: wrong address {node}")
 
-    for event in manager.events:
-        if not 2 <= event.layer <= 4:
-            problems.append(f"cycle {event.cycle}: touched layer {event.layer}")
+    for event in log.of_kind("movement"):
+        if not 2 <= event["layer"] <= 4:
+            problems.append(f"cycle {event['cycle']}: touched layer {event['layer']}")
     elapsed = time.monotonic() - t_start
     ok = (not problems and counters.get("transformations") == 100
           and elapsed < 30.0)
@@ -307,7 +308,7 @@ def test_recovery_and_duplicate_collapse(capsys, tmp_path):
     log = EventLog()
     provider = CloudProvider(sim, log, provisioning_latency=0.5)
     store = BackendStore()
-    counters: dict = {}
+    counters = Counter()
     provider.create_instance(ImageKind.POLLING_TARGET, instance_id="db")
     nodes = []
     for i in range(4):

@@ -244,7 +244,7 @@ def test_channel_close_drops_later_sends():
     channel = channel_pair(sim, provider)
     seen = []
     channel.on_message("b", seen.append)
-    channel.close()
+    channel.close("a")
     channel.send("a", b"late")
     sim.run(until=sim.now + 1)
     assert channel.state == "closed"

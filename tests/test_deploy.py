@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 from types import SimpleNamespace
 
 from miserysim.addresses import AddressServer
@@ -37,7 +38,7 @@ def deploy(d=3, k=2, s=8, seed=0, registry_dir=None):
     log = EventLog()
     provider = CloudProvider(sim, log)
     addresses = AddressServer(sim, log)
-    counters: dict = {}
+    counters = Counter()
     task = sim.spawn(deploy_misery(sim, provider, addresses, log, counters,
                                    make_digraph(d, k), u=1.0, m=0.1, s=s,
                                    registry_dir=registry_dir))
@@ -154,7 +155,7 @@ def test_normal_chain_deploys():
     log = EventLog()
     provider = CloudProvider(sim, log)
     addresses = AddressServer(sim, log)
-    counters: dict = {}
+    counters = Counter()
     task = sim.spawn(deploy_normal(sim, provider, addresses, log, counters,
                                    u=1.0))
     deployment = sim.run_until(task.future)

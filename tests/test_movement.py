@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -46,7 +47,7 @@ def deployed(d=3, k=2, s=8, seed=0, r=100.0, cap=None):
     log = EventLog()
     provider = CloudProvider(sim, log, instance_cap=cap)
     addresses = AddressServer(sim, log)
-    counters: dict = {}
+    counters = Counter()
     task = sim.spawn(deploy_misery(sim, provider, addresses, log, counters,
                                    make_digraph(d, k), u=1.0, m=0.1, s=s))
     deployment = sim.run_until(task.future)
@@ -129,37 +130,37 @@ def test_cycle_switches_resets_and_propagates():
     old_nodes = set(before.all_nodes())
     run_one_cycle(env)
 
-    events = env.manager.events
-    assert [e.op for e in events] == ["switch", "reset", "reset"]
+    events = env.log.of_kind("movement")
+    assert [e["op"] for e in events] == ["switch", "reset", "reset"]
     switch = events[0]
-    assert switch.versions == {}
-    assert 2 <= switch.layer <= before.d
+    assert switch["versions"] == {}
+    assert 2 <= switch["layer"] <= before.d
 
     digraph = env.deployment.digraph
-    replaced = dict.fromkeys(switch.nodes)
+    replaced = dict.fromkeys(switch["nodes"])
     for reset in events[1:]:
-        assert reset.layer == switch.layer
-        (old,), (new,) = reset.nodes, reset.new_ids
+        assert reset["layer"] == switch["layer"]
+        (old,), (new,) = reset["nodes"], reset["new_ids"]
         assert old in replaced and replaced[old] is None
         replaced[old] = new
         match = NEW_ID.fullmatch(new)
-        assert match and int(match.group(1)) == switch.layer
+        assert match and int(match.group(1)) == switch["layer"]
         assert match.group(3) == "1"
         assert env.provider.instances[old].state is InstanceState.TERMINATED
         fresh = env.provider.instances[new]
         assert fresh.state is InstanceState.RUNNING
         assert fresh.tags["role"] == digraph.role_of(new)
-        assert reset.versions, "resets record the propagated table versions"
-        assert reset.versions == events[1].versions
+        assert reset["versions"], "resets record the propagated table versions"
+        assert reset["versions"] == events[1]["versions"]
 
     # versions name the distinct parents of the new nodes (plus the target
     # record when the leaf layer was hit), and match the address server
     parents = {digraph.parent_of(n) for n in replaced.values()}
     expected_owners = set(parents)
-    if switch.layer == digraph.d:
+    if switch["layer"] == digraph.d:
         expected_owners.add(digraph.target)
-    assert set(events[1].versions) == expected_owners
-    for owner, version in events[1].versions.items():
+    assert set(events[1]["versions"]) == expected_owners
+    for owner, version in events[1]["versions"].items():
         assert env.addresses.lookup(owner).version == version
 
     # old ids are gone from the digraph, new ids sit at their positions
@@ -170,9 +171,9 @@ def test_cycle_switches_resets_and_propagates():
     window = env.log.of_kind("movement.window")
     assert len(window) == 1
     detail = window[0]["detail"]
-    assert detail["nodes"] == list(switch.nodes)
-    assert detail["new_ids"] == [replaced[n] for n in switch.nodes]
-    assert detail["layer"] == switch.layer
+    assert detail["nodes"] == switch["nodes"]
+    assert detail["new_ids"] == [replaced[n] for n in switch["nodes"]]
+    assert detail["layer"] == switch["layer"]
     assert detail["t1"] - detail["t0"] >= env.addresses.notify_bound
 
     # routing tables lag the digraph until the notifications land
@@ -215,7 +216,7 @@ def test_periodic_cycles_until_horizon():
         assert record["detail"]["cycle"] == cycle_no
         assert record["detail"]["t0"] >= epoch + 100.0 * cycle_no
     d = env.deployment.digraph.d
-    assert all(2 <= e.layer <= d for e in env.manager.events)
+    assert all(2 <= e["layer"] <= d for e in env.log.of_kind("movement"))
     assert rules_in_force(env.provider) == derived_rules(env.deployment.digraph)
     assert env.deployment.consistency_check() == []
 
@@ -313,7 +314,7 @@ def test_leaf_cycle_prunes_poll_links():
     for _ in range(6):
         run_one_cycle(env)
         settle(env, extra=302.0)
-        if env.manager.events[-1].layer == env.deployment.digraph.d:
+        if env.log.of_kind("movement")[-1]["layer"] == env.deployment.digraph.d:
             leaf_cycles += 1
     assert leaf_cycles >= 1, "seed never selected the leaf layer"
     leaves = set(env.deployment.digraph.layer(env.deployment.digraph.d))
@@ -328,7 +329,7 @@ def test_same_seed_same_movement_stream():
         for _ in range(3):
             run_one_cycle(env)
             settle(env, extra=302.0)
-        events = [e.to_dict() for e in env.manager.events]
+        events = env.log.of_kind("movement")
         windows = env.log.of_kind("movement.window")
         return events, windows
 

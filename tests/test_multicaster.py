@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from miserysim import wire
@@ -31,7 +33,7 @@ def setup_node(n_children=2, u=0.5, is_entry=False):
         provider.grant("web", f"c{i}", 80)
         children.append(child)
     sim.run(until=301)
-    counters = {}
+    counters = Counter()
     table = AddressTable(1, tuple((c.id, c.address) for c in children))
     node = MulticasterNode(sim, provider, EventLog(), "web",
                            ForwardPolicy(u), counters,

@@ -4,6 +4,7 @@ server sessions, the polling loop, and the baseline database pair."""
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -215,7 +216,7 @@ def test_unwritable_journal_is_a_storage_failure(tmp_path):
 def rs_fixture(u=1.0):
     sim = Simulation(0)
     provider = CloudProvider(sim, EventLog())
-    counters = {}
+    counters = Counter()
     node = RequestsServerNode(sim, provider, EventLog(), "rs0",
                               RequestRegistry(), u, counters)
     return sim, provider, node, counters
@@ -274,6 +275,17 @@ def test_delivery_counters():
     assert counters["conflicting_deliveries"] == 1
 
 
+def test_rs_answers_an_empty_payload_with_a_violation():
+    sim, _, node, counters = rs_fixture()
+    got = []
+    node.open_session(CORR, b"", got.append)
+    assert got == [wire.encode_error(CORR, b"empty request payload")]
+    assert counters["protocol_violations"] == 1
+    assert len(node.registry) == 0
+    sim.run(until=5.0)
+    assert len(got) == 1
+
+
 def test_rs_transport_endpoint_round_trip():
     sim, provider, node, _ = rs_fixture()
     provider.create_instance(ImageKind.MULTICASTER, instance_id="parent")
@@ -300,7 +312,7 @@ def poll_fixture(n_rs=4, m=0.05, window=600):
     provider = CloudProvider(sim, EventLog())
     log = EventLog()
     store = BackendStore()
-    counters = {}
+    counters = Counter()
     provider.create_instance(ImageKind.POLLING_TARGET, instance_id="db")
     nodes = []
     for i in range(n_rs):
@@ -383,6 +395,66 @@ def test_polling_survives_unreachable_endpoints():
     assert ps.counters["poll_errors"] >= 1
 
 
+def garble_one_poll_message(sim, node, t0, *, inbound):
+    """A poll endpoint for `node` whose channels replace the first message
+    after t0 with an unknown poll frame type: the poller's ask on the way in
+    (the RS then closes the channel with that ask in flight), or the RS's
+    reply on the way out (the poller's link then rejects it).  Returns the
+    endpoint, the garbling times and the channels it was handed."""
+    fired, opened = [], []
+
+    def garble(data):
+        if fired or sim.now < t0:
+            return data
+        fired.append(sim.now)
+        return b"\x77"
+
+    class RsView:
+        def __init__(self, channel):
+            self.channel = channel
+
+        def __getattr__(self, name):
+            return getattr(self.channel, name)
+
+        def on_message(self, side, fn):
+            self.channel.on_message(
+                side, (lambda data: fn(garble(data))) if inbound else fn)
+
+        def send(self, side, data):
+            self.channel.send(side, data if inbound else garble(data))
+
+    def on_channel(channel):
+        opened.append(channel)
+        node.on_poll_channel(RsView(channel))
+
+    return on_channel, fired, opened
+
+
+@pytest.mark.parametrize("inbound", [True, False],
+                         ids=["rs-closes-channel", "garbled-reply"])
+def test_poller_survives_a_broken_poll_channel(inbound):
+    sim, provider, ps, nodes, store, _ = poll_fixture(n_rs=2)
+    on_channel, fired, opened = garble_one_poll_message(
+        sim, nodes[0], sim.now + 0.5, inbound=inbound)
+    provider.bind("rs0", 3306, on_channel=on_channel)
+    ps.start()
+    sim.run(until=sim.now + 1.0)
+    assert fired, "no poll message crossed the channel after t0"
+    # both RSs are served again, rs0 over a redialled channel
+    answers = []
+    for i, node in enumerate(nodes):
+        node.open_session(bytes([i]) * 16, b"GET k", answers.append)
+    sim.run(until=sim.now + 1.0)
+    assert not ps._task.future.done, "the poller task ended"
+    ps.stop()
+    assert sorted(answers) == sorted(
+        wire.encode_response(bytes([i]) * 16, b"NIL") for i in range(2))
+    assert store.execution_counts() == {bytes([0]) * 16: 1, bytes([1]) * 16: 1}
+    assert ps.counters["poll_errors"] == 1
+    # the broken channel is closed and the poller dialled a fresh one
+    assert [channel.state for channel in opened] == ["closed", "open"]
+
+
 # --- baseline database pair -----------------------------------------------------------
 
 def baseline_fixture(u=1.0):
@@ -390,7 +462,7 @@ def baseline_fixture(u=1.0):
     provider = CloudProvider(sim, EventLog())
     log = EventLog()
     store = BackendStore()
-    counters = {}
+    counters = Counter()
     provider.create_instance(ImageKind.MULTICASTER, instance_id="parent")
     provider.create_instance(ImageKind.MULTICASTER, instance_id="app")
     provider.create_instance(ImageKind.POLLING_TARGET, instance_id="db")

@@ -18,11 +18,10 @@ from miserysim.wire import (
     TYPE_ERROR,
     TYPE_REQUEST,
     TYPE_RESPONSE,
-    FrameParser,
     HandshakeClient,
     HandshakeServer,
-    PollParser,
     decode_frame,
+    decode_poll,
     encode_error,
     encode_frame,
     encode_http_request,
@@ -72,36 +71,26 @@ def test_decode_rejects_trailing_and_multiple():
         decode_frame(encode_request(CORR, b"a") * 2)
 
 
-def test_parser_handles_arbitrary_chunking():
-    frames = [encode_request(CORR, b"one"),
-              encode_response(CORR, b""),
-              encode_error(CORR, b"boom" * 100)]
-    stream = b"".join(frames)
-    rng = random.Random(7)
-    for _ in range(20):
-        parser = FrameParser()
-        got = []
-        i = 0
-        while i < len(stream):
-            step = rng.randint(1, 37)
-            got.extend(parser.feed(stream[i:i + step]))
-            i += step
-        assert [(t, c, p) for t, c, p in got] == [
-            (TYPE_REQUEST, CORR, b"one"),
-            (TYPE_RESPONSE, CORR, b""),
-            (TYPE_ERROR, CORR, b"boom" * 100),
-        ]
+def test_decode_frame_rejects_every_cut():
+    # the bus delivers each send whole, so any proper prefix is a cut frame
+    for ftype, payload in [(TYPE_REQUEST, b"one"), (TYPE_RESPONSE, b""),
+                           (TYPE_ERROR, b"boom" * 100)]:
+        frame = encode_frame(ftype, CORR, payload)
+        assert decode_frame(frame) == (ftype, CORR, payload)
+        for cut in range(len(frame)):
+            with pytest.raises(ProtocolViolation):
+                decode_frame(frame[:cut])
 
 
 def test_parser_violations():
     with pytest.raises(ProtocolViolation):
-        FrameParser().feed(b"\x00" + b"\x01\x01" + CORR + b"\x00\x00\x00\x00")
+        decode_frame(b"\x00" + b"\x01\x01" + CORR + b"\x00\x00\x00\x00")
     with pytest.raises(ProtocolViolation):
-        FrameParser().feed(b"\x4d\x02\x01" + CORR + b"\x00\x00\x00\x00")
+        decode_frame(b"\x4d\x02\x01" + CORR + b"\x00\x00\x00\x00")
     with pytest.raises(ProtocolViolation):
-        FrameParser().feed(b"\x4d\x01\x09" + CORR + b"\x00\x00\x00\x00")
+        decode_frame(b"\x4d\x01\x09" + CORR + b"\x00\x00\x00\x00")
     with pytest.raises(ProtocolViolation):
-        FrameParser().feed(b"\x4d\x01\x01" + CORR + b"\xff\xff\xff\xff")
+        decode_frame(b"\x4d\x01\x01" + CORR + b"\xff\xff\xff\xff")
 
 
 # --- handshake ---------------------------------------------------------------
@@ -233,34 +222,52 @@ def test_poll_frames_golden_bytes():
     assert POLL_ACK_FRAME == b"\x13"
 
 
-def test_poll_parser_mixed_stream_chunked():
-    entries = [(CORR, b"GET a"), (bytes(16), b"PUT b c")]
-    stream = (encode_poll_list(3)
-              + encode_poll_listing(entries)
-              + encode_poll_delivery(CORR, b"VAL x")
-              + POLL_ACK_FRAME
-              + encode_poll_listing([]))
-    rng = random.Random(3)
-    for _ in range(20):
-        parser = PollParser()
-        got = []
-        i = 0
-        while i < len(stream):
-            step = rng.randint(1, 5)
-            got.extend(parser.feed(stream[i:i + step]))
-            i += step
-        assert got == [
-            ("list", 3),
-            ("listing", entries),
-            ("deliver", CORR, b"VAL x"),
-            ("ack",),
-            ("listing", []),
-        ]
+POLL_ENTRIES = [(CORR, b"GET a"), (bytes(16), b"PUT b c")]
+POLL_FRAMES = [encode_poll_list(3),
+               encode_poll_listing(POLL_ENTRIES),
+               encode_poll_delivery(CORR, b"VAL x"),
+               POLL_ACK_FRAME,
+               encode_poll_listing([])]
+POLL_EVENTS = [("list", 3),
+               ("listing", POLL_ENTRIES),
+               ("deliver", CORR, b"VAL x"),
+               ("ack",),
+               ("listing", [])]
+
+
+def test_decode_poll_mixed_message():
+    assert decode_poll(b"".join(POLL_FRAMES)) == POLL_EVENTS
+    for frame, event in zip(POLL_FRAMES, POLL_EVENTS):
+        assert decode_poll(frame) == [event]
+
+
+def test_decode_poll_rejects_every_cut_frame():
+    # a prefix that ends on a frame boundary is itself a whole message of
+    # fewer frames; every other proper prefix cuts a frame
+    message = b"".join(POLL_FRAMES)
+    boundaries = {0}
+    for frame in POLL_FRAMES:
+        boundaries.add(max(boundaries) + len(frame))
+    for cut in range(len(message)):
+        if cut in boundaries and cut > 0:
+            frames = sum(1 for b in boundaries if 0 < b <= cut)
+            assert decode_poll(message[:cut]) == POLL_EVENTS[:frames]
+        else:
+            with pytest.raises(ProtocolViolation):
+                decode_poll(message[:cut])
+
+
+def test_decode_poll_rejects_oversized_entries():
+    head = CORR + (MAX_PAYLOAD + 1).to_bytes(4, "big")
+    with pytest.raises(ProtocolViolation):
+        decode_poll(b"\x11\x00\x00\x00\x01" + head)
+    with pytest.raises(ProtocolViolation):
+        decode_poll(b"\x12" + head)
 
 
 def test_poll_parser_rejects_unknown_type():
     with pytest.raises(ProtocolViolation):
-        PollParser().feed(b"\x77")
+        decode_poll(b"\x77")
 
 
 # --- HTTP ---------------------------------------------------------------------
