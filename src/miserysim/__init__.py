@@ -20,19 +20,16 @@ from .movement import MovementManager, MovementSchedule, select_transformation
 from .reporting import MetricsReport, emit_report, metrics_from_records
 from .sim import Simulation
 from .topology import (
-    ConnectivityDigraph,
     MiseryDigraph,
     MiseryDigraphSpec,
     build_misery_digraph,
     derive_firewall_rules,
-    extract_connectivity,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "ConnectivityDigraph",
     "ExperimentConfig",
     "ExperimentResult",
     "LatencyModel",
@@ -48,7 +45,6 @@ __all__ = [
     "build_misery_digraph",
     "derive_firewall_rules",
     "emit_report",
-    "extract_connectivity",
     "metrics_from_records",
     "run_experiment",
     "select_transformation",

@@ -25,8 +25,6 @@ from .topology import (
     MiseryDigraph,
     MiseryDigraphSpec,
     build_misery_digraph,
-    canonical_chain_description,
-    extract_connectivity,
     next_replacement_id,
 )
 
@@ -59,9 +57,7 @@ class AttackerState:
 @functools.lru_cache(maxsize=None)
 def attack_digraph(d: int, k: int) -> MiseryDigraph:
     """The replay's starting digraph; immutable, so built once per shape."""
-    conn = extract_connectivity(canonical_chain_description(),
-                               ("instance_type", "mdg"))
-    return build_misery_digraph(conn, MiseryDigraphSpec(d, k))
+    return build_misery_digraph(MiseryDigraphSpec(d, k))
 
 
 def _apply_cycle(digraph: MiseryDigraph, rng: random.Random,

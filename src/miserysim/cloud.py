@@ -469,21 +469,31 @@ class CloudProvider:
 
     # -- one-shot exchanges ------------------------------------------------------
 
-    def request(self, src: str, dst_address: str, port: int, data: bytes) -> Future:
-        future = Future()
+    def _admit(self, src: str, dst_address: str, port: int, kind: str,
+               future: Future) -> tuple[Instance | None, float]:
+        """Draw the hop latency, then check that a live instance sits at
+        dst_address, a rule lets src reach it on port, and it has a `kind`
+        ("request" or "channel") endpoint there.  On a refusal, count it and
+        reject `future` one hop later; the instance comes back as None."""
         latency = self.hop_latency()
         inst = self.resolve_address(dst_address)
-        refusal = None
         if inst is None:
-            refusal = ConnectionRefused(f"no live instance at {dst_address}")
+            reason = f"no live instance at {dst_address}"
         elif not self.allows(src, inst.id, port):
-            refusal = ConnectionRefused(f"{src}->{inst.id}:{port} not permitted")
-        elif (inst.id, port) not in self._handlers or \
-                self._handlers[(inst.id, port)]["request"] is None:
-            refusal = ConnectionRefused(f"{inst.id}:{port} has no request endpoint")
-        if refusal is not None:
-            self.counters["refused"] += 1
-            self.sim.schedule(latency, future.reject, refusal, priority=PRIO_NETWORK)
+            reason = f"{src}->{inst.id}:{port} not permitted"
+        elif self._handlers.get((inst.id, port), {}).get(kind) is None:
+            reason = f"{inst.id}:{port} has no {kind} endpoint"
+        else:
+            return inst, latency
+        self.counters["refused"] += 1
+        self.sim.schedule(latency, future.reject, ConnectionRefused(reason),
+                          priority=PRIO_NETWORK)
+        return None, latency
+
+    def request(self, src: str, dst_address: str, port: int, data: bytes) -> Future:
+        future = Future()
+        inst, latency = self._admit(src, dst_address, port, "request", future)
+        if inst is None:
             return future
         ex = Exchange(next(self._seq), src, inst.id, port, future)
         self._exchanges[ex.seq] = ex
@@ -526,19 +536,8 @@ class CloudProvider:
 
     def open_channel(self, src: str, dst_address: str, port: int) -> Future:
         future = Future()
-        latency = self.hop_latency()
-        inst = self.resolve_address(dst_address)
-        refusal = None
+        inst, latency = self._admit(src, dst_address, port, "channel", future)
         if inst is None:
-            refusal = ConnectionRefused(f"no live instance at {dst_address}")
-        elif not self.allows(src, inst.id, port):
-            refusal = ConnectionRefused(f"{src}->{inst.id}:{port} not permitted")
-        elif (inst.id, port) not in self._handlers or \
-                self._handlers[(inst.id, port)]["channel"] is None:
-            refusal = ConnectionRefused(f"{inst.id}:{port} has no channel endpoint")
-        if refusal is not None:
-            self.counters["refused"] += 1
-            self.sim.schedule(latency, future.reject, refusal, priority=PRIO_NETWORK)
             return future
         if len(self.channels) > 64:
             self.channels = [c for c in self.channels if c.state == "open"]

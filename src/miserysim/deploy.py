@@ -31,14 +31,15 @@ from .target import (
     RequestsServerNode,
 )
 from .topology import (
+    CHAIN,
+    DATABASE,
+    HTTP,
     PUBLIC_INTERNET,
     FirewallRule,
     FirewallRuleSet,
     MiseryDigraph,
     derive_firewall_rules,
 )
-
-NORMAL_CHAIN = ("web", "app", "db")
 
 
 def swappable_image_counts(digraph: MiseryDigraph) -> dict[ImageKind, int]:
@@ -233,21 +234,21 @@ def deploy_normal(sim: Simulation, provider: CloudProvider,
     base_tags = dict(base_tags or {"instance_type": "normal"})
     deployment = Deployment(sim, provider, addresses, log, counters,
                             u=u, m=0.1, base_tags=base_tags)
-    web, app, db = NORMAL_CHAIN
+    web, app, db = CHAIN
     roles = {web: "entry-point", app: "intermediate", db: "target"}
     images = {web: ImageKind.MULTICASTER, app: ImageKind.REQUESTS_SERVER,
               db: ImageKind.POLLING_TARGET}
     ready = []
-    for node in NORMAL_CHAIN:
+    for node in CHAIN:
         inst = provider.create_instance(images[node], instance_id=node,
                                         tags={**base_tags, "role": roles[node]})
         ready.append(inst.ready)
     yield gather(ready)
 
     provider.apply_rules(FirewallRuleSet(frozenset({
-        FirewallRule(PUBLIC_INTERNET, web, 80),
-        FirewallRule(web, app, 80),
-        FirewallRule(app, db, 3306),
+        FirewallRule(PUBLIC_INTERNET, web, HTTP.port),
+        FirewallRule(web, app, HTTP.port),
+        FirewallRule(app, db, DATABASE.port),
     })))
 
     app_address = provider.instance(app).address
@@ -255,18 +256,18 @@ def deploy_normal(sim: Simulation, provider: CloudProvider,
     web_node = MulticasterNode(
         sim, provider, log, web, ForwardPolicy(u), counters, is_entry=True,
         table=AddressTable(1, ((app, app_address),)))
-    app_node = AppServerNode(sim, provider, log, app, db_address, 3306, u,
-                             counters)
+    app_node = AppServerNode(sim, provider, log, app, db_address,
+                             DATABASE.port, u, counters)
     db_node = DatabaseServerNode(sim, provider, log, db, deployment.store,
                                  counters)
-    provider.bind(web, 80, on_request=web_node.on_http)
-    provider.bind(app, 80, on_request=app_node.on_request)
-    provider.bind(db, 3306, on_channel=db_node.on_channel)
+    provider.bind(web, HTTP.port, on_request=web_node.on_http)
+    provider.bind(app, HTTP.port, on_request=app_node.on_request)
+    provider.bind(db, DATABASE.port, on_channel=db_node.on_channel)
     addresses.register(web, [(app, app_address)])
     addresses.subscribe(web, web_node.apply_update)
 
     deployment.runtimes = {web: web_node, app: app_node, db: db_node}
-    deployment.node_instances = {n: provider.instance(n) for n in NORMAL_CHAIN}
+    deployment.node_instances = {n: provider.instance(n) for n in CHAIN}
     deployment.entry_address = provider.instance(web).address
     log.emit(sim.now, "deploy.complete", instance=None,
              detail={"nodes": 3, "pool": 0})

@@ -21,22 +21,6 @@ class InvalidSpec(TopologyError):
     """Digraph shape parameters out of range (d < 2 or k < 1)."""
 
 
-class NoTaggedInstances(TopologyError):
-    """The tag filter matched no instances in the snapshot."""
-
-
-class NoTarget(TopologyError):
-    """No instance in the described network is marked as the target."""
-
-
-class NoEntryPoint(TopologyError):
-    """No instance in the described network is marked as an entry point."""
-
-
-class DisconnectedPath(TopologyError):
-    """The target is not reachable from every entry point."""
-
-
 class LayerConflict(TopologyError):
     """A switch names two nodes at different layers."""
 

@@ -29,13 +29,7 @@ from .errors import ConfigError, MiserySimError
 from .eventlog import EventLog
 from .movement import MovementManager, MovementSchedule
 from .sim import Future, PRIO_LOAD, Simulation
-from .topology import (
-    PUBLIC_INTERNET,
-    MiseryDigraphSpec,
-    build_misery_digraph,
-    canonical_chain_description,
-    extract_connectivity,
-)
+from .topology import HTTP, PUBLIC_INTERNET, MiseryDigraphSpec, build_misery_digraph
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,7 @@ class LoadGenerator:
             issued_at = self.sim.now
             self.log.emit(issued_at, "request.issued", i=i, command=command)
             future = self.provider.request(
-                PUBLIC_INTERNET, self.entry_address, 80,
+                PUBLIC_INTERNET, self.entry_address, HTTP.port,
                 wire.encode_http_request("POST", "/", command.encode("utf-8")))
             kind, status, headers, body = yield from self._await(future)
             latency = self.sim.now - issued_at
@@ -282,11 +276,8 @@ class ExperimentResult:
 
 
 def build_experiment_digraph(cfg: ExperimentConfig):
-    """The digraph a `run` deploys: the canonical protected chain expanded
-    to (d, k)."""
-    conn = extract_connectivity(canonical_chain_description(),
-                               ("instance_type", "mdg"))
-    return build_misery_digraph(conn, MiseryDigraphSpec(cfg.d, cfg.k))
+    """The digraph a `run` deploys: the protected chain expanded to (d, k)."""
+    return build_misery_digraph(MiseryDigraphSpec(cfg.d, cfg.k))
 
 
 def run_experiment(cfg: ExperimentConfig, *,
@@ -320,7 +311,7 @@ def run_experiment(cfg: ExperimentConfig, *,
     if cfg.d != 0:
         movement = MovementManager(
             sim, provider, addresses, deployment,
-            MovementSchedule(cfg.r, cfg.rng_seed), log, counters)
+            MovementSchedule(cfg.r), log, counters)
         movement.start(epoch, cfg.j)
 
     workload = WorkloadGenerator(cfg.rng_seed) if replay is None else None

@@ -40,17 +40,14 @@ from .topology import (
 
 @dataclass(frozen=True)
 class MovementSchedule:
-    """Period and seed for the transformation process."""
+    """Period of the transformation process; its draws come from the
+    simulation's "movement" stream."""
 
     r: float
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.r <= 0:
             raise ValueError(f"period r must be positive, got {self.r}")
-
-    def make_rng(self) -> random.Random:
-        return random.Random(f"{self.rng_seed}/movement")
 
 
 @dataclass(frozen=True)

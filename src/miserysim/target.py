@@ -101,6 +101,8 @@ class RequestRegistry:
     enqueue sequence; list_pending(cursor) returns the still-pending entries
     at positions >= cursor plus the cursor advanced by the batch size (the
     same arithmetic a remote poller applies, since listings carry no cursor).
+    Positions survive compaction: `_base` counts the entries it dropped, so
+    the entry at `_order[i]` sits at position `_base + i`.
     """
 
     def __init__(self, path: str | None = None, *, fsync: bool = True,
@@ -110,6 +112,7 @@ class RequestRegistry:
         self.compact_threshold = compact_threshold
         self.entries: dict[bytes, RegistryEntry] = {}
         self._order: list[bytes] = []
+        self._base = 0
         self._answered = 0
         self._fd: int | None = None
         if path is not None:
@@ -165,7 +168,8 @@ class RequestRegistry:
         existing = self.entries.get(corr)
         if existing is not None:
             return existing
-        entry = RegistryEntry(corr, payload, PENDING, None, t, len(self._order))
+        entry = RegistryEntry(corr, payload, PENDING, None, t,
+                              self._base + len(self._order))
         self.entries[corr] = entry
         self._order.append(corr)
         self._append(b"E", corr, payload, sync=True)
@@ -175,7 +179,7 @@ class RequestRegistry:
         if cursor < 0:
             cursor = 0
         batch = []
-        for corr in self._order[cursor:]:
+        for corr in self._order[max(cursor - self._base, 0):]:
             entry = self.entries[corr]
             if entry.state == PENDING:
                 batch.append((entry.correlation_id, entry.payload))
@@ -206,9 +210,9 @@ class RequestRegistry:
     def compact(self) -> None:
         """Rewrite the log dropping answered entries (bounds file growth).
 
-        Cursor positions shift on compaction, so it only runs between poll
-        cycles via the threshold; the in-memory order keeps answered entries
-        until then.
+        A poller answers only entries it has listed, so every dropped entry
+        lies below its cursor; adding them to `_base` keeps the positions of
+        the entries not yet listed, and with them the cursor, unchanged.
         """
         if self.path is None:
             return
@@ -225,8 +229,9 @@ class RequestRegistry:
         if self._fd is not None:
             os.close(self._fd)
         self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND, 0o644)
+        self._base += len(self._order) - len(keep)
         self.entries = {e.correlation_id: e for e in keep}
-        for index, entry in enumerate(self.entries.values()):
+        for index, entry in enumerate(keep, self._base):
             entry.index = index
         self._order = list(self.entries)
         self._answered = 0

@@ -1,4 +1,4 @@
-"""Graph-theoretic core: connectivity digraphs, misery digraphs, firewall rules.
+"""Graph-theoretic core: the protected chain, misery digraphs, firewall rules.
 
 Everything in this module is a pure function over immutable values.  The live
 topology cell owned by the movement manager holds a MiseryDigraph and replaces
@@ -16,34 +16,21 @@ construction.
 from __future__ import annotations
 
 import functools
-import logging
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .errors import (
-    DisconnectedPath,
-    InvalidSpec,
-    LayerConflict,
-    NoEntryPoint,
-    NoTaggedInstances,
-    NoTarget,
-    TopologyError,
-    UnknownNode,
-)
-
-logger = logging.getLogger(__name__)
+from .errors import InvalidSpec, LayerConflict, TopologyError, UnknownNode
 
 PUBLIC_INTERNET = "public-internet"
 
 ROLE_ENTRY = "entry-point"
-ROLE_INTERMEDIATE = "intermediate"
 ROLE_TARGET = "target"
 
 ROLE_MULTICASTER = "multicaster"
 ROLE_REQUESTS_SERVER = "requests-server"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ServiceKind:
     """A network service as (name, port); (name, port) unique per network."""
 
@@ -62,92 +49,13 @@ class ServiceKind:
         return cls(str(d["name"]), int(d["port"]))
 
 
-# Well-known port names used when a rule document does not name its service.
-_PORT_NAMES = {21: "ftp", 22: "ssh", 80: "http", 443: "https", 3306: "db"}
-
-
-def service_for_port(port: int, name: str | None = None) -> ServiceKind:
-    return ServiceKind(name or _PORT_NAMES.get(port, f"port-{port}"), port)
-
-
-@dataclass(frozen=True)
-class ConnectivityDigraph:
-    """Permitted-flow graph: edge (u, v, s) means u may reach v on service s.
-
-    `roles` maps every node id to entry-point | intermediate | target.
-    """
-
-    roles: tuple[tuple[str, str], ...]          # (node id, role), sorted by id
-    edges: frozenset[tuple[str, str, ServiceKind]]
-
-    def __post_init__(self) -> None:
-        ids = [n for n, _ in self.roles]
-        if len(ids) != len(set(ids)):
-            raise TopologyError("duplicate node ids")
-        known = {ROLE_ENTRY, ROLE_INTERMEDIATE, ROLE_TARGET}
-        for n, role in self.roles:
-            if role not in known:
-                raise TopologyError(f"unknown role {role!r} for {n!r}")
-        nodes = set(ids)
-        for src, dst, _ in self.edges:
-            if src == dst:
-                raise TopologyError(f"self-loop at {src!r}")
-            if src not in nodes or dst not in nodes:
-                raise TopologyError(f"edge ({src!r}, {dst!r}) references unknown node")
-
-    @classmethod
-    def build(cls, roles: Mapping[str, str],
-              edges: Iterable[tuple[str, str, ServiceKind]]) -> "ConnectivityDigraph":
-        return cls(tuple(sorted(roles.items())), frozenset(edges))
-
-    def role_of(self, node: str) -> str:
-        for n, role in self.roles:
-            if n == node:
-                return role
-        raise UnknownNode(node)
-
-    @property
-    def entry_points(self) -> tuple[str, ...]:
-        return tuple(n for n, role in self.roles if role == ROLE_ENTRY)
-
-    @property
-    def targets(self) -> tuple[str, ...]:
-        return tuple(n for n, role in self.roles if role == ROLE_TARGET)
-
-    @property
-    def target(self) -> str:
-        targets = self.targets
-        if not targets:
-            raise NoTarget("no node has the target role")
-        if len(targets) > 1:
-            raise TopologyError(f"multiple targets: {targets}")
-        return targets[0]
-
-    def out_edges(self, node: str) -> list[tuple[str, str, ServiceKind]]:
-        return sorted(e for e in self.edges if e[0] == node)
-
-    def in_edges(self, node: str) -> list[tuple[str, str, ServiceKind]]:
-        return sorted(e for e in self.edges if e[1] == node)
-
-    def validate(self) -> None:
-        """Full-digraph invariants: >=1 entry, exactly 1 target, reachability."""
-        if not self.entry_points:
-            raise NoEntryPoint("no node has the entry-point role")
-        target = self.target
-        adjacency: dict[str, set[str]] = {}
-        for src, dst, _ in self.edges:
-            adjacency.setdefault(src, set()).add(dst)
-        for entry in self.entry_points:
-            seen = {entry}
-            frontier = [entry]
-            while frontier:
-                node = frontier.pop()
-                for nxt in adjacency.get(node, ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            if target not in seen:
-                raise DisconnectedPath(f"target {target!r} unreachable from {entry!r}")
+# The web -> app -> db chain the system protects: the d=0 baseline deploys
+# it as is, and build_misery_digraph expands it to a misery digraph.  HTTP
+# carries requests from the public internet inward; DATABASE is the app's
+# link to the database, which in a misery digraph becomes the target's poll.
+CHAIN = ("web", "app", "db")
+HTTP = ServiceKind("http", 80)
+DATABASE = ServiceKind("db", 3306)
 
 
 @dataclass(frozen=True)
@@ -376,11 +284,6 @@ class FirewallRule:
     src: str
     dst: str
     port: int
-    direction: str = "inbound"
-
-    def to_dict(self) -> dict:
-        return {"src": self.src, "dst": self.dst, "port": self.port,
-                "direction": self.direction}
 
 
 @dataclass(frozen=True)
@@ -393,42 +296,8 @@ class FirewallRuleSet:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def permits(self, src: str, dst: str, port: int) -> bool:
-        return FirewallRule(src, dst, port) in self.rules
-
 
 # --- operations ---------------------------------------------------------
-
-
-def extract_connectivity(snapshot, tag: tuple[str, str]) -> ConnectivityDigraph:
-    """Filter a provider snapshot (or parsed network description) by tag and
-    derive the permitted-flow digraph from its security-group rules.
-
-    `snapshot` needs `.instances` (each with .id and .tags) and `.rules`
-    (each with .src, .dst, .port, optional .service name).  Role marking
-    comes from the instance tag "role" (entry-point | target); everything
-    else tagged is an intermediate.
-    """
-    key, value = tag
-    tagged = [inst for inst in snapshot.instances if inst.tags.get(key) == value]
-    if not tagged:
-        raise NoTaggedInstances(f"no instance tagged {key}={value}")
-    roles = {}
-    for inst in tagged:
-        role = inst.tags.get("role", ROLE_INTERMEDIATE)
-        if role not in (ROLE_ENTRY, ROLE_TARGET):
-            role = ROLE_INTERMEDIATE
-        roles[inst.id] = role
-    if ROLE_TARGET not in roles.values():
-        raise NoTarget(f"no instance tagged {key}={value} is marked as target")
-    if ROLE_ENTRY not in roles.values():
-        raise NoEntryPoint(f"no instance tagged {key}={value} is marked as entry-point")
-    edges = set()
-    for rule in snapshot.rules:
-        if rule.src in roles and rule.dst in roles:
-            name = getattr(rule, "service", None)
-            edges.add((rule.src, rule.dst, service_for_port(rule.port, name)))
-    return ConnectivityDigraph.build(roles, edges)
 
 
 def _decoy_id(layer: int, slot: int, generation: int = 0) -> str:
@@ -449,59 +318,20 @@ def next_replacement_id(digraph: MiseryDigraph, node: str,
     return replacement_id(*key, generations[key])
 
 
-def build_misery_digraph(conn: ConnectivityDigraph,
-                         spec: MiseryDigraphSpec) -> MiseryDigraph:
-    """Expand an attack path into a full k-ary misery digraph rooted at the
-    connectivity digraph's single entry point.
+def build_misery_digraph(spec: MiseryDigraphSpec) -> MiseryDigraph:
+    """Expand CHAIN to a k-ary misery digraph of depth d.
 
-    The root is the entry point; the first original intermediate on the path
-    is absorbed at layer-d slot 0 (it carries the application logic); any
-    further original intermediates are discarded with a warning; every other
-    non-root, non-target slot is filled with a fresh decoy.  Transport
-    services are the entry's own outbound services and ride every edge; poll
-    services are the target's inbound services.
+    web is the root, app sits at layer-d slot 0 (it carries the application
+    logic) and is the enabled leaf, every other slot of layers 2..d holds a
+    fresh decoy, and db is the isolated target.  HTTP rides every edge and
+    DATABASE is the poll service.
     """
-    conn.validate()
-    if len(conn.entry_points) != 1:
-        raise TopologyError(
-            f"a misery digraph has one entry point, found {conn.entry_points}")
-    entry = conn.entry_points[0]
-    target = conn.target
-    adjacency: dict[str, list[str]] = {}
-    for src, dst, _ in sorted(conn.edges):
-        adjacency.setdefault(src, [])
-        if dst not in adjacency[src]:
-            adjacency[src].append(dst)
-
-    poll_services = tuple(sorted({s for _, _, s in conn.in_edges(target)}))
-    if not poll_services:
-        raise DisconnectedPath(f"target {target!r} has no inbound service")
-    transport = tuple(sorted({s for _, _, s in conn.out_edges(entry)}))
-    if not transport:
-        raise DisconnectedPath(f"entry {entry!r} has no outbound service")
-
-    # BFS for the original path's intermediates, in discovery order.
-    order, seen, frontier = [], {entry}, [entry]
-    while frontier:
-        node = frontier.pop(0)
-        for nxt in adjacency.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                if nxt != target:
-                    order.append(nxt)
-                    frontier.append(nxt)
-    if len(order) > 1:
-        logger.warning("discarding %d original intermediate(s) beyond %r: %s",
-                       len(order) - 1, order[0], order[1:])
-
-    layers = [(entry,)] + [
+    web, app, db = CHAIN
+    layers = [(web,)] + [
         tuple(_decoy_id(layer_idx, slot) for slot in range(spec.layer_width(layer_idx)))
         for layer_idx in range(2, spec.d + 1)]
-    if order:
-        layers[-1] = (order[0],) + layers[-1][1:]
-    enabled = layers[-1][0]
-    return MiseryDigraph(spec, tuple(layers), target, transport, poll_services,
-                         enabled)
+    layers[-1] = (app,) + layers[-1][1:]
+    return MiseryDigraph(spec, tuple(layers), db, (HTTP,), (DATABASE,), app)
 
 
 def inbound_rules(mdg: MiseryDigraph, node: str) -> list[FirewallRule]:
@@ -537,68 +367,3 @@ def enabled_path(mdg: MiseryDigraph) -> list[str]:
         path.append(parent)
     path.reverse()
     return path
-
-
-# --- network description documents ---------------------------------------
-
-
-@dataclass(frozen=True)
-class DescribedInstance:
-    id: str
-    tags: dict
-    image: str = ""
-
-
-@dataclass(frozen=True)
-class DescribedRule:
-    src: str
-    dst: str
-    port: int
-    service: str | None = None
-
-
-@dataclass(frozen=True)
-class NetworkDescription:
-    """Parsed form of the input config document (instances, rules, roles)."""
-
-    instances: tuple[DescribedInstance, ...]
-    rules: tuple[DescribedRule, ...]
-    entry_points: tuple[str, ...]
-    target: str
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "NetworkDescription":
-        entry_points = tuple(doc.get("entry_points", ()))
-        target = doc.get("target", "")
-        instances = []
-        for item in doc.get("instances", ()):
-            tags = dict(item.get("tags", {}))
-            if item["id"] in entry_points:
-                tags.setdefault("role", ROLE_ENTRY)
-            if item["id"] == target:
-                tags.setdefault("role", ROLE_TARGET)
-            instances.append(DescribedInstance(item["id"], tags,
-                                               item.get("image", "")))
-        rules = tuple(
-            DescribedRule(r["src"], r["dst"], int(r["port"]), r.get("service"))
-            for r in doc.get("rules", ())
-        )
-        return cls(tuple(instances), rules, entry_points, target)
-
-
-def canonical_chain_description(tag_value: str = "mdg") -> NetworkDescription:
-    """The three-node web -> app -> db chain used as the default input."""
-    doc = {
-        "instances": [
-            {"id": "web", "tags": {"instance_type": tag_value}},
-            {"id": "app", "tags": {"instance_type": tag_value}},
-            {"id": "db", "tags": {"instance_type": tag_value}},
-        ],
-        "rules": [
-            {"src": "web", "dst": "app", "port": 80},
-            {"src": "app", "dst": "db", "port": 3306},
-        ],
-        "entry_points": ["web"],
-        "target": "db",
-    }
-    return NetworkDescription.from_json_dict(doc)

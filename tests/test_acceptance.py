@@ -41,9 +41,7 @@ from miserysim.topology import (
     PUBLIC_INTERNET,
     MiseryDigraphSpec,
     build_misery_digraph,
-    canonical_chain_description,
     derive_firewall_rules,
-    extract_connectivity,
 )
 
 
@@ -53,9 +51,7 @@ def announce(capsys, name: str, ok: bool, evidence: str) -> None:
 
 
 def make_digraph(d: int, k: int):
-    conn = extract_connectivity(canonical_chain_description(),
-                                ("instance_type", "mdg"))
-    return build_misery_digraph(conn, MiseryDigraphSpec(d, k))
+    return build_misery_digraph(MiseryDigraphSpec(d, k))
 
 
 # --- 1: topology invariants across the whole shape grid -------------------------
@@ -218,7 +214,7 @@ def test_transformation_cycles_preserve_isomorphism(capsys):
                                    make_digraph(4, 2), u=1.0, m=1.0, s=8))
     deployment = sim.run_until(task.future)
     manager = MovementManager(sim, provider, addresses, deployment,
-                              MovementSchedule(100.0, 21), log, counters)
+                              MovementSchedule(100.0), log, counters)
 
     problems: list[str] = []
     for cycle in range(100):

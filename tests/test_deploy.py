@@ -21,16 +21,12 @@ from miserysim.topology import (
     PUBLIC_INTERNET,
     MiseryDigraphSpec,
     build_misery_digraph,
-    canonical_chain_description,
     derive_firewall_rules,
-    extract_connectivity,
 )
 
 
 def make_digraph(d=3, k=2):
-    conn = extract_connectivity(canonical_chain_description(),
-                                ("instance_type", "mdg"))
-    return build_misery_digraph(conn, MiseryDigraphSpec(d, k))
+    return build_misery_digraph(MiseryDigraphSpec(d, k))
 
 
 def deploy(d=3, k=2, s=8, seed=0, registry_dir=None):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 
 import pytest
@@ -12,10 +14,29 @@ from miserysim.experiment import (
     LatencyModel,
     LoadGenerator,
     WorkloadGenerator,
+    build_experiment_digraph,
     run_experiment,
 )
 
 KEY = re.compile(r"k(\d{5})")
+
+
+# --- build -------------------------------------------------------------------
+
+# SHA-256 of the digraph document `miserysim build` writes (sorted keys)
+BUILD_DIGESTS = {
+    (3, 2): "5c71f48b0af6553af3cee34231584119770ab6d2166c78075f0640827c87c62a",
+    (4, 2): "12162db15e011a09b9dccb06d3133a87bf09af19fc668af490f33ff8087c4bd3",
+    (5, 3): "1ea162d6c4c8bcf62924d69eee01694baa3f87f4b0fcf5c00d289e3f1f036a11",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BUILD_DIGESTS))
+def test_build_output_is_pinned(shape):
+    d, k = shape
+    doc = build_experiment_digraph(ExperimentConfig(d=d, k=k)).to_json_dict()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == BUILD_DIGESTS[shape]
 
 
 # --- config -------------------------------------------------------------------

@@ -28,18 +28,14 @@ from miserysim.sim import Simulation
 from miserysim.topology import (
     MiseryDigraphSpec,
     build_misery_digraph,
-    canonical_chain_description,
     derive_firewall_rules,
-    extract_connectivity,
 )
 
 NEW_ID = re.compile(r"L(\d+)\.s(\d+)\.g(\d+)")
 
 
 def make_digraph(d=3, k=2):
-    conn = extract_connectivity(canonical_chain_description(),
-                                ("instance_type", "mdg"))
-    return build_misery_digraph(conn, MiseryDigraphSpec(d, k))
+    return build_misery_digraph(MiseryDigraphSpec(d, k))
 
 
 def deployed(d=3, k=2, s=8, seed=0, r=100.0, cap=None):
@@ -52,7 +48,7 @@ def deployed(d=3, k=2, s=8, seed=0, r=100.0, cap=None):
                                    make_digraph(d, k), u=1.0, m=0.1, s=s))
     deployment = sim.run_until(task.future)
     manager = MovementManager(sim, provider, addresses, deployment,
-                              MovementSchedule(r, seed), log, counters)
+                              MovementSchedule(r), log, counters)
     return SimpleNamespace(sim=sim, log=log, provider=provider,
                            addresses=addresses, counters=counters,
                            deployment=deployment, manager=manager)
@@ -82,9 +78,6 @@ def test_schedule_validates_period():
         MovementSchedule(0)
     with pytest.raises(ValueError):
         MovementSchedule(-5.0)
-    a = MovementSchedule(100.0, rng_seed=3).make_rng()
-    b = MovementSchedule(100.0, rng_seed=3).make_rng()
-    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
 
 
 def test_select_uniform_over_eligible_layers():

@@ -206,6 +206,21 @@ def test_compaction_drops_answered_and_survives_reopen(tmp_path):
     back.close()
 
 
+def test_compaction_keeps_the_poll_cursor_valid(tmp_path):
+    # a poller's cursor outlives compaction: entries enqueued after it must
+    # still be listed at the positions the cursor expects
+    reg = RequestRegistry(str(tmp_path / "journal.bin"), compact_threshold=3)
+    cursor, listed = 0, []
+    for i in range(10):
+        reg.enqueue(corr_of(i), b"P%d" % i, float(i))
+        batch, cursor = reg.list_pending(cursor)
+        for corr, _ in batch:
+            listed.append(corr)
+            reg.deliver(corr, b"OK")
+    reg.close()
+    assert listed == [corr_of(i) for i in range(10)]
+
+
 def test_unwritable_journal_is_a_storage_failure(tmp_path):
     with pytest.raises(StorageFailure):
         RequestRegistry(str(tmp_path / "missing-dir" / "journal.bin"))

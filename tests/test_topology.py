@@ -1,4 +1,4 @@
-"""Topology: connectivity extraction, k-ary expansion, rules, transforms.
+"""Topology: k-ary expansion, rules, transforms.
 
 The rule-set and layer-count checks use independent first-principles
 oracles (closed-form counts and brute-force enumeration) rather than the
@@ -12,14 +12,7 @@ import random
 
 import pytest
 
-from miserysim.errors import (
-    LayerConflict,
-    NoEntryPoint,
-    NoTaggedInstances,
-    NoTarget,
-    TopologyError,
-    UnknownNode,
-)
+from miserysim.errors import LayerConflict, TopologyError, UnknownNode
 from miserysim.topology import (
     PUBLIC_INTERNET,
     ROLE_ENTRY,
@@ -29,12 +22,10 @@ from miserysim.topology import (
     FirewallRule,
     MiseryDigraph,
     MiseryDigraphSpec,
-    NetworkDescription,
+    ServiceKind,
     build_misery_digraph,
-    canonical_chain_description,
     derive_firewall_rules,
     enabled_path,
-    extract_connectivity,
     next_replacement_id,
     replacement_id,
 )
@@ -68,43 +59,6 @@ def oracle_expand_edges(digraph: MiseryDigraph) -> set[tuple[str, str]]:
     return out
 
 
-def chain():
-    return extract_connectivity(canonical_chain_description(),
-                                ("instance_type", "mdg"))
-
-
-# --- connectivity extraction ------------------------------------------------
-
-def test_extract_canonical_chain():
-    conn = chain()
-    assert conn.entry_points == ("web",)
-    assert conn.target == "db"
-    assert conn.role_of("app") == "intermediate"
-    ports = sorted(s.port for _, _, s in conn.edges)
-    assert ports == [80, 3306]
-
-
-def test_extract_requires_tagged_instances():
-    with pytest.raises(NoTaggedInstances):
-        extract_connectivity(canonical_chain_description(), ("instance_type", "nope"))
-
-
-def test_extract_requires_target_and_entry():
-    doc = {
-        "instances": [{"id": "a", "tags": {"t": "x"}},
-                      {"id": "b", "tags": {"t": "x"}}],
-        "rules": [{"src": "a", "dst": "b", "port": 80}],
-        "entry_points": ["a"],
-        "target": "",
-    }
-    with pytest.raises(NoTarget):
-        extract_connectivity(NetworkDescription.from_json_dict(doc), ("t", "x"))
-    doc["entry_points"] = []
-    doc["target"] = "b"
-    with pytest.raises(NoEntryPoint):
-        extract_connectivity(NetworkDescription.from_json_dict(doc), ("t", "x"))
-
-
 # --- spec and expansion ------------------------------------------------------
 
 def test_spec_rejects_degenerate_shapes():
@@ -123,7 +77,7 @@ def test_layer_widths_closed_form():
 
 
 def test_expansion_shape_d3_k2():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     assert dg.layer(1) == ("web",)
     assert len(dg.layer(2)) == 2
     assert len(dg.layer(3)) == 4
@@ -140,7 +94,7 @@ def test_expansion_shape_d3_k2():
 def test_expansion_layer_counts_match_oracle():
     for d in range(2, 6):
         for k in range(1, 4):
-            dg = build_misery_digraph(chain(), MiseryDigraphSpec(d, k))
+            dg = build_misery_digraph(MiseryDigraphSpec(d, k))
             dg.validate()
             for layer in range(1, d + 1):
                 assert len(dg.layer(layer)) == oracle_layer_count(k, layer)
@@ -150,13 +104,13 @@ def test_expansion_layer_counts_match_oracle():
 
 def test_edges_match_positional_oracle():
     for d, k in ((2, 1), (3, 2), (4, 2), (3, 3), (5, 2)):
-        dg = build_misery_digraph(chain(), MiseryDigraphSpec(d, k))
+        dg = build_misery_digraph(MiseryDigraphSpec(d, k))
         got = {(src, dst) for src, dst, _ in dg.edges()}
         assert got == oracle_expand_edges(dg)
 
 
 def test_parent_child_are_mutually_consistent():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(4, 3))
+    dg = build_misery_digraph(MiseryDigraphSpec(4, 3))
     for i in range(1, dg.d):
         for node in dg.layer(i):
             for child in dg.children_of(node):
@@ -165,7 +119,7 @@ def test_parent_child_are_mutually_consistent():
 
 
 def test_node_ids_are_unique():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(5, 3))
+    dg = build_misery_digraph(MiseryDigraphSpec(5, 3))
     nodes = dg.all_nodes()
     assert len(nodes) == len(set(nodes))
 
@@ -175,7 +129,7 @@ def test_node_ids_are_unique():
 def test_rule_count_matches_oracle_fig_style():
     # d=3, k=2, one transport service, one poll service:
     # 1 public + 6 edges + 4 polls = 11
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     rules = derive_firewall_rules(dg)
     assert oracle_rule_count(2, 3, 1, 1) == 11
     assert len(rules) == 11
@@ -187,19 +141,19 @@ def test_rule_count_matches_oracle_fig_style():
 def test_rule_counts_match_oracle_across_shapes():
     for d in range(2, 6):
         for k in range(1, 4):
-            dg = build_misery_digraph(chain(), MiseryDigraphSpec(d, k))
+            dg = build_misery_digraph(MiseryDigraphSpec(d, k))
             assert len(derive_firewall_rules(dg)) == oracle_rule_count(k, d, 1, 1)
 
 
 def test_target_has_zero_inbound_rules():
     for d, k in ((3, 2), (4, 3)):
-        dg = build_misery_digraph(chain(), MiseryDigraphSpec(d, k))
+        dg = build_misery_digraph(MiseryDigraphSpec(d, k))
         rules = derive_firewall_rules(dg)
         assert not [r for r in rules if r.dst == dg.target]
 
 
 def test_rules_enumerate_by_brute_force():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     rules = derive_firewall_rules(dg)
     expected = {(PUBLIC_INTERNET, "web", 80)}
     expected |= {(src, dst, 80) for src, dst in oracle_expand_edges(dg)}
@@ -208,19 +162,19 @@ def test_rules_enumerate_by_brute_force():
 
 
 def test_ruleset_iterates_sorted_and_permits():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     rules = derive_firewall_rules(dg)
     listed = [(r.src, r.dst, r.port) for r in rules]
     assert listed == sorted(listed)
-    assert rules.permits(PUBLIC_INTERNET, "web", 80)
-    assert not rules.permits(PUBLIC_INTERNET, "web", 81)
-    assert not rules.permits("web", "db", 3306)
+    assert FirewallRule(PUBLIC_INTERNET, "web", 80) in rules.rules
+    assert FirewallRule(PUBLIC_INTERNET, "web", 81) not in rules.rules
+    assert FirewallRule("web", "db", 3306) not in rules.rules
 
 
 # --- positional transforms ----------------------------------------------------
 
 def test_swap_exchanges_positions_only():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     a, b = dg.layer(2)
     swapped = dg.with_positions_swapped(a, b)
     assert swapped.position(a) == dg.position(b)
@@ -231,7 +185,7 @@ def test_swap_exchanges_positions_only():
 
 
 def test_swap_rewires_children_with_position():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     a, b = dg.layer(2)
     swapped = dg.with_positions_swapped(a, b)
     assert swapped.children_of(a) == dg.children_of(b)
@@ -239,7 +193,7 @@ def test_swap_rewires_children_with_position():
 
 
 def test_swap_rejects_cross_layer_and_boundary_layers():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(4, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(4, 2))
     with pytest.raises(LayerConflict):
         dg.with_positions_swapped(dg.layer(2)[0], dg.layer(3)[0])
     with pytest.raises(TopologyError):
@@ -247,7 +201,7 @@ def test_swap_rejects_cross_layer_and_boundary_layers():
 
 
 def test_replace_preserves_position_and_moves_enabled_leaf():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     pos = dg.position("app")
     replaced = dg.with_node_replaced("app", replacement_id(3, 0, 1))
     assert replaced.position("L3.s0.g1") == pos
@@ -260,7 +214,7 @@ def test_replace_preserves_position_and_moves_enabled_leaf():
 
 
 def test_enabled_path_walks_root_to_designated_leaf():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(4, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(4, 2))
     path = enabled_path(dg)
     assert path[0] == "web"
     assert path[-1] == dg.enabled_leaf
@@ -270,7 +224,7 @@ def test_enabled_path_walks_root_to_designated_leaf():
 
 
 def test_enabled_path_follows_swaps():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     a, b = dg.layer(2)
     on_path = enabled_path(dg)[1]
     swapped = dg.with_positions_swapped(a, b)
@@ -280,7 +234,7 @@ def test_enabled_path_follows_swaps():
 
 def test_random_transform_sequences_preserve_invariants():
     rng = random.Random(42)
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(4, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(4, 2))
     gen = 0
     for _ in range(200):
         layer = rng.choice([2, 3, 4])
@@ -308,9 +262,9 @@ def rebuilt(dg: MiseryDigraph) -> MiseryDigraph:
 
 
 @pytest.mark.parametrize("start", [
-    lambda: build_misery_digraph(chain(), MiseryDigraphSpec(3, 2)),
-    lambda: build_misery_digraph(chain(), MiseryDigraphSpec(4, 2)),
-    lambda: build_misery_digraph(chain(), MiseryDigraphSpec(5, 3)),
+    lambda: build_misery_digraph(MiseryDigraphSpec(3, 2)),
+    lambda: build_misery_digraph(MiseryDigraphSpec(4, 2)),
+    lambda: build_misery_digraph(MiseryDigraphSpec(5, 3)),
 ], ids=["d3k2", "d4k2", "d5k3"])
 def test_incremental_transforms_equal_full_rebuilds(start):
     rng = random.Random(7)
@@ -354,7 +308,7 @@ def test_incremental_transforms_equal_full_rebuilds(start):
         "replace-id-is-target"])
 def test_transforms_still_reject_invalid_requests(case):
     op, a, b, error, message = case
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     before = dict(dg._slots)
     transform = dg.with_positions_swapped if op == "swap" else dg.with_node_replaced
     with pytest.raises(error, match=message):
@@ -378,7 +332,7 @@ def test_transforms_still_reject_invalid_requests(case):
         "target-in-layer", "no-transport-services",
         "leaf-not-in-layer-d", "leaf-is-target"])
 def test_constructor_still_rejects_invalid_shapes(name, change, message):
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     fields = {f: getattr(dg, f) for f in ("spec", "layers", "target",
                                           "transport_services", "poll_services",
                                           "enabled_leaf")}
@@ -390,7 +344,7 @@ def test_constructor_still_rejects_invalid_shapes(name, change, message):
 # --- serialization ------------------------------------------------------------
 
 def test_json_round_trip():
-    dg = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2))
+    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     doc = json.loads(json.dumps(dg.to_json_dict()))
     back = MiseryDigraph.from_json_dict(doc)
     assert back.to_json_dict() == dg.to_json_dict()
@@ -403,7 +357,7 @@ def test_json_round_trip():
 
 
 def test_json_with_two_roots_is_rejected():
-    doc = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2)).to_json_dict()
+    doc = build_misery_digraph(MiseryDigraphSpec(3, 2)).to_json_dict()
     doc["layers"][0].append("web2")
     with pytest.raises(TopologyError, match="layer 1 has 2 nodes"):
         MiseryDigraph.from_json_dict(doc)
@@ -418,7 +372,7 @@ def test_json_with_two_roots_is_rejected():
     lambda doc: doc.update(poll_services=["db"]),
 ])
 def test_json_with_missing_or_mistyped_keys_is_rejected(change):
-    doc = build_misery_digraph(chain(), MiseryDigraphSpec(3, 2)).to_json_dict()
+    doc = build_misery_digraph(MiseryDigraphSpec(3, 2)).to_json_dict()
     change(doc)
     with pytest.raises(TopologyError, match="malformed digraph document"):
         MiseryDigraph.from_json_dict(doc)
@@ -426,44 +380,17 @@ def test_json_with_missing_or_mistyped_keys_is_rejected(change):
         MiseryDigraph.from_json_dict([doc])
 
 
-# --- one entry point ---------------------------------------------------------
-
-def test_two_entry_description_is_rejected():
-    doc = {
-        "instances": [
-            {"id": "web1", "tags": {"t": "x"}},
-            {"id": "web2", "tags": {"t": "x"}},
-            {"id": "db", "tags": {"t": "x"}},
-        ],
-        "rules": [
-            {"src": "web1", "dst": "db", "port": 80},
-            {"src": "web2", "dst": "db", "port": 443},
-        ],
-        "entry_points": ["web1", "web2"],
-        "target": "db",
-    }
-    conn = extract_connectivity(NetworkDescription.from_json_dict(doc), ("t", "x"))
-    with pytest.raises(TopologyError, match="one entry point"):
-        build_misery_digraph(conn, MiseryDigraphSpec(3, 2))
-
+# --- several services --------------------------------------------------------
 
 def test_two_service_entry_labels_every_edge():
-    doc = {
-        "instances": [
-            {"id": "web", "tags": {"t": "x"}},
-            {"id": "db", "tags": {"t": "x"}},
-        ],
-        "rules": [
-            {"src": "web", "dst": "db", "port": 80},
-            {"src": "web", "dst": "db", "port": 443},
-        ],
-        "entry_points": ["web"],
-        "target": "db",
-    }
-    conn = extract_connectivity(NetworkDescription.from_json_dict(doc), ("t", "x"))
-    dg = build_misery_digraph(conn, MiseryDigraphSpec(3, 2))
+    base = build_misery_digraph(MiseryDigraphSpec(3, 2))
+    services = (ServiceKind("http", 80), ServiceKind("https", 443))
+    dg = MiseryDigraph(base.spec, base.layers, base.target, services, services,
+                       base.enabled_leaf)
     assert dg.root == "web"
-    assert sorted(s.port for s in dg.transport_services) == [80, 443]
-    # both services ride every edge and both are polled (the entry feeds the
-    # target directly here, so the inbound-service union is {80, 443})
+    assert all(labels == services for _, _, labels in dg.edges())
+    # both services ride every edge and both are polled
     assert len(derive_firewall_rules(dg)) == oracle_rule_count(2, 3, 2, 2)
+    # a document naming several services is outside input; it round-trips
+    back = MiseryDigraph.from_json_dict(dg.to_json_dict())
+    assert (back.transport_services, back.poll_services) == (services, services)
