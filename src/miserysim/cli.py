@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -46,8 +47,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     rate = getattr(args, "rate", None)
     interval = None
     if rate is not None:
-        if rate <= 0:
-            raise ConfigError("--rate must be > 0")
+        if not (rate > 0 and math.isfinite(rate)):
+            raise ConfigError("--rate must be finite and > 0")
         interval = 1.0 / rate
     cfg = cfg.with_overrides(
         d=getattr(args, "d", None), k=getattr(args, "k", None),

@@ -18,6 +18,7 @@ quarantined because its server-side state is unknowable.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, fields, replace
 
@@ -44,10 +45,11 @@ class LatencyModel:
     def validate(self) -> None:
         for name in ("hop", "api", "notify"):
             lo, hi = getattr(self, name)
-            if not 0 <= lo <= hi:
-                raise ConfigError(f"latency range {name} must satisfy 0 <= lo <= hi")
-        if self.provisioning < 0:
-            raise ConfigError("provisioning latency must be >= 0")
+            if not (0 <= lo <= hi and math.isfinite(hi)):
+                raise ConfigError(f"latency range {name} must be finite and "
+                                  f"satisfy 0 <= lo <= hi")
+        if not (self.provisioning >= 0 and math.isfinite(self.provisioning)):
+            raise ConfigError("provisioning latency must be finite and >= 0")
 
     def to_json_dict(self) -> dict:
         return {"hop": list(self.hop), "api": list(self.api),
@@ -90,13 +92,16 @@ class ExperimentConfig:
             raise ConfigError(f"d must be 0 or >= 2, got {self.d}")
         elif self.k < 1:
             raise ConfigError(f"k must be >= 1 when d > 0, got {self.k}")
+        # a NaN compares false both ways and an infinite duration never
+        # ends, so either one would stall the run or silently disable a part
         for name in ("j", "r", "u", "m", "request_interval"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"duration {name} must be > 0")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"duration {name} must be finite and > 0")
         if self.s < 0:
             raise ConfigError("pool size s must be >= 0")
-        if self.compress < 0:
-            raise ConfigError("compress must be >= 0")
+        if not (self.compress >= 0 and math.isfinite(self.compress)):
+            raise ConfigError("compress must be finite and >= 0")
         if self.n_requests is not None and self.n_requests < 1:
             raise ConfigError("n_requests must be >= 1 when set")
         self.latency.validate()

@@ -5,6 +5,11 @@ streams, and a small cooperative-task layer (generators yielding delays or
 futures) that the node runtimes are written against.  Determinism contract:
 identical seed and identical call sequence produce identical event order;
 ties at the same instant resolve by (priority, schedule sequence).
+
+Each heap entry is a `(t, priority, seq, handle)` tuple, the priority-queue
+recipe of the heapq documentation: tuples compare in C, and `seq` is unique,
+so a comparison is always settled before it reaches the handles.
+A cancelled handle stays in the heap and is dropped when it reaches the top.
 """
 
 from __future__ import annotations
@@ -31,12 +36,9 @@ PRIO_LOAD = 5
 class Handle:
     """Cancellable reference to one scheduled callback."""
 
-    __slots__ = ("t", "prio", "seq", "fn", "args", "cancelled")
+    __slots__ = ("fn", "args", "cancelled")
 
-    def __init__(self, t: float, prio: int, seq: int, fn: Callable[..., Any], args: tuple):
-        self.t = t
-        self.prio = prio
-        self.seq = seq
+    def __init__(self, fn: Callable[..., Any], args: tuple):
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -45,9 +47,6 @@ class Handle:
         self.cancelled = True
         self.fn = None
         self.args = ()
-
-    def __lt__(self, other: "Handle") -> bool:
-        return (self.t, self.prio, self.seq) < (other.t, other.prio, other.seq)
 
 
 class Future:
@@ -200,7 +199,7 @@ class Simulation:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0.0
-        self._heap: list[Handle] = []
+        self._heap: list[tuple[float, int, int, Handle]] = []
         self._seq = itertools.count()
         self._rngs: dict[str, random.Random] = {}
         self._processed = 0
@@ -221,10 +220,10 @@ class Simulation:
 
     def schedule_at(self, t: float, fn: Callable[..., Any], *args: Any,
                     priority: int = PRIO_ACTOR) -> Handle:
-        if t < self.now:
+        if not t >= self.now:   # also rejects a NaN time
             raise ValueError(f"cannot schedule into the past ({t} < {self.now})")
-        handle = Handle(t, priority, next(self._seq), fn, args)
-        heapq.heappush(self._heap, handle)
+        handle = Handle(fn, args)
+        heapq.heappush(self._heap, (t, priority, next(self._seq), handle))
         return handle
 
     def spawn(self, gen: Generator, priority: int = PRIO_ACTOR) -> Task:
@@ -241,17 +240,18 @@ class Simulation:
         """
         processed = 0
         heap = self._heap
+        pop = heapq.heappop
         while heap:
-            head = heap[0]
-            if head.cancelled:
-                heapq.heappop(heap)
+            t, _, _, handle = heap[0]
+            if handle.cancelled:
+                pop(heap)
                 continue
-            if until is not None and head.t > until:
+            if until is not None and t > until:
                 break
-            if pace > 0.0 and head.t > self.now:
-                time.sleep((head.t - self.now) / pace)
-            handle = heapq.heappop(heap)
-            self.now = handle.t
+            if pace > 0.0 and t > self.now:
+                time.sleep((t - self.now) / pace)
+            pop(heap)
+            self.now = t
             fn, args = handle.fn, handle.args
             handle.fn, handle.args = None, ()
             fn(*args)
@@ -264,18 +264,19 @@ class Simulation:
     def run_until(self, future: Future, limit: float | None = None) -> Any:
         """Process events until `future` resolves; returns its result."""
         heap = self._heap
+        pop = heapq.heappop
         while not future.done:
             if not heap:
                 raise RuntimeError("event queue drained before future resolved")
-            head = heap[0]
-            if head.cancelled:
-                heapq.heappop(heap)
+            t, _, _, handle = heap[0]
+            if handle.cancelled:
+                pop(heap)
                 continue
-            if limit is not None and head.t > limit:
+            if limit is not None and t > limit:
                 raise RequestNeverCompletes(
-                    f"future unresolved at t={limit} (next event t={head.t})")
-            handle = heapq.heappop(heap)
-            self.now = handle.t
+                    f"future unresolved at t={limit} (next event t={t})")
+            pop(heap)
+            self.now = t
             fn, args = handle.fn, handle.args
             handle.fn, handle.args = None, ()
             fn(*args)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 from . import wire
@@ -371,7 +372,7 @@ class _PollLink:
 
     def __init__(self, channel: Channel):
         self.channel = channel
-        self.pending: list[Future] = []
+        self.pending: deque[Future] = deque()
         channel.on_message("a", self._on_message)
         channel.on_error("a", self._on_error)
 
@@ -383,10 +384,10 @@ class _PollLink:
             return
         for event in events:
             if self.pending:
-                self.pending.pop(0).resolve(event)
+                self.pending.popleft().resolve(event)
 
     def _on_error(self, err: Exception) -> None:
-        pending, self.pending = self.pending, []
+        pending, self.pending = self.pending, deque()
         for fut in pending:
             fut.reject(err if isinstance(err, Exception) else SessionSevered(str(err)))
 
@@ -499,13 +500,19 @@ class PollingServerNode:
         for corr, payload in fresh:
             response = self.store.execute(corr, payload)
             self.executed[corr] = (self.cycle_no, response)
+        # each RS's plan: its redeliver backlog, then the ids it reported,
+        # in the order they were first listed by any RS
+        reported: dict[str, dict[bytes, None]] = {}
+        for corr, holders in reporters.items():
+            for rs_id in holders:
+                reported.setdefault(rs_id, {})[corr] = None
         delivered = 0
         for rs_id, _ in endpoints:
-            plan = dict(self.redeliver.get(rs_id, {}))
-            for corr, holders in reporters.items():
-                if rs_id in holders:
-                    plan[corr] = None
-            if not plan:
+            plan = reported.get(rs_id)
+            backlog = self.redeliver.get(rs_id)
+            if backlog:
+                plan = {**backlog, **plan} if plan else backlog
+            elif not plan:
                 continue
             self.redeliver[rs_id] = {}
             link = self._links.get(rs_id)
@@ -530,11 +537,16 @@ class PollingServerNode:
             if rs_id in self.redeliver and not self.redeliver[rs_id]:
                 del self.redeliver[rs_id]
         # the executed cache must outlive any re-listing of a still-pending
-        # entry (delivery outages last seconds; the window spans minutes)
+        # entry (delivery outages last seconds; the window spans minutes).
+        # Only fresh ids are inserted, so the dict is in cycle order and the
+        # stale entries are a prefix of it.
         horizon = self.cycle_no - self.window
-        if horizon > 0:
-            for corr in [c for c, (cycle, _) in self.executed.items() if cycle < horizon]:
-                del self.executed[corr]
+        executed = self.executed
+        while executed:
+            oldest = next(iter(executed))
+            if executed[oldest][0] >= horizon:
+                break
+            del executed[oldest]
         if fresh or collected or delivered:
             self.log.emit(self.sim.now, "poll.cycle", instance=self.id,
                           detail={"cycle": self.cycle_no, "collected": collected,

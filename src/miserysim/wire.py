@@ -239,12 +239,25 @@ class HandshakeClient:
 # --- poll protocol --------------------------------------------------------
 
 
+_POLL_LIST = struct.Struct("!BQ")
+_POLL_LISTING_HEAD = struct.Struct("!BI")
+_POLL_DELIVER_HEAD = struct.Struct("!B16sI")
+_U64 = struct.Struct("!Q")
+_U32 = struct.Struct("!I")
+
+
 def encode_poll_list(cursor: int) -> bytes:
-    return struct.pack("!BQ", POLL_LIST, cursor)
+    return _POLL_LIST.pack(POLL_LIST, cursor)
+
+
+# an idle RS answers every list ask with this one frame
+_EMPTY_LISTING = _POLL_LISTING_HEAD.pack(POLL_LISTING, 0)
 
 
 def encode_poll_listing(entries: list[tuple[bytes, bytes]]) -> bytes:
-    parts = [struct.pack("!BI", POLL_LISTING, len(entries))]
+    if not entries:
+        return _EMPTY_LISTING
+    parts = [_POLL_LISTING_HEAD.pack(POLL_LISTING, len(entries))]
     for corr, payload in entries:
         parts.append(_REQ_HEAD.pack(corr, len(payload)))
         parts.append(payload)
@@ -252,10 +265,10 @@ def encode_poll_listing(entries: list[tuple[bytes, bytes]]) -> bytes:
 
 
 def encode_poll_delivery(corr: bytes, response: bytes) -> bytes:
-    return struct.pack("!B", POLL_DELIVER) + _REQ_HEAD.pack(corr, len(response)) + response
+    return _POLL_DELIVER_HEAD.pack(POLL_DELIVER, corr, len(response)) + response
 
 
-POLL_ACK_FRAME = struct.pack("!B", POLL_ACK)
+POLL_ACK_FRAME = bytes((POLL_ACK,))
 
 
 def _poll_record(data: bytes, offset: int) -> tuple[bytes, bytes, int]:
@@ -282,11 +295,11 @@ def decode_poll(data: bytes) -> list[tuple]:
         while offset < len(data):
             kind = data[offset]
             if kind == POLL_LIST:
-                (cursor,) = struct.unpack_from("!Q", data, offset + 1)
+                (cursor,) = _U64.unpack_from(data, offset + 1)
                 offset += 9
                 events.append(("list", cursor))
             elif kind == POLL_LISTING:
-                (count,) = struct.unpack_from("!I", data, offset + 1)
+                (count,) = _U32.unpack_from(data, offset + 1)
                 offset += 5
                 entries = []
                 for _ in range(count):

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import miserysim
 from miserysim.cli import main
 from miserysim.topology import MiseryDigraph
 
@@ -89,6 +96,43 @@ def test_run_maps_rate_to_interval(tmp_path):
 
 def test_run_rejects_bad_rate(tmp_path):
     assert main(["run", "--rate", "0", "--outdir", str(tmp_path)]) == 2
+
+
+def run_cli_process(args: list[str]) -> subprocess.CompletedProcess:
+    """`python -m miserysim` in a child process, so that a run which never
+    returns fails on its timeout instead of stalling the suite."""
+    src = str(Path(miserysim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "miserysim", *args], env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
+@pytest.mark.parametrize("flag, value", [("--m", "nan"), ("--u", "inf"),
+                                         ("--j", "nan"), ("--r", "nan"),
+                                         ("--compress", "inf")])
+def test_run_rejects_non_finite_durations(tmp_path, flag, value):
+    proc = run_cli_process(["run", "--d", "3", "--k", "2", "--j", "5",
+                            flag, value, "--outdir", str(tmp_path)])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "error:" in proc.stderr
+    assert not (tmp_path / "events.jsonl").exists()
+
+
+# json reads NaN and Infinity, so a config file can carry them too
+@pytest.mark.parametrize("extra", [
+    ["--rate", "inf"], ["--rate", "nan"],
+    '{"m": NaN}', '{"u": Infinity}', '{"latency": {"provisioning": NaN}}',
+    '{"latency": {"hop": [0.001, Infinity]}}'])
+def test_run_rejects_non_finite_rate_and_config_values(tmp_path, extra):
+    if isinstance(extra, str):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(extra)
+        extra = ["--config", str(cfg_path)]
+    proc = run_cli_process(["run", *extra, "--outdir", str(tmp_path)])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "error:" in proc.stderr
+    assert not (tmp_path / "events.jsonl").exists()
 
 
 def test_run_reads_config_file_with_overrides(tmp_path):

@@ -61,7 +61,11 @@ def test_config_rejects_bad_shapes():
 def test_config_rejects_bad_durations_and_counts():
     for overrides in ({"j": 0.0}, {"r": -1.0}, {"u": 0.0}, {"m": 0.0},
                       {"request_interval": 0.0}, {"s": -1},
-                      {"compress": -0.5}, {"n_requests": 0}):
+                      {"compress": -0.5}, {"n_requests": 0},
+                      {"j": float("nan")}, {"r": float("nan")},
+                      {"u": float("inf")}, {"m": float("nan")},
+                      {"request_interval": float("inf")},
+                      {"compress": float("inf")}):
         with pytest.raises(ConfigError):
             ExperimentConfig(**overrides).validate()
 
@@ -81,6 +85,11 @@ def test_latency_validation():
         LatencyModel(notify=(-0.1, 0.5)).validate()
     with pytest.raises(ConfigError):
         LatencyModel(provisioning=-1.0).validate()
+    for bad in ({"hop": (0.001, float("inf"))}, {"api": (float("nan"), 0.1)},
+                {"notify": (0.0, float("nan"))},
+                {"provisioning": float("nan")}, {"provisioning": float("inf")}):
+        with pytest.raises(ConfigError):
+            LatencyModel(**bad).validate()
 
 
 def test_overrides_skip_none():

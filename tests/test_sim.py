@@ -12,9 +12,11 @@ from miserysim.sim import (
     PRIO_NETWORK,
     PRIO_PROVIDER,
     Future,
+    Handle,
     RequestNeverCompletes,
     SimCancelled,
     Simulation,
+    gather,
 )
 
 
@@ -61,6 +63,89 @@ def test_cancelled_handle_does_not_fire():
     sim.schedule(0.5, h.cancel)
     sim.run()
     assert seen == []
+
+
+def test_cancelled_head_past_until_is_skipped_and_run_stops_at_until():
+    sim = Simulation(0)
+    seen = []
+    sim.schedule(1.0, seen.append, "a")
+    sim.schedule(5.0, seen.append, "cancelled").cancel()
+    sim.schedule(7.0, seen.append, "b")
+    assert sim.run(until=3.0) == 1
+    assert (seen, sim.now) == (["a"], 3.0)
+    assert sim.run() == 1
+    assert (seen, sim.now) == (["a", "b"], 7.0)
+
+
+def test_cancelled_head_past_limit_does_not_end_run_until():
+    sim = Simulation(0)
+    fut = Future()
+    sim.schedule(2.0, lambda: None)
+    sim.schedule(6.0, fut.resolve, "cancelled").cancel()
+    # only the cancelled entry lies past the limit: the queue drains instead
+    with pytest.raises(RuntimeError) as info:
+        sim.run_until(fut, limit=5.0)
+    assert not isinstance(info.value, RequestNeverCompletes)
+    assert sim.now == 2.0
+    # behind a cancelled head, the limit is checked against the live event
+    sim.schedule_at(6.0, fut.resolve, "cancelled").cancel()
+    sim.schedule_at(8.0, fut.resolve, "late")
+    with pytest.raises(RequestNeverCompletes, match="next event t=8.0"):
+        sim.run_until(fut, limit=5.0)
+
+
+def test_unorderable_args_at_the_same_instant_run_fifo():
+    sim = Simulation(0)
+    seen = []
+    for i in range(5):
+        sim.schedule(1.0, lambda doc: seen.append(doc), {"i": i}, priority=PRIO_ACTOR)
+        sim.schedule(1.0, seen.append, {"j": i}, priority=PRIO_ACTOR)
+    sim.run()
+    assert seen == [doc for i in range(5) for doc in ({"i": i}, {"j": i})]
+
+
+def test_every_event_is_scheduled_through_schedule_at(monkeypatch):
+    # perfbench counts schedule_at and Handle.cancel calls; with the queue
+    # drained, every scheduled entry was either run or skipped as cancelled
+    counts = {"scheduled": 0, "cancelled_pending": 0}
+    schedule_at, cancel = Simulation.schedule_at, Handle.cancel
+
+    def counted_schedule_at(self, *args, **kwargs):
+        counts["scheduled"] += 1
+        return schedule_at(self, *args, **kwargs)
+
+    def counted_cancel(handle):
+        if not handle.cancelled and handle.fn is not None:
+            counts["cancelled_pending"] += 1
+        cancel(handle)
+
+    monkeypatch.setattr(Simulation, "schedule_at", counted_schedule_at)
+    monkeypatch.setattr(Handle, "cancel", counted_cancel)
+    sim = Simulation(3)
+    rng = random.Random(3)
+
+    def worker(n):
+        for _ in range(n):
+            timer = sim.schedule(rng.uniform(0.5, 2.0), lambda: None)
+            fut = Future()
+            sim.schedule(rng.uniform(0.0, 1.0), fut.resolve, n)
+            yield gather([fut])
+            if rng.random() < 0.5:
+                timer.cancel()
+            yield rng.uniform(0.0, 0.5)
+            yield None
+
+    def sleeper():
+        while True:
+            yield 1.0
+
+    for n in range(1, 8):
+        sim.spawn(worker(n), priority=n % 6)
+    victim = sim.spawn(sleeper())
+    sim.schedule(4.5, victim.cancel)
+    sim.run()
+    assert counts["cancelled_pending"] > 0
+    assert counts["scheduled"] == sim.events_processed + counts["cancelled_pending"]
 
 
 def test_run_until_time_stops_clock_exactly():

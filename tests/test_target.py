@@ -384,6 +384,22 @@ def test_executed_cache_evicts_beyond_window():
     assert CORR not in ps.executed
 
 
+def test_executed_cache_drops_exactly_the_entries_older_than_the_horizon():
+    sim, _, ps, _, _, _ = poll_fixture(n_rs=0, window=3)
+    cycles = [1, 1, 2, 3, 3, 4, 5, 5, 6]
+    ids = [bytes([i]) * 16 for i in range(len(cycles))]
+    ps.executed = {corr: (cycle, b"OK") for corr, cycle in zip(ids, cycles)}
+    ps.cycle_no = 6
+    ps.start()
+    sim.run(until=sim.now)         # exactly one cycle: number 7, horizon 4
+    assert ps.cycle_no == 7
+    assert list(ps.executed) == [c for c, n in zip(ids, cycles) if n >= 4]
+    sim.run(until=sim.now + 0.05)  # cycle 8, horizon 5
+    ps.stop()
+    assert ps.cycle_no == 8
+    assert list(ps.executed) == [c for c, n in zip(ids, cycles) if n >= 5]
+
+
 def test_set_record_drops_links_and_backlog_of_removed_endpoints():
     sim, provider, ps, nodes, _, _ = poll_fixture(n_rs=2)
     nodes[0].open_session(CORR, b"PUT k 1", lambda f: None)

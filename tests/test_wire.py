@@ -222,6 +222,15 @@ def test_poll_frames_golden_bytes():
     assert POLL_ACK_FRAME == b"\x13"
 
 
+def test_poll_list_and_empty_listing_bytes_are_pinned():
+    assert encode_poll_list(0) == b"\x10\x00\x00\x00\x00\x00\x00\x00\x00"
+    assert encode_poll_list(1) == b"\x10\x00\x00\x00\x00\x00\x00\x00\x01"
+    assert encode_poll_list(2**64 - 1) == b"\x10\xff\xff\xff\xff\xff\xff\xff\xff"
+    assert encode_poll_listing([]) == b"\x11\x00\x00\x00\x00"
+    # the prebuilt empty frame is immutable bytes, so sharing it is safe
+    assert type(encode_poll_listing([])) is bytes
+
+
 POLL_ENTRIES = [(CORR, b"GET a"), (bytes(16), b"PUT b c")]
 POLL_FRAMES = [encode_poll_list(3),
                encode_poll_listing(POLL_ENTRIES),
