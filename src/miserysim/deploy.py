@@ -14,8 +14,6 @@ consistency sweep comparing live address tables against the digraph.
 
 from __future__ import annotations
 
-import os
-
 from .addresses import AddressServer
 from .cloud import CloudProvider, ImageKind, Instance, min_pool_requirements
 from .errors import TopologyError
@@ -64,8 +62,7 @@ class Deployment:
 
     def __init__(self, sim: Simulation, provider: CloudProvider,
                  addresses: AddressServer, log: EventLog, counters: dict, *,
-                 u: float, m: float, base_tags: dict[str, str],
-                 registry_dir: str | None = None, fsync: bool = False):
+                 u: float, m: float, base_tags: dict[str, str]):
         self.sim = sim
         self.provider = provider
         self.addresses = addresses
@@ -74,8 +71,6 @@ class Deployment:
         self.u = u
         self.m = m
         self.base_tags = dict(base_tags)
-        self.registry_dir = registry_dir
-        self.fsync = fsync
         self.digraph: MiseryDigraph | None = None
         self.runtimes: dict[str, object] = {}
         self.node_instances: dict[str, Instance] = {}
@@ -99,12 +94,6 @@ class Deployment:
         return [(child, self.provider.instance(child).address)
                 for child in children]
 
-    def _new_registry(self, node: str) -> RequestRegistry:
-        if self.registry_dir is None:
-            return RequestRegistry(None)
-        return RequestRegistry(os.path.join(self.registry_dir, f"{node}.log"),
-                               fsync=self.fsync)
-
     def attach_node(self, node: str) -> None:
         """Build and wire the runtime for one digraph node (initial deploy
         and movement replacements go through the same path)."""
@@ -124,7 +113,7 @@ class Deployment:
         elif layer == digraph.d:
             runtime = RequestsServerNode(
                 self.sim, self.provider, self.log, node,
-                self._new_registry(node), self.u, self.counters)
+                RequestRegistry(), self.u, self.counters)
             for service in digraph.transport_services:
                 self.provider.bind(node, service.port, on_request=runtime.on_request)
             for service in digraph.poll_services:
@@ -135,10 +124,8 @@ class Deployment:
         self.runtimes[node] = runtime
 
     def detach_node(self, node: str) -> None:
-        runtime = self.runtimes.pop(node, None)
+        self.runtimes.pop(node, None)
         self.node_instances.pop(node, None)
-        if isinstance(runtime, RequestsServerNode):
-            runtime.registry.close()
 
     def attach_target(self) -> None:
         digraph = self.digraph
@@ -191,14 +178,12 @@ class Deployment:
 def deploy_misery(sim: Simulation, provider: CloudProvider,
                   addresses: AddressServer, log: EventLog, counters: dict,
                   digraph: MiseryDigraph, *, u: float, m: float, s: int,
-                  base_tags: dict[str, str] | None = None,
-                  registry_dir: str | None = None, fsync: bool = False):
+                  base_tags: dict[str, str] | None = None):
     """Generator task: provision, rule, wire and start a misery digraph."""
     digraph.validate()
     base_tags = dict(base_tags or {"instance_type": "mdg"})
     deployment = Deployment(sim, provider, addresses, log, counters,
-                            u=u, m=m, base_tags=base_tags,
-                            registry_dir=registry_dir, fsync=fsync)
+                            u=u, m=m, base_tags=base_tags)
     deployment.set_digraph(digraph)
 
     ready = []

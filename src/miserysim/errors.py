@@ -69,10 +69,6 @@ class TimeoutFailure(MiserySimError):
 
 # --- isolated target ---
 
-class StorageFailure(MiserySimError):
-    """The durable registry could not persist an entry."""
-
-
 class UnknownId(MiserySimError):
     """Response delivery for a correlation id that was never enqueued."""
 

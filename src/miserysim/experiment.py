@@ -33,6 +33,15 @@ from .sim import Future, PRIO_LOAD, Simulation
 from .topology import HTTP, PUBLIC_INTERNET, MiseryDigraphSpec, build_misery_digraph
 
 
+def _is_int(value) -> bool:
+    # bool subclasses int, but true is neither a count nor a duration
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Uniform ranges (seconds) for the simulated physical world."""
@@ -57,15 +66,24 @@ class LatencyModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LatencyModel":
-        kwargs = {}
-        for name in ("hop", "api", "notify"):
-            if name in doc:
-                kwargs[name] = tuple(doc[name])
-        if "provisioning" in doc:
-            kwargs["provisioning"] = float(doc["provisioning"])
+        if not isinstance(doc, dict):
+            raise ConfigError("latency must be an object")
         unknown = set(doc) - {"hop", "api", "notify", "provisioning"}
         if unknown:
             raise ConfigError(f"unknown latency keys: {sorted(unknown)}")
+        kwargs = {}
+        for name in ("hop", "api", "notify"):
+            if name in doc:
+                pair = doc[name]
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                        and all(map(_is_number, pair))):
+                    raise ConfigError(f"latency range {name} must be a "
+                                      f"[lo, hi] pair of numbers")
+                kwargs[name] = tuple(pair)
+        if "provisioning" in doc:
+            if not _is_number(doc["provisioning"]):
+                raise ConfigError("provisioning latency must be a number")
+            kwargs["provisioning"] = float(doc["provisioning"])
         return cls(**kwargs)
 
 
@@ -85,6 +103,15 @@ class ExperimentConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
 
     def validate(self) -> None:
+        # a config file can carry any JSON type; check them before comparing
+        for name in ("d", "k", "s", "rng_seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        if self.n_requests is not None and not _is_int(self.n_requests):
+            raise ConfigError("n_requests must be an integer when set")
+        for name in ("j", "r", "u", "m", "request_interval", "compress"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number")
         if self.d == 0:
             if self.k != 0:
                 raise ConfigError("d=0 (normal cloud) requires k=0")
@@ -116,6 +143,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be an object")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:

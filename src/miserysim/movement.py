@@ -24,7 +24,6 @@ from .errors import (
     CloudError,
     ConcurrentMutation,
     NoEligibleLayer,
-    StorageFailure,
     UnknownOwner,
 )
 from .eventlog import EventLog
@@ -175,7 +174,7 @@ class MovementManager:
             for old in op.nodes:
                 new_ids.append((yield from self._execute_reset(old)))
             versions = yield from self._propagate(op.layer, new_ids)
-        except (CloudError, StorageFailure) as err:
+        except CloudError as err:
             # Abort cleanly; the digraph cell always reflects applied steps,
             # so the next cycle starts from a consistent state.
             self.counters["aborted_cycles"] += 1

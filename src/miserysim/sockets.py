@@ -2,17 +2,27 @@
 
 The simulator normally moves protocol bytes through the in-memory cloud; the
 adapters here run the same codecs over real sockets so the framing can be
-exercised end to end outside the simulation.
+exercised end to end outside the simulation.  Every handshake step has a
+fixed size or a fixed-size head carrying its length, so each side reads a
+step by its size from a buffered reader and decodes it as one whole message.
 """
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 
+from . import wire
 from .errors import ProtocolViolation
 from .target import BackendStore
-from .wire import HandshakeClient, HandshakeServer
+
+
+def _read(reader, n: int) -> bytes:
+    data = reader.read(n)
+    if len(data) != n:
+        raise ProtocolViolation("connection closed mid-session")
+    return data
 
 
 class DatabaseTcpServer:
@@ -74,39 +84,41 @@ class DatabaseTcpServer:
                 self._active = None
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        server = HandshakeServer()
-        conn.sendall(server.start())
-        try:
-            while True:
-                data = conn.recv(4096)
-                if not data:
+        # the buffered reader drains what the peer sent past a bad step, so
+        # closing after a violation is an orderly close, not a reset
+        nonce = os.urandom(8)
+        with conn.makefile("rb") as reader:
+            try:
+                conn.sendall(wire.encode_greeting(nonce))
+                if wire.decode_greeting(_read(reader, wire.GREETING_LEN)) != nonce:
                     return
-                out, events = server.feed(data)
-                if out:
-                    conn.sendall(out)
-                for event in events:
-                    if event[0] != "request":
-                        continue
-                    _tag, corr, payload = event
-                    response = self.store.execute(corr, payload)
-                    conn.sendall(server.respond(corr, response))
+                conn.sendall(wire.HS_OK)
+                corr, length = wire.decode_session_head(
+                    _read(reader, wire.SESSION_HEAD_LEN))
+                if length == 0:
                     return
-        except ProtocolViolation:
-            return
+                payload = _read(reader, length)
+            except ProtocolViolation:
+                return
+            response = self.store.execute(corr, payload)
+            conn.sendall(wire.encode_session_frame(corr, response))
 
 
 def query_database(host: str, port: int, correlation_id: bytes,
                    payload: bytes, timeout: float = 5.0) -> bytes:
     """One full handshake + request/response round trip over TCP."""
-    client = HandshakeClient(correlation_id, payload)
-    with socket.create_connection((host, port), timeout=timeout) as conn:
-        while True:
-            data = conn.recv(4096)
-            if not data:
-                raise ProtocolViolation("connection closed mid-session")
-            out, events = client.feed(data)
-            if out:
-                conn.sendall(out)
-            for event in events:
-                if event[0] == "response":
-                    return event[2]
+    if not payload:
+        raise ProtocolViolation("empty request payload")
+    request = wire.encode_session_frame(correlation_id, payload)
+    with socket.create_connection((host, port), timeout=timeout) as conn, \
+            conn.makefile("rb") as reader:
+        nonce = wire.decode_greeting(_read(reader, wire.GREETING_LEN))
+        conn.sendall(wire.encode_greeting(nonce))
+        if _read(reader, len(wire.HS_OK)) != wire.HS_OK:
+            raise ProtocolViolation("expected OK frame")
+        conn.sendall(request)
+        corr, length = wire.decode_session_head(_read(reader, wire.SESSION_HEAD_LEN))
+        response = _read(reader, length)
+        if corr != correlation_id:
+            raise ProtocolViolation("response for a different correlation id")
+        return response

@@ -1,8 +1,8 @@
 """Isolated Target machinery.
 
 Layer-d Requests Servers stand in for the database: each registers the
-request it is handed directly in its durable registry and holds the client
-session open.  The target never accepts a connection; its Polling Server
+request it is handed in its in-memory registry and holds the client session
+open.  The target never accepts a connection; its Polling Server
 dials out to every RS each interval m, collects pending entries,
 deduplicates across RSs and against an executed-id cache, executes each
 unique payload exactly once against the backend store, and delivers the
@@ -11,13 +11,12 @@ cached response to every holder.
 Only the baseline (d=0) chain and the loopback TCP demo (sockets.py) speak
 the real database handshake: DatabaseServerNode owns it and AppServerNode
 is its client, so the differential oracle exercises a truly independent
-data path.
+data path.  Each side counts the session's steps (greeting or echo, OK, one
+request, one response) and decodes every step as one whole message.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,7 +27,6 @@ from .errors import (
     ConnectionRefused,
     ProtocolViolation,
     SessionSevered,
-    StorageFailure,
     TimeoutFailure,
     UnknownId,
 )
@@ -38,8 +36,6 @@ from .sim import Future, PRIO_ACTOR, SimCancelled, Simulation
 PENDING = "pending"
 ANSWERED = "answered"
 
-_REC_HEAD = struct.Struct("!c16sI")
-
 
 @dataclass
 class RegistryEntry:
@@ -48,7 +44,6 @@ class RegistryEntry:
     state: str
     response: bytes | None
     enqueued_at: float
-    index: int          # position in enqueue order
 
 
 class BackendStore:
@@ -94,93 +89,34 @@ class BackendStore:
 
 
 class RequestRegistry:
-    """Ordered correlation-id -> entry map, optionally durable.
+    """Ordered correlation-id -> entry map, held in memory.
 
-    Durable mode appends 'E' (enqueue) and 'A' (answer) records to a log file
-    with fsync on enqueue, and recovers by replaying the log; iteration order
-    is enqueue order either way.  The poll cursor is a position in the
-    enqueue sequence; list_pending(cursor) returns the still-pending entries
-    at positions >= cursor plus the cursor advanced by the batch size (the
-    same arithmetic a remote poller applies, since listings carry no cursor).
-    Positions survive compaction: `_base` counts the entries it dropped, so
-    the entry at `_order[i]` sits at position `_base + i`.
+    Iteration order is enqueue order.  The poll cursor is an index into that
+    order; list_pending(cursor) returns the still-pending entries at
+    positions >= cursor plus the cursor advanced by the batch size (the same
+    arithmetic a remote poller applies, since listings carry no cursor).
     """
 
-    def __init__(self, path: str | None = None, *, fsync: bool = True,
-                 compact_threshold: int = 4096):
-        self.path = path
-        self.fsync = fsync
-        self.compact_threshold = compact_threshold
+    def __init__(self) -> None:
         self.entries: dict[bytes, RegistryEntry] = {}
         self._order: list[bytes] = []
-        self._base = 0
         self._answered = 0
-        self._fd: int | None = None
-        if path is not None:
-            if os.path.exists(path):
-                self._recover(path)
-            try:
-                self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            except OSError as err:
-                raise StorageFailure(str(err)) from err
-
-    def _recover(self, path: str) -> None:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        offset = 0
-        good = 0
-        while offset + _REC_HEAD.size <= len(blob):
-            kind, corr, length = _REC_HEAD.unpack_from(blob, offset)
-            offset += _REC_HEAD.size
-            if offset + length > len(blob):
-                break   # torn tail record: drop it
-            body = blob[offset:offset + length]
-            offset += length
-            good = offset
-            if kind == b"E":
-                if corr not in self.entries:
-                    self.entries[corr] = RegistryEntry(corr, body, PENDING, None,
-                                                       0.0, len(self._order))
-                    self._order.append(corr)
-            elif kind == b"A":
-                entry = self.entries.get(corr)
-                if entry is not None and entry.state == PENDING:
-                    entry.state = ANSWERED
-                    entry.response = body
-                    self._answered += 1
-        if good < len(blob):
-            # cut the torn bytes out of the file, or the next append would
-            # land behind them and desync every later recovery
-            with open(path, "rb+") as fh:
-                fh.truncate(good)
-
-    def _append(self, kind: bytes, corr: bytes, body: bytes, *, sync: bool) -> None:
-        if self._fd is None:
-            return
-        try:
-            os.write(self._fd, _REC_HEAD.pack(kind, corr, len(body)) + body)
-            if sync and self.fsync:
-                os.fsync(self._fd)
-        except OSError as err:
-            raise StorageFailure(str(err)) from err
 
     def enqueue(self, corr: bytes, payload: bytes, t: float) -> RegistryEntry:
-        """Persist as Pending; re-enqueue of a known id is a no-op."""
+        """Register as Pending; re-enqueue of a known id is a no-op."""
         existing = self.entries.get(corr)
         if existing is not None:
             return existing
-        entry = RegistryEntry(corr, payload, PENDING, None, t,
-                              self._base + len(self._order))
+        entry = RegistryEntry(corr, payload, PENDING, None, t)
         self.entries[corr] = entry
         self._order.append(corr)
-        self._append(b"E", corr, payload, sync=True)
         return entry
 
     def list_pending(self, cursor: int) -> tuple[list[tuple[bytes, bytes]], int]:
         if cursor < 0:
             cursor = 0
         batch = []
-        for corr in self._order[max(cursor - self._base, 0):]:
+        for corr in self._order[cursor:]:
             entry = self.entries[corr]
             if entry.state == PENDING:
                 batch.append((entry.correlation_id, entry.payload))
@@ -197,9 +133,6 @@ class RequestRegistry:
         entry.state = ANSWERED
         entry.response = response
         self._answered += 1
-        self._append(b"A", corr, response, sync=False)
-        if self._answered >= self.compact_threshold:
-            self.compact()
         return entry
 
     def pending_count(self) -> int:
@@ -207,40 +140,6 @@ class RequestRegistry:
 
     def __len__(self) -> int:
         return len(self._order)
-
-    def compact(self) -> None:
-        """Rewrite the log dropping answered entries (bounds file growth).
-
-        A poller answers only entries it has listed, so every dropped entry
-        lies below its cursor; adding them to `_base` keeps the positions of
-        the entries not yet listed, and with them the cursor, unchanged.
-        """
-        if self.path is None:
-            return
-        keep = [self.entries[c] for c in self._order
-                if self.entries[c].state == PENDING]
-        tmp = self.path + ".tmp"
-        with open(tmp, "wb") as fh:
-            for entry in keep:
-                fh.write(_REC_HEAD.pack(b"E", entry.correlation_id,
-                                        len(entry.payload)) + entry.payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        if self._fd is not None:
-            os.close(self._fd)
-        self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND, 0o644)
-        self._base += len(self._order) - len(keep)
-        self.entries = {e.correlation_id: e for e in keep}
-        for index, entry in enumerate(keep, self._base):
-            entry.index = index
-        self._order = list(self.entries)
-        self._answered = 0
-
-    def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
 
 
 class _RsSession:
@@ -292,11 +191,7 @@ class RequestsServerNode:
             self.counters["protocol_violations"] += 1
             respond(wire.encode_error(corr, b"empty request payload"))
             return
-        try:
-            self.registry.enqueue(corr, payload, self.sim.now)
-        except StorageFailure:
-            respond(wire.encode_error(corr, b"storage-failure"))
-            return
+        self.registry.enqueue(corr, payload, self.sim.now)
         session = _RsSession(corr, respond)
         session.timer = self.sim.schedule(self.u, self._session_timeout, session)
         self._waiters.setdefault(corr, []).append(session)
@@ -567,26 +462,33 @@ class DatabaseServerNode:
         self._nonce_rng = sim.rng("nonce")
 
     def on_channel(self, channel: Channel) -> None:
-        server = wire.HandshakeServer(rng=self._nonce_rng)
+        nonce = self._nonce_rng.getrandbits(64).to_bytes(8, "big")
+        step = 0    # 0: await the echo, 1: await the request, 2: answered
 
         def on_message(data: bytes) -> None:
+            nonlocal step
             try:
-                out, events = server.feed(data)
+                if step == 0:
+                    if wire.decode_greeting(data) != nonce:
+                        raise ProtocolViolation("nonce mismatch in greeting echo")
+                    step = 1
+                    channel.send("b", wire.HS_OK)
+                    return
+                if step != 1:
+                    raise ProtocolViolation("bytes after the session's one request")
+                corr, payload = wire.decode_session_frame(data)
+                if not payload:
+                    raise ProtocolViolation("empty request payload")
             except ProtocolViolation:
                 self.counters["protocol_violations"] += 1
                 channel.close("b")
                 return
-            buffered = [out] if out else []
-            for event in events:
-                if event[0] == "request":
-                    corr, payload = event[1], event[2]
-                    response = self.store.execute(corr, payload)
-                    buffered.append(server.respond(corr, response))
-            if buffered:
-                channel.send("b", b"".join(buffered))
+            step = 2
+            response = self.store.execute(corr, payload)
+            channel.send("b", wire.encode_session_frame(corr, response))
 
         channel.on_message("b", on_message)
-        channel.send("b", server.start())
+        channel.send("b", wire.encode_greeting(nonce))
 
 
 class AppServerNode:
@@ -623,20 +525,27 @@ class AppServerNode:
         except (ConnectionRefused, SessionSevered):
             self.provider.respond(ex, wire.encode_error(corr, b"no-upstream"))
             return
-        client = wire.HandshakeClient(corr, payload)
         done = Future()
+        step = 0    # 0: await the greeting, 1: await OK, 2: await the response
 
         def on_message(data: bytes) -> None:
+            nonlocal step
             try:
-                out, events = client.feed(data)
+                if step == 0:
+                    channel.send("a", wire.encode_greeting(wire.decode_greeting(data)))
+                elif step == 1:
+                    if data != wire.HS_OK:
+                        raise ProtocolViolation("expected OK frame")
+                    channel.send("a", wire.encode_session_frame(corr, payload))
+                else:
+                    got, response = wire.decode_session_frame(data)
+                    if got != corr:
+                        raise ProtocolViolation("response for a different correlation id")
+                    done.resolve(response)
             except ProtocolViolation as err:
                 done.reject(err)
                 return
-            if out:
-                channel.send("a", out)
-            for event in events:
-                if event[0] == "response":
-                    done.resolve(event[2])
+            step += 1
 
         channel.on_message("a", on_message)
         channel.on_error("a", done.reject)

@@ -14,10 +14,11 @@ Three byte-level protocols share this module:
   Servers: {0x10, 8-byte cursor} -> {0x11, 4-byte count, entries}, and
   {0x12, id, 4-byte length, bytes} -> {0x13}.
 
-The simulated bus hands every send over as one whole message, so the frame
-and poll decoders take one message each and a message cut inside a frame is
-a violation.  Only the handshake state machines are incremental (feed
-arbitrary byte chunks), because they also run over real stream sockets.
+Every decoder takes one whole message, and a message that is cut, carries a
+trailing byte or is oversized is a violation.  The simulated bus hands each
+send over whole; over a real stream socket every handshake step has a fixed
+size or a fixed-size head carrying its length, so a reader reads each step by
+its size and hands the decoder the whole message.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ HS_VERSION = 0x01
 HS_OK = b"\x4f\x4b"
 _HS_GREETING = struct.Struct("!2sB8s")
 _REQ_HEAD = struct.Struct("!16sI")
+GREETING_LEN = _HS_GREETING.size
+SESSION_HEAD_LEN = _REQ_HEAD.size
 
 POLL_LIST = 0x10
 POLL_LISTING = 0x11
@@ -93,147 +96,50 @@ def decode_frame(data: bytes) -> tuple[int, bytes, bytes]:
 # --- handshake protocol ---------------------------------------------------
 
 
-def _greeting(nonce: bytes) -> bytes:
+def encode_greeting(nonce: bytes) -> bytes:
+    """The server's greeting; the client echoes it back byte for byte."""
+    if len(nonce) != 8:
+        raise ValueError("nonce must be 8 bytes")
     return _HS_GREETING.pack(HS_MAGIC, HS_VERSION, nonce)
 
 
-class HandshakeServer:
-    """Server half of the database-style handshake.
-
-    Drive it with start() to obtain the greeting, then feed() inbound bytes.
-    feed returns (bytes to send, events); events are ("established",),
-    ("request", corr, payload) and ("done",).  Exactly one request is
-    accepted per session; respond() builds the response frame.
-    """
-
-    _AWAIT_ECHO, _AWAIT_REQUEST, _AWAIT_RESPOND, _DONE = range(4)
-
-    def __init__(self, nonce: bytes | None = None, rng: Random | None = None):
-        if nonce is None:
-            nonce = (rng or Random()).getrandbits(64).to_bytes(8, "big")
-        if len(nonce) != 8:
-            raise ValueError("nonce must be 8 bytes")
-        self.nonce = nonce
-        self._state = self._AWAIT_ECHO
-        self._buf = bytearray()
-        self._started = False
-
-    def start(self) -> bytes:
-        if self._started:
-            raise ProtocolViolation("greeting already sent")
-        self._started = True
-        return _greeting(self.nonce)
-
-    def feed(self, data: bytes) -> tuple[bytes, list[tuple]]:
-        if not self._started:
-            raise ProtocolViolation("greeting not sent yet")
-        self._buf.extend(data)
-        out = bytearray()
-        events: list[tuple] = []
-        while True:
-            if self._state == self._AWAIT_ECHO:
-                if len(self._buf) < _HS_GREETING.size:
-                    break
-                magic, version, nonce = _HS_GREETING.unpack_from(self._buf)
-                if magic != HS_MAGIC:
-                    raise ProtocolViolation("client spoke before greeting ack")
-                if version != HS_VERSION:
-                    raise ProtocolViolation(f"unsupported handshake version {version}")
-                if nonce != self.nonce:
-                    raise ProtocolViolation("nonce mismatch in greeting ack")
-                del self._buf[:_HS_GREETING.size]
-                self._state = self._AWAIT_REQUEST
-                out += HS_OK
-                events.append(("established",))
-            elif self._state == self._AWAIT_REQUEST:
-                if len(self._buf) < _REQ_HEAD.size:
-                    break
-                corr, length = _REQ_HEAD.unpack_from(self._buf)
-                if length == 0:
-                    raise ProtocolViolation("empty request payload")
-                if length > MAX_PAYLOAD:
-                    raise ProtocolViolation("request payload too large")
-                total = _REQ_HEAD.size + length
-                if len(self._buf) < total:
-                    break
-                payload = bytes(self._buf[_REQ_HEAD.size:total])
-                del self._buf[:total]
-                self._state = self._AWAIT_RESPOND
-                events.append(("request", corr, payload))
-            else:
-                if self._buf:
-                    raise ProtocolViolation("bytes after the session's one request")
-                break
-        return bytes(out), events
-
-    def respond(self, corr: bytes, payload: bytes) -> bytes:
-        if self._state != self._AWAIT_RESPOND:
-            raise ProtocolViolation("no request awaiting a response")
-        self._state = self._DONE
-        return _REQ_HEAD.pack(corr, len(payload)) + payload
+def decode_greeting(msg: bytes) -> bytes:
+    """The nonce of one whole greeting (or greeting echo)."""
+    if len(msg) != GREETING_LEN:
+        raise ProtocolViolation(f"greeting of {len(msg)} bytes, not {GREETING_LEN}")
+    magic, version, nonce = _HS_GREETING.unpack(msg)
+    if magic != HS_MAGIC:
+        raise ProtocolViolation("bad greeting magic")
+    if version != HS_VERSION:
+        raise ProtocolViolation(f"unsupported handshake version {version}")
+    return nonce
 
 
-class HandshakeClient:
-    """Client half: echoes the greeting, waits for OK, sends one request."""
+def encode_session_frame(corr: bytes, payload: bytes) -> bytes:
+    """A session request or response: 16-byte id, 4-byte length, payload."""
+    if len(corr) != CORR_LEN:
+        raise ValueError(f"correlation id must be {CORR_LEN} bytes")
+    if len(payload) > MAX_PAYLOAD:
+        raise ValueError("payload too large")
+    return _REQ_HEAD.pack(corr, len(payload)) + payload
 
-    _AWAIT_GREETING, _AWAIT_OK, _AWAIT_RESPONSE, _DONE = range(4)
 
-    def __init__(self, corr: bytes, payload: bytes):
-        if len(corr) != CORR_LEN:
-            raise ValueError(f"correlation id must be {CORR_LEN} bytes")
-        if not payload:
-            raise ProtocolViolation("empty request payload")
-        self.corr = corr
-        self.payload = payload
-        self._state = self._AWAIT_GREETING
-        self._buf = bytearray()
+def decode_session_head(head: bytes) -> tuple[bytes, int]:
+    """(id, payload length) of one whole session frame head."""
+    if len(head) != SESSION_HEAD_LEN:
+        raise ProtocolViolation(f"session head of {len(head)} bytes, not {SESSION_HEAD_LEN}")
+    corr, length = _REQ_HEAD.unpack(head)
+    if length > MAX_PAYLOAD:
+        raise ProtocolViolation("session payload too large")
+    return corr, length
 
-    @property
-    def done(self) -> bool:
-        return self._state == self._DONE
 
-    def feed(self, data: bytes) -> tuple[bytes, list[tuple]]:
-        self._buf.extend(data)
-        out = bytearray()
-        events: list[tuple] = []
-        while True:
-            if self._state == self._AWAIT_GREETING:
-                if len(self._buf) < _HS_GREETING.size:
-                    break
-                magic, version, nonce = _HS_GREETING.unpack_from(self._buf)
-                if magic != HS_MAGIC:
-                    raise ProtocolViolation("bad greeting magic")
-                if version != HS_VERSION:
-                    raise ProtocolViolation(f"unsupported handshake version {version}")
-                del self._buf[:_HS_GREETING.size]
-                out += _greeting(nonce)
-                self._state = self._AWAIT_OK
-            elif self._state == self._AWAIT_OK:
-                if len(self._buf) < len(HS_OK):
-                    break
-                if bytes(self._buf[:len(HS_OK)]) != HS_OK:
-                    raise ProtocolViolation("expected OK frame")
-                del self._buf[:len(HS_OK)]
-                out += _REQ_HEAD.pack(self.corr, len(self.payload)) + self.payload
-                self._state = self._AWAIT_RESPONSE
-            elif self._state == self._AWAIT_RESPONSE:
-                if len(self._buf) < _REQ_HEAD.size:
-                    break
-                corr, length = _REQ_HEAD.unpack_from(self._buf)
-                total = _REQ_HEAD.size + length
-                if len(self._buf) < total:
-                    break
-                payload = bytes(self._buf[_REQ_HEAD.size:total])
-                del self._buf[:total]
-                if corr != self.corr:
-                    raise ProtocolViolation("response for a different correlation id")
-                self._state = self._DONE
-                events.append(("response", corr, payload))
-            else:
-                if self._buf:
-                    raise ProtocolViolation("bytes after session completion")
-                break
-        return bytes(out), events
+def decode_session_frame(msg: bytes) -> tuple[bytes, bytes]:
+    """(id, payload) of one whole session frame, with nothing cut or trailing."""
+    corr, length = decode_session_head(msg[:SESSION_HEAD_LEN])
+    if len(msg) != SESSION_HEAD_LEN + length:
+        raise ProtocolViolation("expected exactly one session frame")
+    return corr, msg[SESSION_HEAD_LEN:]
 
 
 # --- poll protocol --------------------------------------------------------

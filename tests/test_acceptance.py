@@ -31,7 +31,6 @@ from miserysim.movement import MovementManager, MovementSchedule
 from miserysim.sim import Simulation
 from miserysim.target import (
     ANSWERED,
-    PENDING,
     BackendStore,
     PollingServerNode,
     RequestRegistry,
@@ -280,26 +279,14 @@ def test_switching_delays_attacker(capsys):
     assert ok
 
 
-# --- 6: journal recovery and cross-leaf dedup -----------------------------------------
+# --- 6: cross-leaf dedup --------------------------------------------------------------
 
 def corr_of(n: int) -> bytes:
     return n.to_bytes(16, "big")
 
 
-def test_recovery_and_duplicate_collapse(capsys, tmp_path):
+def test_duplicate_collapse(capsys):
     t_start = time.monotonic()
-    path = str(tmp_path / "rs.log")
-    registry = RequestRegistry(path, fsync=True)
-    for i in range(10):
-        registry.enqueue(corr_of(i), f"PUT k{i} v{i}".encode(), t=float(i))
-    # crash: no close; a fresh process recovers from the journal alone
-    recovered = RequestRegistry(path)
-    batch, _cursor = recovered.list_pending(0)
-    recovered_ok = (
-        batch == [(corr_of(i), f"PUT k{i} v{i}".encode()) for i in range(10)]
-        and all(recovered.entries[corr_of(i)].state == PENDING
-                for i in range(10)))
-
     sim = Simulation(0)
     log = EventLog()
     provider = CloudProvider(sim, log, provisioning_latency=0.5)
@@ -331,10 +318,9 @@ def test_recovery_and_duplicate_collapse(capsys, tmp_path):
     dedup_ok = store.execution_counts() == {dup: 1} and deliveries == 4
 
     elapsed = time.monotonic() - t_start
-    ok = recovered_ok and dedup_ok and elapsed < 10.0
-    announce(capsys, "durability-and-dedup", ok,
-             f"10 entries recovered pending, 1 execution with {deliveries} "
-             f"deliveries, {elapsed:.2f}s")
+    ok = dedup_ok and elapsed < 10.0
+    announce(capsys, "dedup", ok,
+             f"1 execution with {deliveries} deliveries, {elapsed:.2f}s")
     assert ok
 
 

@@ -119,11 +119,13 @@ def test_run_rejects_non_finite_durations(tmp_path, flag, value):
     assert not (tmp_path / "events.jsonl").exists()
 
 
-# json reads NaN and Infinity, so a config file can carry them too
+# json reads NaN and Infinity, so a config file can carry them too, and a
+# wrongly typed value must be a config error, not a crash inside the run
 @pytest.mark.parametrize("extra", [
     ["--rate", "inf"], ["--rate", "nan"],
     '{"m": NaN}', '{"u": Infinity}', '{"latency": {"provisioning": NaN}}',
-    '{"latency": {"hop": [0.001, Infinity]}}'])
+    '{"latency": {"hop": [0.001, Infinity]}}',
+    '{"latency": {"hop": 5}}', '{"j": "600"}', '{"d": 3.5}'])
 def test_run_rejects_non_finite_rate_and_config_values(tmp_path, extra):
     if isinstance(extra, str):
         cfg_path = tmp_path / "cfg.json"

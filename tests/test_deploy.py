@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from types import SimpleNamespace
 
@@ -29,15 +28,14 @@ def make_digraph(d=3, k=2):
     return build_misery_digraph(MiseryDigraphSpec(d, k))
 
 
-def deploy(d=3, k=2, s=8, seed=0, registry_dir=None):
+def deploy(d=3, k=2, s=8, seed=0):
     sim = Simulation(seed)
     log = EventLog()
     provider = CloudProvider(sim, log)
     addresses = AddressServer(sim, log)
     counters = Counter()
     task = sim.spawn(deploy_misery(sim, provider, addresses, log, counters,
-                                   make_digraph(d, k), u=1.0, m=0.1, s=s,
-                                   registry_dir=registry_dir))
+                                   make_digraph(d, k), u=1.0, m=0.1, s=s))
     deployment = sim.run_until(task.future)
     return SimpleNamespace(sim=sim, log=log, provider=provider,
                            addresses=addresses, counters=counters,
@@ -91,11 +89,9 @@ def test_deploy_exposes_entry_addresses():
     assert env.deployment.entry_address == web.address
 
 
-def test_registry_files_live_in_registry_dir(tmp_path):
-    env = deploy(registry_dir=str(tmp_path))
+def test_detach_node_forgets_runtime_and_instance():
+    env = deploy()
     leaves = env.deployment.digraph.layer(3)
-    for leaf in leaves:
-        assert os.path.exists(tmp_path / f"{leaf}.log")
     env.deployment.detach_node(leaves[0])
     assert leaves[0] not in env.deployment.runtimes
     assert leaves[0] not in env.deployment.node_instances

@@ -65,9 +65,23 @@ def test_config_rejects_bad_durations_and_counts():
                       {"j": float("nan")}, {"r": float("nan")},
                       {"u": float("inf")}, {"m": float("nan")},
                       {"request_interval": float("inf")},
-                      {"compress": float("inf")}):
+                      {"compress": float("inf")},
+                      # wrong types; bool subclasses int but is no number here
+                      {"d": 3.0}, {"k": True}, {"s": "8"}, {"rng_seed": 1.5},
+                      {"n_requests": 5.0}, {"j": "600"}, {"u": True},
+                      {"compress": None}):
         with pytest.raises(ConfigError):
             ExperimentConfig(**overrides).validate()
+
+
+def test_config_file_rejects_wrongly_typed_values():
+    for doc in ({"hop": 5}, {"api": [0.1]}, {"notify": [0.5, "1"]},
+                {"hop": [0, True]}, {"provisioning": "300"}):
+        with pytest.raises(ConfigError):
+            LatencyModel.from_json_dict(doc)
+    for doc in ([], {"latency": 5}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_dict(doc)
 
 
 def test_config_rejects_unknown_keys():

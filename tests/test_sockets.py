@@ -7,6 +7,8 @@ import socket
 
 import pytest
 
+from miserysim import wire
+from miserysim.errors import ProtocolViolation
 from miserysim.sockets import DatabaseTcpServer, query_database
 from miserysim.target import BackendStore
 from miserysim.wire import new_correlation_id
@@ -80,3 +82,46 @@ def test_stopped_server_refuses_connections():
     server.stop()
     with pytest.raises(OSError):
         socket.create_connection((host, port), timeout=1.0)
+
+
+def recv_exactly(conn: socket.socket, n: int) -> bytes:
+    data = b""
+    while len(data) < n:
+        chunk = conn.recv(n - len(data))
+        assert chunk, "connection closed mid-session"
+        data += chunk
+    return data
+
+
+def send_bytewise(conn: socket.socket, data: bytes) -> None:
+    for i in range(len(data)):
+        conn.sendall(data[i:i + 1])
+
+
+def test_fragmented_stream_gets_the_right_reply():
+    # one byte per segment: the server must read each step by its size
+    store = BackendStore()
+    with DatabaseTcpServer(store) as server:
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5.0) as conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            greeting = recv_exactly(conn, wire.GREETING_LEN)
+            send_bytewise(conn, greeting)
+            assert recv_exactly(conn, len(wire.HS_OK)) == wire.HS_OK
+            send_bytewise(conn, wire.encode_session_frame(corr_of(7),
+                                                          b"PUT k v w"))
+            corr, length = wire.decode_session_head(
+                recv_exactly(conn, wire.SESSION_HEAD_LEN))
+            assert (corr, recv_exactly(conn, length)) == (corr_of(7), b"OK")
+            assert conn.recv(4096) == b""
+    assert store.data == {"k": "v w"}
+    assert store.execution_counts() == {corr_of(7): 1}
+
+
+def test_query_refuses_an_empty_payload_before_connecting(monkeypatch):
+    def connect(*args, **kwargs):
+        raise AssertionError("query_database opened a connection")
+
+    monkeypatch.setattr(socket, "create_connection", connect)
+    with pytest.raises(ProtocolViolation):
+        query_database("127.0.0.1", 9, corr_of(1), b"")

@@ -1,16 +1,15 @@
-"""Isolated-target machinery: store grammar, durable registry, requests
+"""Isolated-target machinery: store grammar, request registry, requests
 server sessions, the polling loop, and the baseline database pair."""
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 
 import pytest
 
 from miserysim import wire
 from miserysim.cloud import CloudProvider, ImageKind
-from miserysim.errors import ConflictingResponse, StorageFailure, UnknownId
+from miserysim.errors import ConflictingResponse, UnknownId
 from miserysim.eventlog import EventLog
 from miserysim.sim import Simulation
 from miserysim.target import (
@@ -59,7 +58,7 @@ def test_store_logs_every_execution():
     assert store.execution_log[2] == (CORR2, b"GET k", b"VAL 1")
 
 
-# --- registry, in memory --------------------------------------------------------
+# --- registry --------------------------------------------------------------------
 
 def test_enqueue_is_idempotent():
     reg = RequestRegistry()
@@ -110,120 +109,6 @@ def test_deliver_semantics():
     assert reg.pending_count() == 0
     with pytest.raises(ConflictingResponse):
         reg.deliver(CORR, b"NO")
-
-
-# --- registry, durable ------------------------------------------------------------
-
-def corr_of(i: int) -> bytes:
-    return i.to_bytes(16, "big")
-
-
-def test_recovery_restores_pending_entries_in_order(tmp_path):
-    path = str(tmp_path / "journal.bin")
-    reg = RequestRegistry(path)
-    for i in range(10):
-        reg.enqueue(corr_of(i), b"PUT k%d v" % i, float(i))
-    reg.close()
-    back = RequestRegistry(path)
-    assert len(back) == 10
-    assert back.pending_count() == 10
-    batch, _ = back.list_pending(0)
-    assert batch == [(corr_of(i), b"PUT k%d v" % i) for i in range(10)]
-    assert all(back.entries[corr_of(i)].state == PENDING for i in range(10))
-    back.close()
-
-
-def test_recovery_restores_answers(tmp_path):
-    path = str(tmp_path / "journal.bin")
-    reg = RequestRegistry(path)
-    reg.enqueue(CORR, b"GET k", 0.0)
-    reg.enqueue(CORR2, b"PUT k 1", 0.0)
-    reg.deliver(CORR2, b"OK")
-    reg.close()
-    back = RequestRegistry(path)
-    assert back.entries[CORR].state == PENDING
-    assert back.entries[CORR2].state == ANSWERED
-    assert back.entries[CORR2].response == b"OK"
-    assert back.pending_count() == 1
-    back.close()
-
-
-def test_recovery_drops_torn_tail_record(tmp_path):
-    path = str(tmp_path / "journal.bin")
-    reg = RequestRegistry(path)
-    reg.enqueue(CORR, b"AAAAA", 0.0)
-    reg.enqueue(CORR2, b"BBBBB", 0.0)
-    reg.close()
-    size = os.path.getsize(path)
-    with open(path, "rb+") as fh:
-        fh.truncate(size - 3)   # cut into the second record's body
-    back = RequestRegistry(path)
-    assert len(back) == 1
-    assert back.entries[CORR].payload == b"AAAAA"
-    # appends after a torn-tail recovery must not land behind torn bytes
-    corr3 = bytes(range(32, 48))
-    back.enqueue(corr3, b"CCCCC", 1.0)
-    back.close()
-    again = RequestRegistry(path)
-    assert {c for c in again.entries} == {CORR, corr3}
-    assert again.entries[corr3].payload == b"CCCCC"
-    again.close()
-
-
-def test_recovery_drops_torn_header(tmp_path):
-    path = str(tmp_path / "journal.bin")
-    reg = RequestRegistry(path)
-    reg.enqueue(CORR, b"AAAAA", 0.0)
-    reg.close()
-    with open(path, "ab") as fh:
-        fh.write(b"E" + b"\x00" * 5)   # crash mid-header
-    back = RequestRegistry(path)
-    assert len(back) == 1
-    back.close()
-    clean = RequestRegistry(path)
-    assert len(clean) == 1
-    clean.close()
-
-
-def test_compaction_drops_answered_and_survives_reopen(tmp_path):
-    path = str(tmp_path / "journal.bin")
-    reg = RequestRegistry(path, compact_threshold=2)
-    for i in range(3):
-        reg.enqueue(corr_of(i), b"P%d" % i, 0.0)
-    reg.deliver(corr_of(0), b"OK")
-    size_before = os.path.getsize(path)
-    reg.deliver(corr_of(2), b"OK")   # hits the threshold
-    assert os.path.getsize(path) < size_before
-    assert reg.pending_count() == 1
-    assert len(reg) == 1
-    # the survivor keeps working after compaction rewired the file handle
-    reg.enqueue(corr_of(9), b"P9", 1.0)
-    reg.deliver(corr_of(1), b"OK")
-    reg.close()
-    back = RequestRegistry(path)
-    assert {c for c in back.entries} == {corr_of(1), corr_of(9)}
-    assert back.entries[corr_of(1)].state == ANSWERED
-    back.close()
-
-
-def test_compaction_keeps_the_poll_cursor_valid(tmp_path):
-    # a poller's cursor outlives compaction: entries enqueued after it must
-    # still be listed at the positions the cursor expects
-    reg = RequestRegistry(str(tmp_path / "journal.bin"), compact_threshold=3)
-    cursor, listed = 0, []
-    for i in range(10):
-        reg.enqueue(corr_of(i), b"P%d" % i, float(i))
-        batch, cursor = reg.list_pending(cursor)
-        for corr, _ in batch:
-            listed.append(corr)
-            reg.deliver(corr, b"OK")
-    reg.close()
-    assert listed == [corr_of(i) for i in range(10)]
-
-
-def test_unwritable_journal_is_a_storage_failure(tmp_path):
-    with pytest.raises(StorageFailure):
-        RequestRegistry(str(tmp_path / "missing-dir" / "journal.bin"))
 
 
 # --- requests server sessions --------------------------------------------------------
@@ -504,7 +389,7 @@ def baseline_fixture(u=1.0):
     app = AppServerNode(sim, provider, log, "app",
                         provider.instance("db").address, 3306, u, counters)
     provider.bind("app", 80, on_request=app.on_request)
-    return sim, provider, store
+    return sim, provider, store, counters
 
 
 def ask_app(sim, provider, payload, corr=CORR):
@@ -515,7 +400,7 @@ def ask_app(sim, provider, payload, corr=CORR):
 
 
 def test_baseline_chain_runs_the_real_handshake():
-    sim, provider, store = baseline_fixture()
+    sim, provider, store, _ = baseline_fixture()
     provider.grant("app", "db", 3306)
     assert ask_app(sim, provider, b"PUT k 1") == (wire.TYPE_RESPONSE, CORR, b"OK")
     assert ask_app(sim, provider, b"GET k", CORR2) == (
@@ -524,15 +409,70 @@ def test_baseline_chain_runs_the_real_handshake():
 
 
 def test_baseline_app_reports_missing_upstream():
-    sim, provider, _ = baseline_fixture()
+    sim, provider, _, _ = baseline_fixture()
     # no app->db rule: channel open is refused
     ftype, _, reason = ask_app(sim, provider, b"GET k")
     assert (ftype, reason) == (wire.TYPE_ERROR, b"no-upstream")
 
 
 def test_baseline_app_times_out_on_a_silent_database():
-    sim, provider, _ = baseline_fixture(u=0.4)
+    sim, provider, _, _ = baseline_fixture(u=0.4)
     provider.grant("app", "db", 3306)
     provider.bind("db", 3306, on_channel=lambda channel: None)   # accepts, stays mute
     ftype, _, reason = ask_app(sim, provider, b"GET k")
     assert (ftype, reason) == (wire.TYPE_ERROR, b"timeout")
+
+
+@pytest.mark.parametrize("tamper, requests, replies, executed", [
+    (True, [], 0, 0),
+    (False, [wire.encode_session_frame(CORR, b"")], 1, 0),
+    (False, [wire.encode_session_frame(CORR, b"PUT k 1"),
+             wire.encode_session_frame(CORR2, b"GET k")], 2, 1),
+], ids=["wrong-nonce", "empty-request", "second-request"])
+def test_database_closes_the_channel_on_a_violation(tamper, requests, replies,
+                                                    executed):
+    # speak to the database as a raw client: echo its greeting (or a
+    # tampered one), then send each request frame in turn
+    sim, provider, store, counters = baseline_fixture()
+    provider.grant("app", "db", 3306)
+    fut = provider.open_channel("app", provider.instance("db").address, 3306)
+    sim.run(until=sim.now + 1)
+    channel = fut.result()
+    inbox = []
+    channel.on_message("a", inbox.append)
+    nonce = wire.decode_greeting(inbox[0])
+    echo = bytes(b ^ 0xFF for b in nonce) if tamper else nonce
+    channel.send("a", wire.encode_greeting(echo))
+    for frame in requests:
+        sim.run(until=sim.now + 1)
+        channel.send("a", frame)
+    sim.run(until=sim.now + 1)
+    assert channel.state == "closed"
+    assert counters["protocol_violations"] == 1
+    # the greeting, then OK and the first request's response as far as the
+    # session got before the violation
+    expected = [wire.HS_OK, wire.encode_session_frame(CORR, b"OK")]
+    assert inbox == [wire.encode_greeting(nonce)] + expected[:replies]
+    assert len(store.execution_log) == executed
+
+
+def test_app_rejects_a_response_for_a_foreign_correlation_id():
+    sim, provider, _, _ = baseline_fixture()
+    provider.grant("app", "db", 3306)
+
+    def foreign_database(channel):
+        # a correct handshake whose one response names another request
+        greeting = wire.encode_greeting(b"\x07" * 8)
+
+        def on_message(data):
+            if data == greeting:
+                channel.send("b", wire.HS_OK)
+            else:
+                channel.send("b", wire.encode_session_frame(CORR2, b"NIL"))
+
+        channel.on_message("b", on_message)
+        channel.send("b", greeting)
+
+    provider.bind("db", 3306, on_channel=foreign_database)
+    assert ask_app(sim, provider, b"GET k") == (
+        wire.TYPE_ERROR, CORR, b"upstream-failure")

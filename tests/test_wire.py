@@ -13,17 +13,21 @@ import pytest
 from miserysim.errors import ProtocolViolation
 from miserysim.wire import (
     CORR_LEN,
+    HS_OK,
     MAX_PAYLOAD,
     POLL_ACK_FRAME,
+    SESSION_HEAD_LEN,
     TYPE_ERROR,
     TYPE_REQUEST,
     TYPE_RESPONSE,
-    HandshakeClient,
-    HandshakeServer,
     decode_frame,
+    decode_greeting,
     decode_poll,
+    decode_session_frame,
+    decode_session_head,
     encode_error,
     encode_frame,
+    encode_greeting,
     encode_http_request,
     encode_http_response,
     encode_poll_delivery,
@@ -31,6 +35,7 @@ from miserysim.wire import (
     encode_poll_listing,
     encode_request,
     encode_response,
+    encode_session_frame,
     new_correlation_id,
     parse_http_request,
     parse_http_response,
@@ -95,122 +100,64 @@ def test_parser_violations():
 
 # --- handshake ---------------------------------------------------------------
 
-def pump(server, client):
-    """Deliver bytes both ways until neither side produces more."""
-    to_client = server.start()
-    to_server = b""
-    events = {"server": [], "client": []}
-    for _ in range(10):
-        progressed = False
-        if to_client:
-            out, evs = client.feed(to_client)
-            events["client"].extend(evs)
-            to_server += out
-            to_client = b""
-            progressed = True
-        if to_server:
-            out, evs = server.feed(to_server)
-            events["server"].extend(evs)
-            to_client += out
-            to_server = b""
-            progressed = True
-        for kind, *rest in list(events["server"]):
-            if kind == "request":
-                events["server"].remove((kind, *rest))
-                to_client += server.respond(rest[0], b"VAL " + rest[1])
-                progressed = True
-        if not progressed:
-            break
-    return events
-
-
-def test_handshake_session_round_trip():
-    server = HandshakeServer(nonce=b"\x01" * 8)
-    client = HandshakeClient(CORR, b"GET k")
-    events = pump(server, client)
-    assert client.done
-    assert ("established",) in events["server"]
-    assert events["client"] == [("response", CORR, b"VAL GET k")]
+GREETING = b"\x44\x42\x01" + b"\xaa" * 8
 
 
 def test_greeting_golden_bytes():
-    server = HandshakeServer(nonce=b"\xaa" * 8)
-    assert server.start() == b"\x44\x42\x01" + b"\xaa" * 8
+    assert encode_greeting(b"\xaa" * 8) == GREETING
+    assert decode_greeting(GREETING) == b"\xaa" * 8
 
 
-def test_handshake_chunked_delivery():
-    rng = random.Random(11)
-    for _ in range(10):
-        server = HandshakeServer(nonce=b"\x05" * 8)
-        client = HandshakeClient(CORR, b"PUT k v")
-        wire = server.start()
-        got = None
-        guard = 0
-        while got is None:
-            guard += 1
-            assert guard < 500
-            step = rng.randint(1, 3)
-            chunk, wire = wire[:step], wire[step:]
-            out, evs = client.feed(chunk)
-            for kind, *rest in evs:
-                if kind == "response":
-                    got = tuple(rest)
-            back = b""
-            while out:
-                step = rng.randint(1, 3)
-                piece, out = out[:step], out[step:]
-                sout, sevs = server.feed(piece)
-                back += sout
-                for kind, *rest in sevs:
-                    if kind == "request":
-                        back += server.respond(rest[0], b"OK")
-            wire += back
-        assert got == (CORR, b"OK")
+def test_session_frame_golden_bytes():
+    frame = encode_session_frame(CORR, b"GET k")
+    assert frame == CORR + b"\x00\x00\x00\x05" + b"GET k"
+    assert decode_session_head(frame[:SESSION_HEAD_LEN]) == (CORR, 5)
+    assert decode_session_frame(frame) == (CORR, b"GET k")
 
 
-def test_server_rejects_wrong_nonce_and_early_bytes():
-    server = HandshakeServer(nonce=b"\x01" * 8)
-    with pytest.raises(ProtocolViolation):
-        server.feed(b"x")
-    server.start()
-    with pytest.raises(ProtocolViolation):
-        server.feed(b"\x44\x42\x01" + b"\x02" * 8)
+def test_handshake_session_round_trip():
+    # greeting, echo, OK, request, response: each decoded as one message
+    nonce = b"\x01" * 8
+    echo = encode_greeting(decode_greeting(encode_greeting(nonce)))
+    assert decode_greeting(echo) == nonce
+    assert HS_OK == b"\x4f\x4b"
+    request = encode_session_frame(CORR, b"GET k")
+    assert decode_session_frame(request) == (CORR, b"GET k")
+    assert decode_session_frame(encode_session_frame(CORR, b"")) == (CORR, b"")
 
 
-def test_server_one_request_per_session():
-    server = HandshakeServer(nonce=b"\x01" * 8)
-    client = HandshakeClient(CORR, b"GET k")
-    greeting = server.start()
-    echo, _ = client.feed(greeting)
-    ok, _ = server.feed(echo)
-    req, _ = client.feed(ok)
-    out, events = server.feed(req)
-    assert events == [("request", CORR, b"GET k")]
-    server.respond(CORR, b"NIL")
-    with pytest.raises(ProtocolViolation):
-        server.feed(req)
-    with pytest.raises(ProtocolViolation):
-        server.respond(CORR, b"NIL")
+def test_handshake_codecs_reject_every_cut_and_a_trailing_byte():
+    frame = encode_session_frame(CORR, b"PUT k v")
+    for msg, decode in [(GREETING, decode_greeting),
+                        (frame[:SESSION_HEAD_LEN], decode_session_head),
+                        (frame, decode_session_frame)]:
+        for cut in range(len(msg)):
+            with pytest.raises(ProtocolViolation):
+                decode(msg[:cut])
+        with pytest.raises(ProtocolViolation):
+            decode(msg + b"\x00")
 
 
-def test_client_rejects_foreign_response_corr():
-    server = HandshakeServer(nonce=b"\x01" * 8)
-    client = HandshakeClient(CORR, b"GET k")
-    echo, _ = client.feed(server.start())
-    ok, _ = server.feed(echo)
-    req, _ = client.feed(ok)
-    server.feed(req)
-    reply = server.respond(bytes(16), b"NIL")
-    with pytest.raises(ProtocolViolation):
-        client.feed(reply)
+def test_greeting_rejects_bad_magic_and_version():
+    with pytest.raises(ProtocolViolation, match="magic"):
+        decode_greeting(b"\x45\x42\x01" + b"\xaa" * 8)
+    with pytest.raises(ProtocolViolation, match="version"):
+        decode_greeting(b"\x44\x42\x02" + b"\xaa" * 8)
+    with pytest.raises(ValueError):
+        encode_greeting(b"\xaa" * 7)
 
 
-def test_client_requires_nonempty_payload():
-    with pytest.raises(ProtocolViolation):
-        HandshakeClient(CORR, b"")
+def test_session_frame_rejects_oversized_payload():
+    head = CORR + (MAX_PAYLOAD + 1).to_bytes(4, "big")
+    with pytest.raises(ProtocolViolation, match="too large"):
+        decode_session_head(head)
+    with pytest.raises(ProtocolViolation, match="too large"):
+        decode_session_frame(head + b"x")
+    with pytest.raises(ValueError):
+        encode_session_frame(CORR, b"x" * (MAX_PAYLOAD + 1))
+    with pytest.raises(ValueError):
+        encode_session_frame(b"short", b"x")
 
-
-# --- poll protocol -----------------------------------------------------------
 
 def test_poll_frames_golden_bytes():
     assert encode_poll_list(7) == b"\x10" + b"\x00" * 7 + b"\x07"
