@@ -175,13 +175,6 @@ class Channel:
                     self._provider.hop_latency(), fn, reason, priority=PRIO_NETWORK)
 
 
-@dataclass
-class PoolStats:
-    hits: int = 0
-    misses: int = 0
-    replenishments: int = 0
-
-
 class InstancePool:
     """Warm standby instances by image kind, replenished on consumption."""
 
@@ -189,7 +182,6 @@ class InstancePool:
         self.provider = provider
         self.s = s
         self.available: dict[ImageKind, list[Instance]] = {kind: [] for kind in ImageKind}
-        self.stats = PoolStats()
         self._counter = itertools.count(1)
 
     def fill(self, requirements: dict[ImageKind, int]) -> list[Instance]:
@@ -229,14 +221,12 @@ class InstancePool:
                 ready = candidate
                 break
         if ready is not None:
-            self.stats.hits += 1
             ready.tags.pop("pool", None)
             self.provider.log.emit(self.provider.sim.now, "pool.allocate",
                                    instance=ready.id,
                                    detail={"image": image.value, "hit": True})
             out.resolve(ready)
         else:
-            self.stats.misses += 1
             self.provider.counters["pool_misses"] += 1
             self.provider.log.emit(self.provider.sim.now, "pool.allocate",
                                    instance=None,
@@ -254,7 +244,6 @@ class InstancePool:
         # One replacement per consumed instance keeps the pool at its minimum;
         # an s=0 pool has no minimum to hold.
         if self.s > 0:
-            self.stats.replenishments += 1
             self._create(image)
         return out
 

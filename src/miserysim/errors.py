@@ -67,16 +67,6 @@ class TimeoutFailure(MiserySimError):
     """All children exceeded the response timeout u."""
 
 
-# --- isolated target ---
-
-class UnknownId(MiserySimError):
-    """Response delivery for a correlation id that was never enqueued."""
-
-
-class ConflictingResponse(MiserySimError):
-    """A second, different response was delivered for an answered request."""
-
-
 # --- movement ---
 
 class NoEligibleLayer(MiserySimError):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Any, IO
+from typing import Any
 
 
 class EventLog:
@@ -15,16 +15,13 @@ class EventLog:
     produce identical bytes.
     """
 
-    def __init__(self, sink: IO[str] | None = None):
+    def __init__(self) -> None:
         self.records: list[dict[str, Any]] = []
-        self._sink = sink
 
     def emit(self, t: float, kind: str, **fields: Any) -> dict[str, Any]:
         record = {"t": t, "kind": kind}
         record.update(fields)
         self.records.append(record)
-        if self._sink is not None:
-            self._sink.write(serialize_record(record) + "\n")
         return record
 
     def lines(self) -> list[str]:

@@ -131,14 +131,9 @@ class MulticasterNode:
 
     def on_request(self, ex: Exchange, data: bytes) -> None:
         """Internal-frame endpoint (layers 2..d-1 receive from their parent)."""
-        try:
-            ftype, corr, payload = wire.decode_frame(data)
-        except ProtocolViolation:
-            self.provider.respond(ex, wire.encode_error(b"\x00" * wire.CORR_LEN,
-                                                        b"bad-frame"))
-            return
-        if ftype != wire.TYPE_REQUEST:
-            self.provider.respond(ex, wire.encode_error(corr, b"bad-frame-type"))
+        corr, payload, error = wire.decode_request(data)
+        if error is not None:
+            self.provider.respond(ex, error)
             return
         self.handle_request(corr, payload, ex.port,
                             lambda frame: self.provider.respond(ex, frame))

@@ -1,12 +1,14 @@
 """Isolated Target machinery.
 
-Layer-d Requests Servers stand in for the database: each registers the
-request it is handed in its in-memory registry and holds the client session
-open.  The target never accepts a connection; its Polling Server
-dials out to every RS each interval m, collects pending entries,
+Layer-d Requests Servers stand in for the database: each holds the request
+it is handed, with the client sessions waiting on it, in its pending-request
+registry.  The target never accepts a connection; its Polling Server dials
+out to every RS each interval m, lists everything each RS still holds,
 deduplicates across RSs and against an executed-id cache, executes each
 unique payload exactly once against the backend store, and delivers the
-cached response to every holder.
+cached response to every holder, which then drops the entry.  The poll keeps
+no per-RS state: an entry whose listing or delivery was lost is listed again
+next cycle, and the executed cache answers it without a second execution.
 
 Only the baseline (d=0) chain and the loopback TCP demo (sockets.py) speak
 the real database handshake: DatabaseServerNode owns it and AppServerNode
@@ -18,32 +20,12 @@ request, one response) and decodes every step as one whole message.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from . import wire
 from .cloud import Channel, CloudProvider, Exchange
-from .errors import (
-    ConflictingResponse,
-    ConnectionRefused,
-    ProtocolViolation,
-    SessionSevered,
-    TimeoutFailure,
-    UnknownId,
-)
+from .errors import ConnectionRefused, ProtocolViolation, SessionSevered, TimeoutFailure
 from .eventlog import EventLog
 from .sim import Future, PRIO_ACTOR, SimCancelled, Simulation
-
-PENDING = "pending"
-ANSWERED = "answered"
-
-
-@dataclass
-class RegistryEntry:
-    correlation_id: bytes
-    payload: bytes
-    state: str
-    response: bytes | None
-    enqueued_at: float
 
 
 class BackendStore:
@@ -88,70 +70,53 @@ class BackendStore:
         return counts
 
 
-class RequestRegistry:
-    """Ordered correlation-id -> entry map, held in memory.
-
-    Iteration order is enqueue order.  The poll cursor is an index into that
-    order; list_pending(cursor) returns the still-pending entries at
-    positions >= cursor plus the cursor advanced by the batch size (the same
-    arithmetic a remote poller applies, since listings carry no cursor).
-    """
-
-    def __init__(self) -> None:
-        self.entries: dict[bytes, RegistryEntry] = {}
-        self._order: list[bytes] = []
-        self._answered = 0
-
-    def enqueue(self, corr: bytes, payload: bytes, t: float) -> RegistryEntry:
-        """Register as Pending; re-enqueue of a known id is a no-op."""
-        existing = self.entries.get(corr)
-        if existing is not None:
-            return existing
-        entry = RegistryEntry(corr, payload, PENDING, None, t)
-        self.entries[corr] = entry
-        self._order.append(corr)
-        return entry
-
-    def list_pending(self, cursor: int) -> tuple[list[tuple[bytes, bytes]], int]:
-        if cursor < 0:
-            cursor = 0
-        batch = []
-        for corr in self._order[cursor:]:
-            entry = self.entries[corr]
-            if entry.state == PENDING:
-                batch.append((entry.correlation_id, entry.payload))
-        return batch, cursor + len(batch)
-
-    def deliver(self, corr: bytes, response: bytes) -> RegistryEntry:
-        entry = self.entries.get(corr)
-        if entry is None:
-            raise UnknownId(corr.hex())
-        if entry.state == ANSWERED:
-            if entry.response != response:
-                raise ConflictingResponse(corr.hex())
-            return entry
-        entry.state = ANSWERED
-        entry.response = response
-        self._answered += 1
-        return entry
-
-    def pending_count(self) -> int:
-        return len(self._order) - self._answered
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
 class _RsSession:
     """One upstream request blocked at an RS awaiting the polled response."""
 
-    __slots__ = ("corr", "respond", "timer", "done")
+    __slots__ = ("corr", "respond", "timer")
 
     def __init__(self, corr, respond):
         self.corr = corr
         self.respond = respond
         self.timer = None
-        self.done = False
+
+
+class PendingRequest:
+    """A request an RS holds until its response is delivered, and the
+    sessions still waiting on it (none once they have all timed out)."""
+
+    __slots__ = ("payload", "sessions")
+
+    def __init__(self, payload: bytes):
+        self.payload = payload
+        self.sessions: list[_RsSession] = []
+
+
+class RequestRegistry:
+    """Insertion-ordered correlation-id -> pending request map, in memory.
+
+    An entry leaves when its response is delivered, so the registry holds
+    exactly what is still pending and every listing returns all of it.
+    """
+
+    def __init__(self) -> None:
+        self.pending: dict[bytes, PendingRequest] = {}
+
+    def enqueue(self, corr: bytes, payload: bytes) -> PendingRequest:
+        """Hold a new request; a pending id returns its existing entry."""
+        entry = self.pending.get(corr)
+        if entry is None:
+            entry = self.pending[corr] = PendingRequest(payload)
+        return entry
+
+    def list_pending(self) -> tuple[list[tuple[bytes, bytes]], int]:
+        # a (batch, size) pair: perfbench's tracer reads the batch as item 0
+        batch = [(corr, entry.payload) for corr, entry in self.pending.items()]
+        return batch, len(batch)
+
+    def deliver(self, corr: bytes) -> PendingRequest | None:
+        """Drop and return the pending entry, or None if corr is not pending."""
+        return self.pending.pop(corr, None)
 
 
 class RequestsServerNode:
@@ -167,19 +132,13 @@ class RequestsServerNode:
         self.registry = registry
         self.u = u
         self.counters = counters
-        self._waiters: dict[bytes, list[_RsSession]] = {}
 
     # -- upstream transport endpoint ------------------------------------------
 
     def on_request(self, ex: Exchange, data: bytes) -> None:
-        try:
-            ftype, corr, payload = wire.decode_frame(data)
-        except ProtocolViolation:
-            self.provider.respond(ex, wire.encode_error(b"\x00" * wire.CORR_LEN,
-                                                        b"bad-frame"))
-            return
-        if ftype != wire.TYPE_REQUEST:
-            self.provider.respond(ex, wire.encode_error(corr, b"bad-frame-type"))
+        corr, payload, error = wire.decode_request(data)
+        if error is not None:
+            self.provider.respond(ex, error)
             return
         self.open_session(corr, payload,
                           lambda frame: self.provider.respond(ex, frame))
@@ -191,43 +150,29 @@ class RequestsServerNode:
             self.counters["protocol_violations"] += 1
             respond(wire.encode_error(corr, b"empty request payload"))
             return
-        self.registry.enqueue(corr, payload, self.sim.now)
         session = _RsSession(corr, respond)
         session.timer = self.sim.schedule(self.u, self._session_timeout, session)
-        self._waiters.setdefault(corr, []).append(session)
+        self.registry.enqueue(corr, payload).sessions.append(session)
 
     def _session_timeout(self, session: _RsSession) -> None:
-        if session.done:
-            return
-        session.done = True
-        session.timer = None
-        waiters = self._waiters.get(session.corr)
-        if waiters and session in waiters:
-            waiters.remove(session)
-            if not waiters:
-                del self._waiters[session.corr]
+        # delivery cancels the timer, so the session is still waiting here;
+        # the entry stays pending: a timeout answers the client, not the registry
+        self.registry.pending[session.corr].sessions.remove(session)
         session.respond(wire.encode_error(session.corr, b"timeout"))
 
     def deliver(self, corr: bytes, response: bytes) -> None:
-        """Poll-protocol delivery: answer the registry, release any blocked
-        sessions."""
-        try:
-            self.registry.deliver(corr, response)
-        except UnknownId:
+        """Poll-protocol delivery: drop the pending entry and release its
+        blocked sessions.  An id not pending here (never held, or delivered
+        already) is a poller fault, counted and otherwise ignored."""
+        entry = self.registry.deliver(corr)
+        if entry is None:
             self.counters["unknown_deliveries"] += 1
             return
-        except ConflictingResponse:
-            self.counters["conflicting_deliveries"] += 1
-            return
-        sessions = self._waiters.pop(corr, [])
-        if not sessions:
+        if not entry.sessions:
             self.counters["late_deliveries"] += 1
             return
-        for session in sessions:
-            session.done = True
-            if session.timer is not None:
-                session.timer.cancel()
-                session.timer = None
+        for session in entry.sessions:
+            session.timer.cancel()
             session.respond(wire.encode_response(corr, response))
 
     # -- poll endpoint ----------------------------------------------------------
@@ -242,7 +187,7 @@ class RequestsServerNode:
             replies = []
             for event in events:
                 if event[0] == "list":
-                    batch, _ = self.registry.list_pending(event[1])
+                    batch, _ = self.registry.list_pending()
                     replies.append(wire.encode_poll_listing(batch))
                 elif event[0] == "deliver":
                     self.deliver(event[1], event[2])
@@ -313,9 +258,7 @@ class PollingServerNode:
         self.counters = counters
         self.window = window
         self.endpoints: list[tuple[str, str]] = []
-        self.cursors: dict[str, int] = {}
         self.executed: dict[bytes, tuple[int, bytes]] = {}
-        self.redeliver: dict[str, dict[bytes, None]] = {}
         self._links: dict[str, _PollLink] = {}
         self.cycle_no = 0
         self._task = None
@@ -326,7 +269,6 @@ class PollingServerNode:
         live = {rs_id for rs_id, _ in self.endpoints}
         for rs_id in [r for r in self._links if r not in live]:
             self._links.pop(rs_id).channel.close("a")
-        self.redeliver = {r: ids for r, ids in self.redeliver.items() if r in live}
 
     def start(self) -> None:
         self._task = self.sim.spawn(self._loop(), priority=PRIO_ACTOR)
@@ -378,7 +320,7 @@ class PollingServerNode:
             if link is None:
                 continue
             try:
-                event = yield link.ask(wire.encode_poll_list(self.cursors.get(rs_id, 0)))
+                event = yield link.ask(wire.POLL_LIST_FRAME)
             except _LINK_FAILURES:
                 self._drop_link(rs_id)
                 continue
@@ -386,7 +328,6 @@ class PollingServerNode:
                 self.counters["poll_errors"] += 1
                 continue
             entries = event[1]
-            self.cursors[rs_id] = self.cursors.get(rs_id, 0) + len(entries)
             collected += len(entries)
             for corr, payload in entries:
                 if corr not in self.executed and corr not in reporters:
@@ -395,42 +336,27 @@ class PollingServerNode:
         for corr, payload in fresh:
             response = self.store.execute(corr, payload)
             self.executed[corr] = (self.cycle_no, response)
-        # each RS's plan: its redeliver backlog, then the ids it reported,
-        # in the order they were first listed by any RS
-        reported: dict[str, dict[bytes, None]] = {}
+        # each RS is handed the ids it reported, in the order they were
+        # first listed by any RS; a failed ask ends its deliveries for this
+        # cycle, and what it still holds is listed again next cycle
+        reported: dict[str, list[bytes]] = {}
         for corr, holders in reporters.items():
             for rs_id in holders:
-                reported.setdefault(rs_id, {})[corr] = None
+                reported.setdefault(rs_id, []).append(corr)
         delivered = 0
         for rs_id, _ in endpoints:
-            plan = reported.get(rs_id)
-            backlog = self.redeliver.get(rs_id)
-            if backlog:
-                plan = {**backlog, **plan} if plan else backlog
-            elif not plan:
-                continue
-            self.redeliver[rs_id] = {}
             link = self._links.get(rs_id)
-            for corr in plan:
-                cached = self.executed.get(corr)
-                if cached is None:
-                    continue
+            for corr in reported.get(rs_id, ()):
                 if link is None or not link.usable:
-                    self.redeliver.setdefault(rs_id, {})[corr] = None
-                    continue
+                    break
                 try:
-                    event = yield link.ask(wire.encode_poll_delivery(corr, cached[1]))
+                    event = yield link.ask(
+                        wire.encode_poll_delivery(corr, self.executed[corr][1]))
                 except _LINK_FAILURES:
                     self._drop_link(rs_id)
-                    self.redeliver.setdefault(rs_id, {})[corr] = None
-                    link = None
-                    continue
+                    break
                 if event[0] == "ack":
                     delivered += 1
-                else:
-                    self.redeliver.setdefault(rs_id, {})[corr] = None
-            if rs_id in self.redeliver and not self.redeliver[rs_id]:
-                del self.redeliver[rs_id]
         # the executed cache must outlive any re-listing of a still-pending
         # entry (delivery outages last seconds; the window spans minutes).
         # Only fresh ids are inserted, so the dict is in cycle order and the
@@ -507,14 +433,11 @@ class AppServerNode:
         self.counters = counters
 
     def on_request(self, ex: Exchange, data: bytes) -> None:
-        try:
-            ftype, corr, payload = wire.decode_frame(data)
-        except ProtocolViolation:
-            self.provider.respond(ex, wire.encode_error(b"\x00" * wire.CORR_LEN,
-                                                        b"bad-frame"))
-            return
-        if ftype != wire.TYPE_REQUEST or not payload:
-            self.provider.respond(ex, wire.encode_error(corr, b"bad-frame-type"))
+        corr, payload, error = wire.decode_request(data)
+        if error is None and not payload:
+            error = wire.encode_error(corr, b"bad-frame-type")
+        if error is not None:
+            self.provider.respond(ex, error)
             return
         self.sim.spawn(self._session(ex, corr, payload), priority=PRIO_ACTOR)
 

@@ -11,7 +11,7 @@ Three byte-level protocols share this module:
   (0x4F 0x4B), then exactly one request frame (16-byte id, 4-byte big-endian
   length, payload) answered by one mirrored response frame.
 * The poll protocol between the target's Polling Server and the Requests
-  Servers: {0x10, 8-byte cursor} -> {0x11, 4-byte count, entries}, and
+  Servers: {0x10} -> {0x11, 4-byte count, every pending entry}, and
   {0x12, id, 4-byte length, bytes} -> {0x13}.
 
 Every decoder takes one whole message, and a message that is cut, carries a
@@ -93,6 +93,23 @@ def decode_frame(data: bytes) -> tuple[int, bytes, bytes]:
     return ftype, corr, data[_FRAME_HEAD.size:]
 
 
+_NO_CORR = b"\x00" * CORR_LEN
+
+
+def decode_request(data: bytes) -> tuple[bytes, bytes, bytes | None]:
+    """(id, payload, None) for one whole request frame; for anything else,
+    the error frame that answers it in the third place: bad-frame under a
+    zero id when the bytes are no frame, bad-frame-type when it is no
+    request."""
+    try:
+        ftype, corr, payload = decode_frame(data)
+    except ProtocolViolation:
+        return _NO_CORR, b"", encode_error(_NO_CORR, b"bad-frame")
+    if ftype != TYPE_REQUEST:
+        return corr, payload, encode_error(corr, b"bad-frame-type")
+    return corr, payload, None
+
+
 # --- handshake protocol ---------------------------------------------------
 
 
@@ -145,16 +162,13 @@ def decode_session_frame(msg: bytes) -> tuple[bytes, bytes]:
 # --- poll protocol --------------------------------------------------------
 
 
-_POLL_LIST = struct.Struct("!BQ")
 _POLL_LISTING_HEAD = struct.Struct("!BI")
 _POLL_DELIVER_HEAD = struct.Struct("!B16sI")
-_U64 = struct.Struct("!Q")
 _U32 = struct.Struct("!I")
 
 
-def encode_poll_list(cursor: int) -> bytes:
-    return _POLL_LIST.pack(POLL_LIST, cursor)
-
+# the list ask carries nothing: an RS answers it with everything it holds
+POLL_LIST_FRAME = bytes((POLL_LIST,))
 
 # an idle RS answers every list ask with this one frame
 _EMPTY_LISTING = _POLL_LISTING_HEAD.pack(POLL_LISTING, 0)
@@ -191,7 +205,7 @@ def _poll_record(data: bytes, offset: int) -> tuple[bytes, bytes, int]:
 
 def decode_poll(data: bytes) -> list[tuple]:
     """Decode one whole poll message (either direction, one or more frames)
-    into ("list", cursor), ("listing", [(corr, payload), ...]),
+    into ("list",), ("listing", [(corr, payload), ...]),
     ("deliver", corr, response) and ("ack",) events."""
     if not data:
         raise ProtocolViolation("empty poll message")
@@ -201,9 +215,8 @@ def decode_poll(data: bytes) -> list[tuple]:
         while offset < len(data):
             kind = data[offset]
             if kind == POLL_LIST:
-                (cursor,) = _U64.unpack_from(data, offset + 1)
-                offset += 9
-                events.append(("list", cursor))
+                offset += 1
+                events.append(("list",))
             elif kind == POLL_LISTING:
                 (count,) = _U32.unpack_from(data, offset + 1)
                 offset += 5

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from miserysim import reporting
+from miserysim import reporting, wire
 from miserysim.addresses import AddressServer
 from miserysim.attacker import Strategy, sign_test, simulate_attacker
 from miserysim.cli import main as cli_main
@@ -30,7 +30,6 @@ from miserysim.experiment import ExperimentConfig, run_experiment
 from miserysim.movement import MovementManager, MovementSchedule
 from miserysim.sim import Simulation
 from miserysim.target import (
-    ANSWERED,
     BackendStore,
     PollingServerNode,
     RequestRegistry,
@@ -304,8 +303,9 @@ def test_duplicate_collapse(capsys):
         nodes.append(node)
     sim.run(until=1.0)
     dup = corr_of(99)
+    answers = []
     for node in nodes:
-        node.open_session(dup, b"PUT shared 1", lambda fut: None)
+        node.open_session(dup, b"PUT shared 1", answers.append)
     ps = PollingServerNode(sim, provider, log, "db", store, 0.05, 3306,
                            counters)
     ps.set_record([(f"rs{i}", provider.instance(f"rs{i}").address)
@@ -313,9 +313,10 @@ def test_duplicate_collapse(capsys):
     ps.start()
     sim.run(until=sim.now + 2.0)
     ps.stop()
-    deliveries = sum(1 for node in nodes
-                     if node.registry.entries[dup].state == ANSWERED)
-    dedup_ok = store.execution_counts() == {dup: 1} and deliveries == 4
+    # a delivered entry leaves its RS's registry
+    deliveries = sum(1 for node in nodes if dup not in node.registry.pending)
+    dedup_ok = (store.execution_counts() == {dup: 1} and deliveries == 4
+                and answers == [wire.encode_response(dup, b"OK")] * 4)
 
     elapsed = time.monotonic() - t_start
     ok = dedup_ok and elapsed < 10.0

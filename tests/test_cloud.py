@@ -289,7 +289,8 @@ def test_pool_hit_is_instant_and_strips_the_standby_tag():
     assert sim.now == t0
     assert inst.state == InstanceState.RUNNING
     assert "pool" not in inst.tags
-    assert pool.stats.hits == 1
+    assert [r["detail"]["hit"] for r in provider.log.of_kind("pool.allocate")] == [True]
+    assert provider.counters["pool_misses"] == 0
     assert pool.ready_count(ImageKind.MULTICASTER) == 1
 
 
@@ -301,7 +302,7 @@ def test_pool_miss_falls_back_to_on_demand():
     inst = sim.run_until(fut)
     assert sim.now == t0 + 300.0
     assert inst.state == InstanceState.RUNNING
-    assert pool.stats.misses == 1
+    assert [r["detail"]["hit"] for r in provider.log.of_kind("pool.allocate")] == [False]
     assert provider.counters["pool_misses"] == 1
 
 
@@ -312,9 +313,13 @@ def test_pool_replenishes_one_for_one():
     sim.run(until=301)
     sim.run_until(pool.allocate(ImageKind.MULTICASTER))
     assert pool.ready_count(ImageKind.MULTICASTER) == 1
+    # the one replacement is a fresh standby, not yet ready
+    replacement = provider.instance("pool-m-3")
+    assert replacement.tags == {"pool": "standby"}
+    assert "pool-m-4" not in provider.instances
     sim.run(until=sim.now + 301)
     assert pool.ready_count(ImageKind.MULTICASTER) == 2
-    assert pool.stats.replenishments == 1
+    assert replacement in pool.available[ImageKind.MULTICASTER]
 
 
 def test_pool_allocate_skips_terminated_standbys():
@@ -328,7 +333,8 @@ def test_pool_allocate_skips_terminated_standbys():
     inst = sim.run_until(pool.allocate(ImageKind.MULTICASTER))
     assert inst.state == InstanceState.RUNNING
     assert inst.id != first.id
-    assert pool.stats.hits == 1
+    assert [r["detail"]["hit"] for r in provider.log.of_kind("pool.allocate")] == [True]
+    assert provider.counters["pool_misses"] == 0
 
 
 # --- pool sizing ------------------------------------------------------------------------

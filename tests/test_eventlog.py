@@ -38,11 +38,3 @@ def test_of_kind_filters():
     log.emit(2.0, "a")
     assert [r["t"] for r in log.of_kind("a")] == [0.0, 2.0]
 
-
-def test_sink_receives_lines_as_emitted(tmp_path):
-    path = tmp_path / "live.jsonl"
-    with open(path, "w", encoding="utf-8") as sink:
-        log = EventLog(sink=sink)
-        log.emit(0.5, "k", v=1)
-        log.emit(0.7, "k", v=2)
-    assert load_records(str(path)) == log.records

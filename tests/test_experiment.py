@@ -17,6 +17,7 @@ from miserysim.experiment import (
     build_experiment_digraph,
     run_experiment,
 )
+from miserysim.target import RequestsServerNode
 
 KEY = re.compile(r"k(\d{5})")
 
@@ -234,6 +235,24 @@ def test_normal_chain_differential_oracle():
     # the store executed every correlation id at most once
     counts = misery.store.execution_counts()
     assert counts and all(n == 1 for n in counts.values())
+
+
+def test_churn_run_leaves_no_answered_entries_at_the_leaves():
+    # a delivered entry leaves its RS, so a long churn run holds nothing at
+    # the end, and the poller keeps no state for replaced leaves beyond links
+    result = run_experiment(ExperimentConfig(d=4, k=2, r=5.0, s=64, j=300.0,
+                                             rng_seed=1))
+    deployment = result.deployment
+    leaves = [node for node in deployment.runtimes.values()
+              if isinstance(node, RequestsServerNode)]
+    assert len(leaves) == 8
+    assert all(node.registry.pending == {} for node in leaves)
+    assert result.report.transformations > 0
+    assert set(deployment.ps._links) <= {node.id for node in leaves}
+    assert {rs_id for rs_id, _ in deployment.ps.endpoints} == {
+        node.id for node in leaves}
+    counters = result.log.records[-1]["counters"]
+    assert "unknown_deliveries" not in counters
 
 
 def test_same_seed_reproduces_event_log():

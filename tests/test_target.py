@@ -9,12 +9,9 @@ import pytest
 
 from miserysim import wire
 from miserysim.cloud import CloudProvider, ImageKind
-from miserysim.errors import ConflictingResponse, UnknownId
 from miserysim.eventlog import EventLog
 from miserysim.sim import Simulation
 from miserysim.target import (
-    ANSWERED,
-    PENDING,
     AppServerNode,
     BackendStore,
     DatabaseServerNode,
@@ -62,53 +59,44 @@ def test_store_logs_every_execution():
 
 def test_enqueue_is_idempotent():
     reg = RequestRegistry()
-    first = reg.enqueue(CORR, b"GET k", 1.0)
-    again = reg.enqueue(CORR, b"GET k", 2.0)
+    first = reg.enqueue(CORR, b"GET k")
+    again = reg.enqueue(CORR, b"GET k")
     assert again is first
-    assert len(reg) == 1
-    assert first.state == PENDING
-    assert first.enqueued_at == 1.0
+    assert list(reg.pending) == [CORR]
+    assert first.payload == b"GET k"
+    assert first.sessions == []
 
 
 def test_list_pending_cursor_flow():
+    # listing is stateless: every ask returns all pending entries and their count
     reg = RequestRegistry()
-    reg.enqueue(CORR, b"a", 0.0)
-    reg.enqueue(CORR2, b"b", 0.0)
-    batch, cursor = reg.list_pending(0)
-    assert batch == [(CORR, b"a"), (CORR2, b"b")]
-    assert cursor == 2
-    assert reg.list_pending(cursor) == ([], 2)
+    reg.enqueue(CORR, b"a")
+    reg.enqueue(CORR2, b"b")
+    assert reg.list_pending() == ([(CORR, b"a"), (CORR2, b"b")], 2)
+    assert reg.list_pending() == ([(CORR, b"a"), (CORR2, b"b")], 2)
     corr3 = bytes(range(32, 48))
-    reg.enqueue(corr3, b"c", 1.0)
-    batch, cursor = reg.list_pending(cursor)
-    assert batch == [(corr3, b"c")]
-    assert cursor == 3
+    reg.enqueue(corr3, b"c")
+    assert reg.list_pending() == ([(CORR, b"a"), (CORR2, b"b"), (corr3, b"c")], 3)
 
 
 def test_listing_skips_answered_entries():
     reg = RequestRegistry()
-    reg.enqueue(CORR, b"a", 0.0)
-    reg.enqueue(CORR2, b"b", 0.0)
-    reg.deliver(CORR, b"OK")
-    batch, cursor = reg.list_pending(0)
-    assert batch == [(CORR2, b"b")]
-    assert cursor == 1
-    assert reg.pending_count() == 1
+    reg.enqueue(CORR, b"a")
+    reg.enqueue(CORR2, b"b")
+    reg.deliver(CORR)
+    assert reg.list_pending() == ([(CORR2, b"b")], 1)
+    assert list(reg.pending) == [CORR2]
 
 
 def test_deliver_semantics():
     reg = RequestRegistry()
-    with pytest.raises(UnknownId):
-        reg.deliver(CORR, b"OK")
-    reg.enqueue(CORR, b"PUT k 1", 0.0)
-    entry = reg.deliver(CORR, b"OK")
-    assert entry.state == ANSWERED
-    assert entry.response == b"OK"
-    # idempotent when the bytes agree, a conflict when they do not
-    assert reg.deliver(CORR, b"OK") is entry
-    assert reg.pending_count() == 0
-    with pytest.raises(ConflictingResponse):
-        reg.deliver(CORR, b"NO")
+    assert reg.deliver(CORR) is None
+    reg.enqueue(CORR, b"PUT k 1")
+    entry = reg.pending[CORR]
+    # a delivered entry leaves; delivering it again finds nothing
+    assert reg.deliver(CORR) is entry
+    assert reg.pending == {}
+    assert reg.deliver(CORR) is None
 
 
 # --- requests server sessions --------------------------------------------------------
@@ -126,7 +114,7 @@ def test_session_registers_pending_and_waits():
     sim, _, node, _ = rs_fixture()
     got = []
     node.open_session(CORR, b"GET k", got.append)
-    assert node.registry.entries[CORR].state == PENDING
+    assert len(node.registry.pending[CORR].sessions) == 1
     sim.run(until=0.5)
     assert got == []
 
@@ -137,7 +125,7 @@ def test_session_releases_on_delivery():
     node.open_session(CORR, b"GET k", got.append)
     node.deliver(CORR, b"VAL 9")
     assert got == [wire.encode_response(CORR, b"VAL 9")]
-    assert node.registry.entries[CORR].state == ANSWERED
+    assert node.registry.pending == {}
     # the canceled timer must not fire a second answer
     sim.run(until=5.0)
     assert len(got) == 1
@@ -150,7 +138,7 @@ def test_session_times_out_at_exactly_u():
     sim.run(until=5.0)
     assert got == [(0.7, wire.encode_error(CORR, b"timeout"))]
     # timeout answers the client, never the registry
-    assert node.registry.entries[CORR].state == PENDING
+    assert node.registry.pending[CORR].sessions == []
 
 
 def test_duplicate_sessions_share_one_entry_and_both_release():
@@ -158,7 +146,7 @@ def test_duplicate_sessions_share_one_entry_and_both_release():
     got1, got2 = [], []
     node.open_session(CORR, b"GET k", got1.append)
     node.open_session(CORR, b"GET k", got2.append)
-    assert len(node.registry) == 1
+    assert len(node.registry.pending) == 1
     node.deliver(CORR, b"NIL")
     assert got1 == got2 == [wire.encode_response(CORR, b"NIL")]
 
@@ -171,8 +159,10 @@ def test_delivery_counters():
     sim.run(until=1.0)   # session timed out; entry still pending
     node.deliver(CORR, b"VAL 1")
     assert counters["late_deliveries"] == 1
-    node.deliver(CORR, b"VAL 2")
-    assert counters["conflicting_deliveries"] == 1
+    # the entry left on delivery: a repeat is an unknown id
+    node.deliver(CORR, b"VAL 1")
+    assert counters["unknown_deliveries"] == 2
+    assert counters["late_deliveries"] == 1
 
 
 def test_rs_answers_an_empty_payload_with_a_violation():
@@ -181,7 +171,7 @@ def test_rs_answers_an_empty_payload_with_a_violation():
     node.open_session(CORR, b"", got.append)
     assert got == [wire.encode_error(CORR, b"empty request payload")]
     assert counters["protocol_violations"] == 1
-    assert len(node.registry) == 0
+    assert node.registry.pending == {}
     sim.run(until=5.0)
     assert len(got) == 1
 
@@ -233,14 +223,15 @@ def poll_fixture(n_rs=4, m=0.05, window=600):
 
 def test_duplicate_across_leaves_executes_once_delivers_everywhere():
     sim, _, ps, nodes, store, log = poll_fixture()
+    answers = []
     for node in nodes:
-        node.open_session(CORR, b"PUT k 1", lambda f: None)
+        node.open_session(CORR, b"PUT k 1", answers.append)
     ps.start()
     sim.run(until=sim.now + 1.0)
     ps.stop()
     assert store.execution_counts() == {CORR: 1}
-    assert all(n.registry.entries[CORR].state == ANSWERED for n in nodes)
-    assert all(n.registry.entries[CORR].response == b"OK" for n in nodes)
+    assert answers == [wire.encode_response(CORR, b"OK")] * 4
+    assert all(n.registry.pending == {} for n in nodes)
     cycles = log.of_kind("poll.cycle")
     assert cycles[0]["detail"]["executed"] == 1
     assert cycles[0]["detail"]["collected"] == 4
@@ -257,7 +248,7 @@ def test_executed_cache_blocks_reexecution_of_relisted_entries():
     sim.run(until=sim.now + 0.5)
     ps.stop()
     assert store.execution_counts() == {CORR: 1}
-    assert nodes[1].registry.entries[CORR].state == ANSWERED
+    assert nodes[1].registry.pending == {}
 
 
 def test_executed_cache_evicts_beyond_window():
@@ -285,19 +276,58 @@ def test_executed_cache_drops_exactly_the_entries_older_than_the_horizon():
     assert list(ps.executed) == [c for c, n in zip(ids, cycles) if n >= 5]
 
 
-def test_set_record_drops_links_and_backlog_of_removed_endpoints():
+def test_set_record_drops_links_of_removed_endpoints():
     sim, provider, ps, nodes, _, _ = poll_fixture(n_rs=2)
     nodes[0].open_session(CORR, b"PUT k 1", lambda f: None)
     ps.start()
     sim.run(until=sim.now + 0.3)
     ps.stop()
     assert "rs0" in ps._links
-    ps.redeliver["rs0"] = {CORR: None}
+    channel = ps._links["rs0"].channel
     keep = [("rs1", provider.instance("rs1").address)]
     ps.set_record(keep)
     assert "rs0" not in ps._links
-    assert "rs0" not in ps.redeliver
+    assert channel.state == "closed"
     assert ps.endpoints == keep
+
+
+def test_lost_delivery_is_relisted_and_answered_from_the_executed_cache():
+    sim, provider, ps, nodes, store, _ = poll_fixture(n_rs=2)
+    closed = []
+
+    class CloseOnFirstDelivery:
+        """rs0's view of its poll channel: the first delivery frame that
+        reaches it closes the channel instead of answering."""
+
+        def __init__(self, channel):
+            self.channel = channel
+
+        def __getattr__(self, name):
+            return getattr(self.channel, name)
+
+        def on_message(self, side, fn):
+            def guarded(data):
+                if data[0] == wire.POLL_DELIVER and not closed:
+                    closed.append(sim.now)
+                    self.channel.close(side)
+                    return
+                fn(data)
+
+            self.channel.on_message(side, guarded)
+
+    provider.bind("rs0", 3306, on_channel=lambda channel: nodes[0].on_poll_channel(
+        CloseOnFirstDelivery(channel)))
+    answers = []
+    for node in nodes:
+        node.open_session(CORR, b"PUT k 1", answers.append)
+    ps.start()
+    sim.run(until=sim.now + 1.0)
+    ps.stop()
+    assert closed, "rs0 never received a delivery"
+    assert store.execution_counts() == {CORR: 1}
+    assert answers == [wire.encode_response(CORR, b"OK")] * 2
+    assert all(n.registry.pending == {} for n in nodes)
+    assert ps.counters["poll_errors"] == 1
 
 
 def test_polling_survives_unreachable_endpoints():
@@ -405,6 +435,9 @@ def test_baseline_chain_runs_the_real_handshake():
     assert ask_app(sim, provider, b"PUT k 1") == (wire.TYPE_RESPONSE, CORR, b"OK")
     assert ask_app(sim, provider, b"GET k", CORR2) == (
         wire.TYPE_RESPONSE, CORR2, b"VAL 1")
+    # an empty request never reaches the database
+    assert ask_app(sim, provider, b"", bytes(range(32, 48))) == (
+        wire.TYPE_ERROR, bytes(range(32, 48)), b"bad-frame-type")
     assert store.execution_counts() == {CORR: 1, CORR2: 1}
 
 

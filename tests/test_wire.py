@@ -16,6 +16,7 @@ from miserysim.wire import (
     HS_OK,
     MAX_PAYLOAD,
     POLL_ACK_FRAME,
+    POLL_LIST_FRAME,
     SESSION_HEAD_LEN,
     TYPE_ERROR,
     TYPE_REQUEST,
@@ -23,6 +24,7 @@ from miserysim.wire import (
     decode_frame,
     decode_greeting,
     decode_poll,
+    decode_request,
     decode_session_frame,
     decode_session_head,
     encode_error,
@@ -31,7 +33,6 @@ from miserysim.wire import (
     encode_http_request,
     encode_http_response,
     encode_poll_delivery,
-    encode_poll_list,
     encode_poll_listing,
     encode_request,
     encode_response,
@@ -74,6 +75,17 @@ def test_decode_rejects_trailing_and_multiple():
         decode_frame(encode_request(CORR, b"a") + b"\x00")
     with pytest.raises(ProtocolViolation):
         decode_frame(encode_request(CORR, b"a") * 2)
+
+
+def test_decode_request_answers_anything_but_a_request_with_an_error_frame():
+    assert decode_request(encode_request(CORR, b"GET k")) == (CORR, b"GET k", None)
+    assert decode_request(encode_request(CORR, b"")) == (CORR, b"", None)
+    corr, _, error = decode_request(b"garbage")
+    assert corr == bytes(16)
+    assert error == b"\x4d\x01\x03" + bytes(16) + b"\x00\x00\x00\x09bad-frame"
+    corr, _, error = decode_request(encode_response(CORR, b"OK"))
+    assert corr == CORR
+    assert error == b"\x4d\x01\x03" + CORR + b"\x00\x00\x00\x0ebad-frame-type"
 
 
 def test_decode_frame_rejects_every_cut():
@@ -160,7 +172,7 @@ def test_session_frame_rejects_oversized_payload():
 
 
 def test_poll_frames_golden_bytes():
-    assert encode_poll_list(7) == b"\x10" + b"\x00" * 7 + b"\x07"
+    assert POLL_LIST_FRAME == b"\x10"
     assert encode_poll_listing([]) == b"\x11\x00\x00\x00\x00"
     assert encode_poll_listing([(CORR, b"x")]) == (
         b"\x11\x00\x00\x00\x01" + CORR + b"\x00\x00\x00\x01x")
@@ -170,21 +182,20 @@ def test_poll_frames_golden_bytes():
 
 
 def test_poll_list_and_empty_listing_bytes_are_pinned():
-    assert encode_poll_list(0) == b"\x10\x00\x00\x00\x00\x00\x00\x00\x00"
-    assert encode_poll_list(1) == b"\x10\x00\x00\x00\x00\x00\x00\x00\x01"
-    assert encode_poll_list(2**64 - 1) == b"\x10\xff\xff\xff\xff\xff\xff\xff\xff"
+    assert POLL_LIST_FRAME == b"\x10"
     assert encode_poll_listing([]) == b"\x11\x00\x00\x00\x00"
-    # the prebuilt empty frame is immutable bytes, so sharing it is safe
+    # the prebuilt frames are immutable bytes, so sharing them is safe
+    assert type(POLL_LIST_FRAME) is bytes
     assert type(encode_poll_listing([])) is bytes
 
 
 POLL_ENTRIES = [(CORR, b"GET a"), (bytes(16), b"PUT b c")]
-POLL_FRAMES = [encode_poll_list(3),
+POLL_FRAMES = [POLL_LIST_FRAME,
                encode_poll_listing(POLL_ENTRIES),
                encode_poll_delivery(CORR, b"VAL x"),
                POLL_ACK_FRAME,
                encode_poll_listing([])]
-POLL_EVENTS = [("list", 3),
+POLL_EVENTS = [("list",),
                ("listing", POLL_ENTRIES),
                ("deliver", CORR, b"VAL x"),
                ("ack",),
