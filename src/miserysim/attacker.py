@@ -1,13 +1,22 @@
 """Lateral-movement adversary model, evaluated by Monte-Carlo replay.
 
 The attacker walks the digraph from the entry point one compromised child
-per hop interval.  Movement cycles replay against the same positional
-topology the deployed system uses: a cycle swaps a uniformly chosen pair in
-a uniformly chosen middle layer and replaces both instances.  A reset of the
-node the attacker currently holds evicts it to the entry point; a cycle that
-touches its discovered frontier forces it to re-discover and restart the
+per hop interval.  Movement cycles replay the same switch draw the deployed
+system uses (movement.draw_switch): a cycle picks a uniformly chosen pair in
+a uniformly chosen middle layer, swaps it and replaces both instances.  A
+reset of the node the attacker currently holds evicts it to the entry point;
+a reset of the child under attack forces it to re-choose and restart the
 in-progress hop.  Time is abstract here (no queueing, no network): what is
 measured is how many hop intervals survive the churn.
+
+The replay keeps positions, not node ids.  A cycle resets both nodes it
+switches, so the two swapped ids die at once and every live node stays in
+the slot it was created in: while a node lives, its (layer, slot) names it.
+"The cycle touched my foothold" is therefore "the cycle drew my slot", and
+the children of slot s are slots s*k .. s*k+k-1 of the next layer.  No
+digraph is rebuilt per cycle, and no knowledge of discovered child lists is
+kept: a cached list would be dropped by exactly the cycles that change it,
+so it always equals this fresh lookup and draws the same attack choices.
 """
 
 from __future__ import annotations
@@ -16,42 +25,18 @@ import functools
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NoEligibleLayer
-from .movement import select_transformation
-from .topology import (
-    MiseryDigraph,
-    MiseryDigraphSpec,
-    build_misery_digraph,
-    next_replacement_id,
-)
+from .movement import draw_switch
+from .topology import MiseryDigraph, MiseryDigraphSpec, build_misery_digraph
+
+ENTRY = (1, 0)
 
 
 class Strategy(Enum):
     UNIFORM_CHILD = "uniform-child"
     DEPTH_FIRST = "depth-first"
-
-
-@dataclass
-class AttackerState:
-    current: str
-    hop_time: float
-    strategy: Strategy
-    knowledge: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def discover(self, digraph: MiseryDigraph) -> tuple[str, ...]:
-        children = tuple(digraph.children_of(self.current))
-        self.knowledge[self.current] = children
-        return children
-
-    def forget(self, nodes: tuple[str, str]) -> None:
-        """Drop knowledge entries invalidated by a cycle touching nodes."""
-        gone = set(nodes)
-        for holder in list(self.knowledge):
-            if holder in gone or gone & set(self.knowledge[holder]):
-                del self.knowledge[holder]
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,40 +45,27 @@ def attack_digraph(d: int, k: int) -> MiseryDigraph:
     return build_misery_digraph(MiseryDigraphSpec(d, k))
 
 
-def _apply_cycle(digraph: MiseryDigraph, rng: random.Random,
-                 generations: dict) -> tuple[MiseryDigraph, tuple[str, str]]:
-    """One movement cycle: swap a pair, then replace both instances."""
-    op = select_transformation(digraph, rng)
-    out = digraph.with_positions_swapped(*op.nodes)
-    for old in op.nodes:
-        out = out.with_node_replaced(old, next_replacement_id(out, old, generations))
-    return out, op.nodes
-
-
 def simulate_one(d: int, k: int, *, hop_time: float, strategy: Strategy,
                  r: float | None, seed: int,
                  horizon: float | None = None) -> float:
     """Time for one attacker to compromise a layer-d node; inf if the
     horizon passes first.  r=None runs against a static digraph."""
-    digraph = attack_digraph(d, k)
+    spec = attack_digraph(d, k).spec
     move_rng = random.Random(f"{seed}/movement")
     attack_rng = random.Random(f"{seed}/attack")
-    generations: dict = {}
-    entry = digraph.root
-    state = AttackerState(current=entry, hop_time=hop_time, strategy=strategy)
     if horizon is None:
         horizon = 500.0 * hop_time
 
-    def choose() -> str:
-        children = state.knowledge.get(state.current)
-        if children is None:
-            children = state.discover(digraph)
+    def choose(position: tuple[int, int]) -> tuple[int, int]:
+        layer, slot = position
+        first = slot * k
         if strategy is Strategy.DEPTH_FIRST:
-            return children[0]
-        return attack_rng.choice(children)
+            return layer + 1, first
+        return layer + 1, attack_rng.choice(range(first, first + k))
 
     t = 0.0
-    goal = choose()
+    current = ENTRY
+    goal = choose(current)
     hop_end = t + hop_time
     next_move = r if r is not None else math.inf
     while True:
@@ -103,29 +75,27 @@ def simulate_one(d: int, k: int, *, hop_time: float, strategy: Strategy,
             if t > horizon:
                 return math.inf
             try:
-                digraph, touched = _apply_cycle(digraph, move_rng, generations)
+                layer, a, b = draw_switch(spec, move_rng)
             except NoEligibleLayer:
                 continue
-            state.forget(touched)
-            if state.current in touched:
+            touched = ((layer, a), (layer, b))
+            if current in touched:
                 # current foothold reset: back to the entry point
-                state.current = entry
-                goal = choose()
-                hop_end = t + hop_time
-            elif goal in touched:
-                # the instance under attack was replaced; severance is
-                # immediate, so the attacker re-chooses straight away
-                goal = choose()
-                hop_end = t + hop_time
+                current = ENTRY
+            elif goal not in touched:
+                continue
+            # else the instance under attack was replaced; severance is
+            # immediate, so the attacker re-chooses straight away
+            goal = choose(current)
+            hop_end = t + hop_time
             continue
         t = hop_end
         if t > horizon:
             return math.inf
-        state.current = goal
-        state.discover(digraph)
-        if digraph.layer_of(state.current) >= digraph.d:
+        current = goal
+        if current[0] >= d:
             return t
-        goal = choose()
+        goal = choose(current)
         hop_end = t + hop_time
 
 
@@ -147,11 +117,13 @@ def sign_test(greater: int, less: int) -> float:
 
 
 def summarize(times: list[float]) -> dict:
+    """JSON-safe summary: a median that falls on censored runs is None."""
     finite = sorted(x for x in times if math.isfinite(x))
+    median = statistics.median(times) if times else math.inf
     return {
         "runs": len(times),
         "censored": len(times) - len(finite),
-        "median": statistics.median(times) if times else None,
+        "median": median if math.isfinite(median) else None,
         "mean": statistics.fmean(finite) if finite else None,
         "min": finite[0] if finite else None,
         "max": finite[-1] if finite else None,

@@ -145,6 +145,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     strategy = attacker_mod.Strategy(args.strategy)
+    if args.r is not None and not math.isfinite(args.r):
+        raise ConfigError("--r must be finite (omit it or pass <= 0 for static)")
+    if not (math.isfinite(args.hop) and args.hop > 0):
+        raise ConfigError("--hop must be finite and > 0")
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be >= 1")
     r = None if args.r is None or args.r <= 0 else args.r
     times = attacker_mod.simulate_attacker(
         args.d, args.k, hop_time=args.hop, strategy=strategy, r=r,
@@ -152,7 +158,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     doc = attacker_mod.summarize(times)
     doc.update({"d": args.d, "k": args.k, "hop_time": args.hop,
                 "r": r, "strategy": strategy.value})
-    json.dump(doc, sys.stdout, sort_keys=True, indent=2)
+    json.dump(doc, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
     print()
     return EXIT_OK
 

@@ -78,16 +78,26 @@ def rule_delta(before: MiseryDigraph, after: MiseryDigraph,
     return revoke, grant
 
 
-def select_transformation(digraph: MiseryDigraph, rng: random.Random) -> SwitchOp:
-    """Uniform layer from the eligible middle layers, then a uniform node
-    pair without replacement from that layer."""
-    eligible = _eligible_layers(digraph.spec)
+def draw_switch(spec: MiseryDigraphSpec, rng: random.Random) -> tuple[int, int, int]:
+    """(layer, slot_a, slot_b): a uniform layer from the eligible middle
+    layers, then a uniform slot pair without replacement from that layer.
+    The live cycle and the attacker replay both draw here.  random.sample
+    draws by index, so sampling the slot range picks the same pair as
+    sampling the layer's node tuple."""
+    eligible = _eligible_layers(spec)
     if not eligible:
         raise NoEligibleLayer(
-            f"no layer in 2..{digraph.d} has two nodes (k={digraph.k})")
+            f"no layer in 2..{spec.d} has two nodes (k={spec.k})")
     layer = rng.choice(eligible)
-    u, v = rng.sample(digraph.layer(layer), 2)
-    return SwitchOp(layer, (u, v))
+    a, b = rng.sample(range(spec.layer_width(layer)), 2)
+    return layer, a, b
+
+
+def select_transformation(digraph: MiseryDigraph, rng: random.Random) -> SwitchOp:
+    """draw_switch, with the drawn slots named by the nodes now in them."""
+    layer, a, b = draw_switch(digraph.spec, rng)
+    row = digraph.layer(layer)
+    return SwitchOp(layer, (row[a], row[b]))
 
 
 class MovementManager:

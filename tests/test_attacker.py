@@ -7,16 +7,18 @@ import math
 import random
 import statistics
 
+import pytest
+
 from miserysim.attacker import (
-    AttackerState,
     Strategy,
-    _apply_cycle,
     attack_digraph,
     sign_test,
     simulate_attacker,
     simulate_one,
     summarize,
 )
+from miserysim.errors import InvalidSpec
+from miserysim.topology import next_replacement_id
 
 
 # --- static digraph: pure hop arithmetic ---------------------------------------
@@ -46,68 +48,105 @@ def test_simulation_is_seed_deterministic():
     assert len(set(times)) > 1
 
 
-# --- knowledge bookkeeping -------------------------------------------------------
+# --- the digraph-walking reference replay ------------------------------------------
 
-def test_forget_drops_holders_and_stale_parents():
-    state = AttackerState(current="a", hop_time=1.0,
-                          strategy=Strategy.DEPTH_FIRST,
-                          knowledge={"a": ("b", "c"), "b": ("x", "y"),
-                                     "q": ("z",)})
-    state.forget(("b", "unrelated"))
-    # "b" was replaced (holder) and "a" pointed at it (stale child list)
-    assert state.knowledge == {"q": ("z",)}
-
-
-def test_discover_caches_children():
-    digraph = attack_digraph(3, 2)
-    entry = digraph.layer(1)[0]
-    state = AttackerState(current=entry, hop_time=1.0,
-                          strategy=Strategy.DEPTH_FIRST)
-    children = state.discover(digraph)
-    assert children == tuple(digraph.children_of(entry))
-    assert state.knowledge[entry] == children
-
-
-# --- replayed movement cycles -----------------------------------------------------
-
-def test_cycles_preserve_shape_and_spare_edges_of_the_walk():
-    digraph = attack_digraph(3, 2)
-    widths = [len(digraph.layer(i)) for i in range(1, 4)]
-    rng = random.Random(77)
+def _oracle(d, k, *, hop_time, strategy, r, seed, horizon=None):
+    """The replay walked on node ids: every cycle derives a new digraph by
+    swapping and replacing the drawn pair, and the attacker caches each
+    child list it discovers and forgets the lists a cycle touches."""
+    digraph = attack_digraph(d, k)
+    eligible = [a for a in range(2, d + 1) if len(digraph.layer(a)) >= 2]
+    move_rng = random.Random(f"{seed}/movement")
+    attack_rng = random.Random(f"{seed}/attack")
     generations: dict = {}
-    for _ in range(60):
-        before = set(digraph.all_nodes())
-        digraph, touched = _apply_cycle(digraph, rng, generations)
-        digraph.validate()
-        assert [len(digraph.layer(i)) for i in range(1, 4)] == widths
-        assert digraph.layer(1) == ("web",)
-        assert digraph.target == "db"
-        # touched names existed beforehand and are gone afterwards
-        assert set(touched) <= before
-        assert not set(touched) & set(digraph.all_nodes())
+    knowledge: dict[str, tuple[str, ...]] = {}
+    entry = current = digraph.root
+    if horizon is None:
+        horizon = 500.0 * hop_time
+
+    def discover():
+        knowledge[current] = tuple(digraph.children_of(current))
+        return knowledge[current]
+
+    def forget(touched):
+        gone = set(touched)
+        for holder in list(knowledge):
+            if holder in gone or gone & set(knowledge[holder]):
+                del knowledge[holder]
+
+    def choose():
+        children = knowledge.get(current)
+        if children is None:
+            children = discover()
+        if strategy is Strategy.DEPTH_FIRST:
+            return children[0]
+        return attack_rng.choice(children)
+
+    t = 0.0
+    goal = choose()
+    hop_end = t + hop_time
+    next_move = r if r is not None else math.inf
+    while True:
+        if next_move < hop_end:
+            t = next_move
+            next_move += r
+            if t > horizon:
+                return math.inf
+            if not eligible:
+                continue
+            touched = tuple(move_rng.sample(
+                digraph.layer(move_rng.choice(eligible)), 2))
+            digraph = digraph.with_positions_swapped(*touched)
+            for old in touched:
+                digraph = digraph.with_node_replaced(
+                    old, next_replacement_id(digraph, old, generations))
+            forget(touched)
+            if current in touched:
+                current = entry
+            elif goal not in touched:
+                continue
+            goal = choose()
+            hop_end = t + hop_time
+            continue
+        t = hop_end
+        if t > horizon:
+            return math.inf
+        current = goal
+        discover()
+        if digraph.layer_of(current) >= d:
+            return t
+        goal = choose()
+        hop_end = t + hop_time
 
 
-def test_replacements_advance_generations():
-    digraph = attack_digraph(3, 2)
-    rng = random.Random(5)
-    generations: dict = {}
-    seen: dict[tuple, int] = {}
-    for _ in range(40):
-        digraph, _ = _apply_cycle(digraph, rng, generations)
-    for key, gen in generations.items():
-        assert gen >= 1
-        assert key not in seen
-        seen[key] = gen
-    # ids in the digraph carry the latest generation for their slot
-    checked = 0
-    for layer_no in (2, 3):
-        for slot, node in enumerate(digraph.layer(layer_no)):
-            if node.startswith("L"):
-                expected_gen = generations.get((layer_no, slot))
-                if expected_gen is not None and ".g" in node:
-                    assert node == f"L{layer_no}.s{slot}.g{expected_gen}"
-                    checked += 1
-    assert checked
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+@pytest.mark.parametrize("r", [None, 0.2, 0.5, 3.0])
+def test_replay_matches_the_digraph_walking_oracle(r, strategy):
+    delayed = censored = 0
+    for d in range(2, 7):
+        for k in range(1, 5):
+            seeds = range(12) if k ** (d - 1) <= 64 else range(3)
+            for seed in seeds:
+                for horizon in (None, 4.0):
+                    kwargs = dict(hop_time=1.0, strategy=strategy, r=r,
+                                  seed=seed, horizon=horizon)
+                    t = simulate_one(d, k, **kwargs)
+                    assert t == _oracle(d, k, **kwargs), (d, k, seed, horizon)
+                    censored += t == math.inf
+                    delayed += d - 1 < t < math.inf
+    # the comparison covers censored walks and, under movement, resets of
+    # the foothold or the goal, not only undisturbed walks
+    assert censored
+    assert delayed if r is not None else not delayed
+
+
+def test_replay_rejects_bad_shapes():
+    with pytest.raises(InvalidSpec):
+        simulate_one(1, 2, hop_time=1.0, strategy=Strategy.DEPTH_FIRST,
+                     r=None, seed=0)
+    with pytest.raises(InvalidSpec):
+        simulate_one(3, 0, hop_time=1.0, strategy=Strategy.DEPTH_FIRST,
+                     r=None, seed=0)
 
 
 # --- churn slows the walk -----------------------------------------------------------
@@ -158,5 +197,6 @@ def test_summarize_empty_and_all_censored():
     empty = summarize([])
     assert empty["runs"] == 0 and empty["median"] is None
     censored = summarize([math.inf, math.inf])
-    assert censored["censored"] == 2
+    assert censored["censored"] == 2 and censored["median"] is None
+    assert summarize([1.0, math.inf, math.inf])["median"] is None
     assert censored["mean"] is None and censored["min"] is None

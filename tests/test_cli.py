@@ -180,6 +180,25 @@ def test_attack_treats_nonpositive_period_as_static(capsys):
     assert doc["r"] is None and doc["median"] == 2.0
 
 
+@pytest.mark.parametrize("extra", [
+    "--r=nan", "--r=inf", "--r=-inf", "--hop=nan", "--hop=inf", "--hop=-1",
+    "--hop=0", "--seeds=-3", "--seeds=0"])
+def test_attack_rejects_bad_input(capsys, extra):
+    assert main(["attack", "--d", "3", "--k", "2", "--seeds", "5", extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_attack_prints_a_censored_median_as_null(capsys):
+    # a cycle every 0.1 s resets the goal about 50 times per 10 s hop, so
+    # every run reaches the horizon
+    assert main(["attack", "--d", "3", "--k", "2", "--seeds", "5",
+                 "--r", "0.1", "--hop", "10"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out, parse_constant=pytest.fail)
+    assert doc["censored"] == doc["runs"] == 5 and doc["median"] is None
+
+
 def test_report_regenerates_identical_artifacts(tmp_path):
     run_dir = tmp_path / "run"
     rep_dir = tmp_path / "rep"
