@@ -41,7 +41,8 @@ class Strategy(Enum):
 
 @functools.lru_cache(maxsize=None)
 def attack_digraph(d: int, k: int) -> MiseryDigraph:
-    """The replay's starting digraph; immutable, so built once per shape."""
+    """The digraph the replay walks, for callers that need its nodes; the
+    replay itself needs only the shape.  Immutable, so built once per shape."""
     return build_misery_digraph(MiseryDigraphSpec(d, k))
 
 
@@ -50,7 +51,7 @@ def simulate_one(d: int, k: int, *, hop_time: float, strategy: Strategy,
                  horizon: float | None = None) -> float:
     """Time for one attacker to compromise a layer-d node; inf if the
     horizon passes first.  r=None runs against a static digraph."""
-    spec = attack_digraph(d, k).spec
+    spec = MiseryDigraphSpec(d, k)
     move_rng = random.Random(f"{seed}/movement")
     attack_rng = random.Random(f"{seed}/attack")
     if horizon is None:

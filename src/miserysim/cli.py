@@ -78,7 +78,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rate", type=float,
                         help="requests per second (sets the think interval)")
     parser.add_argument("--compress", type=float,
-                        help="wall-clock seconds per simulated second (0 = free-run)")
+                        help="simulated seconds per wall-clock second (0 = free-run)")
     parser.add_argument("--n-requests", type=int, dest="n_requests",
                         help="stop after this many requests")
 
@@ -107,15 +107,17 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as err:
             raise ConfigError(f"bad digraph file {args.digraph}: {err}") from err
     digraph = MiseryDigraph.from_json_dict(doc)
+    if args.s < 0:
+        raise ConfigError("--s must be >= 0")
     sim = Simulation(args.seed or 0)
     events = EventLog()
     provider = CloudProvider(sim, events)
     addresses = AddressServer(sim, events)
     task = sim.spawn(deploy_misery(sim, provider, addresses, events,
                                    provider.counters, digraph,
-                                   u=1.0, m=0.1, s=args.s if args.s is not None else 8))
+                                   u=1.0, m=0.1, s=args.s))
     sim.run_until(task.future)
-    state = {"cloud": provider.snapshot().to_json_dict(),
+    state = {"cloud": provider.snapshot(),
              "addresses": addresses.dump(), "t": sim.now}
     out = args.output or "state.json"
     with open(out, "w", encoding="utf-8") as fh:
@@ -187,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deploy.add_argument("--digraph", required=True, help="digraph JSON path")
     p_deploy.add_argument("--output", "-o", help="state dump path")
     p_deploy.add_argument("--seed", type=int, default=0)
-    p_deploy.add_argument("--s", type=int, help="standby pool size")
+    p_deploy.add_argument("--s", type=int, default=8, help="standby pool size")
     p_deploy.set_defaults(fn=cmd_deploy)
 
     p_run = sub.add_parser("run", help="run a full experiment")

@@ -3,10 +3,12 @@
 The provider is the single authority over instance lifecycles, pair rules and
 every byte in flight.  Traffic comes in two shapes: a one-shot request/reply
 Exchange (one frame each way, used on tree hops and for the public entry
-surface) and a Channel (an ordered bidirectional pipe, used for the
-handshake and poll dialogues).  Both check the firewall at the attempt
-instant; a later rule revocation or instance termination severs them, which
-is how transformation windows surface as failed requests.
+surface) and a pipe of two Channel ends (ordered and bidirectional, used
+for the handshake and poll dialogues): the opener holds one end, the
+acceptor the other, and each end sends to its peer.  Both check the
+firewall at the attempt instant; a later rule revocation or instance
+termination severs them, which is how transformation windows surface as
+failed requests.  The firewall holds topology.FirewallRule values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from enum import Enum
 from typing import Callable
 
 from .errors import (
-    CapacityExceeded,
     ConnectionRefused,
     InvalidState,
     SessionSevered,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .eventlog import EventLog
 from .sim import Future, PRIO_NETWORK, PRIO_PROVIDER, Simulation
-from .topology import PUBLIC_INTERNET, FirewallRuleSet
+from .topology import PUBLIC_INTERNET, FirewallRule
 
 logger = logging.getLogger(__name__)
 
@@ -60,27 +61,6 @@ class Instance:
                 "created_at": self.created_at}
 
 
-@dataclass(frozen=True)
-class RuleKey:
-    src: str
-    dst: str
-    port: int
-
-
-@dataclass(frozen=True)
-class CloudSnapshot:
-    t: float
-    instances: tuple[Instance, ...]
-    rules: tuple[RuleKey, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "instances": [i.to_dict() for i in self.instances],
-            "rules": [{"src": r.src, "dst": r.dst, "port": r.port} for r in self.rules],
-        }
-
-
 class Exchange:
     """One request frame and one reply frame between two endpoints."""
 
@@ -97,82 +77,75 @@ class Exchange:
 
 
 class Channel:
-    """Ordered bidirectional message pipe; sides are "a" (opener) and "b".
+    """One end of an ordered bidirectional message pipe.
 
-    The bus is message-framed: each send arrives at the peer as one whole
-    message, never split or merged, so receivers decode one message at a
-    time.  Incoming messages are buffered until the side installs an
-    on_message callback.  state is open | closed | severed; severance
-    rejects both sides via their on_error callbacks (this is the
-    attacker-session audit surface for movement), and a close by one side
-    rejects the other's.
+    The opener's end and the acceptor's end are each other's peer; send on
+    one end arrives at the other.  The bus is message-framed: each send
+    arrives as one whole message, never split or merged, so receivers decode
+    one message at a time.  Messages arriving before the end installs an
+    on_message callback are buffered.  The two ends share one state, open |
+    closed | severed: a close by one end rejects the peer's on_error, and a
+    severance rejects both ends' (this is the attacker-session audit surface
+    for movement).
     """
 
-    __slots__ = ("seq", "a", "b", "port", "state", "_provider",
+    __slots__ = ("node", "port", "peer", "state", "_provider",
                  "_on_message", "_on_error", "_inbox", "_last_at")
 
-    def __init__(self, provider: "CloudProvider", seq: int, a: str, b: str, port: int):
-        self.seq = seq
-        self.a = a
-        self.b = b
+    def __init__(self, provider: "CloudProvider", node: str, port: int):
+        self.node = node
         self.port = port
+        self.peer: Channel | None = None
         self.state = "open"
         self._provider = provider
-        self._on_message: dict[str, Callable[[bytes], None] | None] = {"a": None, "b": None}
-        self._on_error: dict[str, Callable[[Exception], None] | None] = {"a": None, "b": None}
-        self._inbox: dict[str, list[bytes]] = {"a": [], "b": []}
-        self._last_at: dict[str, float] = {"a": 0.0, "b": 0.0}
+        self._on_message: Callable[[bytes], None] | None = None
+        self._on_error: Callable[[Exception], None] | None = None
+        self._inbox: list[bytes] = []
+        self._last_at = 0.0    # arrival time of the latest message to this end
 
-    def endpoint(self, side: str) -> str:
-        return self.a if side == "a" else self.b
-
-    def peer(self, side: str) -> str:
-        return self.b if side == "a" else self.a
-
-    def on_message(self, side: str, fn: Callable[[bytes], None]) -> None:
-        self._on_message[side] = fn
-        queued, self._inbox[side] = self._inbox[side], []
+    def on_message(self, fn: Callable[[bytes], None]) -> None:
+        self._on_message = fn
+        queued, self._inbox = self._inbox, []
         for data in queued:
             fn(data)
 
-    def on_error(self, side: str, fn: Callable[[Exception], None]) -> None:
-        self._on_error[side] = fn
+    def on_error(self, fn: Callable[[Exception], None]) -> None:
+        self._on_error = fn
 
-    def send(self, side: str, data: bytes) -> None:
+    def send(self, data: bytes) -> None:
         if self.state != "open":
             return
-        self._provider._channel_send(self, "b" if side == "a" else "a", data)
+        self._provider._channel_send(self.peer, data)
 
-    def close(self, side: str) -> None:
-        """Close from `side`; the peer's on_error, if it installed one,
-        hears SessionSevered at this instant."""
+    def close(self) -> None:
+        """Close the pipe; the peer's on_error, if it installed one, hears
+        SessionSevered at this instant."""
         if self.state != "open":
             return
-        self.state = "closed"
-        fn = self._on_error["b" if side == "a" else "a"]
+        self.state = self.peer.state = "closed"
+        fn = self.peer._on_error
         if fn is not None:
             self._provider.sim.schedule(
-                0.0, fn, SessionSevered(f"channel closed by {self.endpoint(side)}"),
+                0.0, fn, SessionSevered(f"channel closed by {self.node}"),
                 priority=PRIO_NETWORK)
 
-    def _deliver(self, side: str, data: bytes) -> None:
+    def _deliver(self, data: bytes) -> None:
         if self.state != "open":
             return
-        fn = self._on_message[side]
+        fn = self._on_message
         if fn is None:
-            self._inbox[side].append(data)
+            self._inbox.append(data)
         else:
             fn(data)
 
     def _sever(self, reason: Exception) -> None:
-        if self.state != "open":
-            return
-        self.state = "severed"
-        for side in ("a", "b"):
-            fn = self._on_error[side]
-            if fn is not None:
+        """Sever the pipe from the opener's end: this end hears it first."""
+        self.state = self.peer.state = "severed"
+        for end in (self, self.peer):
+            if end._on_error is not None:
                 self._provider.sim.schedule(
-                    self._provider.hop_latency(), fn, reason, priority=PRIO_NETWORK)
+                    self._provider.hop_latency(), end._on_error, reason,
+                    priority=PRIO_NETWORK)
 
 
 class InstancePool:
@@ -279,20 +252,18 @@ class CloudProvider:
     def __init__(self, sim: Simulation, log: EventLog, *,
                  provisioning_latency: float = 300.0,
                  hop_latency: tuple[float, float] = (0.001, 0.005),
-                 api_latency: tuple[float, float] = (0.05, 0.2),
-                 instance_cap: int | None = None):
+                 api_latency: tuple[float, float] = (0.05, 0.2)):
         self.sim = sim
         self.log = log
         self.provisioning_latency = provisioning_latency
         self._hop = hop_latency
         self._api = api_latency
-        self.instance_cap = instance_cap
         self.instances: dict[str, Instance] = {}
         self._by_address: dict[str, str] = {}
-        self.rules: set[RuleKey] = set()
+        self.rules: set[FirewallRule] = set()
         self._handlers: dict[tuple[str, int], dict] = {}
         self._exchanges: dict[int, Exchange] = {}
-        self.channels: list[Channel] = []
+        self.channels: list[Channel] = []    # opener ends, in open order
         self._seq = itertools.count(1)
         self._addr_seq = itertools.count(1)
         self.counters: Counter[str] = Counter()
@@ -316,16 +287,8 @@ class CloudProvider:
         self.pool = InstancePool(self, s)
         return self.pool
 
-    def _live_count(self) -> int:
-        return sum(1 for i in self.instances.values()
-                   if i.state != InstanceState.TERMINATED)
-
-    def create_instance(self, image: ImageKind, *, instance_id: str | None = None,
+    def create_instance(self, image: ImageKind, *, instance_id: str,
                         tags: dict[str, str] | None = None) -> Instance:
-        if self.instance_cap is not None and self._live_count() >= self.instance_cap:
-            raise CapacityExceeded(f"instance cap {self.instance_cap} reached")
-        if instance_id is None:
-            instance_id = f"i-{next(self._addr_seq):06d}"
         if instance_id in self.instances:
             raise InvalidState(f"instance id {instance_id!r} already exists")
         n = next(self._addr_seq)
@@ -350,7 +313,7 @@ class CloudProvider:
     def adopt_instance(self, old_id: str, new_id: str,
                        tags: dict[str, str] | None = None) -> Instance:
         """Rename an unattached instance to its digraph node id at attach time."""
-        inst = self._get(old_id)
+        inst = self.instance(old_id)
         if inst.state != InstanceState.RUNNING:
             raise InvalidState(f"{old_id!r} is {inst.state.value}, not running")
         if new_id in self.instances:
@@ -366,7 +329,7 @@ class CloudProvider:
         return inst
 
     def terminate_instance(self, instance_id: str) -> None:
-        inst = self._get(instance_id)
+        inst = self.instance(instance_id)
         if inst.state == InstanceState.TERMINATED:
             raise UnknownInstance(f"{instance_id!r} already terminated")
         inst.state = InstanceState.TERMINATED
@@ -376,20 +339,18 @@ class CloudProvider:
         dropped = [r for r in self.rules if instance_id in (r.src, r.dst)]
         for rule in dropped:
             self.rules.discard(rule)
-        self._sever_instance(instance_id)
+        self._sever_matching(SessionSevered(f"instance {instance_id} terminated"),
+                             lambda src, dst, port: instance_id in (src, dst))
         self.log.emit(self.sim.now, "instance.terminated", instance=instance_id,
                       detail={"rules_dropped": len(dropped)})
         if not inst.ready.done:
             inst.ready.reject(InvalidState(f"{instance_id!r} terminated"))
 
-    def _get(self, instance_id: str) -> Instance:
+    def instance(self, instance_id: str) -> Instance:
         try:
             return self.instances[instance_id]
         except KeyError:
             raise UnknownInstance(instance_id) from None
-
-    def instance(self, instance_id: str) -> Instance:
-        return self._get(instance_id)
 
     # -- rules ----------------------------------------------------------------
 
@@ -397,52 +358,45 @@ class CloudProvider:
         if node != PUBLIC_INTERNET and node not in self.instances:
             raise UnknownInstance(node)
 
-    def grant(self, src: str, dst: str, port: int) -> None:
-        self._check_endpoint(src)
-        self._check_endpoint(dst)
-        self.rules.add(RuleKey(src, dst, port))
+    def _revoke(self, rule: FirewallRule) -> None:
+        self.rules.discard(rule)
+        key = (rule.src, rule.dst, rule.port)
+        self._sever_matching(
+            SessionSevered(f"rule {rule.src}->{rule.dst}:{rule.port} revoked"),
+            lambda src, dst, port: (src, dst, port) == key)
 
-    def revoke(self, src: str, dst: str, port: int) -> None:
-        key = RuleKey(src, dst, port)
-        self.rules.discard(key)
-        self._sever_edge(key)
-
-    def rewrite_rules(self, revoke: list[tuple[str, str, int]],
-                      grant: list[tuple[str, str, int]]) -> None:
-        """One atomic security-group transaction: revokes plus grants."""
-        for src, dst, port in grant:
-            self._check_endpoint(src)
-            self._check_endpoint(dst)
-        for src, dst, port in revoke:
-            key = RuleKey(src, dst, port)
-            self.rules.discard(key)
-            self._sever_edge(key)
-        for src, dst, port in grant:
-            self.rules.add(RuleKey(src, dst, port))
-        self.log.emit(self.sim.now, "rules.rewrite", instance=None,
-                      detail={"revoked": sorted([list(r) for r in revoke]),
-                              "granted": sorted([list(g) for g in grant])})
-
-    def apply_rules(self, ruleset: FirewallRuleSet) -> None:
-        """Wholesale replacement of the rule table (initial deployment)."""
-        for rule in ruleset:
+    def rewrite_rules(self, revoke: list[FirewallRule],
+                      grant: list[FirewallRule]) -> None:
+        """One atomic security-group transaction: revokes, in the given
+        order, plus grants.  Every grant is checked before anything changes."""
+        for rule in grant:
             self._check_endpoint(rule.src)
             self._check_endpoint(rule.dst)
-        target = {RuleKey(r.src, r.dst, r.port) for r in ruleset}
-        for gone in sorted(self.rules - target, key=lambda r: (r.src, r.dst, r.port)):
-            self.rules.discard(gone)
-            self._sever_edge(gone)
-        self.rules |= target
+        for rule in revoke:
+            self._revoke(rule)
+        self.rules.update(grant)
+        self.log.emit(self.sim.now, "rules.rewrite", instance=None,
+                      detail={"revoked": [[r.src, r.dst, r.port] for r in sorted(revoke)],
+                              "granted": [[r.src, r.dst, r.port] for r in sorted(grant)]})
+
+    def apply_rules(self, rules: frozenset[FirewallRule]) -> None:
+        """Wholesale replacement of the rule table (initial deployment)."""
+        for rule in rules:
+            self._check_endpoint(rule.src)
+            self._check_endpoint(rule.dst)
+        for gone in sorted(self.rules - rules):
+            self._revoke(gone)
+        self.rules |= rules
         self.log.emit(self.sim.now, "rules.applied", instance=None,
                       detail={"count": len(self.rules)})
 
     def allows(self, src: str, dst: str, port: int) -> bool:
-        return RuleKey(src, dst, port) in self.rules
+        return FirewallRule(src, dst, port) in self.rules
 
     # -- endpoints -------------------------------------------------------------
 
     def bind(self, node_id: str, port: int, *, on_request=None, on_channel=None) -> None:
-        self._get(node_id)
+        self.instance(node_id)
         self._handlers[(node_id, port)] = {"request": on_request, "channel": on_channel}
 
     def unbind(self, node_id: str) -> None:
@@ -524,13 +478,17 @@ class CloudProvider:
     # -- channels ------------------------------------------------------------------
 
     def open_channel(self, src: str, dst_address: str, port: int) -> Future:
+        """Future resolving to src's end of a new channel; the on_channel
+        handler bound at the destination receives the other end."""
         future = Future()
         inst, latency = self._admit(src, dst_address, port, "channel", future)
         if inst is None:
             return future
         if len(self.channels) > 64:
             self.channels = [c for c in self.channels if c.state == "open"]
-        channel = Channel(self, next(self._seq), src, inst.id, port)
+        channel = Channel(self, src, port)
+        channel.peer = Channel(self, inst.id, port)
+        channel.peer.peer = channel
         self.channels.append(channel)
         self.sim.schedule(latency, self._accept_channel, channel, future,
                           priority=PRIO_NETWORK)
@@ -540,12 +498,14 @@ class CloudProvider:
         if channel.state != "open":
             future.reject(SessionSevered("channel severed during open"))
             return
-        handler = self._handlers.get((channel.b, channel.port))
+        accepted = channel.peer
+        handler = self._handlers.get((accepted.node, channel.port))
         if handler is None or handler["channel"] is None:
-            channel.close("b")
-            future.reject(ConnectionRefused(f"{channel.b}:{channel.port} endpoint gone"))
+            accepted.close()
+            future.reject(ConnectionRefused(
+                f"{accepted.node}:{channel.port} endpoint gone"))
             return
-        handler["channel"](channel)
+        handler["channel"](accepted)
         self.sim.schedule(self.hop_latency(), self._channel_ready, channel, future,
                           priority=PRIO_NETWORK)
 
@@ -555,31 +515,24 @@ class CloudProvider:
         else:
             future.resolve(channel)
 
-    def _channel_send(self, channel: Channel, to_side: str, data: bytes) -> None:
+    def _channel_send(self, to: Channel, data: bytes) -> None:
         # FIFO per direction: a frame must not overtake an earlier one even
         # when it draws a shorter hop latency
-        at = max(self.sim.now + self.hop_latency(), channel._last_at[to_side])
-        channel._last_at[to_side] = at
-        self.sim.schedule_at(at, channel._deliver, to_side, data,
-                             priority=PRIO_NETWORK)
+        at = max(self.sim.now + self.hop_latency(), to._last_at)
+        to._last_at = at
+        self.sim.schedule_at(at, to._deliver, data, priority=PRIO_NETWORK)
 
     # -- severance ---------------------------------------------------------------
 
-    def _sever_edge(self, key: RuleKey) -> None:
-        reason = SessionSevered(f"rule {key.src}->{key.dst}:{key.port} revoked")
-        for ex in [e for e in self._exchanges.values()
-                   if (e.src, e.dst, e.port) == (key.src, key.dst, key.port)]:
+    def _sever_matching(self, reason: SessionSevered,
+                        hit: Callable[[str, str, int], bool]) -> None:
+        """Cut every in-flight exchange, in insertion order, and then every
+        open channel, in open order, whose (src, dst, port) is a hit.  Each
+        cut draws a hop latency, so this order is part of the run."""
+        for ex in [e for e in self._exchanges.values() if hit(e.src, e.dst, e.port)]:
             self._kill_exchange(ex, reason)
         for ch in self.channels:
-            if ch.state == "open" and (ch.a, ch.b, ch.port) == (key.src, key.dst, key.port):
-                ch._sever(reason)
-
-    def _sever_instance(self, node: str) -> None:
-        reason = SessionSevered(f"instance {node} terminated")
-        for ex in [e for e in self._exchanges.values() if node in (e.src, e.dst)]:
-            self._kill_exchange(ex, reason)
-        for ch in self.channels:
-            if ch.state == "open" and node in (ch.a, ch.b):
+            if ch.state == "open" and hit(ch.node, ch.peer.node, ch.port):
                 ch._sever(reason)
 
     def _kill_exchange(self, ex: Exchange, reason: Exception) -> None:
@@ -590,7 +543,12 @@ class CloudProvider:
 
     # -- inspection ----------------------------------------------------------------
 
-    def snapshot(self) -> CloudSnapshot:
-        instances = tuple(sorted(self.instances.values(), key=lambda i: i.id))
-        rules = tuple(sorted(self.rules, key=lambda r: (r.src, r.dst, r.port)))
-        return CloudSnapshot(self.sim.now, instances, rules)
+    def snapshot(self) -> dict:
+        """The instances and rules, sorted, as a JSON document."""
+        return {
+            "t": self.sim.now,
+            "instances": [i.to_dict() for i in
+                          sorted(self.instances.values(), key=lambda i: i.id)],
+            "rules": [{"src": r.src, "dst": r.dst, "port": r.port}
+                      for r in sorted(self.rules)],
+        }

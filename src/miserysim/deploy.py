@@ -15,7 +15,7 @@ consistency sweep comparing live address tables against the digraph.
 from __future__ import annotations
 
 from .addresses import AddressServer
-from .cloud import CloudProvider, ImageKind, Instance, min_pool_requirements
+from .cloud import CloudProvider, ImageKind, min_pool_requirements
 from .errors import TopologyError
 from .eventlog import EventLog
 from .multicaster import AddressTable, ForwardPolicy, MulticasterNode
@@ -34,7 +34,6 @@ from .topology import (
     HTTP,
     PUBLIC_INTERNET,
     FirewallRule,
-    FirewallRuleSet,
     MiseryDigraph,
     derive_firewall_rules,
 )
@@ -73,7 +72,6 @@ class Deployment:
         self.base_tags = dict(base_tags)
         self.digraph: MiseryDigraph | None = None
         self.runtimes: dict[str, object] = {}
-        self.node_instances: dict[str, Instance] = {}
         self.store = BackendStore()
         self.ps: PollingServerNode | None = None
         self.entry_address: str | None = None
@@ -99,7 +97,6 @@ class Deployment:
         and movement replacements go through the same path)."""
         digraph = self.digraph
         layer = digraph.layer_of(node)
-        self.node_instances[node] = self.provider.instance(node)
         if layer < digraph.d:
             runtime = MulticasterNode(
                 self.sim, self.provider, self.log, node, ForwardPolicy(self.u),
@@ -125,12 +122,10 @@ class Deployment:
 
     def detach_node(self, node: str) -> None:
         self.runtimes.pop(node, None)
-        self.node_instances.pop(node, None)
 
     def attach_target(self) -> None:
         digraph = self.digraph
         target = digraph.target
-        self.node_instances[target] = self.provider.instance(target)
         ps = PollingServerNode(
             self.sim, self.provider, self.log, target, self.store, self.m,
             digraph.poll_services[0].port, self.counters)
@@ -230,11 +225,11 @@ def deploy_normal(sim: Simulation, provider: CloudProvider,
         ready.append(inst.ready)
     yield gather(ready)
 
-    provider.apply_rules(FirewallRuleSet(frozenset({
+    provider.apply_rules(frozenset({
         FirewallRule(PUBLIC_INTERNET, web, HTTP.port),
         FirewallRule(web, app, HTTP.port),
         FirewallRule(app, db, DATABASE.port),
-    })))
+    }))
 
     app_address = provider.instance(app).address
     db_address = provider.instance(db).address
@@ -252,7 +247,6 @@ def deploy_normal(sim: Simulation, provider: CloudProvider,
     addresses.subscribe(web, web_node.apply_update)
 
     deployment.runtimes = {web: web_node, app: app_node, db: db_node}
-    deployment.node_instances = {n: provider.instance(n) for n in CHAIN}
     deployment.entry_address = provider.instance(web).address
     log.emit(sim.now, "deploy.complete", instance=None,
              detail={"nodes": 3, "pool": 0})

@@ -43,10 +43,6 @@ class InvalidState(CloudError):
     """An instance is not in a state that permits the operation."""
 
 
-class CapacityExceeded(CloudError):
-    """The provider's configured instance cap was reached."""
-
-
 # --- transport ---
 
 class ConnectionRefused(MiserySimError):

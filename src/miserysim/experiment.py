@@ -353,12 +353,7 @@ def run_experiment(cfg: ExperimentConfig, *,
                          workload=workload, replay=replay)
     load_task = sim.spawn(load.run(), priority=PRIO_LOAD)
 
-    if cfg.compress > 0:
-        while not load_task.future.done:
-            sim.run(until=sim.now + 1.0, pace=cfg.compress)
-        load_task.future.result()
-    else:
-        sim.run_until(load_task.future)
+    sim.run_until(load_task.future, pace=cfg.compress)
     sim.run(until=sim.now + cfg.u + 2.0)
     if movement is not None:
         movement.stop()

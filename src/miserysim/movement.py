@@ -64,18 +64,16 @@ def _eligible_layers(spec: MiseryDigraphSpec) -> tuple[int, ...]:
 
 def rule_delta(before: MiseryDigraph, after: MiseryDigraph,
                gone: tuple[str, ...], placed: tuple[str, ...]):
-    """(revoke, grant) as sorted (src, dst, port) triples for a transform
-    that moved or removed `gone` and put `placed` in their slots.  Only the
-    inbound rules of those nodes and of their children can differ."""
+    """(revoke, grant) as sorted rule lists for a transform that moved or
+    removed `gone` and put `placed` in their slots.  Only the inbound rules
+    of those nodes and of their children can differ."""
     def around(digraph: MiseryDigraph, nodes: tuple[str, ...]) -> set:
         return {rule for node in nodes
                 for n in (node, *digraph.children_of(node))
                 for rule in inbound_rules(digraph, n)}
 
     old, new = around(before, gone), around(after, placed)
-    revoke = sorted((r.src, r.dst, r.port) for r in old - new)
-    grant = sorted((r.src, r.dst, r.port) for r in new - old)
-    return revoke, grant
+    return sorted(old - new), sorted(new - old)
 
 
 def draw_switch(spec: MiseryDigraphSpec, rng: random.Random) -> tuple[int, int, int]:

@@ -231,13 +231,9 @@ class Simulation:
         task._waiting = self.schedule(0.0, task._step, priority=priority)
         return task
 
-    def run(self, until: float | None = None, pace: float = 0.0) -> int:
+    def run(self, until: float | None = None) -> int:
         """Process events until the queue drains or the clock passes `until`.
-
-        `pace` > 0 throttles to that many virtual seconds per wall second so
-        a human can watch; 0 runs as fast as possible.  Returns the number of
-        events processed by this call.
-        """
+        Returns the number of events processed by this call."""
         processed = 0
         heap = self._heap
         pop = heapq.heappop
@@ -248,8 +244,6 @@ class Simulation:
                 continue
             if until is not None and t > until:
                 break
-            if pace > 0.0 and t > self.now:
-                time.sleep((t - self.now) / pace)
             pop(heap)
             self.now = t
             fn, args = handle.fn, handle.args
@@ -261,8 +255,13 @@ class Simulation:
         self._processed += processed
         return processed
 
-    def run_until(self, future: Future, limit: float | None = None) -> Any:
-        """Process events until `future` resolves; returns its result."""
+    def run_until(self, future: Future, limit: float | None = None,
+                  pace: float = 0.0) -> Any:
+        """Process events until `future` resolves; returns its result.
+
+        `pace` > 0 throttles to that many simulated seconds per wall-clock
+        second so a human can watch; 0 runs as fast as possible.
+        """
         heap = self._heap
         pop = heapq.heappop
         while not future.done:
@@ -275,6 +274,8 @@ class Simulation:
             if limit is not None and t > limit:
                 raise RequestNeverCompletes(
                     f"future unresolved at t={limit} (next event t={t})")
+            if pace > 0.0 and t > self.now:
+                time.sleep((t - self.now) / pace)
             pop(heap)
             self.now = t
             fn, args = handle.fn, handle.args

@@ -182,7 +182,7 @@ class RequestsServerNode:
             try:
                 events = wire.decode_poll(data)
             except ProtocolViolation:
-                channel.close("b")
+                channel.close()
                 return
             replies = []
             for event in events:
@@ -193,12 +193,12 @@ class RequestsServerNode:
                     self.deliver(event[1], event[2])
                     replies.append(wire.POLL_ACK_FRAME)
                 else:
-                    channel.close("b")
+                    channel.close()
                     return
             if replies:
-                channel.send("b", b"".join(replies))
+                channel.send(b"".join(replies))
 
-        channel.on_message("b", on_message)
+        channel.on_message(on_message)
 
 
 # an ask that failed leaves its link unusable: cut, refused or garbled
@@ -213,8 +213,8 @@ class _PollLink:
     def __init__(self, channel: Channel):
         self.channel = channel
         self.pending: deque[Future] = deque()
-        channel.on_message("a", self._on_message)
-        channel.on_error("a", self._on_error)
+        channel.on_message(self._on_message)
+        channel.on_error(self._on_error)
 
     def _on_message(self, data: bytes) -> None:
         try:
@@ -238,7 +238,7 @@ class _PollLink:
     def ask(self, frame: bytes) -> Future:
         fut = Future()
         self.pending.append(fut)
-        self.channel.send("a", frame)
+        self.channel.send(frame)
         return fut
 
 
@@ -268,7 +268,7 @@ class PollingServerNode:
         self.endpoints = [tuple(e) for e in entries]
         live = {rs_id for rs_id, _ in self.endpoints}
         for rs_id in [r for r in self._links if r not in live]:
-            self._links.pop(rs_id).channel.close("a")
+            self._links.pop(rs_id).channel.close()
 
     def start(self) -> None:
         self._task = self.sim.spawn(self._loop(), priority=PRIO_ACTOR)
@@ -307,7 +307,7 @@ class PollingServerNode:
         self.counters["poll_errors"] += 1
         link = self._links.pop(rs_id, None)
         if link is not None:
-            link.channel.close("a")
+            link.channel.close()
 
     def _cycle(self):
         self.cycle_no += 1
@@ -398,7 +398,7 @@ class DatabaseServerNode:
                     if wire.decode_greeting(data) != nonce:
                         raise ProtocolViolation("nonce mismatch in greeting echo")
                     step = 1
-                    channel.send("b", wire.HS_OK)
+                    channel.send(wire.HS_OK)
                     return
                 if step != 1:
                     raise ProtocolViolation("bytes after the session's one request")
@@ -407,14 +407,14 @@ class DatabaseServerNode:
                     raise ProtocolViolation("empty request payload")
             except ProtocolViolation:
                 self.counters["protocol_violations"] += 1
-                channel.close("b")
+                channel.close()
                 return
             step = 2
             response = self.store.execute(corr, payload)
-            channel.send("b", wire.encode_session_frame(corr, response))
+            channel.send(wire.encode_session_frame(corr, response))
 
-        channel.on_message("b", on_message)
-        channel.send("b", wire.encode_greeting(nonce))
+        channel.on_message(on_message)
+        channel.send(wire.encode_greeting(nonce))
 
 
 class AppServerNode:
@@ -455,11 +455,11 @@ class AppServerNode:
             nonlocal step
             try:
                 if step == 0:
-                    channel.send("a", wire.encode_greeting(wire.decode_greeting(data)))
+                    channel.send(wire.encode_greeting(wire.decode_greeting(data)))
                 elif step == 1:
                     if data != wire.HS_OK:
                         raise ProtocolViolation("expected OK frame")
-                    channel.send("a", wire.encode_session_frame(corr, payload))
+                    channel.send(wire.encode_session_frame(corr, payload))
                 else:
                     got, response = wire.decode_session_frame(data)
                     if got != corr:
@@ -470,20 +470,20 @@ class AppServerNode:
                 return
             step += 1
 
-        channel.on_message("a", on_message)
-        channel.on_error("a", done.reject)
+        channel.on_message(on_message)
+        channel.on_error(done.reject)
         timer = self.sim.schedule(self.u, done.reject, TimeoutFailure("db timeout"))
         try:
             response = yield done
         except TimeoutFailure:
             self.provider.respond(ex, wire.encode_error(corr, b"timeout"))
-            channel.close("a")
+            channel.close()
             return
         except (ProtocolViolation, SessionSevered):
             self.provider.respond(ex, wire.encode_error(corr, b"upstream-failure"))
-            channel.close("a")
+            channel.close()
             return
         finally:
             timer.cancel()
-        channel.close("a")
+        channel.close()
         self.provider.respond(ex, wire.encode_response(corr, response))

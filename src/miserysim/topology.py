@@ -277,24 +277,14 @@ class MiseryDigraph:
                 f"malformed digraph document: {type(err).__name__}: {err}") from err
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FirewallRule:
-    """One inbound permission: src may initiate a connection to dst on port."""
+    """One inbound permission: src may initiate a connection to dst on port.
+    Rules sort by (src, dst, port)."""
 
     src: str
     dst: str
     port: int
-
-
-@dataclass(frozen=True)
-class FirewallRuleSet:
-    rules: frozenset[FirewallRule]
-
-    def __iter__(self):
-        return iter(sorted(self.rules, key=lambda r: (r.src, r.dst, r.port)))
-
-    def __len__(self) -> int:
-        return len(self.rules)
 
 
 # --- operations ---------------------------------------------------------
@@ -347,14 +337,13 @@ def inbound_rules(mdg: MiseryDigraph, node: str) -> list[FirewallRule]:
     return rules
 
 
-def derive_firewall_rules(mdg: MiseryDigraph) -> FirewallRuleSet:
+def derive_firewall_rules(mdg: MiseryDigraph) -> frozenset[FirewallRule]:
     """Rule per tree edge and service, plus the two exceptions: public ->
     root on transport ports, and target -> each layer-d node on poll ports
     (the target itself gets zero inbound rules)."""
     mdg.validate()
-    return FirewallRuleSet(frozenset(
-        rule for layer in mdg.layers for node in layer
-        for rule in inbound_rules(mdg, node)))
+    return frozenset(rule for layer in mdg.layers for node in layer
+                     for rule in inbound_rules(mdg, node))
 
 
 def enabled_path(mdg: MiseryDigraph) -> list[str]:

@@ -37,6 +37,7 @@ from miserysim.target import (
 )
 from miserysim.topology import (
     PUBLIC_INTERNET,
+    FirewallRule,
     MiseryDigraphSpec,
     build_misery_digraph,
     derive_firewall_rules,
@@ -69,7 +70,7 @@ def test_topology_invariants_across_shape_grid(capsys):
             children = [c for _, c in edges]
             assert len(children) == len(set(children))
             assert len(edges) == sum(k ** i for i in range(1, d))
-            rules = derive_firewall_rules(digraph).rules
+            rules = derive_firewall_rules(digraph)
             # target isolation: no inbound rule; polls go outward only
             assert all(r.dst != digraph.target for r in rules)
             # round trip: the rule set alone recovers the tree edges exactly
@@ -296,7 +297,7 @@ def test_duplicate_collapse(capsys):
     for i in range(4):
         rs_id = f"rs{i}"
         provider.create_instance(ImageKind.REQUESTS_SERVER, instance_id=rs_id)
-        provider.grant("db", rs_id, 3306)
+        provider.rewrite_rules([], [FirewallRule("db", rs_id, 3306)])
         node = RequestsServerNode(sim, provider, log, rs_id,
                                   RequestRegistry(), 5.0, counters)
         provider.bind(rs_id, 3306, on_channel=node.on_poll_channel)

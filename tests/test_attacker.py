@@ -9,6 +9,7 @@ import statistics
 
 import pytest
 
+from miserysim import attacker
 from miserysim.attacker import (
     Strategy,
     attack_digraph,
@@ -138,6 +139,20 @@ def test_replay_matches_the_digraph_walking_oracle(r, strategy):
     # the foothold or the goal, not only undisturbed walks
     assert censored
     assert delayed if r is not None else not delayed
+
+
+def test_replay_builds_no_digraph(monkeypatch):
+    # a digraph has sum(k**i) nodes; the replay needs only (d, k)
+    walk = dict(hop_time=1.0, strategy=Strategy.UNIFORM_CHILD, r=0.5,
+                seeds=range(5))
+    expected = simulate_attacker(4, 3, **walk)
+
+    def refuse(spec):
+        raise AssertionError(f"the replay built the {spec} digraph")
+
+    attack_digraph.cache_clear()
+    monkeypatch.setattr(attacker, "build_misery_digraph", refuse)
+    assert simulate_attacker(4, 3, **walk) == expected
 
 
 def test_replay_rejects_bad_shapes():

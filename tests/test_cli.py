@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,18 @@ def test_deploy_dumps_cloud_state(tmp_path, capsys):
     assert len(running) == 8 + 4
     assert state["cloud"]["rules"]
     assert "web" in state["addresses"]
+    # the whole dump is a pure function of the digraph, the seed and s
+    assert hashlib.sha256(state_path.read_bytes()).hexdigest() == (
+        "52e57daa7dbe7322037a7b7eb30f001b45a90881de5230e08ef6962aa9f29fb7")
+
+
+def test_deploy_rejects_a_negative_pool_size(tmp_path, capsys):
+    digraph_path = tmp_path / "digraph.json"
+    assert main(["build", "--d", "3", "--k", "2", "-o", str(digraph_path)]) == 0
+    assert main(["deploy", "--digraph", str(digraph_path), "--s", "-1",
+                 "-o", str(tmp_path / "state.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "state.json").exists()
 
 
 def test_deploy_missing_digraph_file(tmp_path):

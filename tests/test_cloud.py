@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 
 import pytest
@@ -14,7 +16,6 @@ from miserysim.cloud import (
     min_pool_requirements,
 )
 from miserysim.errors import (
-    CapacityExceeded,
     ConnectionRefused,
     InvalidState,
     SessionSevered,
@@ -22,7 +23,7 @@ from miserysim.errors import (
 )
 from miserysim.eventlog import EventLog
 from miserysim.sim import Simulation
-from miserysim.topology import PUBLIC_INTERNET
+from miserysim.topology import PUBLIC_INTERNET, FirewallRule
 
 
 def make_provider(seed=0, **kw):
@@ -31,17 +32,25 @@ def make_provider(seed=0, **kw):
     return sim, provider
 
 
-def running_instance(sim, provider, image=ImageKind.MULTICASTER, instance_id=None):
+def running_instance(sim, provider, instance_id, image=ImageKind.MULTICASTER):
     inst = provider.create_instance(image, instance_id=instance_id)
     sim.run_until(inst.ready)
     return inst
+
+
+def grant(provider, *rules):
+    provider.rewrite_rules([], [FirewallRule(*rule) for rule in rules])
+
+
+def revoke(provider, *rules):
+    provider.rewrite_rules([FirewallRule(*rule) for rule in rules], [])
 
 
 # --- provisioning ------------------------------------------------------------
 
 def test_provisioning_takes_exactly_the_configured_latency():
     sim, provider = make_provider()
-    inst = provider.create_instance(ImageKind.MULTICASTER)
+    inst = provider.create_instance(ImageKind.MULTICASTER, instance_id="a")
     assert inst.state == InstanceState.PROVISIONING
     assert not inst.ready.done
     sim.run_until(inst.ready)
@@ -51,19 +60,9 @@ def test_provisioning_takes_exactly_the_configured_latency():
 
 def test_provisioning_latency_is_configurable():
     sim, provider = make_provider(provisioning_latency=2.5)
-    inst = provider.create_instance(ImageKind.REQUESTS_SERVER)
+    inst = provider.create_instance(ImageKind.REQUESTS_SERVER, instance_id="a")
     sim.run_until(inst.ready)
     assert sim.now == 2.5
-
-
-def test_instance_cap_counts_only_live_instances():
-    sim, provider = make_provider(instance_cap=2)
-    a = provider.create_instance(ImageKind.MULTICASTER)
-    provider.create_instance(ImageKind.MULTICASTER)
-    with pytest.raises(CapacityExceeded):
-        provider.create_instance(ImageKind.MULTICASTER)
-    provider.terminate_instance(a.id)
-    provider.create_instance(ImageKind.MULTICASTER)
 
 
 def test_duplicate_instance_id_rejected():
@@ -100,9 +99,7 @@ def test_terminate_drops_rules_address_and_pending_ready():
     sim, provider = make_provider()
     a = running_instance(sim, provider, instance_id="a")
     running_instance(sim, provider, instance_id="b")
-    provider.grant("a", "b", 80)
-    provider.grant("b", "a", 80)
-    provider.grant(PUBLIC_INTERNET, "b", 80)
+    grant(provider, ("a", "b", 80), ("b", "a", 80), (PUBLIC_INTERNET, "b", 80))
     cold = provider.create_instance(ImageKind.MULTICASTER, instance_id="cold")
     provider.terminate_instance("cold")
     assert cold.ready.failed
@@ -120,24 +117,31 @@ def test_terminate_drops_rules_address_and_pending_ready():
 def test_grant_validates_endpoints_but_public_is_virtual():
     sim, provider = make_provider()
     running_instance(sim, provider, instance_id="web")
-    provider.grant(PUBLIC_INTERNET, "web", 80)
+    grant(provider, (PUBLIC_INTERNET, "web", 80))
     assert provider.allows(PUBLIC_INTERNET, "web", 80)
     with pytest.raises(UnknownInstance):
-        provider.grant("web", "ghost", 80)
+        grant(provider, ("web", "ghost", 80))
+    with pytest.raises(UnknownInstance):
+        grant(provider, ("ghost", "web", 80))
 
 
 def test_rewrite_rules_validates_grants_before_revoking():
     sim, provider = make_provider()
     running_instance(sim, provider, instance_id="a")
     running_instance(sim, provider, instance_id="b")
-    provider.grant("a", "b", 80)
+    grant(provider, ("a", "b", 80))
     with pytest.raises(UnknownInstance):
-        provider.rewrite_rules(revoke=[("a", "b", 80)], grant=[("a", "ghost", 80)])
+        provider.rewrite_rules(revoke=[FirewallRule("a", "b", 80)],
+                               grant=[FirewallRule("a", "ghost", 80)])
     # the failed transaction must not have revoked anything
     assert provider.allows("a", "b", 80)
-    provider.rewrite_rules(revoke=[("a", "b", 80)], grant=[("b", "a", 443)])
+    provider.rewrite_rules(revoke=[FirewallRule("a", "b", 80)],
+                           grant=[FirewallRule("b", "a", 443), FirewallRule("a", "b", 22)])
     assert not provider.allows("a", "b", 80)
     assert provider.allows("b", "a", 443)
+    # the logged transaction lists each side as sorted [src, dst, port] rows
+    assert provider.log.of_kind("rules.rewrite")[-1]["detail"] == {
+        "revoked": [["a", "b", 80]], "granted": [["a", "b", 22], ["b", "a", 443]]}
 
 
 # --- one-shot exchanges -----------------------------------------------------------
@@ -152,7 +156,7 @@ def test_request_round_trip_latency_within_two_hops():
     sim, provider = make_provider()
     running_instance(sim, provider, instance_id="a")
     b = running_instance(sim, provider, instance_id="b")
-    provider.grant("a", "b", 80)
+    grant(provider, ("a", "b", 80))
     echo_server(provider, "b")
     t0 = sim.now
     fut = provider.request("a", b.address, 80, b"hi")
@@ -170,7 +174,7 @@ def test_request_refusals():
     sim.run(until=sim.now + 1)
     assert isinstance(fut.exception(), ConnectionRefused)
     # rule but no handler
-    provider.grant("a", "b", 80)
+    grant(provider, ("a", "b", 80))
     fut = provider.request("a", b.address, 80, b"x")
     sim.run(until=sim.now + 1)
     assert isinstance(fut.exception(), ConnectionRefused)
@@ -187,7 +191,7 @@ def test_revoking_an_edge_severs_inflight_exchanges():
     sim, provider = make_provider()
     running_instance(sim, provider, instance_id="a")
     b = running_instance(sim, provider, instance_id="b")
-    provider.grant("a", "b", 80)
+    grant(provider, ("a", "b", 80))
 
     def never_replies(ex, data):
         pass
@@ -195,7 +199,7 @@ def test_revoking_an_edge_severs_inflight_exchanges():
     provider.bind("b", 80, on_request=never_replies)
     fut = provider.request("a", b.address, 80, b"x")
     sim.run(until=sim.now + 0.02)
-    provider.revoke("a", "b", 80)
+    revoke(provider, ("a", "b", 80))
     sim.run(until=sim.now + 1)
     assert isinstance(fut.exception(), SessionSevered)
     assert provider.counters["severed"] == 1
@@ -204,26 +208,28 @@ def test_revoking_an_edge_severs_inflight_exchanges():
 # --- channels ----------------------------------------------------------------------
 
 def channel_pair(sim, provider):
+    """(opener's end, acceptor's end) of a fresh a -> b channel."""
     running_instance(sim, provider, instance_id="a")
     b = running_instance(sim, provider, instance_id="b")
-    provider.grant("a", "b", 3306)
+    grant(provider, ("a", "b", 3306))
     accepted = []
     provider.bind("b", 3306, on_channel=accepted.append)
     fut = provider.open_channel("a", b.address, 3306)
-    channel = sim.run_until(fut)
-    assert accepted == [channel]
-    return channel
+    opener = sim.run_until(fut)
+    assert accepted == [opener.peer] and accepted[0].peer is opener
+    assert (opener.node, opener.peer.node) == ("a", "b")
+    return opener, opener.peer
 
 
 def test_channel_streams_bytes_both_ways_in_order():
     sim, provider = make_provider()
-    channel = channel_pair(sim, provider)
+    opener, acceptor = channel_pair(sim, provider)
     seen_b, seen_a = [], []
-    channel.on_message("b", seen_b.append)
-    channel.on_message("a", seen_a.append)
-    channel.send("a", b"one")
-    channel.send("a", b"two")
-    channel.send("b", b"ack")
+    acceptor.on_message(seen_b.append)
+    opener.on_message(seen_a.append)
+    opener.send(b"one")
+    opener.send(b"two")
+    acceptor.send(b"ack")
     sim.run(until=sim.now + 1)
     assert seen_b == [b"one", b"two"]
     assert seen_a == [b"ack"]
@@ -231,48 +237,78 @@ def test_channel_streams_bytes_both_ways_in_order():
 
 def test_channel_buffers_until_handler_installed():
     sim, provider = make_provider()
-    channel = channel_pair(sim, provider)
-    channel.send("a", b"early")
+    opener, acceptor = channel_pair(sim, provider)
+    opener.send(b"early")
     sim.run(until=sim.now + 1)
     seen = []
-    channel.on_message("b", seen.append)
+    acceptor.on_message(seen.append)
     assert seen == [b"early"]
 
 
 def test_channel_close_drops_later_sends():
     sim, provider = make_provider()
-    channel = channel_pair(sim, provider)
-    seen = []
-    channel.on_message("b", seen.append)
-    channel.close("a")
-    channel.send("a", b"late")
+    opener, acceptor = channel_pair(sim, provider)
+    seen, errors = [], []
+    acceptor.on_message(seen.append)
+    acceptor.on_error(errors.append)
+    opener.close()
+    opener.send(b"late")
+    acceptor.send(b"late")
     sim.run(until=sim.now + 1)
-    assert channel.state == "closed"
+    assert opener.state == acceptor.state == "closed"
     assert seen == []
+    # the close reaches the other end only
+    assert [str(e) for e in errors] == ["channel closed by a"]
 
 
 def test_rule_revocation_severs_open_channels():
     sim, provider = make_provider()
-    channel = channel_pair(sim, provider)
+    opener, acceptor = channel_pair(sim, provider)
     errors = []
-    channel.on_error("a", errors.append)
-    channel.on_error("b", errors.append)
-    provider.revoke("a", "b", 3306)
+    opener.on_error(lambda err: errors.append(("a", err)))
+    acceptor.on_error(lambda err: errors.append(("b", err)))
+    revoke(provider, ("a", "b", 3306))
     sim.run(until=sim.now + 1)
-    assert channel.state == "severed"
-    assert len(errors) == 2
-    assert all(isinstance(e, SessionSevered) for e in errors)
+    assert opener.state == acceptor.state == "severed"
+    assert sorted(side for side, _ in errors) == ["a", "b"]
+    assert all(isinstance(e, SessionSevered) for _, e in errors)
 
 
 def test_terminating_an_endpoint_severs_its_channels():
     sim, provider = make_provider()
-    channel = channel_pair(sim, provider)
+    opener, acceptor = channel_pair(sim, provider)
     errors = []
-    channel.on_error("a", errors.append)
+    opener.on_error(errors.append)
     provider.terminate_instance("b")
     sim.run(until=sim.now + 1)
-    assert channel.state == "severed"
+    assert opener.state == acceptor.state == "severed"
     assert len(errors) == 1
+
+
+def test_severance_cuts_exchanges_then_channels_in_order(monkeypatch):
+    sim, provider = make_provider()
+    running_instance(sim, provider, instance_id="a")
+    b = running_instance(sim, provider, instance_id="b")
+    grant(provider, ("a", "b", 80), ("a", "b", 3306))
+    provider.bind("b", 80, on_request=lambda ex, data: None)
+    provider.bind("b", 3306, on_channel=lambda end: None)
+    heard = []
+    for name in ("ex1", "ex2"):
+        fut = provider.request("a", b.address, 80, b"x")
+        fut.add_done_callback(lambda _, name=name: heard.append(name))
+    for name in ("ch1", "ch2"):
+        opener = sim.run_until(provider.open_channel("a", b.address, 3306))
+        opener.on_error(lambda _, name=name: heard.append(name + ".opener"))
+        opener.peer.on_error(lambda _, name=name: heard.append(name + ".acceptor"))
+    # each cut draws the next hop latency; rising latencies make the
+    # callbacks fire in the order the sweep reached them
+    latencies = itertools.count(1.0)
+    monkeypatch.setattr(provider, "hop_latency", lambda: next(latencies))
+    provider.terminate_instance("b")
+    sim.run(until=sim.now + 10)
+    assert heard == ["ex1", "ex2", "ch1.opener", "ch1.acceptor",
+                     "ch2.opener", "ch2.acceptor"]
+    assert provider.counters["severed"] == 2
 
 
 # --- warm pool -----------------------------------------------------------------------
@@ -371,10 +407,9 @@ def test_snapshot_is_sorted_and_serializable():
     sim, provider = make_provider()
     running_instance(sim, provider, instance_id="zed")
     running_instance(sim, provider, instance_id="abc")
-    provider.grant("zed", "abc", 80)
-    provider.grant("abc", "zed", 80)
-    snap = provider.snapshot()
-    assert [i.id for i in snap.instances] == ["abc", "zed"]
-    doc = snap.to_json_dict()
+    grant(provider, ("zed", "abc", 80), ("abc", "zed", 80))
+    doc = provider.snapshot()
+    assert [i["id"] for i in doc["instances"]] == ["abc", "zed"]
     assert [r["src"] for r in doc["rules"]] == ["abc", "zed"]
     assert doc["t"] == sim.now
+    json.dumps(doc)

@@ -18,6 +18,7 @@ from miserysim.multicaster import AddressTable
 from miserysim.sim import Future, Simulation, gather
 from miserysim.topology import (
     PUBLIC_INTERNET,
+    FirewallRule,
     MiseryDigraphSpec,
     build_misery_digraph,
     derive_firewall_rules,
@@ -68,9 +69,7 @@ def test_deploy_tags_instances_with_roles():
 
 def test_deploy_applies_derived_rules():
     env = deploy()
-    derived = {(r.src, r.dst, r.port)
-               for r in derive_firewall_rules(env.deployment.digraph).rules}
-    assert {(r.src, r.dst, r.port) for r in env.provider.rules} == derived
+    assert env.provider.rules == derive_firewall_rules(env.deployment.digraph)
 
 
 def test_deploy_fills_pool_to_minimums():
@@ -94,7 +93,8 @@ def test_detach_node_forgets_runtime_and_instance():
     leaves = env.deployment.digraph.layer(3)
     env.deployment.detach_node(leaves[0])
     assert leaves[0] not in env.deployment.runtimes
-    assert leaves[0] not in env.deployment.node_instances
+    # the provider still holds the instance until movement terminates it
+    assert env.provider.instance(leaves[0]).state is InstanceState.RUNNING
 
 
 def test_consistency_check_flags_poisoned_table():
@@ -156,8 +156,9 @@ def test_normal_chain_deploys():
     web = provider.instances["web"]
     app = provider.instances["app"]
     db = provider.instances["db"]
-    assert {(r.src, r.dst, r.port) for r in provider.rules} == {
-        (PUBLIC_INTERNET, "web", 80), ("web", "app", 80), ("app", "db", 3306)}
+    assert provider.rules == {
+        FirewallRule(PUBLIC_INTERNET, "web", 80), FirewallRule("web", "app", 80),
+        FirewallRule("app", "db", 3306)}
     assert deployment.entry_address == web.address
     assert web.tags == {"instance_type": "normal", "role": "entry-point"}
     assert app.tags["role"] == "intermediate"

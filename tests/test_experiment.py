@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
@@ -253,6 +254,21 @@ def test_churn_run_leaves_no_answered_entries_at_the_leaves():
         node.id for node in leaves}
     counters = result.log.records[-1]["counters"]
     assert "unknown_deliveries" not in counters
+
+
+def test_paced_run_emits_the_free_run_records():
+    # pacing throttles the wall clock only; the simulated run is the same
+    cfg = ExperimentConfig(n_requests=10, j=60.0, r=5.0, rng_seed=2)
+    free = run_experiment(cfg)
+    t0 = time.monotonic()
+    paced = run_experiment(cfg.with_overrides(compress=200.0))
+    elapsed = time.monotonic() - t0
+    assert paced.log.records[0]["config"]["compress"] == 200.0
+    assert paced.log.lines()[1:] == free.log.lines()[1:]
+    # compress is simulated seconds per wall-clock second
+    issued = paced.log.of_kind("request.issued")
+    done = paced.log.of_kind("request.done")
+    assert elapsed >= (done[-1]["t"] - issued[0]["t"]) / 200.0
 
 
 def test_same_seed_reproduces_event_log():

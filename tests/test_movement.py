@@ -17,7 +17,7 @@ import pytest
 from miserysim.addresses import AddressServer
 from miserysim.cloud import CloudProvider, InstanceState
 from miserysim.deploy import deploy_misery
-from miserysim.errors import ConcurrentMutation, NoEligibleLayer
+from miserysim.errors import CloudError, ConcurrentMutation, NoEligibleLayer
 from miserysim.eventlog import EventLog
 from miserysim.movement import (
     MovementManager,
@@ -38,10 +38,10 @@ def make_digraph(d=3, k=2):
     return build_misery_digraph(MiseryDigraphSpec(d, k))
 
 
-def deployed(d=3, k=2, s=8, seed=0, r=100.0, cap=None):
+def deployed(d=3, k=2, s=8, seed=0, r=100.0):
     sim = Simulation(seed)
     log = EventLog()
-    provider = CloudProvider(sim, log, instance_cap=cap)
+    provider = CloudProvider(sim, log)
     addresses = AddressServer(sim, log)
     counters = Counter()
     task = sim.spawn(deploy_misery(sim, provider, addresses, log, counters,
@@ -57,14 +57,6 @@ def deployed(d=3, k=2, s=8, seed=0, r=100.0, cap=None):
 def settle(env, extra: float = 2.0) -> None:
     # address notifications land within notify_bound (1.5) of the update
     env.sim.run(until=env.sim.now + extra)
-
-
-def rules_in_force(provider) -> set[tuple[str, str, int]]:
-    return {(r.src, r.dst, r.port) for r in provider.rules}
-
-
-def derived_rules(digraph) -> set[tuple[str, str, int]]:
-    return {(r.src, r.dst, r.port) for r in derive_firewall_rules(digraph).rules}
 
 
 def run_one_cycle(env) -> None:
@@ -159,7 +151,7 @@ def test_cycle_switches_resets_and_propagates():
     # old ids are gone from the digraph, new ids sit at their positions
     assert set(digraph.all_nodes()) == (old_nodes - set(replaced)) | set(
         replaced.values())
-    assert rules_in_force(env.provider) == derived_rules(digraph)
+    assert env.provider.rules == derive_firewall_rules(digraph)
 
     window = env.log.of_kind("movement.window")
     assert len(window) == 1
@@ -210,7 +202,7 @@ def test_periodic_cycles_until_horizon():
         assert record["detail"]["t0"] >= epoch + 100.0 * cycle_no
     d = env.deployment.digraph.d
     assert all(2 <= e["layer"] <= d for e in env.log.of_kind("movement"))
-    assert rules_in_force(env.provider) == derived_rules(env.deployment.digraph)
+    assert env.provider.rules == derive_firewall_rules(env.deployment.digraph)
     assert env.deployment.consistency_check() == []
 
 
@@ -250,19 +242,25 @@ def test_empty_pool_provisions_on_demand():
     assert env.deployment.consistency_check() == []
 
 
-def test_abort_on_capacity_error_repairs_tables():
-    # cap equals the deployed footprint, so the on-demand reset create fails
+def test_abort_on_capacity_error_repairs_tables(monkeypatch):
+    # the provider is out of capacity, so the first reset's allocation fails
     # after the switch already landed
-    env = deployed(seed=3, s=0, cap=8)
+    env = deployed(seed=3, s=0)
+
+    def out_of_capacity(image):
+        raise CloudError(f"no capacity for a {image.value} instance")
+
+    monkeypatch.setattr(env.provider.pool, "allocate", out_of_capacity)
     run_one_cycle(env)
     assert env.counters["aborted_cycles"] == 1
     assert "transformations" not in env.counters
     aborts = env.log.of_kind("movement.abort")
     assert len(aborts) == 1
-    assert aborts[0]["detail"]["error"] == "CapacityExceeded"
+    assert aborts[0]["detail"]["error"] == "CloudError"
+    assert [rec["op"] for rec in env.log.of_kind("movement")] == ["switch"]
     digraph = env.deployment.digraph
     digraph.validate()
-    assert rules_in_force(env.provider) == derived_rules(digraph)
+    assert env.provider.rules == derive_firewall_rules(digraph)
     settle(env)
     assert env.deployment.consistency_check() == []
 
@@ -295,7 +293,7 @@ def test_repeated_cycles_preserve_shape():
         edges = {(p, c) for i in range(1, digraph.d)
                  for p in digraph.layer(i) for c in digraph.children_of(p)}
         assert edges == expected_edges(digraph)
-        assert rules_in_force(env.provider) == derived_rules(digraph)
+        assert env.provider.rules == derive_firewall_rules(digraph)
         assert env.deployment.consistency_check() == []
     assert env.counters["transformations"] == 5
     assert env.counters["resets"] == 10

@@ -18,7 +18,7 @@ from miserysim.multicaster import (
     apply_address_update,
 )
 from miserysim.sim import Simulation
-from miserysim.topology import PUBLIC_INTERNET
+from miserysim.topology import PUBLIC_INTERNET, FirewallRule
 
 CORR = bytes(range(16))
 
@@ -30,7 +30,7 @@ def setup_node(n_children=2, u=0.5, is_entry=False):
     children = []
     for i in range(n_children):
         child = provider.create_instance(ImageKind.MULTICASTER, instance_id=f"c{i}")
-        provider.grant("web", f"c{i}", 80)
+        provider.rewrite_rules([], [FirewallRule("web", f"c{i}", 80)])
         children.append(child)
     sim.run(until=301)
     counters = Counter()
@@ -172,7 +172,7 @@ def test_inflight_job_keeps_its_fanout_snapshot():
 def frame_roundtrip(sim, provider, node, raw):
     if "parent" not in provider.instances:
         provider.create_instance(ImageKind.MULTICASTER, instance_id="parent")
-        provider.grant("parent", "web", 80)
+        provider.rewrite_rules([], [FirewallRule("parent", "web", 80)])
         provider.bind("web", 80, on_request=node.on_request)
         sim.run(until=sim.now + 301)
     fut = provider.request("parent", provider.instance("web").address, 80, raw)
@@ -203,7 +203,7 @@ def test_on_request_forwards_and_relays_the_winner():
 # --- public HTTP surface ------------------------------------------------------------
 
 def http_roundtrip(sim, provider, node, raw):
-    provider.grant(PUBLIC_INTERNET, "web", 80)
+    provider.rewrite_rules([], [FirewallRule(PUBLIC_INTERNET, "web", 80)])
     provider.bind("web", 80, on_request=node.on_http)
     fut = provider.request(PUBLIC_INTERNET, provider.instance("web").address, 80, raw)
     sim.run(until=sim.now + 2)
@@ -248,7 +248,7 @@ def test_http_maps_timeout_to_504_and_failure_to_502():
     assert "x-request-id" in headers
 
     sim2, provider2, node2, _, _ = setup_node(is_entry=True)
-    provider2.grant(PUBLIC_INTERNET, "web", 80)
+    provider2.rewrite_rules([], [FirewallRule(PUBLIC_INTERNET, "web", 80)])
     provider2.bind("web", 80, on_request=node2.on_http)
     fut = provider2.request(PUBLIC_INTERNET, provider2.instance("web").address,
                             80, wire.encode_http_request("POST", "/", b"x"))

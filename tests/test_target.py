@@ -19,6 +19,7 @@ from miserysim.target import (
     RequestRegistry,
     RequestsServerNode,
 )
+from miserysim.topology import FirewallRule
 
 CORR = bytes(range(16))
 CORR2 = bytes(range(16, 32))
@@ -180,7 +181,7 @@ def test_rs_transport_endpoint_round_trip():
     sim, provider, node, _ = rs_fixture()
     provider.create_instance(ImageKind.MULTICASTER, instance_id="parent")
     provider.create_instance(ImageKind.REQUESTS_SERVER, instance_id="rs0")
-    provider.grant("parent", "rs0", 80)
+    provider.rewrite_rules([], [FirewallRule("parent", "rs0", 80)])
     provider.bind("rs0", 80, on_request=node.on_request)
     sim.run(until=301)
     address = provider.instance("rs0").address
@@ -208,7 +209,7 @@ def poll_fixture(n_rs=4, m=0.05, window=600):
     for i in range(n_rs):
         rs_id = f"rs{i}"
         provider.create_instance(ImageKind.REQUESTS_SERVER, instance_id=rs_id)
-        provider.grant("db", rs_id, 3306)
+        provider.rewrite_rules([], [FirewallRule("db", rs_id, 3306)])
         node = RequestsServerNode(sim, provider, log, rs_id,
                                   RequestRegistry(), 5.0, counters)
         provider.bind(rs_id, 3306, on_channel=node.on_poll_channel)
@@ -305,15 +306,15 @@ def test_lost_delivery_is_relisted_and_answered_from_the_executed_cache():
         def __getattr__(self, name):
             return getattr(self.channel, name)
 
-        def on_message(self, side, fn):
+        def on_message(self, fn):
             def guarded(data):
                 if data[0] == wire.POLL_DELIVER and not closed:
                     closed.append(sim.now)
-                    self.channel.close(side)
+                    self.channel.close()
                     return
                 fn(data)
 
-            self.channel.on_message(side, guarded)
+            self.channel.on_message(guarded)
 
     provider.bind("rs0", 3306, on_channel=lambda channel: nodes[0].on_poll_channel(
         CloseOnFirstDelivery(channel)))
@@ -362,12 +363,11 @@ def garble_one_poll_message(sim, node, t0, *, inbound):
         def __getattr__(self, name):
             return getattr(self.channel, name)
 
-        def on_message(self, side, fn):
-            self.channel.on_message(
-                side, (lambda data: fn(garble(data))) if inbound else fn)
+        def on_message(self, fn):
+            self.channel.on_message((lambda data: fn(garble(data))) if inbound else fn)
 
-        def send(self, side, data):
-            self.channel.send(side, data if inbound else garble(data))
+        def send(self, data):
+            self.channel.send(data if inbound else garble(data))
 
     def on_channel(channel):
         opened.append(channel)
@@ -412,7 +412,7 @@ def baseline_fixture(u=1.0):
     provider.create_instance(ImageKind.MULTICASTER, instance_id="parent")
     provider.create_instance(ImageKind.MULTICASTER, instance_id="app")
     provider.create_instance(ImageKind.POLLING_TARGET, instance_id="db")
-    provider.grant("parent", "app", 80)
+    provider.rewrite_rules([], [FirewallRule("parent", "app", 80)])
     sim.run(until=301)
     db = DatabaseServerNode(sim, provider, log, "db", store, counters)
     provider.bind("db", 3306, on_channel=db.on_channel)
@@ -431,7 +431,7 @@ def ask_app(sim, provider, payload, corr=CORR):
 
 def test_baseline_chain_runs_the_real_handshake():
     sim, provider, store, _ = baseline_fixture()
-    provider.grant("app", "db", 3306)
+    provider.rewrite_rules([], [FirewallRule("app", "db", 3306)])
     assert ask_app(sim, provider, b"PUT k 1") == (wire.TYPE_RESPONSE, CORR, b"OK")
     assert ask_app(sim, provider, b"GET k", CORR2) == (
         wire.TYPE_RESPONSE, CORR2, b"VAL 1")
@@ -450,7 +450,7 @@ def test_baseline_app_reports_missing_upstream():
 
 def test_baseline_app_times_out_on_a_silent_database():
     sim, provider, _, _ = baseline_fixture(u=0.4)
-    provider.grant("app", "db", 3306)
+    provider.rewrite_rules([], [FirewallRule("app", "db", 3306)])
     provider.bind("db", 3306, on_channel=lambda channel: None)   # accepts, stays mute
     ftype, _, reason = ask_app(sim, provider, b"GET k")
     assert (ftype, reason) == (wire.TYPE_ERROR, b"timeout")
@@ -467,18 +467,18 @@ def test_database_closes_the_channel_on_a_violation(tamper, requests, replies,
     # speak to the database as a raw client: echo its greeting (or a
     # tampered one), then send each request frame in turn
     sim, provider, store, counters = baseline_fixture()
-    provider.grant("app", "db", 3306)
+    provider.rewrite_rules([], [FirewallRule("app", "db", 3306)])
     fut = provider.open_channel("app", provider.instance("db").address, 3306)
     sim.run(until=sim.now + 1)
     channel = fut.result()
     inbox = []
-    channel.on_message("a", inbox.append)
+    channel.on_message(inbox.append)
     nonce = wire.decode_greeting(inbox[0])
     echo = bytes(b ^ 0xFF for b in nonce) if tamper else nonce
-    channel.send("a", wire.encode_greeting(echo))
+    channel.send(wire.encode_greeting(echo))
     for frame in requests:
         sim.run(until=sim.now + 1)
-        channel.send("a", frame)
+        channel.send(frame)
     sim.run(until=sim.now + 1)
     assert channel.state == "closed"
     assert counters["protocol_violations"] == 1
@@ -491,7 +491,7 @@ def test_database_closes_the_channel_on_a_violation(tamper, requests, replies,
 
 def test_app_rejects_a_response_for_a_foreign_correlation_id():
     sim, provider, _, _ = baseline_fixture()
-    provider.grant("app", "db", 3306)
+    provider.rewrite_rules([], [FirewallRule("app", "db", 3306)])
 
     def foreign_database(channel):
         # a correct handshake whose one response names another request
@@ -499,12 +499,12 @@ def test_app_rejects_a_response_for_a_foreign_correlation_id():
 
         def on_message(data):
             if data == greeting:
-                channel.send("b", wire.HS_OK)
+                channel.send(wire.HS_OK)
             else:
-                channel.send("b", wire.encode_session_frame(CORR2, b"NIL"))
+                channel.send(wire.encode_session_frame(CORR2, b"NIL"))
 
-        channel.on_message("b", on_message)
-        channel.send("b", greeting)
+        channel.on_message(on_message)
+        channel.send(greeting)
 
     provider.bind("db", 3306, on_channel=foreign_database)
     assert ask_app(sim, provider, b"GET k") == (

@@ -164,11 +164,11 @@ def test_rules_enumerate_by_brute_force():
 def test_ruleset_iterates_sorted_and_permits():
     dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     rules = derive_firewall_rules(dg)
-    listed = [(r.src, r.dst, r.port) for r in rules]
+    listed = [(r.src, r.dst, r.port) for r in sorted(rules)]
     assert listed == sorted(listed)
-    assert FirewallRule(PUBLIC_INTERNET, "web", 80) in rules.rules
-    assert FirewallRule(PUBLIC_INTERNET, "web", 81) not in rules.rules
-    assert FirewallRule("web", "db", 3306) not in rules.rules
+    assert FirewallRule(PUBLIC_INTERNET, "web", 80) in rules
+    assert FirewallRule(PUBLIC_INTERNET, "web", 81) not in rules
+    assert FirewallRule("web", "db", 3306) not in rules
 
 
 # --- positional transforms ----------------------------------------------------
@@ -287,11 +287,10 @@ def test_incremental_transforms_equal_full_rebuilds(start):
             assert dg_next.position(node) == full.position(node)
         assert dg_next.enabled_leaf == full.enabled_leaf
         assert dg_next.edges() == full.edges()
-        before, after = derive_firewall_rules(dg).rules, derive_firewall_rules(full).rules
-        assert derive_firewall_rules(dg_next).rules == after
+        before, after = derive_firewall_rules(dg), derive_firewall_rules(full)
+        assert derive_firewall_rules(dg_next) == after
         assert rule_delta(dg, dg_next, gone, placed) == (
-            sorted((r.src, r.dst, r.port) for r in before - after),
-            sorted((r.src, r.dst, r.port) for r in after - before))
+            sorted(before - after), sorted(after - before))
         dg = dg_next
 
 
