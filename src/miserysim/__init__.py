@@ -16,7 +16,7 @@ from .experiment import (
     WorkloadGenerator,
     run_experiment,
 )
-from .movement import MovementManager, MovementSchedule, select_transformation
+from .movement import MovementManager, select_transformation
 from .reporting import MetricsReport, emit_report, metrics_from_records
 from .sim import Simulation
 from .topology import (
@@ -38,7 +38,6 @@ __all__ = [
     "MiseryDigraph",
     "MiseryDigraphSpec",
     "MovementManager",
-    "MovementSchedule",
     "Simulation",
     "TopologyError",
     "WorkloadGenerator",

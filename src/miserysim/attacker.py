@@ -51,6 +51,9 @@ def simulate_one(d: int, k: int, *, hop_time: float, strategy: Strategy,
                  horizon: float | None = None) -> float:
     """Time for one attacker to compromise a layer-d node; inf if the
     horizon passes first.  r=None runs against a static digraph."""
+    if r is not None and not (r > 0 and math.isfinite(r)):
+        raise ValueError(f"movement period r must be None or finite and > 0, "
+                         f"got {r}")
     spec = MiseryDigraphSpec(d, k)
     move_rng = random.Random(f"{seed}/movement")
     attack_rng = random.Random(f"{seed}/attack")

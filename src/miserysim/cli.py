@@ -21,7 +21,7 @@ from . import reporting
 from .addresses import AddressServer
 from .cloud import CloudProvider
 from .errors import ConfigError, MiserySimError, TopologyError
-from .eventlog import EventLog, load_records
+from .eventlog import EventLog, numbered_records
 from .experiment import ExperimentConfig, build_experiment_digraph, run_experiment
 from .deploy import deploy_misery
 from .sim import Simulation
@@ -113,8 +113,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
     events = EventLog()
     provider = CloudProvider(sim, events)
     addresses = AddressServer(sim, events)
-    task = sim.spawn(deploy_misery(sim, provider, addresses, events,
-                                   provider.counters, digraph,
+    task = sim.spawn(deploy_misery(provider, addresses, digraph,
                                    u=1.0, m=0.1, s=args.s))
     sim.run_until(task.future)
     state = {"cloud": provider.snapshot(),
@@ -166,7 +165,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    records = load_records(args.events)
+    records = []
+    for n, record in numbered_records(args.events):
+        missing = reporting.missing_field(record)
+        if missing is not None:
+            raise ConfigError(f"bad events file {args.events}, line {n}: "
+                              f"{record['kind']} record has no {missing}")
+        records.append(record)
     csv_path, json_path = reporting.emit_report(records, args.outdir)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK

@@ -291,8 +291,11 @@ class CloudProvider:
                         tags: dict[str, str] | None = None) -> Instance:
         if instance_id in self.instances:
             raise InvalidState(f"instance id {instance_id!r} already exists")
+        # host n of 10.0.0.0/8; the last one (10.255.255.255) is broadcast
         n = next(self._addr_seq)
-        address = f"10.0.{(n >> 8) & 0xFF}.{n & 0xFF}"
+        if n >= 0xFFFFFF:
+            raise InvalidState("address space 10.0.0.0/8 exhausted")
+        address = f"10.{n >> 16}.{(n >> 8) & 0xFF}.{n & 0xFF}"
         inst = Instance(instance_id, image, address, InstanceState.PROVISIONING,
                         dict(tags or {}), self.sim.now)
         self.instances[instance_id] = inst

@@ -7,8 +7,13 @@ deploy_normal builds the three-node baseline chain the misery digraph is a
 drop-in replacement for.  Both are generator tasks for Simulation.spawn; the
 task future resolves to a Deployment.
 
+Every node is a cloud instance that acts only through the provider's API, so
+the deployment and each runtime take the CloudProvider alone and read the
+run's clock, event log and counters from it (provider.sim, provider.log,
+provider.counters).
+
 The Deployment object is also the mutation surface for the Movement Manager:
-a single digraph cell plus attach/detach of node runtimes, and a global
+a plain digraph attribute plus attach/detach of node runtimes, and a global
 consistency sweep comparing live address tables against the digraph.
 """
 
@@ -17,15 +22,13 @@ from __future__ import annotations
 from .addresses import AddressServer
 from .cloud import CloudProvider, ImageKind, min_pool_requirements
 from .errors import TopologyError
-from .eventlog import EventLog
-from .multicaster import AddressTable, ForwardPolicy, MulticasterNode
-from .sim import Simulation, gather
+from .multicaster import AddressTable, MulticasterNode
+from .sim import gather
 from .target import (
     AppServerNode,
     BackendStore,
     DatabaseServerNode,
     PollingServerNode,
-    RequestRegistry,
     RequestsServerNode,
 )
 from .topology import (
@@ -37,6 +40,10 @@ from .topology import (
     MiseryDigraph,
     derive_firewall_rules,
 )
+
+# tags on every instance of each deployment kind, next to its "role"
+MDG_TAGS = {"instance_type": "mdg"}
+NORMAL_TAGS = {"instance_type": "normal"}
 
 
 def swappable_image_counts(digraph: MiseryDigraph) -> dict[ImageKind, int]:
@@ -59,25 +66,16 @@ def image_for_layer(digraph: MiseryDigraph, layer: int) -> ImageKind:
 class Deployment:
     """Live view of one deployed topology: instances, runtimes, store."""
 
-    def __init__(self, sim: Simulation, provider: CloudProvider,
-                 addresses: AddressServer, log: EventLog, counters: dict, *,
-                 u: float, m: float, base_tags: dict[str, str]):
-        self.sim = sim
+    def __init__(self, provider: CloudProvider, addresses: AddressServer, *,
+                 u: float):
         self.provider = provider
         self.addresses = addresses
-        self.log = log
-        self.counters = counters
         self.u = u
-        self.m = m
-        self.base_tags = dict(base_tags)
         self.digraph: MiseryDigraph | None = None
         self.runtimes: dict[str, object] = {}
         self.store = BackendStore()
         self.ps: PollingServerNode | None = None
         self.entry_address: str | None = None
-
-    def set_digraph(self, digraph: MiseryDigraph) -> None:
-        self.digraph = digraph
 
     # -- runtime construction ------------------------------------------------
 
@@ -99,8 +97,7 @@ class Deployment:
         layer = digraph.layer_of(node)
         if layer < digraph.d:
             runtime = MulticasterNode(
-                self.sim, self.provider, self.log, node, ForwardPolicy(self.u),
-                self.counters, is_entry=(layer == 1),
+                self.provider, node, self.u, is_entry=(layer == 1),
                 table=AddressTable(1, tuple(self.child_entries(node))))
             handler = runtime.on_http if layer == 1 else runtime.on_request
             for service in digraph.transport_services:
@@ -108,9 +105,7 @@ class Deployment:
             self.addresses.register(node, self.child_entries(node))
             self.addresses.subscribe(node, runtime.apply_update)
         elif layer == digraph.d:
-            runtime = RequestsServerNode(
-                self.sim, self.provider, self.log, node,
-                RequestRegistry(), self.u, self.counters)
+            runtime = RequestsServerNode(self.provider, node, self.u)
             for service in digraph.transport_services:
                 self.provider.bind(node, service.port, on_request=runtime.on_request)
             for service in digraph.poll_services:
@@ -123,12 +118,11 @@ class Deployment:
     def detach_node(self, node: str) -> None:
         self.runtimes.pop(node, None)
 
-    def attach_target(self) -> None:
+    def attach_target(self, m: float) -> None:
         digraph = self.digraph
         target = digraph.target
-        ps = PollingServerNode(
-            self.sim, self.provider, self.log, target, self.store, self.m,
-            digraph.poll_services[0].port, self.counters)
+        ps = PollingServerNode(self.provider, target, self.store, m,
+                               digraph.poll_services[0].port)
         ps.set_record(self.child_entries(target))
         self.addresses.register(target, self.child_entries(target))
         self.addresses.subscribe(target, lambda record: ps.set_record(record.entries))
@@ -170,23 +164,19 @@ class Deployment:
         return problems
 
 
-def deploy_misery(sim: Simulation, provider: CloudProvider,
-                  addresses: AddressServer, log: EventLog, counters: dict,
-                  digraph: MiseryDigraph, *, u: float, m: float, s: int,
-                  base_tags: dict[str, str] | None = None):
+def deploy_misery(provider: CloudProvider, addresses: AddressServer,
+                  digraph: MiseryDigraph, *, u: float, m: float, s: int):
     """Generator task: provision, rule, wire and start a misery digraph."""
     digraph.validate()
-    base_tags = dict(base_tags or {"instance_type": "mdg"})
-    deployment = Deployment(sim, provider, addresses, log, counters,
-                            u=u, m=m, base_tags=base_tags)
-    deployment.set_digraph(digraph)
+    deployment = Deployment(provider, addresses, u=u)
+    deployment.digraph = digraph
 
     ready = []
     for node in digraph.all_nodes():
         layer = digraph.layer_of(node)
         inst = provider.create_instance(
             image_for_layer(digraph, layer), instance_id=node,
-            tags={**base_tags, "role": digraph.role_of(node)})
+            tags={**MDG_TAGS, "role": digraph.role_of(node)})
         ready.append(inst.ready)
 
     pool = provider.configure_pool(s)
@@ -200,20 +190,17 @@ def deploy_misery(sim: Simulation, provider: CloudProvider,
     for layer_no in range(1, digraph.d + 1):
         for node in digraph.layer(layer_no):
             deployment.attach_node(node)
-    deployment.attach_target()
+    deployment.attach_target(m)
     deployment.entry_address = provider.instance(digraph.root).address
-    log.emit(sim.now, "deploy.complete", instance=None,
-             detail={"nodes": len(digraph.all_nodes()), "pool": s})
+    provider.log.emit(provider.sim.now, "deploy.complete", instance=None,
+                      detail={"nodes": len(digraph.all_nodes()), "pool": s})
     return deployment
 
 
-def deploy_normal(sim: Simulation, provider: CloudProvider,
-                  addresses: AddressServer, log: EventLog, counters: dict, *,
-                  u: float, base_tags: dict[str, str] | None = None):
+def deploy_normal(provider: CloudProvider, addresses: AddressServer, *,
+                  u: float):
     """Generator task: the baseline entry -> app -> database chain (d=0)."""
-    base_tags = dict(base_tags or {"instance_type": "normal"})
-    deployment = Deployment(sim, provider, addresses, log, counters,
-                            u=u, m=0.1, base_tags=base_tags)
+    deployment = Deployment(provider, addresses, u=u)
     web, app, db = CHAIN
     roles = {web: "entry-point", app: "intermediate", db: "target"}
     images = {web: ImageKind.MULTICASTER, app: ImageKind.REQUESTS_SERVER,
@@ -221,7 +208,7 @@ def deploy_normal(sim: Simulation, provider: CloudProvider,
     ready = []
     for node in CHAIN:
         inst = provider.create_instance(images[node], instance_id=node,
-                                        tags={**base_tags, "role": roles[node]})
+                                        tags={**NORMAL_TAGS, "role": roles[node]})
         ready.append(inst.ready)
     yield gather(ready)
 
@@ -233,13 +220,10 @@ def deploy_normal(sim: Simulation, provider: CloudProvider,
 
     app_address = provider.instance(app).address
     db_address = provider.instance(db).address
-    web_node = MulticasterNode(
-        sim, provider, log, web, ForwardPolicy(u), counters, is_entry=True,
-        table=AddressTable(1, ((app, app_address),)))
-    app_node = AppServerNode(sim, provider, log, app, db_address,
-                             DATABASE.port, u, counters)
-    db_node = DatabaseServerNode(sim, provider, log, db, deployment.store,
-                                 counters)
+    web_node = MulticasterNode(provider, web, u, is_entry=True,
+                               table=AddressTable(1, ((app, app_address),)))
+    app_node = AppServerNode(provider, app, db_address, u)
+    db_node = DatabaseServerNode(provider, db, deployment.store)
     provider.bind(web, HTTP.port, on_request=web_node.on_http)
     provider.bind(app, HTTP.port, on_request=app_node.on_request)
     provider.bind(db, DATABASE.port, on_channel=db_node.on_channel)
@@ -248,6 +232,6 @@ def deploy_normal(sim: Simulation, provider: CloudProvider,
 
     deployment.runtimes = {web: web_node, app: app_node, db: db_node}
     deployment.entry_address = provider.instance(web).address
-    log.emit(sim.now, "deploy.complete", instance=None,
-             detail={"nodes": 3, "pool": 0})
+    provider.log.emit(provider.sim.now, "deploy.complete", instance=None,
+                      detail={"nodes": 3, "pool": 0})
     return deployment

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterator
+
+from .errors import ConfigError
 
 
 class EventLog:
@@ -41,10 +43,21 @@ def serialize_record(record: dict[str, Any]) -> str:
 
 
 def load_records(path: str) -> list[dict[str, Any]]:
-    records = []
+    return [record for _, record in numbered_records(path)]
+
+
+def numbered_records(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
+    """(line number, record) for each non-blank line of an events file; a
+    line that is not a JSON object is a ConfigError naming the file and line."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ConfigError(f"bad events file {path}, line {n}: {err}") from err
+            if not isinstance(record, dict):
+                raise ConfigError(
+                    f"bad events file {path}, line {n}: not a JSON object")
+            yield n, record

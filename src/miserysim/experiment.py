@@ -28,7 +28,7 @@ from .cloud import CloudProvider
 from .deploy import deploy_misery, deploy_normal
 from .errors import ConfigError, MiserySimError
 from .eventlog import EventLog
-from .movement import MovementManager, MovementSchedule
+from .movement import MovementManager
 from .sim import Future, PRIO_LOAD, Simulation
 from .topology import HTTP, PUBLIC_INTERNET, MiseryDigraphSpec, build_misery_digraph
 
@@ -216,17 +216,17 @@ class WorkloadGenerator:
 class LoadGenerator:
     """Closed-loop client on the public side of the entry point."""
 
-    def __init__(self, sim: Simulation, provider: CloudProvider,
-                 entry_address: str, cfg: ExperimentConfig, log: EventLog,
+    def __init__(self, provider: CloudProvider, entry_address: str,
+                 cfg: ExperimentConfig,
                  workload: WorkloadGenerator | None = None,
                  replay: list[str] | None = None):
         if (workload is None) == (replay is None):
             raise ValueError("exactly one of workload or replay required")
-        self.sim = sim
+        self.sim = provider.sim
         self.provider = provider
         self.entry_address = entry_address
         self.cfg = cfg
-        self.log = log
+        self.log = provider.log
         self.workload = workload
         self.replay = replay
         self.issued = 0
@@ -328,28 +328,23 @@ def run_experiment(cfg: ExperimentConfig, *,
         hop_latency=cfg.latency.hop,
         api_latency=cfg.latency.api)
     addresses = AddressServer(sim, log, notify_latency=cfg.latency.notify)
-    counters = provider.counters
 
     if cfg.d == 0:
-        deploy_task = sim.spawn(deploy_normal(
-            sim, provider, addresses, log, counters, u=cfg.u))
+        deploy_task = sim.spawn(deploy_normal(provider, addresses, u=cfg.u))
     else:
-        digraph = build_experiment_digraph(cfg)
         deploy_task = sim.spawn(deploy_misery(
-            sim, provider, addresses, log, counters, digraph,
+            provider, addresses, build_experiment_digraph(cfg),
             u=cfg.u, m=cfg.m, s=cfg.s))
     deployment = sim.run_until(deploy_task.future)
     epoch = sim.now
 
     movement = None
     if cfg.d != 0:
-        movement = MovementManager(
-            sim, provider, addresses, deployment,
-            MovementSchedule(cfg.r), log, counters)
+        movement = MovementManager(deployment, cfg.r)
         movement.start(epoch, cfg.j)
 
     workload = WorkloadGenerator(cfg.rng_seed) if replay is None else None
-    load = LoadGenerator(sim, provider, deployment.entry_address, cfg, log,
+    load = LoadGenerator(provider, deployment.entry_address, cfg,
                          workload=workload, replay=replay)
     load_task = sim.spawn(load.run(), priority=PRIO_LOAD)
 
@@ -362,5 +357,5 @@ def run_experiment(cfg: ExperimentConfig, *,
     report = reporting.metrics_from_records(log.records)
     log.emit(sim.now, "experiment.summary", metrics=report.to_json_dict(),
              consistency=list(consistency),
-             counters={k: counters[k] for k in sorted(counters)})
+             counters=dict(sorted(provider.counters.items())))
     return ExperimentResult(cfg, report, log, deployment, sim, consistency)

@@ -9,25 +9,27 @@ routing on their stale tables until their subscription callback lands, so
 every cycle opens a short inconsistency window; when the cycle hits layer 2
 the window takes out every path at once, which is where failed requests
 cluster under load.  Layer 1 and the target are never selected.
+
+The manager acts on a Deployment and reaches everything else through it: the
+provider (and with it the run's clock, event log and counters) and the
+Address Server.  Its draws come from the simulation's "movement" stream.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 
-from .addresses import AddressServer
-from .cloud import CloudProvider
-from .deploy import image_for_layer
+from .deploy import MDG_TAGS, image_for_layer
 from .errors import (
     CloudError,
     ConcurrentMutation,
     NoEligibleLayer,
     UnknownOwner,
 )
-from .eventlog import EventLog
-from .sim import PRIO_CONTROL, Simulation
+from .sim import PRIO_CONTROL
 from .topology import (
     MiseryDigraph,
     MiseryDigraphSpec,
@@ -35,18 +37,6 @@ from .topology import (
     layer_sizes,
     next_replacement_id,
 )
-
-
-@dataclass(frozen=True)
-class MovementSchedule:
-    """Period of the transformation process; its draws come from the
-    simulation's "movement" stream."""
-
-    r: float
-
-    def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError(f"period r must be positive, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -101,17 +91,19 @@ def select_transformation(digraph: MiseryDigraph, rng: random.Random) -> SwitchO
 class MovementManager:
     """Single writer for topology mutations; cycles never overlap."""
 
-    def __init__(self, sim: Simulation, provider: CloudProvider,
-                 addresses: AddressServer, deployment, schedule: MovementSchedule,
-                 log: EventLog, counters: dict):
-        self.sim = sim
+    def __init__(self, deployment, r: float):
+        # a NaN or infinite period would silently run no cycle at all
+        if not (r > 0 and math.isfinite(r)):
+            raise ValueError(f"period r must be finite and > 0, got {r}")
+        provider = deployment.provider
+        self.sim = provider.sim
         self.provider = provider
-        self.addresses = addresses
+        self.addresses = deployment.addresses
         self.deployment = deployment
-        self.schedule = schedule
-        self.log = log
-        self.counters = counters
-        self._rng = sim.rng("movement")
+        self.r = r
+        self.log = provider.log
+        self.counters = provider.counters
+        self._rng = self.sim.rng("movement")
         self._busy = False
         self._generation: dict[tuple[int, int], int] = {}
         self._retry_owners: set[str] = set()
@@ -131,13 +123,13 @@ class MovementManager:
 
     def _loop(self, epoch: float, j: float):
         horizon = epoch + j
-        next_t = epoch + self.schedule.r
+        next_t = epoch + self.r
         while next_t <= horizon + 1e-9:
             delay = next_t - self.sim.now
             if delay > 0:
                 yield delay
             yield from self._cycle()
-            next_t = max(next_t + self.schedule.r, self.sim.now)
+            next_t = max(next_t + self.r, self.sim.now)
 
     def trigger(self):
         """Run one cycle immediately; returns the task future (for tests)."""
@@ -183,7 +175,7 @@ class MovementManager:
                 new_ids.append((yield from self._execute_reset(old)))
             versions = yield from self._propagate(op.layer, new_ids)
         except CloudError as err:
-            # Abort cleanly; the digraph cell always reflects applied steps,
+            # Abort cleanly; deployment.digraph always reflects applied steps,
             # so the next cycle starts from a consistent state.
             self.counters["aborted_cycles"] += 1
             self.log.emit(self.sim.now, "movement.abort", instance=None,
@@ -213,7 +205,7 @@ class MovementManager:
         yield self.provider.api_latency()
         revoke, grant = rule_delta(digraph, swapped, op.nodes, op.nodes)
         self.provider.rewrite_rules(revoke, grant)
-        self.deployment.set_digraph(swapped)
+        self.deployment.digraph = swapped
         self._emit(cycle, "switch", op.layer, [u, v], [], {})
 
     def _execute_reset(self, old: str):
@@ -225,11 +217,11 @@ class MovementManager:
         new_id = next_replacement_id(digraph, old, self._generation)
         self.provider.adopt_instance(
             instance.id, new_id,
-            tags={"role": digraph.role_of(old), **self.deployment.base_tags})
+            tags={"role": digraph.role_of(old), **MDG_TAGS})
         replaced = digraph.with_node_replaced(old, new_id)
         revoke, grant = rule_delta(digraph, replaced, (old,), (new_id,))
         self.provider.rewrite_rules(revoke, grant)
-        self.deployment.set_digraph(replaced)
+        self.deployment.digraph = replaced
         self.deployment.attach_node(new_id)
         yield self.provider.api_latency()
         self.provider.terminate_instance(old)
@@ -254,7 +246,7 @@ class MovementManager:
             if version is not None:
                 versions[owner] = version
         if layer == digraph.d:
-            version = self._update_target_record()
+            version = self._update_owner(digraph.target)
             if version is not None:
                 versions[digraph.target] = version
         return versions
@@ -268,12 +260,9 @@ class MovementManager:
             return None
         return record.version
 
-    def _update_target_record(self) -> int | None:
-        return self._update_owner(self.deployment.digraph.target)
-
     def _repair_layer_tables(self, layer: int) -> None:
-        """After an abort, whatever steps did apply are already in the digraph
-        cell; re-deriving the tables around the touched layer puts routing
+        """After an abort, whatever steps did apply are already in
+        deployment.digraph; re-deriving the tables around the touched layer puts routing
         back in step with the rules instead of waiting for a later cycle to
         happen to hit the same nodes.  A switch changes the parents' child
         assignment and the swapped nodes' own children; an aborted reset
@@ -286,7 +275,7 @@ class MovementManager:
             for owner in digraph.layer(layer):
                 self._update_owner(owner)
         else:
-            self._update_target_record()
+            self._update_owner(digraph.target)
 
     def _flush_retries(self) -> None:
         retries, self._retry_owners = self._retry_owners, set()

@@ -16,8 +16,7 @@ from . import wire
 from .addresses import AddressRecord
 from .cloud import CloudProvider, Exchange
 from .errors import ProtocolViolation
-from .eventlog import EventLog
-from .sim import PRIO_RESOLVE, Simulation
+from .sim import PRIO_RESOLVE
 
 
 @dataclass(frozen=True)
@@ -27,15 +26,6 @@ class AddressTable:
 
 
 EMPTY_TABLE = AddressTable(0, ())
-
-
-@dataclass(frozen=True)
-class ForwardPolicy:
-    u: float
-
-    def __post_init__(self) -> None:
-        if self.u <= 0:
-            raise ValueError(f"timeout u must be > 0, got {self.u}")
 
 
 def apply_address_update(table: AddressTable, update: AddressTable) -> AddressTable:
@@ -107,19 +97,16 @@ class _Job:
 
 
 class MulticasterNode:
-    def __init__(self, sim: Simulation, provider: CloudProvider, log: EventLog,
-                 node_id: str, policy: ForwardPolicy, counters: dict,
-                 *, is_entry: bool = False,
-                 table: AddressTable = EMPTY_TABLE):
-        self.sim = sim
+    def __init__(self, provider: CloudProvider, node_id: str, u: float, *,
+                 is_entry: bool = False, table: AddressTable = EMPTY_TABLE):
+        self.sim = provider.sim
         self.provider = provider
-        self.log = log
         self.id = node_id
-        self.policy = policy
-        self.counters = counters
+        self.u = u
+        self.counters = provider.counters
         self.is_entry = is_entry
         self.table = table
-        self._corr_rng = sim.rng("correlation") if is_entry else None
+        self._corr_rng = self.sim.rng("correlation") if is_entry else None
 
     # -- address table -------------------------------------------------------
 
@@ -189,7 +176,7 @@ class MulticasterNode:
             (index, self.provider.request(self.id, address, port, frame))
             for index, (_, address) in enumerate(children)
         ]
-        job.deadline_handle = self.sim.schedule(self.policy.u, job.timed_out)
+        job.deadline_handle = self.sim.schedule(self.u, job.timed_out)
         for index, future in futures:
             future.add_done_callback(
                 lambda fut, i=index: self._on_child_done(job, i, fut))

@@ -14,6 +14,29 @@ import os
 from dataclasses import dataclass, field
 
 
+# what the report reads from each record kind, as dotted paths
+REPORTED_FIELDS = {
+    "experiment.config": ("config",),
+    "movement.window": ("detail.cycle", "detail.layer", "detail.t0", "detail.t1"),
+    "pool.allocate": ("detail.hit",),
+    "request.done": ("i", "corr", "issued_at", "outcome", "latency", "status"),
+}
+
+
+def missing_field(record: dict) -> str | None:
+    """The first field the report reads that `record` lacks, or None."""
+    kind = record.get("kind")
+    if not isinstance(kind, str):
+        return None
+    for path in REPORTED_FIELDS.get(kind, ()):
+        value = record
+        for key in path.split("."):
+            if not isinstance(value, dict) or key not in value:
+                return path
+            value = value[key]
+    return None
+
+
 @dataclass(frozen=True)
 class TransformationWindow:
     """Interval during which one movement cycle can disturb requests: from

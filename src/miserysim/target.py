@@ -24,8 +24,8 @@ from collections import deque
 from . import wire
 from .cloud import Channel, CloudProvider, Exchange
 from .errors import ConnectionRefused, ProtocolViolation, SessionSevered, TimeoutFailure
-from .eventlog import EventLog
-from .sim import Future, PRIO_ACTOR, SimCancelled, Simulation
+from .sim import Future, PRIO_ACTOR, SimCancelled
+from .topology import DATABASE
 
 
 class BackendStore:
@@ -122,16 +122,13 @@ class RequestRegistry:
 class RequestsServerNode:
     """Layer-d node: registers requests for the poller, holds their sessions."""
 
-    def __init__(self, sim: Simulation, provider: CloudProvider, log: EventLog,
-                 node_id: str, registry: RequestRegistry, u: float,
-                 counters: dict):
-        self.sim = sim
+    def __init__(self, provider: CloudProvider, node_id: str, u: float):
+        self.sim = provider.sim
         self.provider = provider
-        self.log = log
         self.id = node_id
-        self.registry = registry
+        self.registry = RequestRegistry()
         self.u = u
-        self.counters = counters
+        self.counters = provider.counters
 
     # -- upstream transport endpoint ------------------------------------------
 
@@ -242,21 +239,22 @@ class _PollLink:
         return fut
 
 
+# poll cycles an executed id stays cached: a minute or more at m = 0.1 s
+EXECUTED_WINDOW = 600
+
+
 class PollingServerNode:
     """Target-resident poller: the only component that touches the store."""
 
-    def __init__(self, sim: Simulation, provider: CloudProvider, log: EventLog,
-                 node_id: str, store: BackendStore, m: float, poll_port: int,
-                 counters: dict, *, window: int = 600):
-        self.sim = sim
+    def __init__(self, provider: CloudProvider, node_id: str,
+                 store: BackendStore, m: float, poll_port: int):
+        self.sim = provider.sim
         self.provider = provider
-        self.log = log
         self.id = node_id
         self.store = store
         self.m = m
         self.poll_port = poll_port
-        self.counters = counters
-        self.window = window
+        self.counters = provider.counters
         self.endpoints: list[tuple[str, str]] = []
         self.executed: dict[bytes, tuple[int, bytes]] = {}
         self._links: dict[str, _PollLink] = {}
@@ -361,7 +359,7 @@ class PollingServerNode:
         # entry (delivery outages last seconds; the window spans minutes).
         # Only fresh ids are inserted, so the dict is in cycle order and the
         # stale entries are a prefix of it.
-        horizon = self.cycle_no - self.window
+        horizon = self.cycle_no - EXECUTED_WINDOW
         executed = self.executed
         while executed:
             oldest = next(iter(executed))
@@ -369,7 +367,7 @@ class PollingServerNode:
                 break
             del executed[oldest]
         if fresh or collected or delivered:
-            self.log.emit(self.sim.now, "poll.cycle", instance=self.id,
+            self.provider.log.emit(self.sim.now, "poll.cycle", instance=self.id,
                           detail={"cycle": self.cycle_no, "collected": collected,
                                   "executed": len(fresh), "delivered": delivered})
 
@@ -377,15 +375,13 @@ class PollingServerNode:
 class DatabaseServerNode:
     """Baseline-chain database: the genuine owner of the handshake protocol."""
 
-    def __init__(self, sim: Simulation, provider: CloudProvider, log: EventLog,
-                 node_id: str, store: BackendStore, counters: dict):
-        self.sim = sim
+    def __init__(self, provider: CloudProvider, node_id: str,
+                 store: BackendStore):
         self.provider = provider
-        self.log = log
         self.id = node_id
         self.store = store
-        self.counters = counters
-        self._nonce_rng = sim.rng("nonce")
+        self.counters = provider.counters
+        self._nonce_rng = provider.sim.rng("nonce")
 
     def on_channel(self, channel: Channel) -> None:
         nonce = self._nonce_rng.getrandbits(64).to_bytes(8, "big")
@@ -420,17 +416,13 @@ class DatabaseServerNode:
 class AppServerNode:
     """Baseline-chain application server: database client behind the entry."""
 
-    def __init__(self, sim: Simulation, provider: CloudProvider, log: EventLog,
-                 node_id: str, db_address: str, db_port: int, u: float,
-                 counters: dict):
-        self.sim = sim
+    def __init__(self, provider: CloudProvider, node_id: str,
+                 db_address: str, u: float):
+        self.sim = provider.sim
         self.provider = provider
-        self.log = log
         self.id = node_id
         self.db_address = db_address
-        self.db_port = db_port
         self.u = u
-        self.counters = counters
 
     def on_request(self, ex: Exchange, data: bytes) -> None:
         corr, payload, error = wire.decode_request(data)
@@ -444,7 +436,7 @@ class AppServerNode:
     def _session(self, ex: Exchange, corr: bytes, payload: bytes):
         try:
             channel = yield self.provider.open_channel(self.id, self.db_address,
-                                                       self.db_port)
+                                                       DATABASE.port)
         except (ConnectionRefused, SessionSevered):
             self.provider.respond(ex, wire.encode_error(corr, b"no-upstream"))
             return

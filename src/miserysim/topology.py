@@ -1,8 +1,8 @@
 """Graph-theoretic core: the protected chain, misery digraphs, firewall rules.
 
 Everything in this module is a pure function over immutable values.  The live
-topology cell owned by the movement manager holds a MiseryDigraph and replaces
-it wholesale on every transformation; nothing here mutates in place.
+deployment holds a MiseryDigraph, and the movement manager replaces it
+wholesale on every transformation; nothing here mutates in place.
 
 A misery digraph is stored positionally: layer i (1-based, i = 1..d) is a
 tuple of node ids, and the parent/child edges are implied by slot arithmetic

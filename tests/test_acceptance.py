@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -27,12 +26,11 @@ from miserysim.cloud import CloudProvider, ImageKind, InstanceState
 from miserysim.deploy import deploy_misery
 from miserysim.eventlog import EventLog
 from miserysim.experiment import ExperimentConfig, run_experiment
-from miserysim.movement import MovementManager, MovementSchedule
+from miserysim.movement import MovementManager
 from miserysim.sim import Simulation
 from miserysim.target import (
     BackendStore,
     PollingServerNode,
-    RequestRegistry,
     RequestsServerNode,
 )
 from miserysim.topology import (
@@ -208,12 +206,11 @@ def test_transformation_cycles_preserve_isomorphism(capsys):
     log = EventLog()
     provider = CloudProvider(sim, log, provisioning_latency=2.0)
     addresses = AddressServer(sim, log)
-    counters = Counter()
-    task = sim.spawn(deploy_misery(sim, provider, addresses, log, counters,
-                                   make_digraph(4, 2), u=1.0, m=1.0, s=8))
+    counters = provider.counters
+    task = sim.spawn(deploy_misery(provider, addresses, make_digraph(4, 2),
+                                   u=1.0, m=1.0, s=8))
     deployment = sim.run_until(task.future)
-    manager = MovementManager(sim, provider, addresses, deployment,
-                              MovementSchedule(100.0), log, counters)
+    manager = MovementManager(deployment, 100.0)
 
     problems: list[str] = []
     for cycle in range(100):
@@ -291,15 +288,13 @@ def test_duplicate_collapse(capsys):
     log = EventLog()
     provider = CloudProvider(sim, log, provisioning_latency=0.5)
     store = BackendStore()
-    counters = Counter()
     provider.create_instance(ImageKind.POLLING_TARGET, instance_id="db")
     nodes = []
     for i in range(4):
         rs_id = f"rs{i}"
         provider.create_instance(ImageKind.REQUESTS_SERVER, instance_id=rs_id)
         provider.rewrite_rules([], [FirewallRule("db", rs_id, 3306)])
-        node = RequestsServerNode(sim, provider, log, rs_id,
-                                  RequestRegistry(), 5.0, counters)
+        node = RequestsServerNode(provider, rs_id, 5.0)
         provider.bind(rs_id, 3306, on_channel=node.on_poll_channel)
         nodes.append(node)
     sim.run(until=1.0)
@@ -307,8 +302,7 @@ def test_duplicate_collapse(capsys):
     answers = []
     for node in nodes:
         node.open_session(dup, b"PUT shared 1", answers.append)
-    ps = PollingServerNode(sim, provider, log, "db", store, 0.05, 3306,
-                           counters)
+    ps = PollingServerNode(provider, "db", store, 0.05, 3306)
     ps.set_record([(f"rs{i}", provider.instance(f"rs{i}").address)
                    for i in range(4)])
     ps.start()

@@ -164,6 +164,14 @@ def test_replay_rejects_bad_shapes():
                      r=None, seed=0)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+def test_replay_rejects_a_period_that_is_not_positive_and_finite(r):
+    # r <= 0 never moved the next cycle past the horizon, so the replay hung
+    with pytest.raises(ValueError):
+        simulate_one(3, 2, hop_time=1.0, strategy=Strategy.DEPTH_FIRST,
+                     r=r, seed=0)
+
+
 # --- churn slows the walk -----------------------------------------------------------
 
 def test_fast_movement_beats_static_walk():

@@ -228,6 +228,30 @@ def test_report_missing_events_file(tmp_path):
                  "--outdir", str(tmp_path)]) == 2
 
 
+def test_report_rejects_a_line_that_is_not_json(tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"t": 0.0, "kind": "experiment.config", "config": {}}\n'
+                      '{"t": 1.0, "kind": "request.done"\n', encoding="utf-8")
+    assert main(["report", "--events", str(events),
+                 "--outdir", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad events file {events}, line 2:" in err
+    assert "runtime failure" not in err
+
+
+def test_report_rejects_a_record_without_a_reported_field(tmp_path, capsys):
+    done = {"t": 1.0, "kind": "request.done", "i": 0, "corr": "", "latency": 0.1,
+            "outcome": "processed", "status": 200}
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"t": 0.0, "kind": "experiment.config", "config": {}}\n'
+                      "\n" + json.dumps(done) + "\n", encoding="utf-8")
+    assert main(["report", "--events", str(events),
+                 "--outdir", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert (f"bad events file {events}, line 3: request.done record has no "
+            f"issued_at") in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["build", "--bogus"]) == 2

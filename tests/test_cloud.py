@@ -72,6 +72,30 @@ def test_duplicate_instance_id_rejected():
         provider.create_instance(ImageKind.REQUESTS_SERVER, instance_id="x")
 
 
+def test_addresses_use_all_host_bits_of_the_private_range():
+    sim, provider = make_provider()
+    web = provider.create_instance(ImageKind.MULTICASTER, instance_id="web")
+    assert web.address == "10.0.0.1"
+    # skip to host 65,535; host 65,537 used to wrap onto 10.0.0.1
+    provider._addr_seq = itertools.count(0xFFFF)
+    made = [provider.create_instance(ImageKind.MULTICASTER, instance_id=f"x{n}")
+            for n in range(3)]
+    assert [inst.address for inst in made] == [
+        "10.0.255.255", "10.1.0.0", "10.1.0.1"]
+    sim.run(until=300.0)
+    assert provider.resolve_address("10.0.0.1") is web
+    assert provider.resolve_address("10.1.0.1") is made[2]
+    provider.terminate_instance("x2")
+    assert provider.resolve_address("10.0.0.1") is web
+    # 10.255.255.254 is the last host; 10.255.255.255 is broadcast
+    provider._addr_seq = itertools.count(0xFFFFFE)
+    last = provider.create_instance(ImageKind.MULTICASTER, instance_id="last")
+    assert last.address == "10.255.255.254"
+    with pytest.raises(InvalidState):
+        provider.create_instance(ImageKind.MULTICASTER, instance_id="over")
+    assert "over" not in provider.instances
+
+
 def test_adopt_renames_and_remaps_address():
     sim, provider = make_provider()
     inst = running_instance(sim, provider, instance_id="pool-m-1")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from types import SimpleNamespace
 
 from miserysim.addresses import AddressServer
@@ -34,13 +33,11 @@ def deploy(d=3, k=2, s=8, seed=0):
     log = EventLog()
     provider = CloudProvider(sim, log)
     addresses = AddressServer(sim, log)
-    counters = Counter()
-    task = sim.spawn(deploy_misery(sim, provider, addresses, log, counters,
-                                   make_digraph(d, k), u=1.0, m=0.1, s=s))
+    task = sim.spawn(deploy_misery(provider, addresses, make_digraph(d, k),
+                                   u=1.0, m=0.1, s=s))
     deployment = sim.run_until(task.future)
     return SimpleNamespace(sim=sim, log=log, provider=provider,
-                           addresses=addresses, counters=counters,
-                           deployment=deployment)
+                           addresses=addresses, deployment=deployment)
 
 
 def test_deploy_waits_out_provisioning():
@@ -147,9 +144,7 @@ def test_normal_chain_deploys():
     log = EventLog()
     provider = CloudProvider(sim, log)
     addresses = AddressServer(sim, log)
-    counters = Counter()
-    task = sim.spawn(deploy_normal(sim, provider, addresses, log, counters,
-                                   u=1.0))
+    task = sim.spawn(deploy_normal(provider, addresses, u=1.0))
     deployment = sim.run_until(task.future)
     assert sim.now == 300.0
     assert set(deployment.runtimes) == {"web", "app", "db"}

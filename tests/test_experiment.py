@@ -182,9 +182,9 @@ def test_workload_mix_is_roughly_sixty_thirty_ten():
 
 def test_load_generator_needs_exactly_one_source():
     with pytest.raises(ValueError):
-        LoadGenerator(None, None, "10.0.0.1", ExperimentConfig(), None)
+        LoadGenerator(None, "10.0.0.1", ExperimentConfig())
     with pytest.raises(ValueError):
-        LoadGenerator(None, None, "10.0.0.1", ExperimentConfig(), None,
+        LoadGenerator(None, "10.0.0.1", ExperimentConfig(),
                       workload=WorkloadGenerator(0), replay=["PUT a b"])
 
 

@@ -7,9 +7,9 @@ tables) against the digraph rather than against the manager's own bookkeeping.
 
 from __future__ import annotations
 
+import math
 import random
 import re
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +21,6 @@ from miserysim.errors import CloudError, ConcurrentMutation, NoEligibleLayer
 from miserysim.eventlog import EventLog
 from miserysim.movement import (
     MovementManager,
-    MovementSchedule,
     select_transformation,
 )
 from miserysim.sim import Simulation
@@ -43,14 +42,12 @@ def deployed(d=3, k=2, s=8, seed=0, r=100.0):
     log = EventLog()
     provider = CloudProvider(sim, log)
     addresses = AddressServer(sim, log)
-    counters = Counter()
-    task = sim.spawn(deploy_misery(sim, provider, addresses, log, counters,
-                                   make_digraph(d, k), u=1.0, m=0.1, s=s))
+    task = sim.spawn(deploy_misery(provider, addresses, make_digraph(d, k),
+                                   u=1.0, m=0.1, s=s))
     deployment = sim.run_until(task.future)
-    manager = MovementManager(sim, provider, addresses, deployment,
-                              MovementSchedule(r), log, counters)
+    manager = MovementManager(deployment, r)
     return SimpleNamespace(sim=sim, log=log, provider=provider,
-                           addresses=addresses, counters=counters,
+                           addresses=addresses, counters=provider.counters,
                            deployment=deployment, manager=manager)
 
 
@@ -66,10 +63,10 @@ def run_one_cycle(env) -> None:
 # --- schedule and selection --------------------------------------------------
 
 def test_schedule_validates_period():
-    with pytest.raises(ValueError):
-        MovementSchedule(0)
-    with pytest.raises(ValueError):
-        MovementSchedule(-5.0)
+    deployment = deployed().deployment
+    for r in (0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MovementManager(deployment, r)
 
 
 def test_select_uniform_over_eligible_layers():

@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
-import pytest
-
 from miserysim import wire
 from miserysim.addresses import AddressRecord
 from miserysim.cloud import CloudProvider, ImageKind
@@ -13,7 +9,6 @@ from miserysim.eventlog import EventLog
 from miserysim.multicaster import (
     EMPTY_TABLE,
     AddressTable,
-    ForwardPolicy,
     MulticasterNode,
     apply_address_update,
 )
@@ -33,12 +28,9 @@ def setup_node(n_children=2, u=0.5, is_entry=False):
         provider.rewrite_rules([], [FirewallRule("web", f"c{i}", 80)])
         children.append(child)
     sim.run(until=301)
-    counters = Counter()
     table = AddressTable(1, tuple((c.id, c.address) for c in children))
-    node = MulticasterNode(sim, provider, EventLog(), "web",
-                           ForwardPolicy(u), counters,
-                           is_entry=is_entry, table=table)
-    return sim, provider, node, children, counters
+    node = MulticasterNode(provider, "web", u, is_entry=is_entry, table=table)
+    return sim, provider, node, children, provider.counters
 
 
 def reply_child(sim, provider, node_id, body=b"pong", delay=0.0):
@@ -60,12 +52,7 @@ def run_job(sim, node, payload=b"GET k"):
     return wire.decode_frame(got[0])
 
 
-# --- policy and table ---------------------------------------------------------
-
-def test_policy_requires_positive_timeout():
-    with pytest.raises(ValueError):
-        ForwardPolicy(0)
-
+# --- address table ---------------------------------------------------------
 
 def test_address_updates_are_monotone():
     v2 = AddressTable(2, (("a", "10.0.0.1"),))

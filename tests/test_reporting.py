@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
 
+import pytest
+
 from miserysim.experiment import ExperimentConfig, run_experiment
 from miserysim.reporting import (
     CSV_COLUMNS,
+    REPORTED_FIELDS,
     TransformationWindow,
     _quantile,
     emit_report,
     metrics_from_records,
+    missing_field,
     window_for,
     windows_from_records,
 )
@@ -165,3 +170,26 @@ def test_emit_report_from_live_run(tmp_path):
     summary = json.loads(open(json_path, encoding="utf-8").read())
     assert ExperimentConfig.from_json_dict(summary["config"]) == cfg
     assert summary["metrics"]["processed"] == 8
+
+
+def test_missing_field_names_each_field_the_report_reads(tmp_path):
+    records = [{"t": 0.0, "kind": "experiment.config", "config": {}},
+               window_record(1, 2, 0.0, 1.0),
+               {"t": 0.5, "kind": "pool.allocate", "detail": {"hit": False}},
+               done(0, 0.5, "failed"),
+               {"t": 2.0, "kind": "poll.cycle"}]
+    assert [missing_field(rec) for rec in records] == [None] * 5
+    emit_report(records, str(tmp_path))
+    for rec in records[:4]:
+        for path in REPORTED_FIELDS[rec["kind"]]:
+            broken = copy.deepcopy(rec)
+            *outer, last = path.split(".")
+            holder = broken
+            for key in outer:
+                holder = holder[key]
+            del holder[last]
+            assert missing_field(broken) == path
+            # the table lists only fields the report really reads
+            with pytest.raises(KeyError):
+                emit_report([broken if r is rec else r for r in records],
+                            str(tmp_path))

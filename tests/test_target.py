@@ -3,11 +3,9 @@ server sessions, the polling loop, and the baseline database pair."""
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
-from miserysim import wire
+from miserysim import target, wire
 from miserysim.cloud import CloudProvider, ImageKind
 from miserysim.eventlog import EventLog
 from miserysim.sim import Simulation
@@ -105,10 +103,8 @@ def test_deliver_semantics():
 def rs_fixture(u=1.0):
     sim = Simulation(0)
     provider = CloudProvider(sim, EventLog())
-    counters = Counter()
-    node = RequestsServerNode(sim, provider, EventLog(), "rs0",
-                              RequestRegistry(), u, counters)
-    return sim, provider, node, counters
+    node = RequestsServerNode(provider, "rs0", u)
+    return sim, provider, node, provider.counters
 
 
 def test_session_registers_pending_and_waits():
@@ -198,28 +194,24 @@ def test_rs_transport_endpoint_round_trip():
 
 # --- polling loop ------------------------------------------------------------------
 
-def poll_fixture(n_rs=4, m=0.05, window=600):
+def poll_fixture(n_rs=4, m=0.05):
     sim = Simulation(0)
     provider = CloudProvider(sim, EventLog())
-    log = EventLog()
     store = BackendStore()
-    counters = Counter()
     provider.create_instance(ImageKind.POLLING_TARGET, instance_id="db")
     nodes = []
     for i in range(n_rs):
         rs_id = f"rs{i}"
         provider.create_instance(ImageKind.REQUESTS_SERVER, instance_id=rs_id)
         provider.rewrite_rules([], [FirewallRule("db", rs_id, 3306)])
-        node = RequestsServerNode(sim, provider, log, rs_id,
-                                  RequestRegistry(), 5.0, counters)
+        node = RequestsServerNode(provider, rs_id, 5.0)
         provider.bind(rs_id, 3306, on_channel=node.on_poll_channel)
         nodes.append(node)
     sim.run(until=301)
-    ps = PollingServerNode(sim, provider, log, "db", store, m, 3306, counters,
-                           window=window)
+    ps = PollingServerNode(provider, "db", store, m, 3306)
     ps.set_record([(f"rs{i}", provider.instance(f"rs{i}").address)
                    for i in range(n_rs)])
-    return sim, provider, ps, nodes, store, log
+    return sim, provider, ps, nodes, store, provider.log
 
 
 def test_duplicate_across_leaves_executes_once_delivers_everywhere():
@@ -252,8 +244,9 @@ def test_executed_cache_blocks_reexecution_of_relisted_entries():
     assert nodes[1].registry.pending == {}
 
 
-def test_executed_cache_evicts_beyond_window():
-    sim, _, ps, _, _, _ = poll_fixture(n_rs=0, window=3)
+def test_executed_cache_evicts_beyond_window(monkeypatch):
+    monkeypatch.setattr(target, "EXECUTED_WINDOW", 3)
+    sim, _, ps, _, _, _ = poll_fixture(n_rs=0)
     ps.executed = {CORR: (1, b"OK")}
     ps.start()
     sim.run(until=sim.now + 1.0)   # many empty cycles at m=0.05
@@ -261,8 +254,9 @@ def test_executed_cache_evicts_beyond_window():
     assert CORR not in ps.executed
 
 
-def test_executed_cache_drops_exactly_the_entries_older_than_the_horizon():
-    sim, _, ps, _, _, _ = poll_fixture(n_rs=0, window=3)
+def test_executed_cache_drops_exactly_the_entries_older_than_the_horizon(monkeypatch):
+    monkeypatch.setattr(target, "EXECUTED_WINDOW", 3)
+    sim, _, ps, _, _, _ = poll_fixture(n_rs=0)
     cycles = [1, 1, 2, 3, 3, 4, 5, 5, 6]
     ids = [bytes([i]) * 16 for i in range(len(cycles))]
     ps.executed = {corr: (cycle, b"OK") for corr, cycle in zip(ids, cycles)}
@@ -406,20 +400,17 @@ def test_poller_survives_a_broken_poll_channel(inbound):
 def baseline_fixture(u=1.0):
     sim = Simulation(0)
     provider = CloudProvider(sim, EventLog())
-    log = EventLog()
     store = BackendStore()
-    counters = Counter()
     provider.create_instance(ImageKind.MULTICASTER, instance_id="parent")
     provider.create_instance(ImageKind.MULTICASTER, instance_id="app")
     provider.create_instance(ImageKind.POLLING_TARGET, instance_id="db")
     provider.rewrite_rules([], [FirewallRule("parent", "app", 80)])
     sim.run(until=301)
-    db = DatabaseServerNode(sim, provider, log, "db", store, counters)
+    db = DatabaseServerNode(provider, "db", store)
     provider.bind("db", 3306, on_channel=db.on_channel)
-    app = AppServerNode(sim, provider, log, "app",
-                        provider.instance("db").address, 3306, u, counters)
+    app = AppServerNode(provider, "app", provider.instance("db").address, u)
     provider.bind("app", 80, on_request=app.on_request)
-    return sim, provider, store, counters
+    return sim, provider, store, provider.counters
 
 
 def ask_app(sim, provider, payload, corr=CORR):
