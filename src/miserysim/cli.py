@@ -167,10 +167,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     records = []
     for n, record in numbered_records(args.events):
-        missing = reporting.missing_field(record)
-        if missing is not None:
+        problem = reporting.field_problem(record)
+        if problem is not None:
             raise ConfigError(f"bad events file {args.events}, line {n}: "
-                              f"{record['kind']} record has no {missing}")
+                              f"{record['kind']} record {problem}")
         records.append(record)
     csv_path, json_path = reporting.emit_report(records, args.outdir)
     print(f"wrote {csv_path} and {json_path}")

@@ -520,8 +520,12 @@ class CloudProvider:
 
     def _channel_send(self, to: Channel, data: bytes) -> None:
         # FIFO per direction: a frame must not overtake an earlier one even
-        # when it draws a shorter hop latency
-        at = max(self.sim.now + self.hop_latency(), to._last_at)
+        # when it draws a shorter hop latency.  The draw is hop_latency()
+        # inline: random.uniform's own expression, so bit-identical.
+        lo, hi = self._hop
+        at = self.sim.now + (lo + (hi - lo) * self._net_rng.random())
+        if at < to._last_at:
+            at = to._last_at
         to._last_at = at
         self.sim.schedule_at(at, to._deliver, data, priority=PRIO_NETWORK)
 

@@ -29,17 +29,9 @@ from .deploy import deploy_misery, deploy_normal
 from .errors import ConfigError, MiserySimError
 from .eventlog import EventLog
 from .movement import MovementManager
+from .reporting import is_int, is_number
 from .sim import Future, PRIO_LOAD, Simulation
 from .topology import HTTP, PUBLIC_INTERNET, MiseryDigraphSpec, build_misery_digraph
-
-
-def _is_int(value) -> bool:
-    # bool subclasses int, but true is neither a count nor a duration
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
 
 
 @dataclass(frozen=True)
@@ -76,12 +68,12 @@ class LatencyModel:
             if name in doc:
                 pair = doc[name]
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                        and all(map(_is_number, pair))):
+                        and all(map(is_number, pair))):
                     raise ConfigError(f"latency range {name} must be a "
                                       f"[lo, hi] pair of numbers")
                 kwargs[name] = tuple(pair)
         if "provisioning" in doc:
-            if not _is_number(doc["provisioning"]):
+            if not is_number(doc["provisioning"]):
                 raise ConfigError("provisioning latency must be a number")
             kwargs["provisioning"] = float(doc["provisioning"])
         return cls(**kwargs)
@@ -105,12 +97,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         # a config file can carry any JSON type; check them before comparing
         for name in ("d", "k", "s", "rng_seed"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
-        if self.n_requests is not None and not _is_int(self.n_requests):
+        if self.n_requests is not None and not is_int(self.n_requests):
             raise ConfigError("n_requests must be an integer when set")
         for name in ("j", "r", "u", "m", "request_interval", "compress"):
-            if not _is_number(getattr(self, name)):
+            if not is_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number")
         if self.d == 0:
             if self.k != 0:
@@ -183,18 +175,18 @@ class WorkloadGenerator:
 
     def next(self, i: int) -> str:
         roll = self._rng.random()
-        eligible = self._eligible(i)
-        if roll < 0.9 or not eligible:
-            if roll < 0.6 or not eligible:
-                key = f"k{i:05d}"
-                self._outstanding[i] = ("PUT", key)
-                return f"PUT {key} v{i:05d}"
-            key = self._rng.choice(eligible)
-            self._outstanding[i] = ("GET", key)
-            return f"GET {key}"
-        key = self._rng.choice(eligible)
-        self._outstanding[i] = ("DEL", key)
-        return f"DEL {key}"
+        # only a read or a delete needs the eligible keys: a scan of every
+        # live key, so a write skips it
+        if roll >= 0.6:
+            eligible = self._eligible(i)
+            if eligible:
+                op = "GET" if roll < 0.9 else "DEL"
+                key = self._rng.choice(eligible)
+                self._outstanding[i] = (op, key)
+                return f"{op} {key}"
+        key = f"k{i:05d}"
+        self._outstanding[i] = ("PUT", key)
+        return f"PUT {key} v{i:05d}"
 
     def record_outcome(self, i: int, processed: bool) -> None:
         op_key = self._outstanding.pop(i, None)

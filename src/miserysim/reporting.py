@@ -14,26 +14,47 @@ import os
 from dataclasses import dataclass, field
 
 
-# what the report reads from each record kind, as dotted paths
+def is_int(value) -> bool:
+    # bool subclasses int, but true is neither a count nor a duration
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return is_int(value) or isinstance(value, float)
+
+
+_INTEGER = (is_int, "an integer")
+_NUMBER = (is_number, "a number")
+_STRING = (lambda value: isinstance(value, str), "a string")
+
+# what the report reads from each record kind, as dotted paths, with the
+# JSON type each must have
 REPORTED_FIELDS = {
-    "experiment.config": ("config",),
-    "movement.window": ("detail.cycle", "detail.layer", "detail.t0", "detail.t1"),
-    "pool.allocate": ("detail.hit",),
-    "request.done": ("i", "corr", "issued_at", "outcome", "latency", "status"),
+    "experiment.config": {"config": (lambda value: isinstance(value, dict),
+                                     "an object")},
+    "movement.window": {"detail.cycle": _INTEGER, "detail.layer": _INTEGER,
+                        "detail.t0": _NUMBER, "detail.t1": _NUMBER},
+    "pool.allocate": {"detail.hit": (lambda value: isinstance(value, bool),
+                                     "a boolean")},
+    "request.done": {"i": _INTEGER, "corr": _STRING, "issued_at": _NUMBER,
+                     "outcome": _STRING, "latency": _NUMBER, "status": _INTEGER},
 }
 
 
-def missing_field(record: dict) -> str | None:
-    """The first field the report reads that `record` lacks, or None."""
+def field_problem(record: dict) -> str | None:
+    """What is wrong with the first field the report reads from `record`
+    ("has no PATH" or "has PATH VALUE, not TYPE"), or None."""
     kind = record.get("kind")
     if not isinstance(kind, str):
         return None
-    for path in REPORTED_FIELDS.get(kind, ()):
+    for path, (ok, type_name) in REPORTED_FIELDS.get(kind, {}).items():
         value = record
         for key in path.split("."):
             if not isinstance(value, dict) or key not in value:
-                return path
+                return f"has no {path}"
             value = value[key]
+        if not ok(value):
+            return f"has {path} {json.dumps(value)}, not {type_name}"
     return None
 
 

@@ -264,7 +264,8 @@ class Simulation:
         """
         heap = self._heap
         pop = heapq.heappop
-        while not future.done:
+        pending = Future._PENDING
+        while future._state == pending:
             if not heap:
                 raise RuntimeError("event queue drained before future resolved")
             t, _, _, handle = heap[0]

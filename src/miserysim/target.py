@@ -10,6 +10,13 @@ cached response to every holder, which then drops the entry.  The poll keeps
 no per-RS state: an entry whose listing or delivery was lost is listed again
 next cycle, and the executed cache answers it without a second execution.
 
+The poller drives its own cycle generator instead of running as a sim Task:
+a reply on a poll link resumes it straight from the link's message
+callback, a dial resumes it from the dial's Future, and the sleep of m
+between cycles is one scheduled event.  The idle dialogue's two constant
+messages, the one-byte list ask and the empty listing, are matched by value
+and never parsed.
+
 Only the baseline (d=0) chain and the loopback TCP demo (sockets.py) speak
 the real database handshake: DatabaseServerNode owns it and AppServerNode
 is its client, so the differential oracle exercises a truly independent
@@ -19,12 +26,10 @@ request, one response) and decodes every step as one whole message.
 
 from __future__ import annotations
 
-from collections import deque
-
 from . import wire
 from .cloud import Channel, CloudProvider, Exchange
 from .errors import ConnectionRefused, ProtocolViolation, SessionSevered, TimeoutFailure
-from .sim import Future, PRIO_ACTOR, SimCancelled
+from .sim import Future, PRIO_ACTOR
 from .topology import DATABASE
 
 
@@ -176,6 +181,10 @@ class RequestsServerNode:
 
     def on_poll_channel(self, channel: Channel) -> None:
         def on_message(data: bytes) -> None:
+            if data == wire.POLL_LIST_FRAME:
+                batch, _ = self.registry.list_pending()
+                channel.send(wire.encode_poll_listing(batch))
+                return
             try:
                 events = wire.decode_poll(data)
             except ProtocolViolation:
@@ -203,40 +212,52 @@ _LINK_FAILURES = (ConnectionRefused, SessionSevered, ProtocolViolation)
 
 
 class _PollLink:
-    """Persistent channel to one RS with FIFO request/response matching."""
+    """Persistent channel to one RS.  Replies come back in ask order, so the
+    link counts its asks in flight and hands each reply, or the error that
+    ends them, to the one `reply(event, err)` callback."""
 
-    __slots__ = ("channel", "pending")
+    __slots__ = ("channel", "inflight", "reply")
 
-    def __init__(self, channel: Channel):
+    def __init__(self, channel: Channel, reply):
         self.channel = channel
-        self.pending: deque[Future] = deque()
+        self.inflight = 0
+        self.reply = reply
         channel.on_message(self._on_message)
-        channel.on_error(self._on_error)
+        channel.on_error(self.fail)
 
     def _on_message(self, data: bytes) -> None:
-        try:
-            events = wire.decode_poll(data)
-        except ProtocolViolation as err:
-            self._on_error(err)
-            return
+        if data == _EMPTY_LISTING:
+            events = _EMPTY_LISTING_EVENTS
+        else:
+            try:
+                events = wire.decode_poll(data)
+            except ProtocolViolation as err:
+                self.fail(err)
+                return
         for event in events:
-            if self.pending:
-                self.pending.popleft().resolve(event)
+            if self.inflight:
+                self.inflight -= 1
+                self.reply(event, None)
 
-    def _on_error(self, err: Exception) -> None:
-        pending, self.pending = self.pending, deque()
-        for fut in pending:
-            fut.reject(err if isinstance(err, Exception) else SessionSevered(str(err)))
+    def fail(self, err: Exception) -> None:
+        if self.inflight:
+            self.inflight = 0
+            self.reply(None, err)
 
     @property
     def usable(self) -> bool:
         return self.channel.state == "open"
 
-    def ask(self, frame: bytes) -> Future:
-        fut = Future()
-        self.pending.append(fut)
+    def ask(self, frame: bytes) -> "_PollLink":
+        """Send one ask; the poller yields the link to wait for its reply."""
+        self.inflight += 1
         self.channel.send(frame)
-        return fut
+        return self
+
+
+# an idle RS answers every list ask with this one message
+_EMPTY_LISTING = wire.encode_poll_listing([])
+_EMPTY_LISTING_EVENTS = (("listing", ()),)
 
 
 # poll cycles an executed id stays cached: a minute or more at m = 0.1 s
@@ -259,44 +280,82 @@ class PollingServerNode:
         self.executed: dict[bytes, tuple[int, bytes]] = {}
         self._links: dict[str, _PollLink] = {}
         self.cycle_no = 0
-        self._task = None
+        self._gen = None      # the running _loop(), None while stopped
+        self._dial = None     # the dial Future the loop waits on, if any
+        self._wake = None     # the scheduled end of the sleep between cycles
 
     def set_record(self, entries) -> None:
-        """Adopt a new layer-d endpoint list from the Address Server."""
+        """Adopt a new layer-d endpoint list from the Address Server.  A
+        dropped link fails its ask in flight, so the cycle moves on."""
         self.endpoints = [tuple(e) for e in entries]
         live = {rs_id for rs_id, _ in self.endpoints}
-        for rs_id in [r for r in self._links if r not in live]:
-            self._links.pop(rs_id).channel.close()
+        dropped = [self._links.pop(r) for r in list(self._links) if r not in live]
+        for link in dropped:
+            link.channel.close()
+            link.fail(SessionSevered("endpoint left the poll record"))
 
     def start(self) -> None:
-        self._task = self.sim.spawn(self._loop(), priority=PRIO_ACTOR)
+        self._gen = self._loop()
+        self._wake = self.sim.schedule(0.0, self._resume, None, None,
+                                       priority=PRIO_ACTOR)
 
     def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
+        """Stop polling.  A link with an ask in flight is closed: its reply
+        would otherwise answer the first ask of a later start()."""
+        if self._gen is None:
+            return
+        self._gen.close()
+        self._gen = self._dial = None
+        if self._wake is not None:
+            self._wake.cancel()
+            self._wake = None
+        for rs_id in [r for r, link in self._links.items() if link.inflight]:
+            self._links.pop(rs_id).channel.close()
+
+    def _resume(self, value, err) -> None:
+        """Run the loop to its next wait: a yielded link waits for that
+        link's reply, a Future (a dial) for its result, a number sleeps."""
+        gen = self._gen
+        if gen is None:
+            return
+        item = gen.throw(err) if err is not None else gen.send(value)
+        if item.__class__ is _PollLink:
+            return
+        if isinstance(item, Future):
+            self._dial = item
+            item.add_done_callback(self._dialled)
+        else:
+            self._wake = self.sim.schedule(item, self._resume, None, None,
+                                           priority=PRIO_ACTOR)
+
+    def _dialled(self, fut: Future) -> None:
+        if fut is not self._dial:
+            # a dial abandoned by stop(): no link will own its channel
+            if not fut.failed:
+                fut.result().close()
+            return
+        self._dial = None
+        if fut.failed:
+            self._resume(None, fut.exception())
+        else:
+            self._resume(fut.result(), None)
 
     def _loop(self):
         # sleep m between cycles, not on a fixed grid: a grid would let the
         # closed-loop client phase-lock to it and hide the per-endpoint cost
-        try:
-            while True:
-                yield from self._cycle()
-                yield self.m
-        except SimCancelled:
-            return
+        while True:
+            yield from self._cycle()
+            yield self.m
 
-    def _ensure_link(self, rs_id: str, address: str):
-        link = self._links.get(rs_id)
-        if link is not None and link.usable:
-            return link
+    def _dial_link(self, rs_id: str, address: str):
+        """Dial rs_id afresh, replacing a missing or unusable link."""
         self._links.pop(rs_id, None)
         try:
             channel = yield self.provider.open_channel(self.id, address, self.poll_port)
         except (ConnectionRefused, SessionSevered):
             self.counters["poll_errors"] += 1
             return None
-        link = _PollLink(channel)
+        link = _PollLink(channel, self._resume)
         self._links[rs_id] = link
         return link
 
@@ -314,9 +373,11 @@ class PollingServerNode:
         fresh: list[tuple[bytes, bytes]] = []
         collected = 0
         for rs_id, address in endpoints:
-            link = yield from self._ensure_link(rs_id, address)
-            if link is None:
-                continue
+            link = self._links.get(rs_id)
+            if link is None or not link.usable:
+                link = yield from self._dial_link(rs_id, address)
+                if link is None:
+                    continue
             try:
                 event = yield link.ask(wire.POLL_LIST_FRAME)
             except _LINK_FAILURES:

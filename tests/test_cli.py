@@ -252,6 +252,26 @@ def test_report_rejects_a_record_without_a_reported_field(tmp_path, capsys):
             f"issued_at") in err
 
 
+@pytest.mark.parametrize("field, value, expected", [
+    ("latency", "0.5", 'latency "0.5", not a number'),
+    ("outcome", 1, "outcome 1, not a string"),
+], ids=["string-latency", "numeric-outcome"])
+def test_report_rejects_a_wrongly_typed_reported_field(tmp_path, capsys, field,
+                                                       value, expected):
+    done = {"t": 1.0, "kind": "request.done", "i": 0, "corr": "", "issued_at": 0.5,
+            "latency": 0.5, "outcome": "processed", "status": 200}
+    done[field] = value
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"t": 0.0, "kind": "experiment.config", "config": {}}\n'
+                      + json.dumps(done) + "\n", encoding="utf-8")
+    assert main(["report", "--events", str(events),
+                 "--outdir", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert (f"bad events file {events}, line 2: request.done record has "
+            f"{expected}") in err
+    assert "runtime failure" not in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["build", "--bogus"]) == 2

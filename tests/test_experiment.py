@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
 import time
 
@@ -168,6 +169,42 @@ def test_workload_quarantines_failed_writes():
     for i, command in enumerate(commands):
         if not command.startswith("PUT"):
             assert command.split()[1] not in poisoned
+
+
+class EagerWorkload(WorkloadGenerator):
+    """The rule as first written: the eligible keys built for every roll."""
+
+    def next(self, i: int) -> str:
+        roll = self._rng.random()
+        eligible = self._eligible(i)
+        if roll < 0.9 or not eligible:
+            if roll < 0.6 or not eligible:
+                key = f"k{i:05d}"
+                self._outstanding[i] = ("PUT", key)
+                return f"PUT {key} v{i:05d}"
+            key = self._rng.choice(eligible)
+            self._outstanding[i] = ("GET", key)
+            return f"GET {key}"
+        key = self._rng.choice(eligible)
+        self._outstanding[i] = ("DEL", key)
+        return f"DEL {key}"
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_workload_builds_the_eligible_keys_only_for_reads_and_deletes(seed):
+    lazy, eager = WorkloadGenerator(seed), EagerWorkload(seed)
+    outcomes = random.Random(f"{seed}/outcomes")
+    rolls, scans = [], []
+    roll, eligible = lazy._rng.random, lazy._eligible
+    lazy._rng.random = lambda: rolls.append(roll()) or rolls[-1]
+    lazy._eligible = lambda i: scans.append(i) or eligible(i)
+    for i in range(3000):
+        assert lazy.next(i) == eager.next(i), f"request {i}"
+        processed = outcomes.random() < 0.8
+        lazy.record_outcome(i, processed)
+        eager.record_outcome(i, processed)
+    # only a roll of 0.6 or more reads the eligible keys
+    assert len(scans) == sum(r >= 0.6 for r in rolls) < 1500
 
 
 def test_workload_mix_is_roughly_sixty_thirty_ten():

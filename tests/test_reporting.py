@@ -17,7 +17,7 @@ from miserysim.reporting import (
     _quantile,
     emit_report,
     metrics_from_records,
-    missing_field,
+    field_problem,
     window_for,
     windows_from_records,
 )
@@ -178,7 +178,7 @@ def test_missing_field_names_each_field_the_report_reads(tmp_path):
                {"t": 0.5, "kind": "pool.allocate", "detail": {"hit": False}},
                done(0, 0.5, "failed"),
                {"t": 2.0, "kind": "poll.cycle"}]
-    assert [missing_field(rec) for rec in records] == [None] * 5
+    assert [field_problem(rec) for rec in records] == [None] * 5
     emit_report(records, str(tmp_path))
     for rec in records[:4]:
         for path in REPORTED_FIELDS[rec["kind"]]:
@@ -188,8 +188,32 @@ def test_missing_field_names_each_field_the_report_reads(tmp_path):
             for key in outer:
                 holder = holder[key]
             del holder[last]
-            assert missing_field(broken) == path
+            assert field_problem(broken) == f"has no {path}"
             # the table lists only fields the report really reads
             with pytest.raises(KeyError):
                 emit_report([broken if r is rec else r for r in records],
                             str(tmp_path))
+
+
+def test_field_problem_names_each_wrongly_typed_field():
+    records = [{"t": 0.0, "kind": "experiment.config", "config": {}},
+               window_record(1, 2, 0.0, 1.0),
+               {"t": 0.5, "kind": "pool.allocate", "detail": {"hit": False}},
+               done(0, 0.5, "failed")]
+    for rec in records:
+        for path in REPORTED_FIELDS[rec["kind"]]:
+            *outer, last = path.split(".")
+            for wrong in ("0.5", True, None, [1]):
+                broken = copy.deepcopy(rec)
+                holder = broken
+                for key in outer:
+                    holder = holder[key]
+                if type(holder[last]) is type(wrong):
+                    continue
+                holder[last] = wrong
+                assert field_problem(broken).startswith(
+                    f"has {path} {json.dumps(wrong)}, not "), (path, wrong)
+    # an integer is a number, but a boolean is not an integer
+    assert field_problem(done(0, 1, "processed", latency=1)) is None
+    assert field_problem(window_record(True, 2, 0.0, 1.0)) == (
+        "has detail.cycle true, not an integer")

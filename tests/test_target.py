@@ -336,6 +336,97 @@ def test_polling_survives_unreachable_endpoints():
     assert ps.counters["poll_errors"] >= 1
 
 
+def next_wake_pending(ps):
+    """Something will run the poller again: the end of its sleep is still
+    scheduled, or it waits on an ask in flight or on a dial."""
+    asleep = ps._wake is not None and ps._wake.fn is not None
+    return (asleep or ps._dial is not None
+            or any(link.inflight for link in ps._links.values()))
+
+
+def watch_poll_messages(provider, node, hook):
+    """Bind node's poll endpoint so that hook(data) sees every message the
+    poller sends it, just before the RS handles it."""
+
+    class RsView:
+        def __init__(self, channel):
+            self.channel = channel
+
+        def __getattr__(self, name):
+            return getattr(self.channel, name)
+
+        def on_message(self, fn):
+            self.channel.on_message(lambda data: (hook(data), fn(data)))
+
+    provider.bind(node.id, 3306,
+                  on_channel=lambda channel: node.on_poll_channel(RsView(channel)))
+
+
+def test_dropping_a_link_with_an_ask_in_flight_does_not_stall_the_poller():
+    sim, provider, ps, nodes, store, _ = poll_fixture(n_rs=2)
+    keep = [("rs1", provider.instance("rs1").address)]
+    t0, dropped = sim.now + 0.5, []
+
+    def drop_rs0_on_its_next_ask(data):
+        # the poller holds this ask in flight until rs0's reply arrives
+        if not dropped and sim.now >= t0 and data == wire.POLL_LIST_FRAME:
+            dropped.append(ps.cycle_no)
+            sim.schedule(0.0, ps.set_record, keep)
+
+    watch_poll_messages(provider, nodes[0], drop_rs0_on_its_next_ask)
+    ps.start()
+    sim.run(until=sim.now + 1.0)
+    assert dropped, "no list ask reached rs0 after t0"
+    answers = []
+    nodes[1].open_session(CORR, b"GET k", answers.append)
+    sim.run(until=sim.now + 4.0)
+    ps.stop()
+    assert ps.cycle_no > dropped[0] + 10, "the poller stalled"
+    assert answers == [wire.encode_response(CORR, b"NIL")]
+    assert list(ps._links) == ["rs1"]
+    assert ps.counters["poll_errors"] == 1
+
+
+@pytest.mark.parametrize("pause", [0.0, 0.5], ids=["restart-at-once", "restart-later"])
+def test_stop_with_an_ask_in_flight_ignores_the_late_reply(pause):
+    sim, provider, ps, nodes, store, _ = poll_fixture(n_rs=2)
+    stopped, restarted = [], []
+
+    def restart():
+        restarted.append((ps.cycle_no, len(store.execution_log)))
+        ps.start()
+
+    def stop_on_the_first_ask_for_a_pending_entry(data):
+        # rs0's reply to this ask will list the entry
+        if not stopped and data == wire.POLL_LIST_FRAME and nodes[0].registry.pending:
+            sim.schedule(0.0, ps.stop)
+            sim.schedule(0.0, lambda: stopped.append(ps.cycle_no))
+            sim.schedule(pause, restart)
+
+    watch_poll_messages(provider, nodes[0], stop_on_the_first_ask_for_a_pending_entry)
+    answers = []
+    nodes[0].open_session(CORR, b"PUT k 1", answers.append)
+    ps.start()
+    sim.run(until=sim.now + 2.0)
+    ps.stop()
+    # the late reply ran no cycle and executed nothing before the restart
+    assert stopped and restarted == [(stopped[0], 0)]
+    # and the restarted poller serves the entry once, with no failed ask
+    assert store.execution_counts() == {CORR: 1}
+    assert answers == [wire.encode_response(CORR, b"OK")]
+    assert ps.counters["poll_errors"] == 0
+
+
+def test_stop_during_a_dial_closes_the_dialled_channel():
+    sim, provider, ps, _, _, _ = poll_fixture(n_rs=2)
+    ps.start()
+    sim.run(until=sim.now + 0.0005)     # rs0's dial is under way
+    ps.stop()
+    sim.run(until=sim.now + 1.0)
+    assert [channel.state for channel in provider.channels] == ["closed"]
+    assert ps._links == {} and ps.cycle_no == 1
+
+
 def garble_one_poll_message(sim, node, t0, *, inbound):
     """A poll endpoint for `node` whose channels replace the first message
     after t0 with an unknown poll frame type: the poller's ask on the way in
@@ -384,8 +475,10 @@ def test_poller_survives_a_broken_poll_channel(inbound):
     answers = []
     for i, node in enumerate(nodes):
         node.open_session(bytes([i]) * 16, b"GET k", answers.append)
+    cycles = ps.cycle_no
     sim.run(until=sim.now + 1.0)
-    assert not ps._task.future.done, "the poller task ended"
+    assert ps.cycle_no > cycles, "the poller stalled"
+    assert next_wake_pending(ps), "the poller waits on nothing"
     ps.stop()
     assert sorted(answers) == sorted(
         wire.encode_response(bytes([i]) * 16, b"NIL") for i in range(2))
