@@ -115,7 +115,9 @@ class Channel:
     def send(self, data: bytes) -> None:
         if self.state != "open":
             return
-        self._provider._channel_send(self.peer, data)
+        peer, provider = self.peer, self._provider
+        provider.sim.schedule_at(provider.channel_arrival(peer, provider.sim.now),
+                                 peer._deliver, data, priority=PRIO_NETWORK)
 
     def close(self) -> None:
         """Close the pipe; the peer's on_error, if it installed one, hears
@@ -518,15 +520,25 @@ class CloudProvider:
         else:
             future.resolve(channel)
 
-    def _channel_send(self, to: Channel, data: bytes) -> None:
-        # FIFO per direction: a frame must not overtake an earlier one even
-        # when it draws a shorter hop latency.  The draw is hop_latency()
-        # inline: random.uniform's own expression, so bit-identical.
+    def channel_arrival(self, to: Channel, sent: float) -> float:
+        """The time a frame sent at `sent` reaches the end `to`.
+
+        FIFO per direction: a frame must not overtake an earlier one even
+        when it draws a shorter hop latency.  The draw is hop_latency()
+        inline: random.uniform's own expression, so bit-identical.  The
+        poller's replayed idle dialogue draws its arrivals here too.
+        """
         lo, hi = self._hop
-        at = self.sim.now + (lo + (hi - lo) * self._net_rng.random())
+        at = sent + (lo + (hi - lo) * self._net_rng.random())
         if at < to._last_at:
             at = to._last_at
         to._last_at = at
+        return at
+
+    def deliver_at(self, to: Channel, data: bytes, at: float) -> None:
+        """Schedule a frame's arrival at the end `to` at `at`, a time that
+        channel_arrival drew; Channel.send does the same for a frame it
+        sends now."""
         self.sim.schedule_at(at, to._deliver, data, priority=PRIO_NETWORK)
 
     # -- severance ---------------------------------------------------------------

@@ -17,6 +17,23 @@ between cycles is one scheduled event.  The idle dialogue's two constant
 messages, the one-byte list ask and the empty listing, are matched by value
 and never parsed.
 
+An idle poll costs no heap event while no other event is due.  A cycle is
+quiet when every RS answered an empty listing and the simulation ran
+exactly 2n events from its wake to its last listing: the wake, n asks and
+n - 1 listings, with the last listing the one running, all in one call of
+the event loop.  No other event ran, and no code outside the loop, so
+nothing was enqueued at any RS and no poll link was cut: until some
+other event runs, every later cycle is idle too and the dialogue is pure
+arithmetic.  A quiet cycle therefore defers its sleep (`Simulation.defer`)
+instead of scheduling it.  `advance` replays the dialogue's events that fall
+before the next heap event: the same hop draws from the shared `net` stream
+and the same FIFO clamps (`CloudProvider.channel_arrival`), the link's asks
+in flight, the cycle count and the executed-cache eviction, without a call
+to `list_pending`.  `materialize` puts the next event back on the heap: the
+wake, or the list ask or the empty listing in flight, with the loop resumed
+into a cycle that waits on that leaf's ask.  Every artifact is byte for byte
+what the stepwise dialogue writes.
+
 Only the baseline (d=0) chain and the loopback TCP demo (sockets.py) speak
 the real database handshake: DatabaseServerNode owns it and AppServerNode
 is its client, so the differential oracle exercises a truly independent
@@ -29,7 +46,7 @@ from __future__ import annotations
 from . import wire
 from .cloud import Channel, CloudProvider, Exchange
 from .errors import ConnectionRefused, ProtocolViolation, SessionSevered, TimeoutFailure
-from .sim import Future, PRIO_ACTOR
+from .sim import Future, PRIO_ACTOR, PRIO_NETWORK
 from .topology import DATABASE
 
 
@@ -283,6 +300,12 @@ class PollingServerNode:
         self._gen = None      # the running _loop(), None while stopped
         self._dial = None     # the dial Future the loop waits on, if any
         self._wake = None     # the scheduled end of the sleep between cycles
+        # while deferred: the links of the quiet cycle in endpoint order, the
+        # time of the next event and its step (-1 the wake, 2i the ask to
+        # leaf i in flight, 2i + 1 its empty listing in flight back)
+        self._idle: list[_PollLink] | None = None
+        self._at = 0.0
+        self._step = -1
 
     def set_record(self, entries) -> None:
         """Adopt a new layer-d endpoint list from the Address Server.  A
@@ -324,9 +347,60 @@ class PollingServerNode:
         if isinstance(item, Future):
             self._dial = item
             item.add_done_callback(self._dialled)
-        else:
+        elif self._idle is None:
             self._wake = self.sim.schedule(item, self._resume, None, None,
                                            priority=PRIO_ACTOR)
+        else:
+            self._at, self._step = self.sim.now + item, -1
+            self.sim.defer(self)
+
+    def advance(self, t: float, prio: float) -> None:
+        """Replay the idle dialogue's events that fall strictly before
+        (t, prio), as the stepwise cycle runs them; see the module notes."""
+        links, at, step = self._idle, self._at, self._step
+        end = 2 * len(links)
+        arrival = self.provider.channel_arrival
+        while at < t or at == t and (PRIO_ACTOR if step < 0 else PRIO_NETWORK) < prio:
+            if step < 0:
+                # the wake starts a cycle
+                self.cycle_no += 1
+            elif not step & 1:
+                # the ask reaches the RS, which sends the empty listing
+                at = arrival(links[step >> 1].channel, at)
+                step += 1
+                continue
+            else:
+                # the empty listing reaches the poller
+                links[step >> 1].inflight -= 1
+            step += 1
+            if step == end:
+                self._evict()
+                at, step = at + self.m, -1
+            else:
+                link = links[step >> 1]
+                link.inflight += 1
+                at = arrival(link.channel.peer, at)
+        self._at, self._step = at, step
+
+    def materialize(self) -> None:
+        """Put the idle dialogue's next event back on the heap: the wake, or
+        the message in flight, with the loop resumed into a cycle that waits
+        on that leaf's ask."""
+        links, at, step = self._idle, self._at, self._step
+        self._idle = None
+        if step < 0:
+            self._wake = self.sim.schedule_at(at, self._resume, None, None,
+                                              priority=PRIO_ACTOR)
+            return
+        leaf = step >> 1
+        self._gen.close()
+        self._gen = self._loop(leaf)
+        self._gen.send(None)
+        channel = links[leaf].channel
+        if step & 1:
+            self.provider.deliver_at(channel, _EMPTY_LISTING, at)
+        else:
+            self.provider.deliver_at(channel.peer, wire.POLL_LIST_FRAME, at)
 
     def _dialled(self, fut: Future) -> None:
         if fut is not self._dial:
@@ -340,11 +414,12 @@ class PollingServerNode:
         else:
             self._resume(fut.result(), None)
 
-    def _loop(self):
+    def _loop(self, asked: int | None = None):
         # sleep m between cycles, not on a fixed grid: a grid would let the
         # closed-loop client phase-lock to it and hide the per-endpoint cost
         while True:
-            yield from self._cycle()
+            yield from self._cycle(asked)
+            asked = None
             yield self.m
 
     def _dial_link(self, rs_id: str, address: str):
@@ -366,20 +441,37 @@ class PollingServerNode:
         if link is not None:
             link.channel.close()
 
-    def _cycle(self):
-        self.cycle_no += 1
+    def _quiet(self, mark: int, idle: int, n: int) -> bool:
+        """Whether the cycle whose wake ran at event count `mark` was quiet:
+        all n leaves answered an empty listing, no event but its own 2n ran,
+        and no code outside the event loop ran since its wake either."""
+        sim = self.sim
+        return (idle == n and mark >= sim.loop_entry
+                and sim.events_processed - mark == 2 * n)
+
+    def _cycle(self, asked: int | None = None):
+        # `asked` resumes a cycle that a replayed idle dialogue counted and
+        # carried to leaf `asked`, whose list ask is already in flight
+        if asked is None:
+            self.cycle_no += 1
+            mark = self.sim.events_processed
+        else:
+            mark = None
         endpoints = list(self.endpoints)
         reporters: dict[bytes, list[str]] = {}
         fresh: list[tuple[bytes, bytes]] = []
-        collected = 0
-        for rs_id, address in endpoints:
+        collected = idle = 0
+        for rs_id, address in endpoints[asked:]:    # None: from the first
             link = self._links.get(rs_id)
-            if link is None or not link.usable:
-                link = yield from self._dial_link(rs_id, address)
-                if link is None:
-                    continue
+            if asked is None:
+                if link is None or not link.usable:
+                    link = yield from self._dial_link(rs_id, address)
+                    if link is None:
+                        continue
+                link.ask(wire.POLL_LIST_FRAME)
+            asked = None
             try:
-                event = yield link.ask(wire.POLL_LIST_FRAME)
+                event = yield link
             except _LINK_FAILURES:
                 self._drop_link(rs_id)
                 continue
@@ -387,6 +479,9 @@ class PollingServerNode:
                 self.counters["poll_errors"] += 1
                 continue
             entries = event[1]
+            if not entries:
+                idle += 1
+                continue
             collected += len(entries)
             for corr, payload in entries:
                 if corr not in self.executed and corr not in reporters:
@@ -416,6 +511,15 @@ class PollingServerNode:
                     break
                 if event[0] == "ack":
                     delivered += 1
+        self._evict()
+        if fresh or collected or delivered:
+            self.provider.log.emit(self.sim.now, "poll.cycle", instance=self.id,
+                          detail={"cycle": self.cycle_no, "collected": collected,
+                                  "executed": len(fresh), "delivered": delivered})
+        if mark is not None and self._quiet(mark, idle, len(endpoints)):
+            self._idle = [self._links[rs_id] for rs_id, _ in endpoints]
+
+    def _evict(self) -> None:
         # the executed cache must outlive any re-listing of a still-pending
         # entry (delivery outages last seconds; the window spans minutes).
         # Only fresh ids are inserted, so the dict is in cycle order and the
@@ -427,10 +531,6 @@ class PollingServerNode:
             if executed[oldest][0] >= horizon:
                 break
             del executed[oldest]
-        if fresh or collected or delivered:
-            self.provider.log.emit(self.sim.now, "poll.cycle", instance=self.id,
-                          detail={"cycle": self.cycle_no, "collected": collected,
-                                  "executed": len(fresh), "delivered": delivered})
 
 
 class DatabaseServerNode:

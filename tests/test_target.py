@@ -8,7 +8,7 @@ import pytest
 from miserysim import target, wire
 from miserysim.cloud import CloudProvider, ImageKind
 from miserysim.eventlog import EventLog
-from miserysim.sim import Simulation
+from miserysim.sim import PRIO_ACTOR, PRIO_NETWORK, Simulation
 from miserysim.target import (
     AppServerNode,
     BackendStore,
@@ -374,6 +374,9 @@ def test_dropping_a_link_with_an_ask_in_flight_does_not_stall_the_poller():
             sim.schedule(0.0, ps.set_record, keep)
 
     watch_poll_messages(provider, nodes[0], drop_rs0_on_its_next_ask)
+    # an event at t0 ends the idle dialogue's run off the heap, so the next
+    # ask passes through rs0's on_message
+    sim.schedule_at(t0, lambda: None)
     ps.start()
     sim.run(until=sim.now + 1.0)
     assert dropped, "no list ask reached rs0 after t0"
@@ -427,6 +430,69 @@ def test_stop_during_a_dial_closes_the_dialled_channel():
     assert ps._links == {} and ps.cycle_no == 1
 
 
+def poll_two_idle_rss(monkeypatch, *, heap_driven, tie=None, pause=None):
+    """Poll two idle RSs for 1 s.  `tie` is a (time, priority) at which a
+    heap event, scheduled before the poller starts, draws one hop latency
+    from the shared stream.  `pause` is a time at which the run stops, rs0
+    gains a session from outside the event loop, and the run goes on.
+    Returns that draw, the (sent, arrival) pair of every poll message, the
+    session's answer, the cycle count and the dispatched event count."""
+    sim, provider, ps, nodes, _, _ = poll_fixture(n_rs=2)
+    messages, drawn, answers = [], [], []
+    arrival = provider.channel_arrival
+
+    def recorded(to, sent):
+        at = arrival(to, sent)
+        messages.append((sent, at))
+        return at
+
+    with monkeypatch.context() as patch:
+        patch.setattr(provider, "channel_arrival", recorded)
+        if heap_driven:
+            patch.setattr(PollingServerNode, "_quiet", lambda self, *args: False)
+        if tie is not None:
+            sim.schedule_at(tie[0], lambda: drawn.append(provider.hop_latency()),
+                            priority=tie[1])
+        start, end = sim.events_processed, sim.now + 1.0
+        ps.start()
+        if pause is not None:
+            sim.run(until=pause)
+            nodes[0].open_session(CORR, b"GET k", answers.append)
+        sim.run(until=end)
+        ps.stop()
+    return drawn, messages, answers, ps.cycle_no, sim.events_processed - start
+
+
+def lazy_and_heap_driven(monkeypatch, **kwargs):
+    """Run poll_two_idle_rss both ways; everything but the dispatched event
+    count must match, and the lazy run must have dispatched fewer."""
+    lazy = poll_two_idle_rss(monkeypatch, heap_driven=False, **kwargs)
+    stepwise = poll_two_idle_rss(monkeypatch, heap_driven=True, **kwargs)
+    assert lazy[:-1] == stepwise[:-1]
+    assert lazy[-1] < stepwise[-1], "the idle dialogue never left the heap"
+    return lazy
+
+
+@pytest.mark.parametrize("message, end, prio", [
+    (16, 0, PRIO_ACTOR),      # the wake of cycle 5, as it sends rs0's ask
+    (16, 1, PRIO_NETWORK),    # that ask reaching rs0
+    (17, 1, PRIO_NETWORK),    # rs0's empty listing reaching the poller
+], ids=["wake", "ask", "listing"])
+def test_an_event_tied_with_a_replayed_poll_event_runs_first(monkeypatch, message,
+                                                             end, prio):
+    _, messages, _, _, _ = poll_two_idle_rss(monkeypatch, heap_driven=True)
+    lazy_and_heap_driven(monkeypatch, tie=(messages[message][end], prio))
+
+
+def test_a_session_opened_between_two_runs_mid_cycle_is_listed_next_cycle(monkeypatch):
+    # cycle 2, the first that could go quiet, has heard rs0's empty listing
+    # and waits on rs1's when the run stops and rs0 gains a session
+    _, messages, _, _, _ = poll_two_idle_rss(monkeypatch, heap_driven=True)
+    sent, arrived = messages[6]
+    lazy = lazy_and_heap_driven(monkeypatch, pause=(sent + arrived) / 2)
+    assert lazy[2] == [wire.encode_response(CORR, b"NIL")]
+
+
 def garble_one_poll_message(sim, node, t0, *, inbound):
     """A poll endpoint for `node` whose channels replace the first message
     after t0 with an unknown poll frame type: the poller's ask on the way in
@@ -468,6 +534,9 @@ def test_poller_survives_a_broken_poll_channel(inbound):
     on_channel, fired, opened = garble_one_poll_message(
         sim, nodes[0], sim.now + 0.5, inbound=inbound)
     provider.bind("rs0", 3306, on_channel=on_channel)
+    # an event at t0 ends the idle dialogue's run off the heap, so the next
+    # message passes through rs0's channel view
+    sim.schedule_at(sim.now + 0.5, lambda: None)
     ps.start()
     sim.run(until=sim.now + 1.0)
     assert fired, "no poll message crossed the channel after t0"
