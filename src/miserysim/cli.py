@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -26,8 +25,6 @@ from .experiment import ExperimentConfig, build_experiment_digraph, run_experime
 from .deploy import deploy_misery
 from .sim import Simulation
 from .topology import MiseryDigraph
-
-log = logging.getLogger("miserysim")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -181,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="miserysim",
         description="Simulated moving-target defense for cloud request paths")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="expand a config into a digraph dump")
@@ -229,9 +225,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code else EXIT_OK
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
     except (ConfigError, TopologyError, FileNotFoundError) as err:

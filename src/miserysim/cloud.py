@@ -14,7 +14,6 @@ failed requests.  The firewall holds topology.FirewallRule values.
 from __future__ import annotations
 
 import itertools
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,8 +28,6 @@ from .errors import (
 from .eventlog import EventLog
 from .sim import Future, PRIO_NETWORK, PRIO_PROVIDER, Simulation
 from .topology import PUBLIC_INTERNET, FirewallRule
-
-logger = logging.getLogger(__name__)
 
 
 class ImageKind(Enum):
@@ -259,6 +256,9 @@ class CloudProvider:
         self.log = log
         self.provisioning_latency = provisioning_latency
         self._hop = hop_latency
+        # the longest hop_latency() can draw: random.uniform's expression
+        # with random() at 1, so no draw rounds above it
+        self.hop_max = hop_latency[0] + (hop_latency[1] - hop_latency[0])
         self._api = api_latency
         self.instances: dict[str, Instance] = {}
         self._by_address: dict[str, str] = {}
@@ -526,7 +526,7 @@ class CloudProvider:
         FIFO per direction: a frame must not overtake an earlier one even
         when it draws a shorter hop latency.  The draw is hop_latency()
         inline: random.uniform's own expression, so bit-identical.  The
-        poller's replayed idle dialogue draws its arrivals here too.
+        poller's replayed idle cycles draw their arrivals here too.
         """
         lo, hi = self._hop
         at = sent + (lo + (hi - lo) * self._net_rng.random())
@@ -534,12 +534,6 @@ class CloudProvider:
             at = to._last_at
         to._last_at = at
         return at
-
-    def deliver_at(self, to: Channel, data: bytes, at: float) -> None:
-        """Schedule a frame's arrival at the end `to` at `at`, a time that
-        channel_arrival drew; Channel.send does the same for a frame it
-        sends now."""
-        self.sim.schedule_at(at, to._deliver, data, priority=PRIO_NETWORK)
 
     # -- severance ---------------------------------------------------------------
 

@@ -11,17 +11,13 @@ recipe of the heapq documentation: tuples compare in C, and `seq` is unique,
 so a comparison is always settled before it reaches the handles.
 A cancelled handle stays in the heap and is dropped when it reaches the top.
 
-One actor at a time may run its own events off the heap (`defer`): the
-poller does so while its dialogue is idle.  Before either loop dispatches a
-heap event at (t, priority), it has the deferred actor `advance(t, priority)`,
-which replays the actor's events that fall strictly before that pair, then
-`materialize()`, which puts the actor's next event back on the heap, and
-clears the slot.  At an exact tie of time and priority the heap event runs
-first, as it would have in a stepwise run: it was scheduled before the
-deferral began, so its sequence number is the lower one.  `run(until)`
-advances the actor through `until`.  Either loop materializes the actor when
-it returns, so no actor is deferred outside a loop: code that runs between
-two loops sees the actor's next event on the heap, as in a stepwise run.
+`next_due()` is the time of the next live heap event, or the running loop's
+`until` or `limit` if that is sooner.  The poller replays its idle cycles
+as arithmetic up to it: events that schedule only each other and fall
+strictly before it run before any other event in a stepwise dispatch too.
+Replayed events have no heap entry to set the clock, so `run(until)` leaves
+the clock at `until` and a `run_until` that hits its `limit` leaves it at
+`limit`.
 """
 
 from __future__ import annotations
@@ -219,7 +215,7 @@ class Simulation:
         # events_processed when the running loop was entered: code outside
         # the loops may have changed any state before then
         self.loop_entry = 0
-        self._deferred = None   # the actor running its events off the heap
+        self._horizon = math.inf    # the running loop's until or limit
 
     def rng(self, name: str) -> random.Random:
         """Deterministic per-subsystem stream, independent of other streams."""
@@ -248,52 +244,35 @@ class Simulation:
         task._waiting = self.schedule(0.0, task._step, priority=priority)
         return task
 
-    def defer(self, actor) -> None:
-        """Take `actor`'s events off the heap until another event is due.
-
-        Call it from an event, after that event's last schedule call.  The
-        actor's `advance(t, priority)` must replay its own events that fall
-        strictly before (t, priority), and `materialize()` must put its next
-        pending event back on the heap.
-        """
-        self._deferred = actor
-
-    def settle(self) -> None:
-        """Put a deferred actor's next event back on the heap."""
-        actor = self._deferred
-        if actor is not None:
-            self._deferred = None
-            actor.materialize()
+    def next_due(self) -> float:
+        """The time of the next live heap event, or the `until`/`limit` of
+        the loop running this event if that is sooner; inf if there is
+        neither.  Call it from an event."""
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return min(heap[0][0], self._horizon) if heap else self._horizon
 
     def run(self, until: float | None = None) -> int:
         """Process events until the queue drains or the clock passes `until`.
-        Returns the number of events processed by this call.  A deferred
-        actor is advanced through `until`."""
+        Returns the number of events processed by this call."""
         start = self.loop_entry = self._processed
+        self._horizon = math.inf if until is None else until
         heap = self._heap
         pop = heapq.heappop
-        try:
-            while heap:
-                t, prio, _, handle = heap[0]
-                if handle.cancelled:
-                    pop(heap)
-                    continue
-                if until is not None and t > until:
-                    break
-                if self._deferred is not None:
-                    self._deferred.advance(t, prio)
-                    self.settle()
-                    continue
+        while heap:
+            t, _, _, handle = heap[0]
+            if handle.cancelled:
                 pop(heap)
-                self.now = t
-                fn, args = handle.fn, handle.args
-                handle.fn, handle.args = None, ()
-                fn(*args)
-                self._processed += 1
-            if until is not None and self._deferred is not None:
-                self._deferred.advance(until, math.inf)
-        finally:
-            self.settle()
+                continue
+            if until is not None and t > until:
+                break
+            pop(heap)
+            self.now = t
+            fn, args = handle.fn, handle.args
+            handle.fn, handle.args = None, ()
+            fn(*args)
+            self._processed += 1
         if until is not None and self.now < until:
             self.now = until
         return self._processed - start
@@ -306,40 +285,30 @@ class Simulation:
         second so a human can watch; 0 runs as fast as possible.
         """
         self.loop_entry = self._processed
+        self._horizon = math.inf if limit is None else limit
         heap = self._heap
         pop = heapq.heappop
         pending = Future._PENDING
-        try:
-            while future._state == pending:
-                if not heap:
-                    if self._deferred is None:
-                        raise RuntimeError("event queue drained before future resolved")
-                    # only the deferred actor is left: run it from the heap
-                    self.settle()
-                    continue
-                t, prio, _, handle = heap[0]
-                if handle.cancelled:
-                    pop(heap)
-                    continue
-                if self._deferred is not None:
-                    # past the limit, the actor's own events run from the heap
-                    if limit is None or t <= limit:
-                        self._deferred.advance(t, prio)
-                    self.settle()
-                    continue
-                if limit is not None and t > limit:
-                    raise RequestNeverCompletes(
-                        f"future unresolved at t={limit} (next event t={t})")
-                if pace > 0.0 and t > self.now:
-                    time.sleep((t - self.now) / pace)
+        while future._state == pending:
+            if not heap:
+                raise RuntimeError("event queue drained before future resolved")
+            t, _, _, handle = heap[0]
+            if handle.cancelled:
                 pop(heap)
-                self.now = t
-                fn, args = handle.fn, handle.args
-                handle.fn, handle.args = None, ()
-                fn(*args)
-                self._processed += 1
-        finally:
-            self.settle()
+                continue
+            if limit is not None and t > limit:
+                if self.now < limit:
+                    self.now = limit
+                raise RequestNeverCompletes(
+                    f"future unresolved at t={limit} (next event t={t})")
+            if pace > 0.0 and t > self.now:
+                time.sleep((t - self.now) / pace)
+            pop(heap)
+            self.now = t
+            fn, args = handle.fn, handle.args
+            handle.fn, handle.args = None, ()
+            fn(*args)
+            self._processed += 1
         return future.result()
 
     @property

@@ -22,17 +22,24 @@ quiet when every RS answered an empty listing and the simulation ran
 exactly 2n events from its wake to its last listing: the wake, n asks and
 n - 1 listings, with the last listing the one running, all in one call of
 the event loop.  No other event ran, and no code outside the loop, so
-nothing was enqueued at any RS and no poll link was cut: until some
-other event runs, every later cycle is idle too and the dialogue is pure
-arithmetic.  A quiet cycle therefore defers its sleep (`Simulation.defer`)
-instead of scheduling it.  `advance` replays the dialogue's events that fall
-before the next heap event: the same hop draws from the shared `net` stream
-and the same FIFO clamps (`CloudProvider.channel_arrival`), the link's asks
-in flight, the cycle count and the executed-cache eviction, without a call
-to `list_pending`.  `materialize` puts the next event back on the heap: the
-wake, or the list ask or the empty listing in flight, with the loop resumed
-into a cycle that waits on that leaf's ask.  Every artifact is byte for byte
-what the stepwise dialogue writes.
+nothing was enqueued at any RS and no poll link was cut: until some other
+event runs, every later cycle is idle too and is pure arithmetic.  When a
+quiet cycle ends, the poller asks the kernel for `next_due()` and replays
+every whole idle cycle that surely ends before it, with the same hop draws
+from the shared `net` stream (`CloudProvider.channel_arrival`), the cycle
+count and the executed-cache eviction, and no call to `list_pending`.  The
+wake of the first cycle that might not end in time is scheduled as an
+ordinary heap event, so the poller is never off the heap between two
+events, and every artifact is byte for byte what the heap-driven dialogue
+writes.
+
+"Surely ends before" is a bound made with the replay's own arithmetic: the
+wake plus `CloudProvider.hop_max` (the longest draw), added once per hop
+for the cycle's 2n hops.  It is exact, because in a quiet cycle no FIFO
+clamp binds (every channel end last received a message in an earlier
+cycle), so each hop ends at most one longest draw after it starts, and
+rounded addition is monotone, so the bound never falls below the real end.
+A closed form such as `wake + 2*n*hi` can round one ulp below it.
 
 Only the baseline (d=0) chain and the loopback TCP demo (sockets.py) speak
 the real database handshake: DatabaseServerNode owns it and AppServerNode
@@ -43,10 +50,12 @@ request, one response) and decodes every step as one whole message.
 
 from __future__ import annotations
 
+import math
+
 from . import wire
 from .cloud import Channel, CloudProvider, Exchange
 from .errors import ConnectionRefused, ProtocolViolation, SessionSevered, TimeoutFailure
-from .sim import Future, PRIO_ACTOR, PRIO_NETWORK
+from .sim import Future, PRIO_ACTOR
 from .topology import DATABASE
 
 
@@ -300,12 +309,8 @@ class PollingServerNode:
         self._gen = None      # the running _loop(), None while stopped
         self._dial = None     # the dial Future the loop waits on, if any
         self._wake = None     # the scheduled end of the sleep between cycles
-        # while deferred: the links of the quiet cycle in endpoint order, the
-        # time of the next event and its step (-1 the wake, 2i the ask to
-        # leaf i in flight, 2i + 1 its empty listing in flight back)
+        # the links of a quiet cycle that just ended, in endpoint order
         self._idle: list[_PollLink] | None = None
-        self._at = 0.0
-        self._step = -1
 
     def set_record(self, entries) -> None:
         """Adopt a new layer-d endpoint list from the Address Server.  A
@@ -347,60 +352,35 @@ class PollingServerNode:
         if isinstance(item, Future):
             self._dial = item
             item.add_done_callback(self._dialled)
-        elif self._idle is None:
-            self._wake = self.sim.schedule(item, self._resume, None, None,
-                                           priority=PRIO_ACTOR)
-        else:
-            self._at, self._step = self.sim.now + item, -1
-            self.sim.defer(self)
-
-    def advance(self, t: float, prio: float) -> None:
-        """Replay the idle dialogue's events that fall strictly before
-        (t, prio), as the stepwise cycle runs them; see the module notes."""
-        links, at, step = self._idle, self._at, self._step
-        end = 2 * len(links)
-        arrival = self.provider.channel_arrival
-        while at < t or at == t and (PRIO_ACTOR if step < 0 else PRIO_NETWORK) < prio:
-            if step < 0:
-                # the wake starts a cycle
-                self.cycle_no += 1
-            elif not step & 1:
-                # the ask reaches the RS, which sends the empty listing
-                at = arrival(links[step >> 1].channel, at)
-                step += 1
-                continue
-            else:
-                # the empty listing reaches the poller
-                links[step >> 1].inflight -= 1
-            step += 1
-            if step == end:
-                self._evict()
-                at, step = at + self.m, -1
-            else:
-                link = links[step >> 1]
-                link.inflight += 1
-                at = arrival(link.channel.peer, at)
-        self._at, self._step = at, step
-
-    def materialize(self) -> None:
-        """Put the idle dialogue's next event back on the heap: the wake, or
-        the message in flight, with the loop resumed into a cycle that waits
-        on that leaf's ask."""
-        links, at, step = self._idle, self._at, self._step
-        self._idle = None
-        if step < 0:
-            self._wake = self.sim.schedule_at(at, self._resume, None, None,
-                                              priority=PRIO_ACTOR)
             return
-        leaf = step >> 1
-        self._gen.close()
-        self._gen = self._loop(leaf)
-        self._gen.send(None)
-        channel = links[leaf].channel
-        if step & 1:
-            self.provider.deliver_at(channel, _EMPTY_LISTING, at)
-        else:
-            self.provider.deliver_at(channel.peer, wire.POLL_LIST_FRAME, at)
+        at = self.sim.now + item
+        if self._idle is not None:
+            at = self._replay(at)
+        self._wake = self.sim.schedule_at(at, self._resume, None, None,
+                                          priority=PRIO_ACTOR)
+
+    def _replay(self, at: float) -> float:
+        """Replay the idle cycles from the wake at `at` that surely end
+        before the next due event; returns the wake of the first that might
+        not.  See the module notes."""
+        links, self._idle = self._idle, None
+        due = self.sim.next_due()
+        hop_max = self.provider.hop_max
+        arrival = self.provider.channel_arrival
+        hops = range(2 * len(links))
+        while True:
+            end = at
+            for _ in hops:
+                end += hop_max
+            if not end < due < math.inf:
+                break
+            self.cycle_no += 1
+            for link in links:
+                # the ask reaches the RS, and its empty listing the poller
+                at = arrival(link.channel, arrival(link.channel.peer, at))
+            at += self.m
+        self._evict()
+        return at
 
     def _dialled(self, fut: Future) -> None:
         if fut is not self._dial:
@@ -414,12 +394,11 @@ class PollingServerNode:
         else:
             self._resume(fut.result(), None)
 
-    def _loop(self, asked: int | None = None):
+    def _loop(self):
         # sleep m between cycles, not on a fixed grid: a grid would let the
         # closed-loop client phase-lock to it and hide the per-endpoint cost
         while True:
-            yield from self._cycle(asked)
-            asked = None
+            yield from self._cycle()
             yield self.m
 
     def _dial_link(self, rs_id: str, address: str):
@@ -449,29 +428,21 @@ class PollingServerNode:
         return (idle == n and mark >= sim.loop_entry
                 and sim.events_processed - mark == 2 * n)
 
-    def _cycle(self, asked: int | None = None):
-        # `asked` resumes a cycle that a replayed idle dialogue counted and
-        # carried to leaf `asked`, whose list ask is already in flight
-        if asked is None:
-            self.cycle_no += 1
-            mark = self.sim.events_processed
-        else:
-            mark = None
+    def _cycle(self):
+        self.cycle_no += 1
+        mark = self.sim.events_processed
         endpoints = list(self.endpoints)
         reporters: dict[bytes, list[str]] = {}
         fresh: list[tuple[bytes, bytes]] = []
         collected = idle = 0
-        for rs_id, address in endpoints[asked:]:    # None: from the first
+        for rs_id, address in endpoints:
             link = self._links.get(rs_id)
-            if asked is None:
-                if link is None or not link.usable:
-                    link = yield from self._dial_link(rs_id, address)
-                    if link is None:
-                        continue
-                link.ask(wire.POLL_LIST_FRAME)
-            asked = None
+            if link is None or not link.usable:
+                link = yield from self._dial_link(rs_id, address)
+                if link is None:
+                    continue
             try:
-                event = yield link
+                event = yield link.ask(wire.POLL_LIST_FRAME)
             except _LINK_FAILURES:
                 self._drop_link(rs_id)
                 continue
@@ -516,7 +487,7 @@ class PollingServerNode:
             self.provider.log.emit(self.sim.now, "poll.cycle", instance=self.id,
                           detail={"cycle": self.cycle_no, "collected": collected,
                                   "executed": len(fresh), "delivered": delivered})
-        if mark is not None and self._quiet(mark, idle, len(endpoints)):
+        if self._quiet(mark, idle, len(endpoints)):
             self._idle = [self._links[rs_id] for rs_id, _ in endpoints]
 
     def _evict(self) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -356,127 +357,41 @@ def test_events_processed_counts_each_event_as_it_runs():
     assert sim.events_processed == 3
 
 
-# --- an actor deferred off the heap ---------------------------------------------
+# --- the next due event -------------------------------------------------------
 
 
-class Ticker:
-    """A toy actor that ticks every `period` at `prio` and logs what each
-    tick takes from its inbox.  Lazy, it defers after a tick that found the
-    inbox empty and replays the empty ticks as arithmetic, as the poller
-    replays idle cycles; stepwise, every tick is a heap event."""
-
-    def __init__(self, sim, log, *, lazy, period=1.0, prio=PRIO_ACTOR):
-        self.sim, self.log, self.lazy = sim, log, lazy
-        self.period, self.prio = period, prio
-        self.inbox = []
-        self.next = 0.0
-        self.first_tick = Future()
-        sim.schedule_at(0.0, self.tick, priority=prio)
-
-    def tick(self):
-        self.first_tick.resolve()
-        item = self.inbox.pop(0) if self.inbox else None
-        self.log.append(("tick", self.sim.now, item))
-        self.next = self.sim.now + self.period
-        if self.lazy and item is None:
-            self.sim.defer(self)
-        else:
-            self.sim.schedule_at(self.next, self.tick, priority=self.prio)
-
-    def advance(self, t, prio):
-        while self.next < t or (self.next == t and self.prio < prio):
-            self.log.append(("tick", self.next, None))
-            self.next += self.period
-
-    def materialize(self):
-        self.sim.schedule_at(self.next, self.tick, priority=self.prio)
+def test_next_due_skips_a_cancelled_heap_top():
+    sim = Simulation(0)
+    sim.schedule(1.0, lambda: None).cancel()
+    sim.schedule(2.0, lambda: None)
+    assert sim.next_due() == 2.0
 
 
-def lazy_and_stepwise(script):
-    """Run script(sim, log, ticker) with a lazy and a stepwise ticker; both
-    must log the same and end on the same clock.  Returns the lazy run's
-    log and the two runs' dispatched event counts."""
-    runs = []
-    for lazy in (True, False):
-        sim, log = Simulation(0), []
-        script(sim, log, Ticker(sim, log, lazy=lazy))
-        runs.append((log, sim.now, sim.events_processed))
-    (log, now, lazy_events), (step_log, step_now, step_events) = runs
-    assert (log, now) == (step_log, step_now)
-    return log, lazy_events, step_events
+def test_next_due_is_inf_with_an_empty_heap_and_no_horizon():
+    sim = Simulation(0)
+    assert sim.next_due() == math.inf
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.next_due()))
+    sim.run()
+    assert seen == [math.inf]
 
 
-def test_a_heap_event_at_an_exact_tie_runs_before_the_deferred_actor():
-    def script(sim, log, ticker):
-        for prio in (PRIO_NETWORK, PRIO_ACTOR, PRIO_CONTROL):
-            sim.schedule_at(2.0, log.append, ("heap", 2.0, prio), priority=prio)
-        sim.run(until=3.5)
-
-    log, lazy_events, step_events = lazy_and_stepwise(script)
-    assert log == [("tick", 0.0, None), ("tick", 1.0, None),
-                   ("heap", 2.0, PRIO_NETWORK), ("heap", 2.0, PRIO_ACTOR),
-                   ("tick", 2.0, None), ("heap", 2.0, PRIO_CONTROL),
-                   ("tick", 3.0, None)]
-    assert lazy_events < step_events
+def test_run_until_a_time_caps_next_due():
+    sim = Simulation(0)
+    seen = []
+    for t in (1.0, 2.0):
+        sim.schedule_at(t, lambda: seen.append(sim.next_due()))
+    sim.schedule_at(5.0, lambda: None)
+    sim.run(until=3.0)
+    # behind the event at 2.0 only the one at 5.0 is left, past the until
+    assert seen == [2.0, 3.0]
 
 
-def test_run_until_a_time_advances_the_deferred_actor_through_it():
-    def script(sim, log, ticker):
-        sim.run(until=3.0)
-        assert sim.now == 3.0
-        sim.run(until=3.0)
-
-    log, lazy_events, step_events = lazy_and_stepwise(script)
-    assert log == [("tick", float(t), None) for t in range(4)]
-    # only the first tick ran from the heap; the rest were replayed
-    assert (lazy_events, step_events) == (1, 4)
-
-
-@pytest.mark.parametrize("until_future", [False, True], ids=["run", "run_until"])
-def test_a_change_between_two_runs_reaches_the_deferred_actor(until_future):
-    def script(sim, log, ticker):
-        done = Future()
-        sim.schedule_at(5.0, done.resolve)
-        sim.run(until=2.5)
-        ticker.inbox.append("x")    # schedules nothing
-        if until_future:
-            sim.run_until(done)
-        else:
-            sim.run(until=5.0)
-
-    log, _, _ = lazy_and_stepwise(script)
-    assert log[3] == ("tick", 3.0, "x")
-
-
-def test_an_event_scheduled_between_two_runs_keeps_its_place_behind_the_actor():
-    # the actor's tick at 3.0 was due before this event was scheduled
-    def script(sim, log, ticker):
-        sim.run(until=2.5)
-        sim.schedule_at(3.0, log.append, ("heap", 3.0, PRIO_ACTOR))
-        sim.run(until=3.5)
-
-    log, _, _ = lazy_and_stepwise(script)
-    assert log[-2:] == [("tick", 3.0, None), ("heap", 3.0, PRIO_ACTOR)]
-
-
-def test_run_until_puts_an_actor_that_deferred_in_its_last_event_back_on_the_heap():
-    # the first tick resolves the future and defers in one event
-    def script(sim, log, ticker):
-        sim.run_until(ticker.first_tick)
-        sim.schedule_at(1.0, log.append, ("heap", 1.0, PRIO_ACTOR))
-        sim.run(until=1.5)
-
-    log, _, _ = lazy_and_stepwise(script)
-    assert log == [("tick", 0.0, None), ("tick", 1.0, None), ("heap", 1.0, PRIO_ACTOR)]
-
-
-@pytest.mark.parametrize("far_event", [False, True], ids=["alone", "behind-a-far-event"])
-def test_run_until_a_limit_with_a_deferred_actor_raises_never_completes(far_event):
-    def script(sim, log, ticker):
-        if far_event:
-            sim.schedule_at(100.0, log.append, ("heap", 100.0, PRIO_ACTOR))
-        with pytest.raises(RequestNeverCompletes, match=r"next event t=6\.0"):
-            sim.run_until(Future(), limit=5.5)
-
-    log, _, _ = lazy_and_stepwise(script)
-    assert log == [("tick", float(t), None) for t in range(6)]
+def test_run_until_a_limit_caps_next_due_and_leaves_the_clock_there():
+    sim = Simulation(0)
+    seen = []
+    sim.schedule_at(1.0, lambda: seen.append(sim.next_due()))
+    sim.schedule_at(7.0, lambda: None)
+    with pytest.raises(RequestNeverCompletes, match=r"next event t=7\.0"):
+        sim.run_until(Future(), limit=5.5)
+    assert (seen, sim.now) == ([5.5], 5.5)

@@ -8,7 +8,13 @@ import pytest
 from miserysim import target, wire
 from miserysim.cloud import CloudProvider, ImageKind
 from miserysim.eventlog import EventLog
-from miserysim.sim import PRIO_ACTOR, PRIO_NETWORK, Simulation
+from miserysim.sim import (
+    PRIO_ACTOR,
+    PRIO_NETWORK,
+    Future,
+    RequestNeverCompletes,
+    Simulation,
+)
 from miserysim.target import (
     AppServerNode,
     BackendStore,
@@ -194,9 +200,9 @@ def test_rs_transport_endpoint_round_trip():
 
 # --- polling loop ------------------------------------------------------------------
 
-def poll_fixture(n_rs=4, m=0.05):
+def poll_fixture(n_rs=4, m=0.05, hop=(0.001, 0.005)):
     sim = Simulation(0)
-    provider = CloudProvider(sim, EventLog())
+    provider = CloudProvider(sim, EventLog(), hop_latency=hop)
     store = BackendStore()
     provider.create_instance(ImageKind.POLLING_TARGET, instance_id="db")
     nodes = []
@@ -430,15 +436,18 @@ def test_stop_during_a_dial_closes_the_dialled_channel():
     assert ps._links == {} and ps.cycle_no == 1
 
 
-def poll_two_idle_rss(monkeypatch, *, heap_driven, tie=None, pause=None):
-    """Poll two idle RSs for 1 s.  `tie` is a (time, priority) at which a
-    heap event, scheduled before the poller starts, draws one hop latency
-    from the shared stream.  `pause` is a time at which the run stops, rs0
-    gains a session from outside the event loop, and the run goes on.
-    Returns that draw, the (sent, arrival) pair of every poll message, the
-    session's answer, the cycle count and the dispatched event count."""
-    sim, provider, ps, nodes, _, _ = poll_fixture(n_rs=2)
-    messages, drawn, answers = [], [], []
+def run_one_second(sim, ps, nodes, notes):
+    sim.run(until=sim.now + 1.0)
+
+
+def poll_two_idle_rss(monkeypatch, script=run_one_second, *, heap_driven,
+                      hop=(0.001, 0.005)):
+    """Start polling two idle RSs and hand the run to `script(sim, ps,
+    nodes, notes)`, which schedules, runs and notes what it sees.  Returns
+    the notes, the (sent, arrival) pair of every poll message, the cycle
+    count, the failed-ask count and the dispatched event count."""
+    sim, provider, ps, nodes, _, _ = poll_fixture(n_rs=2, hop=hop)
+    notes, messages = [], []
     arrival = provider.channel_arrival
 
     def recorded(to, sent):
@@ -450,27 +459,40 @@ def poll_two_idle_rss(monkeypatch, *, heap_driven, tie=None, pause=None):
         patch.setattr(provider, "channel_arrival", recorded)
         if heap_driven:
             patch.setattr(PollingServerNode, "_quiet", lambda self, *args: False)
-        if tie is not None:
-            sim.schedule_at(tie[0], lambda: drawn.append(provider.hop_latency()),
-                            priority=tie[1])
-        start, end = sim.events_processed, sim.now + 1.0
+        start = sim.events_processed
         ps.start()
-        if pause is not None:
-            sim.run(until=pause)
-            nodes[0].open_session(CORR, b"GET k", answers.append)
-        sim.run(until=end)
+        script(sim, ps, nodes, notes)
         ps.stop()
-    return drawn, messages, answers, ps.cycle_no, sim.events_processed - start
+    return (notes, messages, ps.cycle_no, ps.counters["poll_errors"],
+            sim.events_processed - start)
 
 
-def lazy_and_heap_driven(monkeypatch, **kwargs):
+def lazy_and_heap_driven(monkeypatch, script=run_one_second, **kwargs):
     """Run poll_two_idle_rss both ways; everything but the dispatched event
     count must match, and the lazy run must have dispatched fewer."""
-    lazy = poll_two_idle_rss(monkeypatch, heap_driven=False, **kwargs)
-    stepwise = poll_two_idle_rss(monkeypatch, heap_driven=True, **kwargs)
+    lazy = poll_two_idle_rss(monkeypatch, script, heap_driven=False, **kwargs)
+    stepwise = poll_two_idle_rss(monkeypatch, script, heap_driven=True, **kwargs)
     assert lazy[:-1] == stepwise[:-1]
-    assert lazy[-1] < stepwise[-1], "the idle dialogue never left the heap"
+    assert lazy[-1] < stepwise[-1], "no idle cycle was replayed"
     return lazy
+
+
+def heap_driven_messages(monkeypatch, **kwargs):
+    """The poll messages of a heap-driven second of polling two idle RSs;
+    each cycle sends four, and the first runs from t = 301."""
+    return poll_two_idle_rss(monkeypatch, heap_driven=True, **kwargs)[1]
+
+
+def at_then_one_second(t, prio, fn):
+    """A script that schedules fn(sim, ps, notes) at (t, prio), then runs."""
+    def script(sim, ps, nodes, notes):
+        sim.schedule_at(t, fn, sim, ps, notes, priority=prio)
+        run_one_second(sim, ps, nodes, notes)
+    return script
+
+
+def draw_a_hop(sim, ps, notes):
+    notes.append(ps.provider.hop_latency())
 
 
 @pytest.mark.parametrize("message, end, prio", [
@@ -480,17 +502,88 @@ def lazy_and_heap_driven(monkeypatch, **kwargs):
 ], ids=["wake", "ask", "listing"])
 def test_an_event_tied_with_a_replayed_poll_event_runs_first(monkeypatch, message,
                                                              end, prio):
-    _, messages, _, _, _ = poll_two_idle_rss(monkeypatch, heap_driven=True)
-    lazy_and_heap_driven(monkeypatch, tie=(messages[message][end], prio))
+    # the event draws from the shared stream, so its place among the
+    # poller's draws shows in every later message
+    t = heap_driven_messages(monkeypatch)[message][end]
+    lazy_and_heap_driven(monkeypatch, at_then_one_second(t, prio, draw_a_hop))
+
+
+def test_the_replay_bound_counts_one_longest_hop_per_hop(monkeypatch):
+    # at a constant hop of 12.65 ms, cycle 4 wakes at 301.35240000000016 and
+    # hears rs1's empty listing at 301.4030000000002, one ulp above the
+    # closed form wake + 4 * 0.01265.  Only a bound added hop by hop, as the
+    # dialogue adds, keeps that listing on the heap behind the set_record
+    # tied with it, which then fails rs1's ask in flight.
+    hop = (0.01265, 0.01265)
+    last_listing = heap_driven_messages(monkeypatch, hop=hop)[15][1]
+
+    def drop_rs1(sim, ps, notes):
+        ps.set_record(ps.endpoints[:1])
+
+    poll_errors = lazy_and_heap_driven(
+        monkeypatch, at_then_one_second(last_listing, PRIO_NETWORK, drop_rs1),
+        hop=hop)[3]
+    assert poll_errors == 1
+
+
+def test_an_event_scheduled_between_two_runs_keeps_its_place(monkeypatch):
+    # the run stops mid-stretch and a draw is scheduled for the arrival of
+    # a listing that the lazy run has not replayed yet
+    messages = heap_driven_messages(monkeypatch)
+    pause, tie = messages[25][1], messages[37][1]
+
+    def script(sim, ps, nodes, notes):
+        sim.run(until=pause)
+        sim.schedule_at(tie, draw_a_hop, sim, ps, notes, priority=PRIO_NETWORK)
+        sim.run(until=sim.now + 1.0)
+
+    lazy_and_heap_driven(monkeypatch, script)
 
 
 def test_a_session_opened_between_two_runs_mid_cycle_is_listed_next_cycle(monkeypatch):
     # cycle 2, the first that could go quiet, has heard rs0's empty listing
     # and waits on rs1's when the run stops and rs0 gains a session
-    _, messages, _, _, _ = poll_two_idle_rss(monkeypatch, heap_driven=True)
-    sent, arrived = messages[6]
-    lazy = lazy_and_heap_driven(monkeypatch, pause=(sent + arrived) / 2)
-    assert lazy[2] == [wire.encode_response(CORR, b"NIL")]
+    sent, arrived = heap_driven_messages(monkeypatch)[6]
+
+    def script(sim, ps, nodes, notes):
+        end = sim.now + 1.0
+        sim.run(until=(sent + arrived) / 2)
+        nodes[0].open_session(CORR, b"GET k", notes.append)
+        sim.run(until=end)
+
+    notes = lazy_and_heap_driven(monkeypatch, script)[0]
+    assert notes == [wire.encode_response(CORR, b"NIL")]
+
+
+def test_a_session_opened_between_a_run_and_a_run_until_is_served(monkeypatch):
+    # the pause falls in the sleep after a cycle the lazy run replayed
+    messages = heap_driven_messages(monkeypatch)
+    pause = (messages[23][1] + messages[24][0]) / 2
+
+    def script(sim, ps, nodes, notes):
+        sim.run(until=pause)
+        answered = Future()
+        nodes[0].open_session(CORR, b"GET k", answered.resolve)
+        notes.append((sim.run_until(answered), sim.now))
+
+    notes = lazy_and_heap_driven(monkeypatch, script)[0]
+    assert notes[0][0] == wire.encode_response(CORR, b"NIL")
+
+
+def test_run_until_a_limit_with_an_idle_poller_raises_never_completes(monkeypatch):
+    # the limit falls in the sleep after a cycle the lazy run replayed: the
+    # next event is the following wake, and the clock stops at the limit
+    messages = heap_driven_messages(monkeypatch)
+    limit = (messages[27][1] + messages[28][0]) / 2
+
+    def script(sim, ps, nodes, notes):
+        with pytest.raises(RequestNeverCompletes) as raised:
+            sim.run_until(Future(), limit=limit)
+        notes.append((str(raised.value), sim.now))
+
+    notes = lazy_and_heap_driven(monkeypatch, script)[0]
+    assert notes == [(f"future unresolved at t={limit} "
+                      f"(next event t={messages[28][0]})", limit)]
 
 
 def garble_one_poll_message(sim, node, t0, *, inbound):
