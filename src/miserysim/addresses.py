@@ -91,9 +91,6 @@ class AddressServer:
         self._subscribers.pop(owner, None)
         self._last_at.pop(owner, None)
 
-    def owners(self) -> list[str]:
-        return sorted(self._records)
-
     def dump(self) -> dict:
         return {
             owner: {"version": record.version,

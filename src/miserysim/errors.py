@@ -69,10 +69,6 @@ class NoEligibleLayer(MiserySimError):
     """No layer in 2..d holds two or more nodes to switch."""
 
 
-class ConcurrentMutation(MiserySimError):
-    """A transformation cycle started while another was in flight."""
-
-
 # --- address server ---
 
 class UnknownOwner(MiserySimError):

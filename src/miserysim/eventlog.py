@@ -26,9 +26,6 @@ class EventLog:
         self.records.append(record)
         return record
 
-    def lines(self) -> list[str]:
-        return [serialize_record(r) for r in self.records]
-
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for record in self.records:

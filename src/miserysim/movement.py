@@ -23,12 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .deploy import MDG_TAGS, image_for_layer
-from .errors import (
-    CloudError,
-    ConcurrentMutation,
-    NoEligibleLayer,
-    UnknownOwner,
-)
+from .errors import CloudError, NoEligibleLayer, UnknownOwner
 from .sim import PRIO_CONTROL
 from .topology import (
     MiseryDigraph,
@@ -89,7 +84,8 @@ def select_transformation(digraph: MiseryDigraph, rng: random.Random) -> SwitchO
 
 
 class MovementManager:
-    """Single writer for topology mutations; cycles never overlap."""
+    """Single writer for topology mutations: one task runs the cycles one
+    after another, so they never overlap."""
 
     def __init__(self, deployment, r: float):
         # a NaN or infinite period would silently run no cycle at all
@@ -104,7 +100,6 @@ class MovementManager:
         self.log = provider.log
         self.counters = provider.counters
         self._rng = self.sim.rng("movement")
-        self._busy = False
         self._generation: dict[tuple[int, int], int] = {}
         self._retry_owners: set[str] = set()
         self.cycle_no = 0
@@ -138,15 +133,6 @@ class MovementManager:
     # -- the cycle -----------------------------------------------------------
 
     def _cycle(self):
-        if self._busy:
-            raise ConcurrentMutation("transformation already in flight")
-        self._busy = True
-        try:
-            yield from self._run_cycle()
-        finally:
-            self._busy = False
-
-    def _run_cycle(self):
         self.cycle_no += 1
         cycle = self.cycle_no
         self._flush_retries()

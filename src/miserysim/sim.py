@@ -11,13 +11,18 @@ recipe of the heapq documentation: tuples compare in C, and `seq` is unique,
 so a comparison is always settled before it reaches the handles.
 A cancelled handle stays in the heap and is dropped when it reaches the top.
 
+`run(until)` and `run_until(future, limit)` share one dispatch loop, which
+stops when a future resolves (`run` waits on one that nothing resolves),
+the heap drains, or the next live event lies past a horizon (the `until`
+or `limit`).  An exception that an event raises, a task's included, leaves
+the loop and ends the run.
+
 `next_due()` is the time of the next live heap event, or the running loop's
-`until` or `limit` if that is sooner.  The poller replays its idle cycles
-as arithmetic up to it: events that schedule only each other and fall
-strictly before it run before any other event in a stepwise dispatch too.
-Replayed events have no heap entry to set the clock, so `run(until)` leaves
-the clock at `until` and a `run_until` that hits its `limit` leaves it at
-`limit`.
+horizon if that is sooner.  The poller replays its idle cycles as arithmetic
+up to it: events that schedule only each other and fall strictly before it
+run before any other event in a stepwise dispatch too.  Replayed events have
+no heap entry to set the clock, so `run(until)` leaves the clock at `until`
+and a `run_until` that hits its `limit` leaves it at `limit`.
 """
 
 from __future__ import annotations
@@ -143,11 +148,12 @@ def gather(futures: list[Future]) -> Future:
 class Task:
     """A generator driven by the simulation.
 
-    The generator may yield a positive float (sleep that many virtual
-    seconds), a Future (resume when it resolves; a rejected future is thrown
-    into the generator), or None (resume on the next event at the same
-    instant).  The task's own `future` resolves with the generator's return
-    value, or rejects with its uncaught exception.
+    The generator yields a number (sleep that many virtual seconds; 0 runs
+    it again after the events already due at this instant) or a Future
+    (resume when it resolves; a rejected future is thrown into the
+    generator).  The task's own `future` resolves with the generator's
+    return value, and rejects only on `cancel()`.  An exception the
+    generator does not catch ends the run: it leaves the event loop.
     """
 
     __slots__ = ("sim", "gen", "prio", "future", "_waiting", "cancelled")
@@ -177,17 +183,8 @@ class Task:
         except StopIteration as stop:
             self.future.resolve(stop.value)
             return
-        except SimCancelled:
-            self.future.reject(SimCancelled())
-            return
-        except BaseException as err:
-            # a crashing task must not take the scheduler down with it
-            self.future.reject(err)
-            return
         if isinstance(item, Future):
             item.add_done_callback(self._resume_from)
-        elif item is None:
-            self._waiting = self.sim.schedule(0.0, self._step, priority=self.prio)
         else:
             self._waiting = self.sim.schedule(float(item), self._step, priority=self.prio)
 
@@ -199,7 +196,7 @@ class Task:
 
 
 class SimCancelled(Exception):
-    """Raised inside a task generator when its task is cancelled."""
+    """What a cancelled task's future rejects with."""
 
 
 class Simulation:
@@ -245,9 +242,9 @@ class Simulation:
         return task
 
     def next_due(self) -> float:
-        """The time of the next live heap event, or the `until`/`limit` of
-        the loop running this event if that is sooner; inf if there is
-        neither.  Call it from an event."""
+        """The time of the next live heap event, or the horizon of the loop
+        running this event if that is sooner; inf if there is neither.
+        Call it from an event."""
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
@@ -256,23 +253,8 @@ class Simulation:
     def run(self, until: float | None = None) -> int:
         """Process events until the queue drains or the clock passes `until`.
         Returns the number of events processed by this call."""
-        start = self.loop_entry = self._processed
-        self._horizon = math.inf if until is None else until
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            t, _, _, handle = heap[0]
-            if handle.cancelled:
-                pop(heap)
-                continue
-            if until is not None and t > until:
-                break
-            pop(heap)
-            self.now = t
-            fn, args = handle.fn, handle.args
-            handle.fn, handle.args = None, ()
-            fn(*args)
-            self._processed += 1
+        start = self._processed
+        self._dispatch(_NEVER, math.inf if until is None else until, 0.0)
         if until is not None and self.now < until:
             self.now = until
         return self._processed - start
@@ -284,23 +266,32 @@ class Simulation:
         `pace` > 0 throttles to that many simulated seconds per wall-clock
         second so a human can watch; 0 runs as fast as possible.
         """
+        late = self._dispatch(future, math.inf if limit is None else limit, pace)
+        if future.done:
+            return future.result()
+        if late is None:
+            raise RuntimeError("event queue drained before future resolved")
+        if self.now < limit:
+            self.now = limit
+        raise RequestNeverCompletes(
+            f"future unresolved at t={limit} (next event t={late})")
+
+    def _dispatch(self, future: Future, horizon: float, pace: float) -> float | None:
+        """Run events until `future` resolves, the heap drains, or the next
+        live event lies past `horizon`; returns that event's time in the
+        last case, else None."""
         self.loop_entry = self._processed
-        self._horizon = math.inf if limit is None else limit
+        self._horizon = horizon
         heap = self._heap
         pop = heapq.heappop
         pending = Future._PENDING
-        while future._state == pending:
-            if not heap:
-                raise RuntimeError("event queue drained before future resolved")
+        while future._state == pending and heap:
             t, _, _, handle = heap[0]
             if handle.cancelled:
                 pop(heap)
                 continue
-            if limit is not None and t > limit:
-                if self.now < limit:
-                    self.now = limit
-                raise RequestNeverCompletes(
-                    f"future unresolved at t={limit} (next event t={t})")
+            if t > horizon:
+                return t
             if pace > 0.0 and t > self.now:
                 time.sleep((t - self.now) / pace)
             pop(heap)
@@ -309,7 +300,7 @@ class Simulation:
             handle.fn, handle.args = None, ()
             fn(*args)
             self._processed += 1
-        return future.result()
+        return None
 
     @property
     def events_processed(self) -> int:
@@ -318,3 +309,7 @@ class Simulation:
 
 class RequestNeverCompletes(RuntimeError):
     """run_until hit its limit with the future still pending."""
+
+
+# the future run() waits on: nothing resolves it
+_NEVER = Future()

@@ -10,12 +10,13 @@ cached response to every holder, which then drops the entry.  The poll keeps
 no per-RS state: an entry whose listing or delivery was lost is listed again
 next cycle, and the executed cache answers it without a second execution.
 
-The poller drives its own cycle generator instead of running as a sim Task:
-a reply on a poll link resumes it straight from the link's message
-callback, a dial resumes it from the dial's Future, and the sleep of m
-between cycles is one scheduled event.  The idle dialogue's two constant
-messages, the one-byte list ask and the empty listing, are matched by value
-and never parsed.
+The poller runs from `start()` for the life of the simulation.  It drives
+its own cycle generator instead of running as a sim Task: a reply on a poll
+link resumes it straight from the link's message callback, a dial resumes it
+from the dial's Future, and the sleep of m between cycles is one scheduled
+event.  An exception the generator does not catch leaves the event loop and
+ends the run.  The idle dialogue's two constant messages, the one-byte list
+ask and the empty listing, are matched by value and never parsed.
 
 An idle poll costs no heap event while no other event is due.  A cycle is
 quiet when every RS answered an empty listing and the simulation ran
@@ -306,9 +307,7 @@ class PollingServerNode:
         self.executed: dict[bytes, tuple[int, bytes]] = {}
         self._links: dict[str, _PollLink] = {}
         self.cycle_no = 0
-        self._gen = None      # the running _loop(), None while stopped
-        self._dial = None     # the dial Future the loop waits on, if any
-        self._wake = None     # the scheduled end of the sleep between cycles
+        self._gen = None      # the running _loop(), from start() on
         # the links of a quiet cycle that just ended, in endpoint order
         self._idle: list[_PollLink] | None = None
 
@@ -323,41 +322,24 @@ class PollingServerNode:
             link.fail(SessionSevered("endpoint left the poll record"))
 
     def start(self) -> None:
+        """Poll from now on, for the life of the simulation."""
         self._gen = self._loop()
-        self._wake = self.sim.schedule(0.0, self._resume, None, None,
-                                       priority=PRIO_ACTOR)
-
-    def stop(self) -> None:
-        """Stop polling.  A link with an ask in flight is closed: its reply
-        would otherwise answer the first ask of a later start()."""
-        if self._gen is None:
-            return
-        self._gen.close()
-        self._gen = self._dial = None
-        if self._wake is not None:
-            self._wake.cancel()
-            self._wake = None
-        for rs_id in [r for r, link in self._links.items() if link.inflight]:
-            self._links.pop(rs_id).channel.close()
+        self.sim.schedule(0.0, self._resume, None, None, priority=PRIO_ACTOR)
 
     def _resume(self, value, err) -> None:
         """Run the loop to its next wait: a yielded link waits for that
         link's reply, a Future (a dial) for its result, a number sleeps."""
         gen = self._gen
-        if gen is None:
-            return
         item = gen.throw(err) if err is not None else gen.send(value)
         if item.__class__ is _PollLink:
             return
         if isinstance(item, Future):
-            self._dial = item
             item.add_done_callback(self._dialled)
             return
         at = self.sim.now + item
         if self._idle is not None:
             at = self._replay(at)
-        self._wake = self.sim.schedule_at(at, self._resume, None, None,
-                                          priority=PRIO_ACTOR)
+        self.sim.schedule_at(at, self._resume, None, None, priority=PRIO_ACTOR)
 
     def _replay(self, at: float) -> float:
         """Replay the idle cycles from the wake at `at` that surely end
@@ -383,12 +365,6 @@ class PollingServerNode:
         return at
 
     def _dialled(self, fut: Future) -> None:
-        if fut is not self._dial:
-            # a dial abandoned by stop(): no link will own its channel
-            if not fut.failed:
-                fut.result().close()
-            return
-        self._dial = None
         if fut.failed:
             self._resume(None, fut.exception())
         else:

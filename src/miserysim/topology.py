@@ -290,13 +290,10 @@ class FirewallRule:
 # --- operations ---------------------------------------------------------
 
 
-def _decoy_id(layer: int, slot: int, generation: int = 0) -> str:
+def decoy_id(layer: int, slot: int, generation: int = 0) -> str:
+    """Positional id of a decoy: generation 0 is the one built, each reset
+    at that (layer, slot) places the next."""
     return f"L{layer}.s{slot}.g{generation}"
-
-
-def replacement_id(layer: int, slot: int, generation: int) -> str:
-    """Positional id for a reset replacement (generation >= 1)."""
-    return _decoy_id(layer, slot, generation)
 
 
 def next_replacement_id(digraph: MiseryDigraph, node: str,
@@ -305,7 +302,7 @@ def next_replacement_id(digraph: MiseryDigraph, node: str,
     generation of its (layer, slot) in `generations`."""
     key = digraph.position(node)
     generations[key] = generations.get(key, 0) + 1
-    return replacement_id(*key, generations[key])
+    return decoy_id(*key, generations[key])
 
 
 def build_misery_digraph(spec: MiseryDigraphSpec) -> MiseryDigraph:
@@ -318,7 +315,7 @@ def build_misery_digraph(spec: MiseryDigraphSpec) -> MiseryDigraph:
     """
     web, app, db = CHAIN
     layers = [(web,)] + [
-        tuple(_decoy_id(layer_idx, slot) for slot in range(spec.layer_width(layer_idx)))
+        tuple(decoy_id(layer_idx, slot) for slot in range(spec.layer_width(layer_idx)))
         for layer_idx in range(2, spec.d + 1)]
     layers[-1] = (app,) + layers[-1][1:]
     return MiseryDigraph(spec, tuple(layers), db, (HTTP,), (DATABASE,), app)

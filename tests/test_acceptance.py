@@ -225,7 +225,7 @@ def test_transformation_cycles_preserve_isomorphism(capsys):
             problems.append(f"cycle {cycle}: edge of the digraph moved")
         if deployment.consistency_check():
             problems.append(f"cycle {cycle}: inconsistent routing")
-        for owner in addresses.owners():
+        for owner in sorted(addresses.dump()):
             for node, address in addresses.lookup(owner).entries:
                 inst = provider.instances[node]
                 if inst.state is not InstanceState.RUNNING:
@@ -307,7 +307,6 @@ def test_duplicate_collapse(capsys):
                    for i in range(4)])
     ps.start()
     sim.run(until=sim.now + 2.0)
-    ps.stop()
     # a delivered entry leaves its RS's registry
     deliveries = sum(1 for node in nodes if dup not in node.registry.pending)
     dedup_ok = (store.execution_counts() == {dup: 1} and deliveries == 4

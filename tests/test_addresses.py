@@ -92,14 +92,14 @@ def test_remove_drops_record_and_subscription():
     server.update("web", [])
     sim.run(until=5.0)
     assert seen == []
-    assert server.owners() == ["web"]
+    assert sorted(server.dump()) == ["web"]
 
 
 def test_owners_sorted_and_dump_shape():
     _, server = make_server()
     server.register("z", [("c", "10.0.0.3")])
     server.register("a", [])
-    assert server.owners() == ["a", "z"]
+    assert sorted(server.dump()) == ["a", "z"]
     assert server.dump() == {
         "a": {"version": 1, "entries": []},
         "z": {"version": 1, "entries": [["c", "10.0.0.3"]]},

@@ -13,6 +13,7 @@ import pytest
 
 import miserysim
 from miserysim.cli import main
+from miserysim.movement import MovementManager
 from miserysim.topology import MiseryDigraph
 
 
@@ -109,6 +110,17 @@ def test_run_maps_rate_to_interval(tmp_path):
 
 def test_run_rejects_bad_rate(tmp_path):
     assert main(["run", "--rate", "0", "--outdir", str(tmp_path)]) == 2
+
+
+def test_a_crashing_movement_cycle_ends_the_run(tmp_path, capsys, monkeypatch):
+    # a bug in a cycle must not silently stop all movement for the run
+    def crash(self, cycle, op):
+        raise RuntimeError("switch failed")
+
+    monkeypatch.setattr(MovementManager, "_execute_switch", crash)
+    assert main(["run", "--d", "3", "--k", "2", "--j", "60", "--r", "10",
+                 "--outdir", str(tmp_path)]) == 3
+    assert "runtime failure: RuntimeError: switch failed" in capsys.readouterr().err
 
 
 def run_cli_process(args: list[str]) -> subprocess.CompletedProcess:

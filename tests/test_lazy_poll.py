@@ -1,9 +1,11 @@
 """The poller's idle dialogue off the event heap writes what the heap writes.
 
-A quiet poll cycle defers its sleep, and later idle cycles are replayed as
-arithmetic until another event is due (`PollingServerNode.advance`).  With
-the quiet test forced to fail, every cycle runs from the event heap.  Both
-runs must write the same artifacts, byte for byte.
+When a quiet poll cycle ends, the poller replays as arithmetic every whole
+idle cycle that surely ends before the next due event, and schedules the
+wake of the first that might not as a heap event (`PollingServerNode._replay`
+up to `Simulation.next_due()`).  With the quiet test forced to fail, every
+cycle runs from the event heap.  Both runs must write the same artifacts,
+byte for byte.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ GRID = {
 
 
 def heap_driven(monkeypatch):
-    """Make every cycle fail the quiet test, so the poller never defers."""
+    """Make every cycle fail the quiet test, so the poller replays none."""
     monkeypatch.setattr(target.PollingServerNode, "_quiet",
                         lambda self, mark, idle, n: False)
 

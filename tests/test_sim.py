@@ -134,7 +134,7 @@ def test_every_event_is_scheduled_through_schedule_at(monkeypatch):
             if rng.random() < 0.5:
                 timer.cancel()
             yield rng.uniform(0.0, 0.5)
-            yield None
+            yield 0.0
 
     def sleeper():
         while True:
@@ -203,7 +203,7 @@ def test_task_sleep_and_zero_delay():
         trace.append(sim.now)
         yield 2.5
         trace.append(sim.now)
-        yield None
+        yield 0.0
         trace.append(sim.now)
 
     sim.spawn(gen())
@@ -255,17 +255,19 @@ def test_task_return_value_resolves_its_future():
     assert task.future.result() == 42
 
 
-def test_task_exception_rejects_its_future():
+def test_task_exception_ends_the_run():
     sim = Simulation(0)
+    seen = []
 
     def gen():
         yield 1.0
         raise KeyError("lost")
 
     task = sim.spawn(gen())
-    sim.run()
-    assert task.future.failed
-    assert isinstance(task.future.exception(), KeyError)
+    sim.schedule(2.0, seen.append, "after")
+    with pytest.raises(KeyError):
+        sim.run()
+    assert (sim.now, seen, task.future.done) == (1.0, [], False)
 
 
 def test_cancelled_task_future_rejects_with_sim_cancelled():

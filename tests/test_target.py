@@ -227,7 +227,6 @@ def test_duplicate_across_leaves_executes_once_delivers_everywhere():
         node.open_session(CORR, b"PUT k 1", answers.append)
     ps.start()
     sim.run(until=sim.now + 1.0)
-    ps.stop()
     assert store.execution_counts() == {CORR: 1}
     assert answers == [wire.encode_response(CORR, b"OK")] * 4
     assert all(n.registry.pending == {} for n in nodes)
@@ -245,7 +244,6 @@ def test_executed_cache_blocks_reexecution_of_relisted_entries():
     sim.run(until=sim.now + 0.3)
     nodes[1].open_session(CORR, b"PUT k 1", lambda f: None)
     sim.run(until=sim.now + 0.5)
-    ps.stop()
     assert store.execution_counts() == {CORR: 1}
     assert nodes[1].registry.pending == {}
 
@@ -256,7 +254,6 @@ def test_executed_cache_evicts_beyond_window(monkeypatch):
     ps.executed = {CORR: (1, b"OK")}
     ps.start()
     sim.run(until=sim.now + 1.0)   # many empty cycles at m=0.05
-    ps.stop()
     assert CORR not in ps.executed
 
 
@@ -272,7 +269,6 @@ def test_executed_cache_drops_exactly_the_entries_older_than_the_horizon(monkeyp
     assert ps.cycle_no == 7
     assert list(ps.executed) == [c for c, n in zip(ids, cycles) if n >= 4]
     sim.run(until=sim.now + 0.05)  # cycle 8, horizon 5
-    ps.stop()
     assert ps.cycle_no == 8
     assert list(ps.executed) == [c for c, n in zip(ids, cycles) if n >= 5]
 
@@ -282,7 +278,6 @@ def test_set_record_drops_links_of_removed_endpoints():
     nodes[0].open_session(CORR, b"PUT k 1", lambda f: None)
     ps.start()
     sim.run(until=sim.now + 0.3)
-    ps.stop()
     assert "rs0" in ps._links
     channel = ps._links["rs0"].channel
     keep = [("rs1", provider.instance("rs1").address)]
@@ -323,7 +318,6 @@ def test_lost_delivery_is_relisted_and_answered_from_the_executed_cache():
         node.open_session(CORR, b"PUT k 1", answers.append)
     ps.start()
     sim.run(until=sim.now + 1.0)
-    ps.stop()
     assert closed, "rs0 never received a delivery"
     assert store.execution_counts() == {CORR: 1}
     assert answers == [wire.encode_response(CORR, b"OK")] * 2
@@ -337,17 +331,17 @@ def test_polling_survives_unreachable_endpoints():
     nodes[0].open_session(CORR, b"GET x", lambda f: None)
     ps.start()
     sim.run(until=sim.now + 0.5)
-    ps.stop()
     assert store.execution_counts() == {CORR: 1}
     assert ps.counters["poll_errors"] >= 1
 
 
 def next_wake_pending(ps):
-    """Something will run the poller again: the end of its sleep is still
-    scheduled, or it waits on an ask in flight or on a dial."""
-    asleep = ps._wake is not None and ps._wake.fn is not None
-    return (asleep or ps._dial is not None
-            or any(link.inflight for link in ps._links.values()))
+    """Something will run the poller again: the end of its sleep or a step
+    of its dial is on the heap, or it waits on an ask in flight."""
+    resumptions = (ps._resume, ps.provider._accept_channel,
+                   ps.provider._channel_ready)
+    on_heap = any(handle.fn in resumptions for *_, handle in ps.sim._heap)
+    return on_heap or any(link.inflight for link in ps._links.values())
 
 
 def watch_poll_messages(provider, node, hook):
@@ -389,51 +383,10 @@ def test_dropping_a_link_with_an_ask_in_flight_does_not_stall_the_poller():
     answers = []
     nodes[1].open_session(CORR, b"GET k", answers.append)
     sim.run(until=sim.now + 4.0)
-    ps.stop()
     assert ps.cycle_no > dropped[0] + 10, "the poller stalled"
     assert answers == [wire.encode_response(CORR, b"NIL")]
     assert list(ps._links) == ["rs1"]
     assert ps.counters["poll_errors"] == 1
-
-
-@pytest.mark.parametrize("pause", [0.0, 0.5], ids=["restart-at-once", "restart-later"])
-def test_stop_with_an_ask_in_flight_ignores_the_late_reply(pause):
-    sim, provider, ps, nodes, store, _ = poll_fixture(n_rs=2)
-    stopped, restarted = [], []
-
-    def restart():
-        restarted.append((ps.cycle_no, len(store.execution_log)))
-        ps.start()
-
-    def stop_on_the_first_ask_for_a_pending_entry(data):
-        # rs0's reply to this ask will list the entry
-        if not stopped and data == wire.POLL_LIST_FRAME and nodes[0].registry.pending:
-            sim.schedule(0.0, ps.stop)
-            sim.schedule(0.0, lambda: stopped.append(ps.cycle_no))
-            sim.schedule(pause, restart)
-
-    watch_poll_messages(provider, nodes[0], stop_on_the_first_ask_for_a_pending_entry)
-    answers = []
-    nodes[0].open_session(CORR, b"PUT k 1", answers.append)
-    ps.start()
-    sim.run(until=sim.now + 2.0)
-    ps.stop()
-    # the late reply ran no cycle and executed nothing before the restart
-    assert stopped and restarted == [(stopped[0], 0)]
-    # and the restarted poller serves the entry once, with no failed ask
-    assert store.execution_counts() == {CORR: 1}
-    assert answers == [wire.encode_response(CORR, b"OK")]
-    assert ps.counters["poll_errors"] == 0
-
-
-def test_stop_during_a_dial_closes_the_dialled_channel():
-    sim, provider, ps, _, _, _ = poll_fixture(n_rs=2)
-    ps.start()
-    sim.run(until=sim.now + 0.0005)     # rs0's dial is under way
-    ps.stop()
-    sim.run(until=sim.now + 1.0)
-    assert [channel.state for channel in provider.channels] == ["closed"]
-    assert ps._links == {} and ps.cycle_no == 1
 
 
 def run_one_second(sim, ps, nodes, notes):
@@ -462,7 +415,6 @@ def poll_two_idle_rss(monkeypatch, script=run_one_second, *, heap_driven,
         start = sim.events_processed
         ps.start()
         script(sim, ps, nodes, notes)
-        ps.stop()
     return (notes, messages, ps.cycle_no, ps.counters["poll_errors"],
             sim.events_processed - start)
 
@@ -641,7 +593,6 @@ def test_poller_survives_a_broken_poll_channel(inbound):
     sim.run(until=sim.now + 1.0)
     assert ps.cycle_no > cycles, "the poller stalled"
     assert next_wake_pending(ps), "the poller waits on nothing"
-    ps.stop()
     assert sorted(answers) == sorted(
         wire.encode_response(bytes([i]) * 16, b"NIL") for i in range(2))
     assert store.execution_counts() == {bytes([0]) * 16: 1, bytes([1]) * 16: 1}

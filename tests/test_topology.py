@@ -24,10 +24,10 @@ from miserysim.topology import (
     MiseryDigraphSpec,
     ServiceKind,
     build_misery_digraph,
+    decoy_id,
     derive_firewall_rules,
     enabled_path,
     next_replacement_id,
-    replacement_id,
 )
 from miserysim.movement import rule_delta
 
@@ -203,7 +203,7 @@ def test_swap_rejects_cross_layer_and_boundary_layers():
 def test_replace_preserves_position_and_moves_enabled_leaf():
     dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     pos = dg.position("app")
-    replaced = dg.with_node_replaced("app", replacement_id(3, 0, 1))
+    replaced = dg.with_node_replaced("app", decoy_id(3, 0, 1))
     assert replaced.position("L3.s0.g1") == pos
     assert "app" not in replaced.all_nodes()
     assert replaced.enabled_leaf == "L3.s0.g1"
