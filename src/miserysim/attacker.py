@@ -2,12 +2,13 @@
 
 The attacker walks the digraph from the entry point one compromised child
 per hop interval.  Movement cycles replay the same switch draw the deployed
-system uses (movement.draw_switch): a cycle picks a uniformly chosen pair in
-a uniformly chosen middle layer, swaps it and replaces both instances.  A
-reset of the node the attacker currently holds evicts it to the entry point;
-a reset of the child under attack forces it to re-choose and restart the
-in-progress hop.  Time is abstract here (no queueing, no network): what is
-measured is how many hop intervals survive the churn.
+system uses (movement.switch_drawer, bound once per seed): a cycle picks a
+uniformly chosen pair in a uniformly chosen middle layer, swaps it and
+replaces both instances.  A reset of the node the attacker currently holds
+evicts it to the entry point; a reset of the child under attack forces it
+to re-choose and restart the in-progress hop.  Time is abstract here (no
+queueing, no network): what is measured is how many hop intervals survive
+the churn.
 
 The replay keeps positions, not node ids.  A cycle resets both nodes it
 switches, so the two swapped ids die at once and every live node stays in
@@ -28,7 +29,7 @@ import statistics
 from enum import Enum
 
 from .errors import NoEligibleLayer
-from .movement import draw_switch
+from .movement import switch_drawer
 from .topology import MiseryDigraph, MiseryDigraphSpec, build_misery_digraph
 
 ENTRY = (1, 0)
@@ -46,68 +47,80 @@ def attack_digraph(d: int, k: int) -> MiseryDigraph:
     return build_misery_digraph(MiseryDigraphSpec(d, k))
 
 
-def simulate_one(d: int, k: int, *, hop_time: float, strategy: Strategy,
-                 r: float | None, seed: int,
-                 horizon: float | None = None) -> float:
-    """Time for one attacker to compromise a layer-d node; inf if the
-    horizon passes first.  r=None runs against a static digraph."""
+def _checked_spec(d: int, k: int, hop_time: float,
+                  r: float | None) -> MiseryDigraphSpec:
+    # a period or hop that is not finite and > 0 hangs the walk or times it
+    # wrong: an infinite hop makes the default horizon infinite too
+    if not (hop_time > 0 and math.isfinite(hop_time)):
+        raise ValueError(f"hop_time must be finite and > 0, got {hop_time}")
     if r is not None and not (r > 0 and math.isfinite(r)):
         raise ValueError(f"movement period r must be None or finite and > 0, "
                          f"got {r}")
-    spec = MiseryDigraphSpec(d, k)
-    move_rng = random.Random(f"{seed}/movement")
-    attack_rng = random.Random(f"{seed}/attack")
+    return MiseryDigraphSpec(d, k)
+
+
+def _walk(spec: MiseryDigraphSpec, hop_time: float, strategy: Strategy,
+          r: float | None, seed: int, horizon: float | None) -> float:
+    d, k = spec.d, spec.k
+    draw = switch_drawer(spec, random.Random(f"{seed}/movement"))
+    pick = random.Random(f"{seed}/attack").randrange
+    depth_first = strategy is Strategy.DEPTH_FIRST
     if horizon is None:
         horizon = 500.0 * hop_time
 
-    def choose(position: tuple[int, int]) -> tuple[int, int]:
-        layer, slot = position
-        first = slot * k
-        if strategy is Strategy.DEPTH_FIRST:
-            return layer + 1, first
-        return layer + 1, attack_rng.choice(range(first, first + k))
+    def choose(slot: int) -> int:
+        """The slot of the child to attack next, one layer down."""
+        return slot * k if depth_first else slot * k + pick(k)
 
-    t = 0.0
-    current = ENTRY
-    goal = choose(current)
-    hop_end = t + hop_time
+    # the foothold is (layer, slot); the goal is slot `goal` of layer + 1
+    layer, slot = ENTRY
+    goal = choose(slot)
+    hop_end = hop_time
     next_move = r if r is not None else math.inf
     while True:
-        if next_move < hop_end:
+        while next_move < hop_end:
             t = next_move
             next_move += r
             if t > horizon:
                 return math.inf
             try:
-                layer, a, b = draw_switch(spec, move_rng)
+                moved, a, b = draw()
             except NoEligibleLayer:
                 continue
-            touched = ((layer, a), (layer, b))
-            if current in touched:
+            if moved == layer and (slot == a or slot == b):
                 # current foothold reset: back to the entry point
-                current = ENTRY
-            elif goal not in touched:
+                layer, slot = ENTRY
+            elif moved != layer + 1 or (goal != a and goal != b):
                 continue
             # else the instance under attack was replaced; severance is
             # immediate, so the attacker re-chooses straight away
-            goal = choose(current)
+            goal = choose(slot)
             hop_end = t + hop_time
-            continue
         t = hop_end
         if t > horizon:
             return math.inf
-        current = goal
-        if current[0] >= d:
+        layer, slot = layer + 1, goal
+        if layer >= d:
             return t
-        goal = choose(current)
+        goal = choose(slot)
         hop_end = t + hop_time
+
+
+def simulate_one(d: int, k: int, *, hop_time: float, strategy: Strategy,
+                 r: float | None, seed: int,
+                 horizon: float | None = None) -> float:
+    """Time for one attacker to compromise a layer-d node; inf if the
+    horizon passes first.  r=None runs against a static digraph."""
+    return _walk(_checked_spec(d, k, hop_time, r), hop_time, strategy, r,
+                 seed, horizon)
 
 
 def simulate_attacker(d: int, k: int, *, hop_time: float, strategy: Strategy,
                       r: float | None, seeds: range,
                       horizon: float | None = None) -> list[float]:
-    return [simulate_one(d, k, hop_time=hop_time, strategy=strategy, r=r,
-                         seed=seed, horizon=horizon) for seed in seeds]
+    """simulate_one for each seed, with the arguments checked once."""
+    spec = _checked_spec(d, k, hop_time, r)
+    return [_walk(spec, hop_time, strategy, r, seed, horizon) for seed in seeds]
 
 
 def sign_test(greater: int, less: int) -> float:

@@ -12,14 +12,16 @@ cluster under load.  Layer 1 and the target are never selected.
 
 The manager acts on a Deployment and reaches everything else through it: the
 provider (and with it the run's clock, event log and counters) and the
-Address Server.  Its draws come from the simulation's "movement" stream.
+Address Server.  Its draws come from the simulation's "movement" stream,
+through one switch_drawer bound to the deployed shape; the attacker replay
+draws its cycles from the same drawer.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .deploy import MDG_TAGS, image_for_layer
@@ -40,13 +42,6 @@ class SwitchOp:
     nodes: tuple[str, str]
 
 
-@functools.lru_cache(maxsize=None)
-def _eligible_layers(spec: MiseryDigraphSpec) -> tuple[int, ...]:
-    """Layers in 2..d with at least two nodes; fixed by the shape."""
-    sizes = layer_sizes(spec)
-    return tuple(a for a in range(2, spec.d + 1) if sizes[a - 1] >= 2)
-
-
 def rule_delta(before: MiseryDigraph, after: MiseryDigraph,
                gone: tuple[str, ...], placed: tuple[str, ...]):
     """(revoke, grant) as sorted rule lists for a transform that moved or
@@ -61,26 +56,55 @@ def rule_delta(before: MiseryDigraph, after: MiseryDigraph,
     return sorted(old - new), sorted(new - old)
 
 
-def draw_switch(spec: MiseryDigraphSpec, rng: random.Random) -> tuple[int, int, int]:
-    """(layer, slot_a, slot_b): a uniform layer from the eligible middle
-    layers, then a uniform slot pair without replacement from that layer.
-    The live cycle and the attacker replay both draw here.  random.sample
-    draws by index, so sampling the slot range picks the same pair as
-    sampling the layer's node tuple."""
-    eligible = _eligible_layers(spec)
-    if not eligible:
-        raise NoEligibleLayer(
-            f"no layer in 2..{spec.d} has two nodes (k={spec.k})")
-    layer = rng.choice(eligible)
-    a, b = rng.sample(range(spec.layer_width(layer)), 2)
-    return layer, a, b
+def switch_drawer(spec: MiseryDigraphSpec,
+                  rng: random.Random) -> Callable[[], tuple[int, int, int]]:
+    """A draw() of (layer, slot_a, slot_b): a uniform layer among the middle
+    layers with two or more nodes, then a uniform pair of distinct slots in
+    that layer.  The live cycle and the attacker replay both draw here; the
+    shape's layer table is built once, with the drawer.
+
+    Each draw takes from rng exactly what rng.choice(layers) followed by
+    rng.sample(range(width), 2) takes, and returns the same values: all of
+    them draw through _randbelow(n), as randrange(n) does.  sample picks by
+    index, so the pair is also the one that sampling the layer's node tuple
+    gives.  For a shape without such a layer every draw raises
+    NoEligibleLayer, so each cycle can be counted as skipped."""
+    sizes = layer_sizes(spec)
+    table = tuple((a, sizes[a - 1]) for a in range(2, spec.d + 1)
+                  if sizes[a - 1] >= 2)
+    n = len(table)
+    randrange = rng.randrange
+
+    def draw() -> tuple[int, int, int]:
+        if not n:
+            raise NoEligibleLayer(
+                f"no layer in 2..{spec.d} has two nodes (k={spec.k})")
+        layer, width = table[randrange(n)]
+        a = randrange(width)
+        if width <= 21:
+            # sample's pool branch: the last slot fills the drawn one's place
+            b = randrange(width - 1)
+            if b == a:
+                b = width - 1
+        else:
+            # sample's set branch: redraw until the slot is a new one
+            b = randrange(width)
+            while b == a:
+                b = randrange(width)
+        return layer, a, b
+
+    return draw
+
+
+def switch_op(digraph: MiseryDigraph, layer: int, a: int, b: int) -> SwitchOp:
+    """A drawn switch, with its slots named by the nodes now in them."""
+    row = digraph.layer(layer)
+    return SwitchOp(layer, (row[a], row[b]))
 
 
 def select_transformation(digraph: MiseryDigraph, rng: random.Random) -> SwitchOp:
-    """draw_switch, with the drawn slots named by the nodes now in them."""
-    layer, a, b = draw_switch(digraph.spec, rng)
-    row = digraph.layer(layer)
-    return SwitchOp(layer, (row[a], row[b]))
+    """One switch draw from rng on the digraph's shape."""
+    return switch_op(digraph, *switch_drawer(digraph.spec, rng)())
 
 
 class MovementManager:
@@ -99,7 +123,9 @@ class MovementManager:
         self.r = r
         self.log = provider.log
         self.counters = provider.counters
-        self._rng = self.sim.rng("movement")
+        # the shape never changes, so one drawer serves every cycle
+        self._draw = switch_drawer(deployment.digraph.spec,
+                                   self.sim.rng("movement"))
         self._generation: dict[tuple[int, int], int] = {}
         self._retry_owners: set[str] = set()
         self.cycle_no = 0
@@ -138,7 +164,7 @@ class MovementManager:
         self._flush_retries()
         digraph = self.deployment.digraph
         try:
-            op = select_transformation(digraph, self._rng)
+            op = switch_op(digraph, *self._draw())
         except NoEligibleLayer:
             self.counters["skipped_cycles"] += 1
             return

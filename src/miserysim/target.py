@@ -42,10 +42,9 @@ cycle), so each hop ends at most one longest draw after it starts, and
 rounded addition is monotone, so the bound never falls below the real end.
 A closed form such as `wake + 2*n*hi` can round one ulp below it.
 
-Only the baseline (d=0) chain and the loopback TCP demo (sockets.py) speak
-the real database handshake: DatabaseServerNode owns it and AppServerNode
-is its client, so the differential oracle exercises a truly independent
-data path.  Each side counts the session's steps (greeting or echo, OK, one
+Only the baseline (d=0) chain speaks the real database handshake:
+DatabaseServerNode owns it and AppServerNode is its client, so the
+differential oracle exercises a truly independent data path.  Each side counts the session's steps (greeting or echo, OK, one
 request, one response) and decodes every step as one whole message.
 """
 

@@ -6,10 +6,10 @@ Three byte-level protocols share this module:
   byte (0x01 request / 0x02 response / 0x03 error), a 16-byte correlation id,
   a 4-byte big-endian payload length, then the payload.
 * The database-style handshake spoken by the baseline chain's database and
-  app server and by the loopback TCP demo: server greeting (0x44 0x42,
-  version 0x01, 8-byte nonce), client echo of the same layout, server OK
-  (0x4F 0x4B), then exactly one request frame (16-byte id, 4-byte big-endian
-  length, payload) answered by one mirrored response frame.
+  app server: server greeting (0x44 0x42, version 0x01, 8-byte nonce),
+  client echo of the same layout, server OK (0x4F 0x4B), then exactly one
+  request frame (16-byte id, 4-byte big-endian length, payload) answered by
+  one mirrored response frame.
 * The poll protocol between the target's Polling Server and the Requests
   Servers: {0x10} -> {0x11, 4-byte count, every pending entry}, and
   {0x12, id, 4-byte length, bytes} -> {0x13}.

@@ -172,6 +172,17 @@ def test_replay_rejects_a_period_that_is_not_positive_and_finite(r):
                      r=r, seed=0)
 
 
+@pytest.mark.parametrize("hop_time", [0.0, -1.0, math.inf, math.nan])
+def test_replay_rejects_a_hop_that_is_not_positive_and_finite(hop_time):
+    # an infinite hop made the default horizon infinite too, so the walk hung;
+    # the others timed it wrong (0.0 s, inf, NaN)
+    walk = dict(hop_time=hop_time, strategy=Strategy.DEPTH_FIRST, r=0.5)
+    with pytest.raises(ValueError):
+        simulate_one(3, 2, seed=0, **walk)
+    with pytest.raises(ValueError):
+        simulate_attacker(3, 2, seeds=range(3), **walk)
+
+
 # --- churn slows the walk -----------------------------------------------------------
 
 def test_fast_movement_beats_static_walk():

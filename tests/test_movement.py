@@ -22,6 +22,7 @@ from miserysim.eventlog import EventLog
 from miserysim.movement import (
     MovementManager,
     select_transformation,
+    switch_drawer,
 )
 from miserysim.sim import Simulation
 from miserysim.topology import (
@@ -102,6 +103,32 @@ def test_select_rejects_all_narrow_layers():
     digraph = make_digraph(d=3, k=1)
     with pytest.raises(NoEligibleLayer):
         select_transformation(digraph, random.Random(0))
+
+
+@pytest.mark.parametrize("d,k", [(3, 2), (4, 2), (5, 2), (6, 2), (4, 3),
+                                 (5, 3), (2, 21), (2, 22)])
+def test_switch_drawer_draws_as_choice_then_sample(d, k):
+    # widths on both sides of random.sample's switch from a pool to a set
+    # of drawn indices at 21 elements
+    spec = MiseryDigraphSpec(d, k)
+    eligible = [a for a in range(2, d + 1) if spec.layer_width(a) >= 2]
+    for seed in range(30):
+        rng, reference = random.Random(seed), random.Random(seed)
+        draw = switch_drawer(spec, rng)
+        for _ in range(50):
+            layer = reference.choice(eligible)
+            pair = reference.sample(range(spec.layer_width(layer)), 2)
+            assert draw() == (layer, *pair), (seed, layer)
+        assert rng.getstate() == reference.getstate()
+
+
+def test_a_shape_without_eligible_layer_skips_each_cycle():
+    # the manager binds its drawer when built; only a draw raises
+    env = deployed(d=3, k=1)
+    run_one_cycle(env)
+    run_one_cycle(env)
+    assert env.counters["skipped_cycles"] == 2
+    assert env.log.of_kind("movement") == []
 
 
 # --- one full cycle -----------------------------------------------------------
