@@ -132,8 +132,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     result.log.dump(events_path)
     reporting.emit_report(result.records, outdir)
     rep = result.report
+    # with nothing processed there is no median; summary.json writes null
+    p50 = "none" if rep.latency_p50_ms is None else f"{rep.latency_p50_ms}ms"
     print(f"issued={rep.issued} processed={rep.processed} failed={rep.failed} "
-          f"transformations={rep.transformations} p50={rep.latency_p50_ms}ms")
+          f"transformations={rep.transformations} p50={p50}")
     if result.consistency:
         for problem in result.consistency:
             print(f"consistency: {problem}", file=sys.stderr)

@@ -330,10 +330,8 @@ def run_experiment(cfg: ExperimentConfig, *,
     deployment = sim.run_until(deploy_task.future)
     epoch = sim.now
 
-    movement = None
     if cfg.d != 0:
-        movement = MovementManager(deployment, cfg.r)
-        movement.start(epoch, cfg.j)
+        MovementManager(deployment, cfg.r).start(epoch, cfg.j)
 
     workload = WorkloadGenerator(cfg.rng_seed) if replay is None else None
     load = LoadGenerator(provider, deployment.entry_address, cfg,
@@ -342,8 +340,6 @@ def run_experiment(cfg: ExperimentConfig, *,
 
     sim.run_until(load_task.future, pace=cfg.compress)
     sim.run(until=sim.now + cfg.u + 2.0)
-    if movement is not None:
-        movement.stop()
 
     consistency = deployment.consistency_check() if cfg.d != 0 else []
     report = reporting.metrics_from_records(log.records)

@@ -129,18 +129,12 @@ class MovementManager:
         self._generation: dict[tuple[int, int], int] = {}
         self._retry_owners: set[str] = set()
         self.cycle_no = 0
-        self._task = None
 
     # -- scheduling --------------------------------------------------------
 
     def start(self, epoch: float, j: float) -> None:
         """Run a cycle every r on the virtual clock until epoch + j."""
-        self._task = self.sim.spawn(self._loop(epoch, j), priority=PRIO_CONTROL)
-
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
+        self.sim.spawn(self._loop(epoch, j), priority=PRIO_CONTROL)
 
     def _loop(self, epoch: float, j: float):
         horizon = epoch + j

@@ -1,10 +1,11 @@
 """Discrete-event simulation kernel.
 
 A single virtual clock, a binary-heap event queue, deterministic named RNG
-streams, and a small cooperative-task layer (generators yielding delays or
-futures) that the node runtimes are written against.  Determinism contract:
-identical seed and identical call sequence produce identical event order;
-ties at the same instant resolve by (priority, schedule sequence).
+streams, and a small cooperative-task layer (generators yielding delays,
+futures, or None to park until resumed) that the node runtimes are written
+against.  Determinism contract: identical seed and identical call sequence
+produce identical event order; ties at the same instant resolve by
+(priority, schedule sequence).
 
 Each heap entry is a `(t, priority, seq, handle)` tuple, the priority-queue
 recipe of the heapq documentation: tuples compare in C, and `seq` is unique,
@@ -149,54 +150,42 @@ class Task:
     """A generator driven by the simulation.
 
     The generator yields a number (sleep that many virtual seconds; 0 runs
-    it again after the events already due at this instant) or a Future
+    it again after the events already due at this instant), a Future
     (resume when it resolves; a rejected future is thrown into the
-    generator).  The task's own `future` resolves with the generator's
-    return value, and rejects only on `cancel()`.  An exception the
-    generator does not catch ends the run: it leaves the event loop.
+    generator) or None (park until some code calls `resume`).
+    `resume(value)` sends value into the generator and `resume(exc=err)`
+    throws err into it.  The task's own `future` resolves with the
+    generator's return value.  An exception the generator does not catch
+    ends the run: it leaves the event loop.
     """
 
-    __slots__ = ("sim", "gen", "prio", "future", "_waiting", "cancelled")
+    __slots__ = ("sim", "gen", "prio", "future")
 
     def __init__(self, sim: "Simulation", gen: Generator, prio: int):
         self.sim = sim
         self.gen = gen
         self.prio = prio
         self.future = Future()
-        self._waiting: Handle | None = None
-        self.cancelled = False
 
-    def cancel(self) -> None:
-        self.cancelled = True
-        if self._waiting is not None:
-            self._waiting.cancel()
-            self._waiting = None
-        self.gen.close()
-        self.future.reject(SimCancelled())
-
-    def _step(self, value: Any = None, exc: BaseException | None = None) -> None:
-        if self.cancelled:
-            return
-        self._waiting = None
+    def resume(self, value: Any = None, exc: BaseException | None = None) -> None:
+        """Run the generator to its next yield."""
         try:
             item = self.gen.throw(exc) if exc is not None else self.gen.send(value)
         except StopIteration as stop:
             self.future.resolve(stop.value)
             return
+        if item is None:
+            return
         if isinstance(item, Future):
             item.add_done_callback(self._resume_from)
         else:
-            self._waiting = self.sim.schedule(float(item), self._step, priority=self.prio)
+            self.sim.schedule(float(item), self.resume, priority=self.prio)
 
     def _resume_from(self, fut: Future) -> None:
         if fut.failed:
-            self._step(exc=fut.exception())
+            self.resume(exc=fut.exception())
         else:
-            self._step(value=fut._value)
-
-
-class SimCancelled(Exception):
-    """What a cancelled task's future rejects with."""
+            self.resume(fut._value)
 
 
 class Simulation:
@@ -238,7 +227,7 @@ class Simulation:
 
     def spawn(self, gen: Generator, priority: int = PRIO_ACTOR) -> Task:
         task = Task(self, gen, priority)
-        task._waiting = self.schedule(0.0, task._step, priority=priority)
+        self.schedule(0.0, task.resume, priority=priority)
         return task
 
     def next_due(self) -> float:

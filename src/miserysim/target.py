@@ -10,13 +10,14 @@ cached response to every holder, which then drops the entry.  The poll keeps
 no per-RS state: an entry whose listing or delivery was lost is listed again
 next cycle, and the executed cache answers it without a second execution.
 
-The poller runs from `start()` for the life of the simulation.  It drives
-its own cycle generator instead of running as a sim Task: a reply on a poll
-link resumes it straight from the link's message callback, a dial resumes it
-from the dial's Future, and the sleep of m between cycles is one scheduled
-event.  An exception the generator does not catch leaves the event loop and
-ends the run.  The idle dialogue's two constant messages, the one-byte list
-ask and the empty listing, are matched by value and never parsed.
+The poller runs from `start()` for the life of the simulation, as a kernel
+Task.  It parks on each ask (the ask returns None, so no Future is made per
+ask), and the link resumes the task straight from its message callback with
+the reply or the error that ends it.  A dial is an ordinary Future, and the
+sleep of m between cycles is one scheduled `resume`.  An exception the task
+does not catch leaves the event loop and ends the run.  The idle dialogue's
+two constant messages, the one-byte list ask and the empty listing, are
+matched by value and never parsed.
 
 An idle poll costs no heap event while no other event is due.  A cycle is
 quiet when every RS answered an empty listing and the simulation ran
@@ -274,11 +275,11 @@ class _PollLink:
     def usable(self) -> bool:
         return self.channel.state == "open"
 
-    def ask(self, frame: bytes) -> "_PollLink":
-        """Send one ask; the poller yields the link to wait for its reply."""
+    def ask(self, frame: bytes) -> None:
+        """Send one ask; the poller yields the None this returns, to park
+        until the link hands it the reply."""
         self.inflight += 1
         self.channel.send(frame)
-        return self
 
 
 # an idle RS answers every list ask with this one message
@@ -306,7 +307,7 @@ class PollingServerNode:
         self.executed: dict[bytes, tuple[int, bytes]] = {}
         self._links: dict[str, _PollLink] = {}
         self.cycle_no = 0
-        self._gen = None      # the running _loop(), from start() on
+        self._task = None     # the running _loop(), from start() on
         # the links of a quiet cycle that just ended, in endpoint order
         self._idle: list[_PollLink] | None = None
 
@@ -322,23 +323,7 @@ class PollingServerNode:
 
     def start(self) -> None:
         """Poll from now on, for the life of the simulation."""
-        self._gen = self._loop()
-        self.sim.schedule(0.0, self._resume, None, None, priority=PRIO_ACTOR)
-
-    def _resume(self, value, err) -> None:
-        """Run the loop to its next wait: a yielded link waits for that
-        link's reply, a Future (a dial) for its result, a number sleeps."""
-        gen = self._gen
-        item = gen.throw(err) if err is not None else gen.send(value)
-        if item.__class__ is _PollLink:
-            return
-        if isinstance(item, Future):
-            item.add_done_callback(self._dialled)
-            return
-        at = self.sim.now + item
-        if self._idle is not None:
-            at = self._replay(at)
-        self.sim.schedule_at(at, self._resume, None, None, priority=PRIO_ACTOR)
+        self._task = self.sim.spawn(self._loop(), priority=PRIO_ACTOR)
 
     def _replay(self, at: float) -> float:
         """Replay the idle cycles from the wake at `at` that surely end
@@ -363,18 +348,16 @@ class PollingServerNode:
         self._evict()
         return at
 
-    def _dialled(self, fut: Future) -> None:
-        if fut.failed:
-            self._resume(None, fut.exception())
-        else:
-            self._resume(fut.result(), None)
-
     def _loop(self):
         # sleep m between cycles, not on a fixed grid: a grid would let the
         # closed-loop client phase-lock to it and hide the per-endpoint cost
         while True:
             yield from self._cycle()
-            yield self.m
+            at = self.sim.now + self.m
+            if self._idle is not None:
+                at = self._replay(at)
+            self.sim.schedule_at(at, self._task.resume, priority=PRIO_ACTOR)
+            yield
 
     def _dial_link(self, rs_id: str, address: str):
         """Dial rs_id afresh, replacing a missing or unusable link."""
@@ -384,7 +367,7 @@ class PollingServerNode:
         except (ConnectionRefused, SessionSevered):
             self.counters["poll_errors"] += 1
             return None
-        link = _PollLink(channel, self._resume)
+        link = _PollLink(channel, self._task.resume)
         self._links[rs_id] = link
         return link
 

@@ -16,9 +16,7 @@ Three byte-level protocols share this module:
 
 Every decoder takes one whole message, and a message that is cut, carries a
 trailing byte or is oversized is a violation.  The simulated bus hands each
-send over whole; over a real stream socket every handshake step has a fixed
-size or a fixed-size head carrying its length, so a reader reads each step by
-its size and hands the decoder the whole message.
+send over whole.
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ HS_VERSION = 0x01
 HS_OK = b"\x4f\x4b"
 _HS_GREETING = struct.Struct("!2sB8s")
 _REQ_HEAD = struct.Struct("!16sI")
-GREETING_LEN = _HS_GREETING.size
-SESSION_HEAD_LEN = _REQ_HEAD.size
+_GREETING_LEN = _HS_GREETING.size
+_SESSION_HEAD_LEN = _REQ_HEAD.size
 
 POLL_LIST = 0x10
 POLL_LISTING = 0x11
@@ -122,8 +120,8 @@ def encode_greeting(nonce: bytes) -> bytes:
 
 def decode_greeting(msg: bytes) -> bytes:
     """The nonce of one whole greeting (or greeting echo)."""
-    if len(msg) != GREETING_LEN:
-        raise ProtocolViolation(f"greeting of {len(msg)} bytes, not {GREETING_LEN}")
+    if len(msg) != _GREETING_LEN:
+        raise ProtocolViolation(f"greeting of {len(msg)} bytes, not {_GREETING_LEN}")
     magic, version, nonce = _HS_GREETING.unpack(msg)
     if magic != HS_MAGIC:
         raise ProtocolViolation("bad greeting magic")
@@ -141,22 +139,17 @@ def encode_session_frame(corr: bytes, payload: bytes) -> bytes:
     return _REQ_HEAD.pack(corr, len(payload)) + payload
 
 
-def decode_session_head(head: bytes) -> tuple[bytes, int]:
-    """(id, payload length) of one whole session frame head."""
-    if len(head) != SESSION_HEAD_LEN:
-        raise ProtocolViolation(f"session head of {len(head)} bytes, not {SESSION_HEAD_LEN}")
-    corr, length = _REQ_HEAD.unpack(head)
-    if length > MAX_PAYLOAD:
-        raise ProtocolViolation("session payload too large")
-    return corr, length
-
-
 def decode_session_frame(msg: bytes) -> tuple[bytes, bytes]:
     """(id, payload) of one whole session frame, with nothing cut or trailing."""
-    corr, length = decode_session_head(msg[:SESSION_HEAD_LEN])
-    if len(msg) != SESSION_HEAD_LEN + length:
+    if len(msg) < _SESSION_HEAD_LEN:
+        raise ProtocolViolation(
+            f"session head of {len(msg)} bytes, not {_SESSION_HEAD_LEN}")
+    corr, length = _REQ_HEAD.unpack_from(msg)
+    if length > MAX_PAYLOAD:
+        raise ProtocolViolation("session payload too large")
+    if len(msg) != _SESSION_HEAD_LEN + length:
         raise ProtocolViolation("expected exactly one session frame")
-    return corr, msg[SESSION_HEAD_LEN:]
+    return corr, msg[_SESSION_HEAD_LEN:]
 
 
 # --- poll protocol --------------------------------------------------------

@@ -100,6 +100,17 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert summary["metrics"]["issued"] == 10
 
 
+def test_run_prints_p50_none_when_no_request_was_processed(tmp_path, capsys):
+    # u = 1 ms is shorter than any path through the digraph: every request fails
+    outdir = tmp_path / "out"
+    assert main(["run", "--d", "3", "--k", "2", "--j", "5", "--u", "0.001",
+                 "--outdir", str(outdir)]) == 0
+    out = capsys.readouterr().out
+    assert "processed=0" in out and out.rstrip().endswith(" p50=none")
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["metrics"]["latency_p50_ms"] is None
+
+
 def test_run_maps_rate_to_interval(tmp_path):
     outdir = tmp_path / "out"
     assert main(["run", "--d", "0", "--k", "0", "--n-requests", "4",

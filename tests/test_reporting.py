@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -129,22 +130,22 @@ def test_emit_report_writes_rows_and_summary(tmp_path):
         done(1, 11.0, "failed", status=0),
     ]
     csv_path, json_path = emit_report(records, str(tmp_path / "out"))
-    lines = open(csv_path, encoding="utf-8").read().splitlines()
+    lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
     assert lines[1].startswith("0,")
     assert lines[1].endswith(",processed,0.05,200,none")
     assert lines[2].endswith(",failed,0.05,0,2")
-    summary = json.loads(open(json_path, encoding="utf-8").read())
+    summary = json.loads(Path(json_path).read_text(encoding="utf-8"))
     assert summary["config"] == {"d": 3}
     assert summary["metrics"] == metrics_from_records(records).to_json_dict()
 
 
 def test_emit_report_empty_records_header_only(tmp_path):
     csv_path, json_path = emit_report([], str(tmp_path))
-    lines = open(csv_path, encoding="utf-8").read().splitlines()
+    lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
     assert lines == [",".join(CSV_COLUMNS)]
-    summary = json.loads(open(json_path, encoding="utf-8").read())
+    summary = json.loads(Path(json_path).read_text(encoding="utf-8"))
     assert summary["config"] is None
     assert summary["metrics"]["issued"] == 0
 
@@ -158,16 +159,16 @@ def test_emit_report_is_byte_deterministic(tmp_path):
     a = emit_report(records, str(tmp_path / "a"))
     b = emit_report(records, str(tmp_path / "b"))
     for path_a, path_b in zip(a, b):
-        assert open(path_a, "rb").read() == open(path_b, "rb").read()
+        assert Path(path_a).read_bytes() == Path(path_b).read_bytes()
 
 
 def test_emit_report_from_live_run(tmp_path):
     cfg = ExperimentConfig(d=0, k=0, n_requests=8, j=60.0, rng_seed=2)
     result = run_experiment(cfg)
     csv_path, json_path = emit_report(result.records, str(tmp_path))
-    lines = open(csv_path, encoding="utf-8").read().splitlines()
+    lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + result.report.issued
-    summary = json.loads(open(json_path, encoding="utf-8").read())
+    summary = json.loads(Path(json_path).read_text(encoding="utf-8"))
     assert ExperimentConfig.from_json_dict(summary["config"]) == cfg
     assert summary["metrics"]["processed"] == 8
 

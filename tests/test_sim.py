@@ -15,7 +15,6 @@ from miserysim.sim import (
     Future,
     Handle,
     RequestNeverCompletes,
-    SimCancelled,
     Simulation,
     gather,
 )
@@ -136,14 +135,8 @@ def test_every_event_is_scheduled_through_schedule_at(monkeypatch):
             yield rng.uniform(0.0, 0.5)
             yield 0.0
 
-    def sleeper():
-        while True:
-            yield 1.0
-
     for n in range(1, 8):
         sim.spawn(worker(n), priority=n % 6)
-    victim = sim.spawn(sleeper())
-    sim.schedule(4.5, victim.cancel)
     sim.run()
     assert counts["cancelled_pending"] > 0
     assert counts["scheduled"] == sim.events_processed + counts["cancelled_pending"]
@@ -270,18 +263,28 @@ def test_task_exception_ends_the_run():
     assert (sim.now, seen, task.future.done) == (1.0, [], False)
 
 
-def test_cancelled_task_future_rejects_with_sim_cancelled():
+def test_a_task_that_yields_none_parks_until_resumed():
     sim = Simulation(0)
+    got = []
 
     def gen():
-        while True:
-            yield 1.0
+        got.append((yield))
+        try:
+            yield
+        except KeyError as err:
+            got.append(err.args)
+        return "done"
 
     task = sim.spawn(gen())
-    sim.schedule(3.0, task.cancel)
-    sim.run(until=10.0)
-    assert task.future.failed
-    assert isinstance(task.future.exception(), SimCancelled)
+    sim.run()
+    # nothing is scheduled for a parked task: the heap drains around it
+    assert (got, task.future.done) == ([], False)
+    sim.schedule(2.0, task.resume, "sent")
+    sim.run()
+    assert (got, sim.now, task.future.done) == (["sent"], 2.0, False)
+    task.resume(exc=KeyError("thrown"))
+    assert got == ["sent", ("thrown",)]
+    assert task.future.result() == "done"
 
 
 def test_run_until_future_returns_result():

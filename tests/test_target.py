@@ -338,7 +338,7 @@ def test_polling_survives_unreachable_endpoints():
 def next_wake_pending(ps):
     """Something will run the poller again: the end of its sleep or a step
     of its dial is on the heap, or it waits on an ask in flight."""
-    resumptions = (ps._resume, ps.provider._accept_channel,
+    resumptions = (ps._task.resume, ps.provider._accept_channel,
                    ps.provider._channel_ready)
     on_heap = any(handle.fn in resumptions for *_, handle in ps.sim._heap)
     return on_heap or any(link.inflight for link in ps._links.values())
@@ -417,6 +417,32 @@ def poll_two_idle_rss(monkeypatch, script=run_one_second, *, heap_driven,
         script(sim, ps, nodes, notes)
     return (notes, messages, ps.cycle_no, ps.counters["poll_errors"],
             sim.events_processed - start)
+
+
+def test_a_heap_driven_idle_poll_makes_no_future(monkeypatch):
+    # each ask parks the poller's task and its link resumes it; a Future per
+    # ask would slow the wide workload, whose poller runs almost all from
+    # the heap
+    made = []
+
+    def script(sim, ps, nodes, notes):
+        sim.run(until=sim.now + 0.1)
+        assert [link.usable for link in ps._links.values()] == [True, True]
+        cycles = ps.cycle_no
+        init = Future.__init__
+
+        def counted(fut):
+            made.append(fut)
+            init(fut)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Future, "__init__", counted)
+            run_one_second(sim, ps, nodes, notes)
+        notes.append(ps.cycle_no - cycles)
+
+    cycles = poll_two_idle_rss(monkeypatch, script, heap_driven=True)[0][0]
+    assert cycles > 10
+    assert made == []
 
 
 def lazy_and_heap_driven(monkeypatch, script=run_one_second, **kwargs):

@@ -17,7 +17,6 @@ from miserysim.wire import (
     MAX_PAYLOAD,
     POLL_ACK_FRAME,
     POLL_LIST_FRAME,
-    SESSION_HEAD_LEN,
     TYPE_ERROR,
     TYPE_REQUEST,
     TYPE_RESPONSE,
@@ -26,7 +25,6 @@ from miserysim.wire import (
     decode_poll,
     decode_request,
     decode_session_frame,
-    decode_session_head,
     encode_error,
     encode_frame,
     encode_greeting,
@@ -123,8 +121,8 @@ def test_greeting_golden_bytes():
 def test_session_frame_golden_bytes():
     frame = encode_session_frame(CORR, b"GET k")
     assert frame == CORR + b"\x00\x00\x00\x05" + b"GET k"
-    assert decode_session_head(frame[:SESSION_HEAD_LEN]) == (CORR, 5)
     assert decode_session_frame(frame) == (CORR, b"GET k")
+    assert decode_session_frame(CORR + b"\x00\x00\x00\x00") == (CORR, b"")
 
 
 def test_handshake_session_round_trip():
@@ -141,13 +139,18 @@ def test_handshake_session_round_trip():
 def test_handshake_codecs_reject_every_cut_and_a_trailing_byte():
     frame = encode_session_frame(CORR, b"PUT k v")
     for msg, decode in [(GREETING, decode_greeting),
-                        (frame[:SESSION_HEAD_LEN], decode_session_head),
+                        (encode_session_frame(CORR, b""), decode_session_frame),
                         (frame, decode_session_frame)]:
         for cut in range(len(msg)):
             with pytest.raises(ProtocolViolation):
                 decode(msg[:cut])
         with pytest.raises(ProtocolViolation):
             decode(msg + b"\x00")
+    # a cut inside the 20-byte head is named as such
+    with pytest.raises(ProtocolViolation, match="session head of 19 bytes, not 20"):
+        decode_session_frame(frame[:19])
+    with pytest.raises(ProtocolViolation, match="exactly one session frame"):
+        decode_session_frame(frame[:20])
 
 
 def test_greeting_rejects_bad_magic_and_version():
@@ -161,8 +164,9 @@ def test_greeting_rejects_bad_magic_and_version():
 
 def test_session_frame_rejects_oversized_payload():
     head = CORR + (MAX_PAYLOAD + 1).to_bytes(4, "big")
+    # too large is checked before the length mismatch
     with pytest.raises(ProtocolViolation, match="too large"):
-        decode_session_head(head)
+        decode_session_frame(head)
     with pytest.raises(ProtocolViolation, match="too large"):
         decode_session_frame(head + b"x")
     with pytest.raises(ValueError):
