@@ -16,7 +16,7 @@ from .experiment import (
     WorkloadGenerator,
     run_experiment,
 )
-from .movement import MovementManager, select_transformation
+from .movement import MovementManager
 from .reporting import MetricsReport, emit_report, metrics_from_records
 from .sim import Simulation
 from .topology import (
@@ -46,6 +46,5 @@ __all__ = [
     "emit_report",
     "metrics_from_records",
     "run_experiment",
-    "select_transformation",
     "__version__",
 ]

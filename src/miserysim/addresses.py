@@ -14,7 +14,7 @@ from typing import Callable
 
 from .errors import AlreadyRegistered, UnknownOwner
 from .eventlog import EventLog
-from .sim import PRIO_ACTOR, Simulation
+from .sim import Simulation
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class AddressServer:
             at = max(self.sim.now + self.notify_latency(),
                      self._last_at.get(owner, 0.0))
             self._last_at[owner] = at
-            self.sim.schedule_at(at, subscriber, record, priority=PRIO_ACTOR)
+            self.sim.schedule_at(at, subscriber, record)
         return record
 
     def lookup(self, owner: str) -> AddressRecord:

@@ -26,7 +26,7 @@ from .errors import (
     UnknownInstance,
 )
 from .eventlog import EventLog
-from .sim import Future, PRIO_NETWORK, PRIO_PROVIDER, Simulation
+from .sim import Future, Simulation
 from .topology import PUBLIC_INTERNET, FirewallRule
 
 
@@ -114,7 +114,7 @@ class Channel:
             return
         peer, provider = self.peer, self._provider
         provider.sim.schedule_at(provider.channel_arrival(peer, provider.sim.now),
-                                 peer._deliver, data, priority=PRIO_NETWORK)
+                                 peer._deliver, data)
 
     def close(self) -> None:
         """Close the pipe; the peer's on_error, if it installed one, hears
@@ -125,8 +125,7 @@ class Channel:
         fn = self.peer._on_error
         if fn is not None:
             self._provider.sim.schedule(
-                0.0, fn, SessionSevered(f"channel closed by {self.node}"),
-                priority=PRIO_NETWORK)
+                0.0, fn, SessionSevered(f"channel closed by {self.node}"))
 
     def _deliver(self, data: bytes) -> None:
         if self.state != "open":
@@ -143,8 +142,7 @@ class Channel:
         for end in (self, self.peer):
             if end._on_error is not None:
                 self._provider.sim.schedule(
-                    self._provider.hop_latency(), end._on_error, reason,
-                    priority=PRIO_NETWORK)
+                    self._provider.hop_latency(), end._on_error, reason)
 
 
 class InstancePool:
@@ -304,8 +302,7 @@ class CloudProvider:
         self._by_address[address] = instance_id
         self.log.emit(self.sim.now, "instance.provisioning", instance=instance_id,
                       detail={"image": image.value, "address": address})
-        self.sim.schedule(self.provisioning_latency, self._finish_provisioning,
-                          inst, priority=PRIO_PROVIDER)
+        self.sim.schedule(self.provisioning_latency, self._finish_provisioning, inst)
         return inst
 
     def _finish_provisioning(self, inst: Instance) -> None:
@@ -434,8 +431,7 @@ class CloudProvider:
         else:
             return inst, latency
         self.counters["refused"] += 1
-        self.sim.schedule(latency, future.reject, ConnectionRefused(reason),
-                          priority=PRIO_NETWORK)
+        self.sim.schedule(latency, future.reject, ConnectionRefused(reason))
         return None, latency
 
     def request(self, src: str, dst_address: str, port: int, data: bytes) -> Future:
@@ -445,8 +441,7 @@ class CloudProvider:
             return future
         ex = Exchange(next(self._seq), src, inst.id, port, future)
         self._exchanges[ex.seq] = ex
-        ex._pending = self.sim.schedule(latency, self._deliver_request, ex, data,
-                                        priority=PRIO_NETWORK)
+        ex._pending = self.sim.schedule(latency, self._deliver_request, ex, data)
         return future
 
     def _deliver_request(self, ex: Exchange, data: bytes) -> None:
@@ -464,8 +459,7 @@ class CloudProvider:
         """Called by the destination node to answer an exchange."""
         if ex.dead:
             return
-        ex._pending = self.sim.schedule(self.hop_latency(), self._deliver_reply,
-                                        ex, data, priority=PRIO_NETWORK)
+        ex._pending = self.sim.schedule(self.hop_latency(), self._deliver_reply, ex, data)
 
     def _deliver_reply(self, ex: Exchange, data: bytes) -> None:
         if ex.dead:
@@ -495,8 +489,7 @@ class CloudProvider:
         channel.peer = Channel(self, inst.id, port)
         channel.peer.peer = channel
         self.channels.append(channel)
-        self.sim.schedule(latency, self._accept_channel, channel, future,
-                          priority=PRIO_NETWORK)
+        self.sim.schedule(latency, self._accept_channel, channel, future)
         return future
 
     def _accept_channel(self, channel: Channel, future: Future) -> None:
@@ -511,8 +504,7 @@ class CloudProvider:
                 f"{accepted.node}:{channel.port} endpoint gone"))
             return
         handler["channel"](accepted)
-        self.sim.schedule(self.hop_latency(), self._channel_ready, channel, future,
-                          priority=PRIO_NETWORK)
+        self.sim.schedule(self.hop_latency(), self._channel_ready, channel, future)
 
     def _channel_ready(self, channel: Channel, future: Future) -> None:
         if channel.state != "open":
@@ -551,8 +543,7 @@ class CloudProvider:
     def _kill_exchange(self, ex: Exchange, reason: Exception) -> None:
         self._finish_exchange(ex)
         self.counters["severed"] += 1
-        self.sim.schedule(self.hop_latency(), ex.future.reject, reason,
-                          priority=PRIO_NETWORK)
+        self.sim.schedule(self.hop_latency(), ex.future.reject, reason)
 
     # -- inspection ----------------------------------------------------------------
 

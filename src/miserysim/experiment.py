@@ -30,7 +30,7 @@ from .errors import ConfigError, MiserySimError
 from .eventlog import EventLog
 from .movement import MovementManager
 from .reporting import is_int, is_number
-from .sim import Future, PRIO_LOAD, Simulation
+from .sim import Future, Simulation
 from .topology import HTTP, PUBLIC_INTERNET, MiseryDigraphSpec, build_misery_digraph
 
 
@@ -336,7 +336,7 @@ def run_experiment(cfg: ExperimentConfig, *,
     workload = WorkloadGenerator(cfg.rng_seed) if replay is None else None
     load = LoadGenerator(provider, deployment.entry_address, cfg,
                          workload=workload, replay=replay)
-    load_task = sim.spawn(load.run(), priority=PRIO_LOAD)
+    load_task = sim.spawn(load.run())
 
     sim.run_until(load_task.future, pace=cfg.compress)
     sim.run(until=sim.now + cfg.u + 2.0)

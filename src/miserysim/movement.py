@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from .deploy import MDG_TAGS, image_for_layer
 from .errors import CloudError, NoEligibleLayer, UnknownOwner
-from .sim import PRIO_CONTROL
 from .topology import (
     MiseryDigraph,
     MiseryDigraphSpec,
@@ -102,11 +101,6 @@ def switch_op(digraph: MiseryDigraph, layer: int, a: int, b: int) -> SwitchOp:
     return SwitchOp(layer, (row[a], row[b]))
 
 
-def select_transformation(digraph: MiseryDigraph, rng: random.Random) -> SwitchOp:
-    """One switch draw from rng on the digraph's shape."""
-    return switch_op(digraph, *switch_drawer(digraph.spec, rng)())
-
-
 class MovementManager:
     """Single writer for topology mutations: one task runs the cycles one
     after another, so they never overlap."""
@@ -134,7 +128,7 @@ class MovementManager:
 
     def start(self, epoch: float, j: float) -> None:
         """Run a cycle every r on the virtual clock until epoch + j."""
-        self.sim.spawn(self._loop(epoch, j), priority=PRIO_CONTROL)
+        self.sim.spawn(self._loop(epoch, j))
 
     def _loop(self, epoch: float, j: float):
         horizon = epoch + j
@@ -148,7 +142,7 @@ class MovementManager:
 
     def trigger(self):
         """Run one cycle immediately; returns the task future (for tests)."""
-        return self.sim.spawn(self._cycle(), priority=PRIO_CONTROL).future
+        return self.sim.spawn(self._cycle()).future
 
     # -- the cycle -----------------------------------------------------------
 

@@ -3,9 +3,12 @@
 Every node in layers 1..d-1 runs this state machine: accept a request frame,
 snapshot the address table, forward a copy to every child concurrently,
 answer with the earliest successful child response, and discard (but count)
-whatever arrives later.  A timeout of u applies at every layer.  The entry
-point additionally translates between its public HTTP surface and the
-internal framing.
+whatever arrives later.  The first success answers inside its own delivery
+event, so of two successes at one instant the one scheduled first wins;
+which one wins shows nowhere, since every successful reply for an id
+carries the cached response of its one execution.  A timeout of u applies
+at every layer.  The entry point additionally translates between its public
+HTTP surface and the internal framing.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from . import wire
 from .addresses import AddressRecord
 from .cloud import CloudProvider, Exchange
 from .errors import ProtocolViolation
-from .sim import PRIO_RESOLVE
 
 
 @dataclass(frozen=True)
@@ -34,11 +36,11 @@ def apply_address_update(table: AddressTable, update: AddressTable) -> AddressTa
 
 
 class _Job:
-    """One in-flight request at this node: fan-out bookkeeping and the
-    same-instant winner election (lowest child index among ties)."""
+    """One in-flight request at this node: its fan-out bookkeeping.  The
+    first successful child reply answers it, inside its own delivery."""
 
     __slots__ = ("node", "corr", "respond", "deadline_handle", "decided",
-                 "fanout", "failures", "winner", "resolve_handle")
+                 "fanout", "failures")
 
     def __init__(self, node: "MulticasterNode", corr: bytes, respond) -> None:
         self.node = node
@@ -48,39 +50,32 @@ class _Job:
         self.decided = False
         self.fanout = 0
         self.failures = 0
-        self.winner: tuple[int, bytes] | None = None
-        self.resolve_handle = None
 
-    def child_succeeded(self, index: int, payload: bytes) -> None:
-        if self.decided:
-            self.node.counters["discarded"] += 1
-            return
-        if self.winner is None or index < self.winner[0]:
-            self.winner = (index, payload)
-        if self.resolve_handle is None:
-            # All same-instant deliveries run before this resolve event, so the
-            # election sees every tie candidate.
-            self.resolve_handle = self.node.sim.schedule(
-                0.0, self._resolve, priority=PRIO_RESOLVE)
-
-    def child_failed(self, index: int) -> None:
+    def child_done(self, fut) -> None:
+        """A child's exchange settled: a response frame answers the job,
+        anything else counts as a failure."""
+        if not fut.failed:
+            try:
+                ftype, _, payload = wire.decode_frame(fut.result())
+            except ProtocolViolation:
+                ftype = None
+            if ftype == wire.TYPE_RESPONSE:
+                if self.decided:
+                    self.node.counters["discarded"] += 1
+                else:
+                    self._finish(wire.encode_response(self.corr, payload))
+                return
         self.node.counters["child_failures"] += 1
         if self.decided:
             return
         self.failures += 1
-        if self.failures >= self.fanout and self.winner is None:
+        if self.failures >= self.fanout:
             self._finish_error(b"no-upstream")
 
     def timed_out(self) -> None:
         if not self.decided:
             self.deadline_handle = None
             self._finish_error(b"timeout")
-
-    def _resolve(self) -> None:
-        self.resolve_handle = None
-        if self.decided or self.winner is None:
-            return
-        self._finish(wire.encode_response(self.corr, self.winner[1]))
 
     def _finish_error(self, reason: bytes) -> None:
         self._finish(wire.encode_error(self.corr, reason))
@@ -90,9 +85,6 @@ class _Job:
         if self.deadline_handle is not None:
             self.deadline_handle.cancel()
             self.deadline_handle = None
-        if self.resolve_handle is not None:
-            self.resolve_handle.cancel()
-            self.resolve_handle = None
         self.respond(frame)
 
 
@@ -172,25 +164,8 @@ class MulticasterNode:
             return
         job.fanout = len(children)
         frame = wire.encode_request(corr, payload)
-        futures = [
-            (index, self.provider.request(self.id, address, port, frame))
-            for index, (_, address) in enumerate(children)
-        ]
+        futures = [self.provider.request(self.id, address, port, frame)
+                   for _, address in children]
         job.deadline_handle = self.sim.schedule(self.u, job.timed_out)
-        for index, future in futures:
-            future.add_done_callback(
-                lambda fut, i=index: self._on_child_done(job, i, fut))
-
-    def _on_child_done(self, job: _Job, index: int, fut) -> None:
-        if fut.failed:
-            job.child_failed(index)
-            return
-        try:
-            ftype, _, payload = wire.decode_frame(fut.result())
-        except ProtocolViolation:
-            job.child_failed(index)
-            return
-        if ftype == wire.TYPE_RESPONSE:
-            job.child_succeeded(index, payload)
-        else:
-            job.child_failed(index)
+        for future in futures:
+            future.add_done_callback(job.child_done)

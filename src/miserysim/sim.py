@@ -4,12 +4,12 @@ A single virtual clock, a binary-heap event queue, deterministic named RNG
 streams, and a small cooperative-task layer (generators yielding delays,
 futures, or None to park until resumed) that the node runtimes are written
 against.  Determinism contract: identical seed and identical call sequence
-produce identical event order; ties at the same instant resolve by
-(priority, schedule sequence).
+produce identical event order; ties at the same instant run in schedule
+order.
 
-Each heap entry is a `(t, priority, seq, handle)` tuple, the priority-queue
-recipe of the heapq documentation: tuples compare in C, and `seq` is unique,
-so a comparison is always settled before it reaches the handles.
+Each heap entry is a `(t, seq, handle)` tuple, as the heapq documentation's
+recipe has it: tuples compare in C, and `seq` is unique, so a comparison is
+always settled before it reaches the handles.
 A cancelled handle stays in the heap and is dropped when it reaches the top.
 
 `run(until)` and `run_until(future, limit)` share one dispatch loop, which
@@ -35,17 +35,6 @@ import random
 import time
 from collections.abc import Callable, Generator
 from typing import Any
-
-# Tie-break priorities for events scheduled at the same instant.  Lower runs
-# first: provider state flips before deliveries, deliveries before the
-# multicaster's same-instant winner resolution, actors before control-plane
-# and load-generation decisions.
-PRIO_PROVIDER = 0
-PRIO_NETWORK = 1
-PRIO_RESOLVE = 2
-PRIO_ACTOR = 3
-PRIO_CONTROL = 4
-PRIO_LOAD = 5
 
 
 class Handle:
@@ -159,12 +148,11 @@ class Task:
     ends the run: it leaves the event loop.
     """
 
-    __slots__ = ("sim", "gen", "prio", "future")
+    __slots__ = ("sim", "gen", "future")
 
-    def __init__(self, sim: "Simulation", gen: Generator, prio: int):
+    def __init__(self, sim: "Simulation", gen: Generator):
         self.sim = sim
         self.gen = gen
-        self.prio = prio
         self.future = Future()
 
     def resume(self, value: Any = None, exc: BaseException | None = None) -> None:
@@ -179,7 +167,7 @@ class Task:
         if isinstance(item, Future):
             item.add_done_callback(self._resume_from)
         else:
-            self.sim.schedule(float(item), self.resume, priority=self.prio)
+            self.sim.schedule(float(item), self.resume)
 
     def _resume_from(self, fut: Future) -> None:
         if fut.failed:
@@ -194,7 +182,7 @@ class Simulation:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0.0
-        self._heap: list[tuple[float, int, int, Handle]] = []
+        self._heap: list[tuple[float, int, Handle]] = []
         self._seq = itertools.count()
         self._rngs: dict[str, random.Random] = {}
         self._processed = 0
@@ -211,23 +199,21 @@ class Simulation:
             self._rngs[name] = stream
         return stream
 
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
-                 priority: int = PRIO_ACTOR) -> Handle:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Handle:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self.schedule_at(self.now + delay, fn, *args, priority=priority)
+        return self.schedule_at(self.now + delay, fn, *args)
 
-    def schedule_at(self, t: float, fn: Callable[..., Any], *args: Any,
-                    priority: int = PRIO_ACTOR) -> Handle:
+    def schedule_at(self, t: float, fn: Callable[..., Any], *args: Any) -> Handle:
         if not t >= self.now:   # also rejects a NaN time
             raise ValueError(f"cannot schedule into the past ({t} < {self.now})")
         handle = Handle(fn, args)
-        heapq.heappush(self._heap, (t, priority, next(self._seq), handle))
+        heapq.heappush(self._heap, (t, next(self._seq), handle))
         return handle
 
-    def spawn(self, gen: Generator, priority: int = PRIO_ACTOR) -> Task:
-        task = Task(self, gen, priority)
-        self.schedule(0.0, task.resume, priority=priority)
+    def spawn(self, gen: Generator) -> Task:
+        task = Task(self, gen)
+        self.schedule(0.0, task.resume)
         return task
 
     def next_due(self) -> float:
@@ -235,7 +221,7 @@ class Simulation:
         running this event if that is sooner; inf if there is neither.
         Call it from an event."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         return min(heap[0][0], self._horizon) if heap else self._horizon
 
@@ -275,7 +261,7 @@ class Simulation:
         pop = heapq.heappop
         pending = Future._PENDING
         while future._state == pending and heap:
-            t, _, _, handle = heap[0]
+            t, _, handle = heap[0]
             if handle.cancelled:
                 pop(heap)
                 continue

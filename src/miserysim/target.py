@@ -56,7 +56,7 @@ import math
 from . import wire
 from .cloud import Channel, CloudProvider, Exchange
 from .errors import ConnectionRefused, ProtocolViolation, SessionSevered, TimeoutFailure
-from .sim import Future, PRIO_ACTOR
+from .sim import Future
 from .topology import DATABASE
 
 
@@ -323,7 +323,7 @@ class PollingServerNode:
 
     def start(self) -> None:
         """Poll from now on, for the life of the simulation."""
-        self._task = self.sim.spawn(self._loop(), priority=PRIO_ACTOR)
+        self._task = self.sim.spawn(self._loop())
 
     def _replay(self, at: float) -> float:
         """Replay the idle cycles from the wake at `at` that surely end
@@ -356,7 +356,7 @@ class PollingServerNode:
             at = self.sim.now + self.m
             if self._idle is not None:
                 at = self._replay(at)
-            self.sim.schedule_at(at, self._task.resume, priority=PRIO_ACTOR)
+            self.sim.schedule_at(at, self._task.resume)
             yield
 
     def _dial_link(self, rs_id: str, address: str):
@@ -521,7 +521,7 @@ class AppServerNode:
         if error is not None:
             self.provider.respond(ex, error)
             return
-        self.sim.spawn(self._session(ex, corr, payload), priority=PRIO_ACTOR)
+        self.sim.spawn(self._session(ex, corr, payload))
 
     def _session(self, ex: Exchange, corr: bytes, payload: bytes):
         try:

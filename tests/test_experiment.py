@@ -253,27 +253,54 @@ def test_processed_requests_carry_store_replies():
         assert 0 < record["latency"] <= cfg.u
 
 
-def test_normal_chain_differential_oracle():
-    cfg = ExperimentConfig(d=3, k=2, n_requests=40, j=120.0, r=10.0,
-                           rng_seed=6)
-    misery = run_experiment(cfg)
+def assert_matches_d0_replay(misery) -> None:
+    """Every processed response of a misery run equals the d=0 chain's
+    replay of its commands, and the store executed every id once."""
+    cfg = misery.config
     issued = sorted(misery.log.of_kind("request.issued"), key=lambda r: r["i"])
     commands = [r["command"] for r in issued]
 
     oracle = run_experiment(
         ExperimentConfig(d=0, k=0, n_requests=len(commands), j=600.0,
-                         rng_seed=6),
+                         rng_seed=cfg.rng_seed, latency=cfg.latency),
         replay=commands)
     oracle_done = {r["i"]: r for r in oracle.log.of_kind("request.done")}
     assert all(r["outcome"] == "processed" for r in oracle_done.values())
 
-    for record in misery.log.of_kind("request.done"):
-        if record["outcome"] == "processed":
-            assert record["response"] == oracle_done[record["i"]]["response"]
+    processed = [r for r in misery.log.of_kind("request.done")
+                 if r["outcome"] == "processed"]
+    assert processed
+    for record in processed:
+        assert record["response"] == oracle_done[record["i"]]["response"]
 
     # the store executed every correlation id at most once
     counts = misery.store.execution_counts()
     assert counts and all(n == 1 for n in counts.values())
+
+
+def test_normal_chain_differential_oracle():
+    cfg = ExperimentConfig(d=3, k=2, n_requests=40, j=120.0, r=10.0,
+                           rng_seed=6)
+    assert_matches_d0_replay(run_experiment(cfg))
+
+
+# constant hop, api and notify latencies: sums of equal delays meet, so
+# same-instant events are common, and ties run in schedule order
+TIED = LatencyModel(hop=(0.003, 0.003), api=(0.1, 0.1), notify=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("shape", [dict(d=3, k=2, r=10.0),
+                                   dict(d=4, k=2, r=5.0, s=64)],
+                         ids=["d3", "d4-churn"])
+def test_constant_latency_ties_keep_exactly_once_and_oracle_responses(shape, seed):
+    misery = run_experiment(ExperimentConfig(j=120.0, rng_seed=seed,
+                                             latency=TIED, **shape))
+    times = [r["t"] for r in misery.log.records]
+    assert len(set(times)) < len(times)
+    assert misery.report.transformations > 0
+    assert misery.consistency == []
+    assert_matches_d0_replay(misery)
 
 
 def test_churn_run_leaves_no_answered_entries_at_the_leaves():

@@ -19,11 +19,7 @@ from miserysim.cloud import CloudProvider, InstanceState
 from miserysim.deploy import deploy_misery
 from miserysim.errors import CloudError, NoEligibleLayer
 from miserysim.eventlog import EventLog
-from miserysim.movement import (
-    MovementManager,
-    select_transformation,
-    switch_drawer,
-)
+from miserysim.movement import MovementManager, switch_drawer, switch_op
 from miserysim.sim import Simulation
 from miserysim.topology import (
     MiseryDigraphSpec,
@@ -72,11 +68,11 @@ def test_schedule_validates_period():
 
 def test_select_uniform_over_eligible_layers():
     digraph = make_digraph(d=4, k=2)
-    rng = random.Random(123)
+    draw = switch_drawer(digraph.spec, random.Random(123))
     draws = 4000
     seen: dict[int, int] = {}
     for _ in range(draws):
-        op = select_transformation(digraph, rng)
+        op = switch_op(digraph, *draw())
         seen[op.layer] = seen.get(op.layer, 0) + 1
     assert set(seen) == {2, 3, 4}
     for layer, count in seen.items():
@@ -85,10 +81,10 @@ def test_select_uniform_over_eligible_layers():
 
 def test_select_pairs_are_distinct_layer_members():
     digraph = make_digraph(d=3, k=2)
-    rng = random.Random(7)
+    draw = switch_drawer(digraph.spec, random.Random(7))
     pairs_at_3: set[frozenset[str]] = set()
     for _ in range(500):
-        op = select_transformation(digraph, rng)
+        op = switch_op(digraph, *draw())
         u, v = op.nodes
         assert u != v
         layer = set(digraph.layer(op.layer))
@@ -101,8 +97,9 @@ def test_select_pairs_are_distinct_layer_members():
 
 def test_select_rejects_all_narrow_layers():
     digraph = make_digraph(d=3, k=1)
+    draw = switch_drawer(digraph.spec, random.Random(0))
     with pytest.raises(NoEligibleLayer):
-        select_transformation(digraph, random.Random(0))
+        switch_op(digraph, *draw())
 
 
 @pytest.mark.parametrize("d,k", [(3, 2), (4, 2), (5, 2), (6, 2), (4, 3),

@@ -1,4 +1,5 @@
-"""Multicaster fan-out: first success wins, ties break by child index."""
+"""Multicaster fan-out: the first success answers inside its own delivery;
+anything later, a same-instant tie included, is discarded and counted."""
 
 from __future__ import annotations
 
@@ -18,9 +19,9 @@ from miserysim.topology import PUBLIC_INTERNET, FirewallRule
 CORR = bytes(range(16))
 
 
-def setup_node(n_children=2, u=0.5, is_entry=False):
+def setup_node(n_children=2, u=0.5, is_entry=False, hop=(0.001, 0.005)):
     sim = Simulation(0)
-    provider = CloudProvider(sim, EventLog())
+    provider = CloudProvider(sim, EventLog(), hop_latency=hop)
     web = provider.create_instance(ImageKind.MULTICASTER, instance_id="web")
     children = []
     for i in range(n_children):
@@ -77,21 +78,23 @@ def test_earliest_child_response_wins():
     assert counters["discarded"] == 1
 
 
-def test_same_instant_tie_breaks_to_lowest_index():
-    sim, provider, node, _, _ = setup_node()
+def test_first_success_answers_in_its_own_delivery_and_a_tie_is_discarded():
+    # constant hops: both copies, and both replies, land at one instant
+    sim, provider, node, _, counters = setup_node(hop=(0.002, 0.002))
+    reply_child(sim, provider, "c0", b"from-0")
+    reply_child(sim, provider, "c1", b"from-1")
     got = []
-    job_holder = []
-
-    # Drive the election directly: both successes land in the same tick.
-    from miserysim.multicaster import _Job
-    job = _Job(node, CORR, got.append)
-    job.fanout = 2
-    job_holder.append(job)
-    job.child_succeeded(1, b"from-1")
-    job.child_succeeded(0, b"from-0")
-    sim.run(until=sim.now + 1)
-    assert len(got) == 1
-    assert wire.decode_frame(got[0])[2] == b"from-0"
+    t0, start = sim.now, sim.events_processed
+    node.handle_request(CORR, b"x", 80, lambda frame: got.append(
+        (sim.now, sim.events_processed - start, frame)))
+    # two request deliveries and two reply deliveries; the deadline is cancelled
+    assert sim.run(until=sim.now + 1) == 4
+    [(at, events_before, frame)] = got
+    # answered while the first reply's delivery runs, after only the two
+    # request deliveries
+    assert (at, events_before) == (t0 + 0.002 + 0.002, 2)
+    assert wire.decode_frame(frame)[2] == b"from-0"
+    assert counters["discarded"] == 1
 
 
 def test_every_child_receives_a_copy():

@@ -8,10 +8,6 @@ import random
 import pytest
 
 from miserysim.sim import (
-    PRIO_ACTOR,
-    PRIO_CONTROL,
-    PRIO_NETWORK,
-    PRIO_PROVIDER,
     Future,
     Handle,
     RequestNeverCompletes,
@@ -36,24 +32,23 @@ def test_events_fire_in_time_order():
     assert sim.now == 3.0
 
 
-def test_priority_breaks_same_instant_ties():
-    sim = Simulation(0)
-    seen = []
-    sim.schedule(1.0, seen.append, "actor", priority=PRIO_ACTOR)
-    sim.schedule(1.0, seen.append, "provider", priority=PRIO_PROVIDER)
-    sim.schedule(1.0, seen.append, "control", priority=PRIO_CONTROL)
-    sim.schedule(1.0, seen.append, "network", priority=PRIO_NETWORK)
-    sim.run()
-    assert seen == ["provider", "network", "actor", "control"]
-
-
 def test_same_priority_fifo_at_same_instant():
     sim = Simulation(0)
     seen = []
-    for i in range(5):
+
+    def first_then_now():
+        seen.append(0)
+        # scheduled for now from inside an event: it runs after the events
+        # already queued for this instant
+        sim.schedule(0.0, seen.append, "now")
+        sim.schedule_at(1.0, seen.append, "at")
+
+    sim.schedule(1.0, first_then_now)
+    for i in range(1, 5):
         sim.schedule(1.0, seen.append, i)
     sim.run()
-    assert seen == [0, 1, 2, 3, 4]
+    assert seen == [0, 1, 2, 3, 4, "now", "at"]
+    assert sim.now == 1.0
 
 
 def test_cancelled_handle_does_not_fire():
@@ -98,8 +93,8 @@ def test_unorderable_args_at_the_same_instant_run_fifo():
     sim = Simulation(0)
     seen = []
     for i in range(5):
-        sim.schedule(1.0, lambda doc: seen.append(doc), {"i": i}, priority=PRIO_ACTOR)
-        sim.schedule(1.0, seen.append, {"j": i}, priority=PRIO_ACTOR)
+        sim.schedule(1.0, lambda doc: seen.append(doc), {"i": i})
+        sim.schedule(1.0, seen.append, {"j": i})
     sim.run()
     assert seen == [doc for i in range(5) for doc in ({"i": i}, {"j": i})]
 
@@ -136,7 +131,7 @@ def test_every_event_is_scheduled_through_schedule_at(monkeypatch):
             yield 0.0
 
     for n in range(1, 8):
-        sim.spawn(worker(n), priority=n % 6)
+        sim.spawn(worker(n))
     sim.run()
     assert counts["cancelled_pending"] > 0
     assert counts["scheduled"] == sim.events_processed + counts["cancelled_pending"]
@@ -337,19 +332,20 @@ def test_interleaving_order_is_deterministic_property():
     # schedule a random workload twice; identical execution traces
     for trial in range(10):
         seed_rng = random.Random(trial)
-        plan = [(round(seed_rng.uniform(0, 50), 3), seed_rng.randrange(6), i)
-                for i in range(200)]
+        # one decimal place over 50 s: 200 events share many instants
+        plan = [(round(seed_rng.uniform(0, 50), 1), i) for i in range(200)]
         traces = []
         for _ in range(2):
             sim = Simulation(0)
             trace = []
-            for t, prio, tag in plan:
-                sim.schedule(t, trace.append, (t, prio, tag), priority=prio)
+            for t, tag in plan:
+                sim.schedule(t, trace.append, (t, tag))
             sim.run()
             traces.append(trace)
         assert traces[0] == traces[1]
-        # and the trace is sorted by (time, priority, insertion)
-        assert traces[0] == sorted(traces[0], key=lambda x: (x[0], x[1]))
+        # and the trace is sorted by (time, insertion)
+        assert len({t for t, _ in plan}) < len(plan)
+        assert traces[0] == sorted(plan)
 
 
 def test_events_processed_counts_each_event_as_it_runs():

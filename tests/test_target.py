@@ -8,13 +8,7 @@ import pytest
 from miserysim import target, wire
 from miserysim.cloud import CloudProvider, ImageKind
 from miserysim.eventlog import EventLog
-from miserysim.sim import (
-    PRIO_ACTOR,
-    PRIO_NETWORK,
-    Future,
-    RequestNeverCompletes,
-    Simulation,
-)
+from miserysim.sim import Future, RequestNeverCompletes, Simulation
 from miserysim.target import (
     AppServerNode,
     BackendStore,
@@ -461,10 +455,10 @@ def heap_driven_messages(monkeypatch, **kwargs):
     return poll_two_idle_rss(monkeypatch, heap_driven=True, **kwargs)[1]
 
 
-def at_then_one_second(t, prio, fn):
-    """A script that schedules fn(sim, ps, notes) at (t, prio), then runs."""
+def at_then_one_second(t, fn):
+    """A script that schedules fn(sim, ps, notes) at t, then runs."""
     def script(sim, ps, nodes, notes):
-        sim.schedule_at(t, fn, sim, ps, notes, priority=prio)
+        sim.schedule_at(t, fn, sim, ps, notes)
         run_one_second(sim, ps, nodes, notes)
     return script
 
@@ -473,17 +467,17 @@ def draw_a_hop(sim, ps, notes):
     notes.append(ps.provider.hop_latency())
 
 
-@pytest.mark.parametrize("message, end, prio", [
-    (16, 0, PRIO_ACTOR),      # the wake of cycle 5, as it sends rs0's ask
-    (16, 1, PRIO_NETWORK),    # that ask reaching rs0
-    (17, 1, PRIO_NETWORK),    # rs0's empty listing reaching the poller
+@pytest.mark.parametrize("message, end", [
+    (16, 0),      # the wake of cycle 5, as it sends rs0's ask
+    (16, 1),      # that ask reaching rs0
+    (17, 1),      # rs0's empty listing reaching the poller
 ], ids=["wake", "ask", "listing"])
 def test_an_event_tied_with_a_replayed_poll_event_runs_first(monkeypatch, message,
-                                                             end, prio):
+                                                             end):
     # the event draws from the shared stream, so its place among the
     # poller's draws shows in every later message
     t = heap_driven_messages(monkeypatch)[message][end]
-    lazy_and_heap_driven(monkeypatch, at_then_one_second(t, prio, draw_a_hop))
+    lazy_and_heap_driven(monkeypatch, at_then_one_second(t, draw_a_hop))
 
 
 def test_the_replay_bound_counts_one_longest_hop_per_hop(monkeypatch):
@@ -499,7 +493,7 @@ def test_the_replay_bound_counts_one_longest_hop_per_hop(monkeypatch):
         ps.set_record(ps.endpoints[:1])
 
     poll_errors = lazy_and_heap_driven(
-        monkeypatch, at_then_one_second(last_listing, PRIO_NETWORK, drop_rs1),
+        monkeypatch, at_then_one_second(last_listing, drop_rs1),
         hop=hop)[3]
     assert poll_errors == 1
 
@@ -512,7 +506,7 @@ def test_an_event_scheduled_between_two_runs_keeps_its_place(monkeypatch):
 
     def script(sim, ps, nodes, notes):
         sim.run(until=pause)
-        sim.schedule_at(tie, draw_a_hop, sim, ps, notes, priority=PRIO_NETWORK)
+        sim.schedule_at(tie, draw_a_hop, sim, ps, notes)
         sim.run(until=sim.now + 1.0)
 
     lazy_and_heap_driven(monkeypatch, script)
