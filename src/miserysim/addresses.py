@@ -10,7 +10,7 @@ still route to replaced instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import AlreadyRegistered, UnknownOwner
 from .eventlog import EventLog
@@ -21,7 +21,7 @@ from .sim import Simulation
 class AddressRecord:
     owner: str
     version: int
-    entries: tuple[tuple[str, str], ...]   # (node id, address)
+    children: tuple[tuple[str, str], ...]   # (node id, address)
 
 
 class AddressServer:
@@ -35,42 +35,40 @@ class AddressServer:
         self._subscribers: dict[str, Callable[[AddressRecord], None]] = {}
         self._last_at: dict[str, float] = {}
 
-    def notify_latency(self) -> float:
-        lo, hi = self._notify
-        return self._rng.uniform(lo, hi)
-
     @property
     def notify_bound(self) -> float:
         """Worst-case propagation delay (window upper edge for reporting)."""
         return self._notify[1]
 
-    def register(self, owner: str, entries: list[tuple[str, str]]) -> AddressRecord:
+    def register(self, owner: str,
+                 children: Iterable[tuple[str, str]]) -> AddressRecord:
         if owner in self._records:
             raise AlreadyRegistered(owner)
-        record = AddressRecord(owner, 1, tuple(entries))
+        record = AddressRecord(owner, 1, tuple(children))
         self._records[owner] = record
         self.log.emit(self.sim.now, "address.register", instance=owner,
-                      detail={"version": 1, "entries": [list(e) for e in record.entries]})
+                      detail={"version": 1, "entries": [list(e) for e in record.children]})
         return record
 
-    def update(self, owner: str, entries: list[tuple[str, str]]) -> AddressRecord:
+    def update(self, owner: str,
+               children: Iterable[tuple[str, str]]) -> AddressRecord:
         """Bump the owner's record and push it to the subscriber after the
-        propagation delay.  Updates are events: identical entries still get a
+        propagation delay.  Updates are events: identical children still get a
         new version."""
         current = self._records.get(owner)
         if current is None:
             raise UnknownOwner(owner)
-        record = AddressRecord(owner, current.version + 1, tuple(entries))
+        record = AddressRecord(owner, current.version + 1, tuple(children))
         self._records[owner] = record
         self.log.emit(self.sim.now, "address.update", instance=owner,
                       detail={"version": record.version,
-                              "entries": [list(e) for e in record.entries]})
+                              "entries": [list(e) for e in record.children]})
         subscriber = self._subscribers.get(owner)
         if subscriber is not None:
-            # deliveries to one owner must not reorder: a newer record
-            # overtaken by a stale one would stick (subscribers get bare
-            # entry lists, not versions)
-            at = max(self.sim.now + self.notify_latency(),
+            # deliveries to one owner must not reorder: a subscriber adopts
+            # each record as delivered, so a newer record overtaken by a
+            # stale one would stick
+            at = max(self.sim.now + self._rng.uniform(*self._notify),
                      self._last_at.get(owner, 0.0))
             self._last_at[owner] = at
             self.sim.schedule_at(at, subscriber, record)
@@ -94,6 +92,6 @@ class AddressServer:
     def dump(self) -> dict:
         return {
             owner: {"version": record.version,
-                    "entries": [list(e) for e in record.entries]}
+                    "entries": [list(e) for e in record.children]}
             for owner, record in sorted(self._records.items())
         }

@@ -17,13 +17,15 @@ import sys
 
 from . import attacker as attacker_mod
 from . import reporting
-from .addresses import AddressServer
-from .cloud import CloudProvider
 from .errors import ConfigError, MiserySimError, TopologyError
 from .eventlog import EventLog, numbered_records
-from .experiment import ExperimentConfig, build_experiment_digraph, run_experiment
+from .experiment import (
+    ExperimentConfig,
+    build_cloud,
+    build_experiment_digraph,
+    run_experiment,
+)
 from .deploy import deploy_misery
-from .sim import Simulation
 from .topology import MiseryDigraph
 
 EXIT_OK = 0
@@ -104,14 +106,13 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as err:
             raise ConfigError(f"bad digraph file {args.digraph}: {err}") from err
     digraph = MiseryDigraph.from_json_dict(doc)
-    if args.s < 0:
-        raise ConfigError("--s must be >= 0")
-    sim = Simulation(args.seed or 0)
-    events = EventLog()
-    provider = CloudProvider(sim, events)
-    addresses = AddressServer(sim, events)
+    # the digraph comes from the file; everything else is the run's default
+    cfg = ExperimentConfig(s=args.s, rng_seed=args.seed)
+    cfg.validate()
+    provider, addresses = build_cloud(cfg, EventLog())
+    sim = provider.sim
     task = sim.spawn(deploy_misery(provider, addresses, digraph,
-                                   u=1.0, m=0.1, s=args.s))
+                                   u=cfg.u, m=cfg.m, s=cfg.s))
     sim.run_until(task.future)
     state = {"cloud": provider.snapshot(),
              "addresses": addresses.dump(), "t": sim.now}

@@ -14,7 +14,8 @@ provider.counters).
 
 The Deployment object is also the mutation surface for the Movement Manager:
 a plain digraph attribute plus attach/detach of node runtimes, and a global
-consistency sweep comparing live address tables against the digraph.
+consistency sweep comparing the records the runtimes route on against the
+digraph.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from .addresses import AddressServer
 from .cloud import CloudProvider, ImageKind, min_pool_requirements
 from .errors import TopologyError
-from .multicaster import AddressTable, MulticasterNode
+from .multicaster import MulticasterNode
 from .sim import gather
 from .target import (
     AppServerNode,
@@ -79,16 +80,14 @@ class Deployment:
 
     # -- runtime construction ------------------------------------------------
 
-    def child_entries(self, owner: str) -> list[tuple[str, str]]:
+    def child_entries(self, owner: str) -> tuple[tuple[str, str], ...]:
         """(id, address) of every node `owner` routes to: its children, or
         for the target every layer-d node it polls."""
         digraph = self.digraph
-        if owner == digraph.target:
-            children = digraph.layer(digraph.d)
-        else:
-            children = digraph.children_of(owner)
-        return [(child, self.provider.instance(child).address)
-                for child in children]
+        children = (digraph.layer(digraph.d) if owner == digraph.target
+                    else digraph.children_of(owner))
+        return tuple((child, self.provider.instance(child).address)
+                     for child in children)
 
     def attach_node(self, node: str) -> None:
         """Build and wire the runtime for one digraph node (initial deploy
@@ -96,13 +95,12 @@ class Deployment:
         digraph = self.digraph
         layer = digraph.layer_of(node)
         if layer < digraph.d:
-            runtime = MulticasterNode(
-                self.provider, node, self.u, is_entry=(layer == 1),
-                table=AddressTable(1, tuple(self.child_entries(node))))
+            record = self.addresses.register(node, self.child_entries(node))
+            runtime = MulticasterNode(self.provider, node, self.u,
+                                      is_entry=(layer == 1), table=record)
             handler = runtime.on_http if layer == 1 else runtime.on_request
             for service in digraph.transport_services:
                 self.provider.bind(node, service.port, on_request=handler)
-            self.addresses.register(node, self.child_entries(node))
             self.addresses.subscribe(node, runtime.apply_update)
         elif layer == digraph.d:
             runtime = RequestsServerNode(self.provider, node, self.u)
@@ -121,11 +119,10 @@ class Deployment:
     def attach_target(self, m: float) -> None:
         digraph = self.digraph
         target = digraph.target
+        record = self.addresses.register(target, self.child_entries(target))
         ps = PollingServerNode(self.provider, target, self.store, m,
-                               digraph.poll_services[0].port)
-        ps.set_record(self.child_entries(target))
-        self.addresses.register(target, self.child_entries(target))
-        self.addresses.subscribe(target, lambda record: ps.set_record(record.entries))
+                               digraph.poll_services[0].port, table=record)
+        self.addresses.subscribe(target, ps.apply_update)
         self.ps = ps
         self.runtimes[target] = ps
         ps.start()
@@ -133,34 +130,24 @@ class Deployment:
     # -- global consistency sweep ---------------------------------------------
 
     def consistency_check(self) -> list[str]:
-        """Compare every runtime's routing view against the digraph; returns
-        human-readable mismatches (empty when globally consistent)."""
+        """Compare every routing runtime's record, and the Address Server's,
+        against the digraph; returns human-readable mismatches (empty when
+        globally consistent)."""
         digraph = self.digraph
         problems: list[str] = []
         if digraph is None:
             return problems
-        for layer_no in range(1, digraph.d):
-            for node in digraph.layer(layer_no):
-                expected = tuple(self.child_entries(node))
-                runtime = self.runtimes.get(node)
-                if runtime is None:
-                    problems.append(f"{node}: no runtime attached")
-                    continue
-                if tuple(runtime.table.children) != expected:
-                    problems.append(
-                        f"{node}: table {runtime.table.children} != {expected}")
-                record = self.addresses.lookup(node)
-                if tuple(record.entries) != expected:
-                    problems.append(
-                        f"{node}: address record {record.entries} != {expected}")
-        expected = tuple(self.child_entries(digraph.target))
-        if self.ps is not None and tuple(self.ps.endpoints) != expected:
-            problems.append(
-                f"{digraph.target}: poll endpoints {self.ps.endpoints} != {expected}")
-        record = self.addresses.lookup(digraph.target)
-        if tuple(record.entries) != expected:
-            problems.append(
-                f"{digraph.target}: address record {record.entries} != {expected}")
+        multicasters = [node for layer in digraph.layers[:-1] for node in layer]
+        for owner in multicasters + [digraph.target]:
+            expected = self.child_entries(owner)
+            runtime = self.runtimes.get(owner)
+            if runtime is None:
+                problems.append(f"{owner}: no runtime attached")
+                continue
+            for view, record in (("table", runtime.table),
+                                 ("address record", self.addresses.lookup(owner))):
+                if record.children != expected:
+                    problems.append(f"{owner}: {view} {record.children} != {expected}")
         return problems
 
 
@@ -218,16 +205,14 @@ def deploy_normal(provider: CloudProvider, addresses: AddressServer, *,
         FirewallRule(app, db, DATABASE.port),
     }))
 
-    app_address = provider.instance(app).address
-    db_address = provider.instance(db).address
-    web_node = MulticasterNode(provider, web, u, is_entry=True,
-                               table=AddressTable(1, ((app, app_address),)))
-    app_node = AppServerNode(provider, app, db_address, u)
+    web_node = MulticasterNode(
+        provider, web, u, is_entry=True,
+        table=addresses.register(web, [(app, provider.instance(app).address)]))
+    app_node = AppServerNode(provider, app, provider.instance(db).address, u)
     db_node = DatabaseServerNode(provider, db, deployment.store)
     provider.bind(web, HTTP.port, on_request=web_node.on_http)
     provider.bind(app, HTTP.port, on_request=app_node.on_request)
     provider.bind(db, DATABASE.port, on_channel=db_node.on_channel)
-    addresses.register(web, [(app, app_address)])
     addresses.subscribe(web, web_node.apply_update)
 
     deployment.runtimes = {web: web_node, app: app_node, db: db_node}

@@ -44,13 +44,18 @@ class LatencyModel:
     provisioning: float = 300.0
 
     def validate(self) -> None:
+        # a file or a caller can hand in any type: check it before comparing
         for name in ("hop", "api", "notify"):
-            lo, hi = getattr(self, name)
-            if not (0 <= lo <= hi and math.isfinite(hi)):
-                raise ConfigError(f"latency range {name} must be finite and "
-                                  f"satisfy 0 <= lo <= hi")
-        if not (self.provisioning >= 0 and math.isfinite(self.provisioning)):
-            raise ConfigError("provisioning latency must be finite and >= 0")
+            pair = getattr(self, name)
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(map(is_number, pair))
+                    and 0 <= pair[0] <= pair[1] and math.isfinite(pair[1])):
+                raise ConfigError(f"latency range {name} must be a (lo, hi) pair "
+                                  f"of finite numbers with 0 <= lo <= hi")
+        provisioning = self.provisioning
+        if not (is_number(provisioning) and provisioning >= 0
+                and math.isfinite(provisioning)):
+            raise ConfigError("provisioning latency must be a finite number >= 0")
 
     def to_json_dict(self) -> dict:
         return {"hop": list(self.hop), "api": list(self.api),
@@ -63,20 +68,11 @@ class LatencyModel:
         unknown = set(doc) - {"hop", "api", "notify", "provisioning"}
         if unknown:
             raise ConfigError(f"unknown latency keys: {sorted(unknown)}")
-        kwargs = {}
-        for name in ("hop", "api", "notify"):
-            if name in doc:
-                pair = doc[name]
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                        and all(map(is_number, pair))):
-                    raise ConfigError(f"latency range {name} must be a "
-                                      f"[lo, hi] pair of numbers")
-                kwargs[name] = tuple(pair)
-        if "provisioning" in doc:
-            if not is_number(doc["provisioning"]):
-                raise ConfigError("provisioning latency must be a number")
-            kwargs["provisioning"] = float(doc["provisioning"])
-        return cls(**kwargs)
+        # a JSON [lo, hi] list is the model's (lo, hi) tuple
+        model = cls(**{name: tuple(value) if isinstance(value, list) else value
+                       for name, value in doc.items()})
+        model.validate()
+        return model
 
 
 @dataclass(frozen=True)
@@ -123,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError("compress must be finite and >= 0")
         if self.n_requests is not None and self.n_requests < 1:
             raise ConfigError("n_requests must be >= 1 when set")
+        if not isinstance(self.latency, LatencyModel):
+            raise ConfigError("latency must be a LatencyModel")
         self.latency.validate()
 
     def to_json_dict(self) -> dict:
@@ -306,20 +304,25 @@ def build_experiment_digraph(cfg: ExperimentConfig):
     return build_misery_digraph(MiseryDigraphSpec(cfg.d, cfg.k))
 
 
+def build_cloud(cfg: ExperimentConfig,
+                log: EventLog) -> tuple[CloudProvider, AddressServer]:
+    """A fresh virtual clock seeded with the run's seed, and the cloud and
+    Address Server on it, with the run's latencies."""
+    sim, latency = Simulation(cfg.rng_seed), cfg.latency
+    provider = CloudProvider(sim, log, provisioning_latency=latency.provisioning,
+                             hop_latency=latency.hop, api_latency=latency.api)
+    return provider, AddressServer(sim, log, notify_latency=latency.notify)
+
+
 def run_experiment(cfg: ExperimentConfig, *,
                    replay: list[str] | None = None) -> ExperimentResult:
     """Run one full experiment on a fresh virtual clock; returns the report,
     the event log, and the live deployment for inspection."""
     cfg.validate()
-    sim = Simulation(cfg.rng_seed)
     log = EventLog()
     log.emit(0.0, "experiment.config", config=cfg.to_json_dict())
-    provider = CloudProvider(
-        sim, log,
-        provisioning_latency=cfg.latency.provisioning,
-        hop_latency=cfg.latency.hop,
-        api_latency=cfg.latency.api)
-    addresses = AddressServer(sim, log, notify_latency=cfg.latency.notify)
+    provider, addresses = build_cloud(cfg, log)
+    sim = provider.sim
 
     if cfg.d == 0:
         deploy_task = sim.spawn(deploy_normal(provider, addresses, u=cfg.u))

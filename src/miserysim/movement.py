@@ -239,16 +239,14 @@ class MovementManager:
             parent = digraph.parent_of(new)
             if parent is not None and parent not in owners:
                 owners.append(parent)
+        if layer == digraph.d:
+            owners.append(digraph.target)
         yield self.provider.api_latency()
         versions: dict[str, int] = {}
         for owner in owners:
             version = self._update_owner(owner)
             if version is not None:
                 versions[owner] = version
-        if layer == digraph.d:
-            version = self._update_owner(digraph.target)
-            if version is not None:
-                versions[digraph.target] = version
         return versions
 
     def _update_owner(self, owner: str) -> int | None:
@@ -269,13 +267,9 @@ class MovementManager:
         leaves the swapped nodes running their old runtimes, so both layers
         need a push."""
         digraph = self.deployment.digraph
-        for owner in digraph.layer(layer - 1):
+        below = digraph.layer(layer) if layer < digraph.d else (digraph.target,)
+        for owner in digraph.layer(layer - 1) + below:
             self._update_owner(owner)
-        if layer < digraph.d:
-            for owner in digraph.layer(layer):
-                self._update_owner(owner)
-        else:
-            self._update_owner(digraph.target)
 
     def _flush_retries(self) -> None:
         retries, self._retry_owners = self._retry_owners, set()

@@ -1,38 +1,22 @@
 """Misery Multicaster node logic.
 
 Every node in layers 1..d-1 runs this state machine: accept a request frame,
-snapshot the address table, forward a copy to every child concurrently,
-answer with the earliest successful child response, and discard (but count)
-whatever arrives later.  The first success answers inside its own delivery
-event, so of two successes at one instant the one scheduled first wins;
-which one wins shows nowhere, since every successful reply for an id
-carries the cached response of its one execution.  A timeout of u applies
-at every layer.  The entry point additionally translates between its public
-HTTP surface and the internal framing.
+snapshot the children of its Address Server record, forward a copy to every
+child concurrently, answer with the earliest successful child response, and
+discard (but count) whatever arrives later.  The first success answers
+inside its own delivery event, so of two successes at one instant the one
+scheduled first wins; which one wins shows nowhere, since every successful
+reply for an id carries the cached response of its one execution.  A
+timeout of u applies at every layer.  The entry point additionally
+translates between its public HTTP surface and the internal framing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import wire
 from .addresses import AddressRecord
 from .cloud import CloudProvider, Exchange
 from .errors import ProtocolViolation
-
-
-@dataclass(frozen=True)
-class AddressTable:
-    version: int
-    children: tuple[tuple[str, str], ...]   # (node id, address)
-
-
-EMPTY_TABLE = AddressTable(0, ())
-
-
-def apply_address_update(table: AddressTable, update: AddressTable) -> AddressTable:
-    """Monotone adoption: stale (non-newer) updates are ignored."""
-    return update if update.version > table.version else table
 
 
 class _Job:
@@ -90,7 +74,7 @@ class _Job:
 
 class MulticasterNode:
     def __init__(self, provider: CloudProvider, node_id: str, u: float, *,
-                 is_entry: bool = False, table: AddressTable = EMPTY_TABLE):
+                 table: AddressRecord, is_entry: bool = False):
         self.sim = provider.sim
         self.provider = provider
         self.id = node_id
@@ -100,11 +84,12 @@ class MulticasterNode:
         self.table = table
         self._corr_rng = self.sim.rng("correlation") if is_entry else None
 
-    # -- address table -------------------------------------------------------
+    # -- address record ------------------------------------------------------
 
     def apply_update(self, record: AddressRecord) -> None:
-        self.table = apply_address_update(
-            self.table, AddressTable(record.version, record.entries))
+        """Route on the record the Address Server delivered; it delivers
+        each owner's records in version order, so this is the newest."""
+        self.table = record
 
     # -- inbound -------------------------------------------------------------
 
@@ -159,7 +144,6 @@ class MulticasterNode:
         job = _Job(self, corr, respond)
         if not children:
             self.counters["no_children"] += 1
-            job.fanout = 0
             job._finish_error(b"no-children")
             return
         job.fanout = len(children)

@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 
 from . import wire
+from .addresses import AddressRecord
 from .cloud import Channel, CloudProvider, Exchange
 from .errors import ConnectionRefused, ProtocolViolation, SessionSevered, TimeoutFailure
 from .sim import Future
@@ -295,7 +296,8 @@ class PollingServerNode:
     """Target-resident poller: the only component that touches the store."""
 
     def __init__(self, provider: CloudProvider, node_id: str,
-                 store: BackendStore, m: float, poll_port: int):
+                 store: BackendStore, m: float, poll_port: int, *,
+                 table: AddressRecord):
         self.sim = provider.sim
         self.provider = provider
         self.id = node_id
@@ -303,7 +305,7 @@ class PollingServerNode:
         self.m = m
         self.poll_port = poll_port
         self.counters = provider.counters
-        self.endpoints: list[tuple[str, str]] = []
+        self.table = table    # children: the layer-d endpoints it polls
         self.executed: dict[bytes, tuple[int, bytes]] = {}
         self._links: dict[str, _PollLink] = {}
         self.cycle_no = 0
@@ -311,11 +313,12 @@ class PollingServerNode:
         # the links of a quiet cycle that just ended, in endpoint order
         self._idle: list[_PollLink] | None = None
 
-    def set_record(self, entries) -> None:
-        """Adopt a new layer-d endpoint list from the Address Server.  A
-        dropped link fails its ask in flight, so the cycle moves on."""
-        self.endpoints = [tuple(e) for e in entries]
-        live = {rs_id for rs_id, _ in self.endpoints}
+    def apply_update(self, record: AddressRecord) -> None:
+        """Poll the layer-d endpoints of the record the Address Server
+        delivered (the newest: it delivers in version order).  A dropped
+        link fails its ask in flight, so the cycle moves on."""
+        self.table = record
+        live = {rs_id for rs_id, _ in record.children}
         dropped = [self._links.pop(r) for r in list(self._links) if r not in live]
         for link in dropped:
             link.channel.close()
@@ -389,7 +392,7 @@ class PollingServerNode:
     def _cycle(self):
         self.cycle_no += 1
         mark = self.sim.events_processed
-        endpoints = list(self.endpoints)
+        endpoints = self.table.children
         reporters: dict[bytes, list[str]] = {}
         fresh: list[tuple[bytes, bytes]] = []
         collected = idle = 0

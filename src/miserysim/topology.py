@@ -30,6 +30,13 @@ ROLE_MULTICASTER = "multicaster"
 ROLE_REQUESTS_SERVER = "requests-server"
 
 
+def _typed(value, kind: type, what: str):
+    """`value` as is if it is exactly a `kind` (a bool is no int), else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class ServiceKind:
     """A network service as (name, port); (name, port) unique per network."""
@@ -46,7 +53,8 @@ class ServiceKind:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ServiceKind":
-        return cls(str(d["name"]), int(d["port"]))
+        return cls(_typed(d["name"], str, "service name"),
+                   _typed(d["port"], int, "service port"))
 
 
 # The web -> app -> db chain the system protects: the d=0 baseline deploys
@@ -266,12 +274,15 @@ class MiseryDigraph:
         so they are not read).  A document with a missing key, a value of the
         wrong type or more than one root raises TopologyError."""
         try:
-            spec = MiseryDigraphSpec(int(doc["spec"]["d"]), int(doc["spec"]["k"]))
-            layers = tuple(tuple(layer) for layer in doc["layers"])
-            return cls(spec, layers, doc["target"],
+            spec = MiseryDigraphSpec(_typed(doc["spec"]["d"], int, "spec d"),
+                                     _typed(doc["spec"]["k"], int, "spec k"))
+            layers = tuple(tuple(_typed(node, str, "node id")
+                                 for node in _typed(layer, list, "layer"))
+                           for layer in doc["layers"])
+            return cls(spec, layers, _typed(doc["target"], str, "target"),
                        tuple(ServiceKind.from_dict(s) for s in doc["transport_services"]),
                        tuple(ServiceKind.from_dict(s) for s in doc["poll_services"]),
-                       doc["enabled_leaf"])
+                       _typed(doc["enabled_leaf"], str, "enabled_leaf"))
         except (KeyError, TypeError, ValueError) as err:
             raise TopologyError(
                 f"malformed digraph document: {type(err).__name__}: {err}") from err

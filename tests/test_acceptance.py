@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from miserysim import reporting, wire
-from miserysim.addresses import AddressServer
+from miserysim.addresses import AddressRecord, AddressServer
 from miserysim.attacker import Strategy, sign_test, simulate_attacker
 from miserysim.cli import main as cli_main
 from miserysim.cloud import CloudProvider, ImageKind, InstanceState
@@ -226,7 +226,7 @@ def test_transformation_cycles_preserve_isomorphism(capsys):
         if deployment.consistency_check():
             problems.append(f"cycle {cycle}: inconsistent routing")
         for owner in sorted(addresses.dump()):
-            for node, address in addresses.lookup(owner).entries:
+            for node, address in addresses.lookup(owner).children:
                 inst = provider.instances[node]
                 if inst.state is not InstanceState.RUNNING:
                     problems.append(f"cycle {cycle}: stale address {node}")
@@ -302,9 +302,10 @@ def test_duplicate_collapse(capsys):
     answers = []
     for node in nodes:
         node.open_session(dup, b"PUT shared 1", answers.append)
-    ps = PollingServerNode(provider, "db", store, 0.05, 3306)
-    ps.set_record([(f"rs{i}", provider.instance(f"rs{i}").address)
-                   for i in range(4)])
+    leaves = tuple((f"rs{i}", provider.instance(f"rs{i}").address)
+                   for i in range(4))
+    ps = PollingServerNode(provider, "db", store, 0.05, 3306,
+                           table=AddressRecord("db", 1, leaves))
     ps.start()
     sim.run(until=sim.now + 2.0)
     # a delivered entry leaves its RS's registry

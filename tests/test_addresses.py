@@ -19,7 +19,7 @@ def test_register_starts_at_version_one():
     _, server = make_server()
     record = server.register("web", [("a", "10.0.0.1"), ("b", "10.0.0.2")])
     assert record.version == 1
-    assert server.lookup("web").entries == (("a", "10.0.0.1"), ("b", "10.0.0.2"))
+    assert server.lookup("web").children == (("a", "10.0.0.1"), ("b", "10.0.0.2"))
 
 
 def test_register_twice_is_an_error():
@@ -57,7 +57,7 @@ def test_subscriber_gets_full_record_within_latency_bounds():
     assert 0.5 <= at <= 1.5
     assert at <= server.notify_bound
     assert record.version == 2
-    assert record.entries == (("b", "10.0.0.9"),)
+    assert record.children == (("b", "10.0.0.9"),)
 
 
 def test_rapid_updates_arrive_in_version_order():

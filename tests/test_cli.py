@@ -84,6 +84,18 @@ def test_deploy_malformed_digraph_file_is_a_config_error(tmp_path, capsys):
     assert "runtime failure" not in capsys.readouterr().err
 
 
+def test_deploy_rejects_a_wrongly_typed_digraph_value(tmp_path, capsys):
+    path = tmp_path / "digraph.json"
+    assert main(["build", "--d", "3", "--k", "2", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["spec"]["d"] = 3.9   # not read as d=3
+    path.write_text(json.dumps(doc))
+    assert main(["deploy", "--digraph", str(path),
+                 "-o", str(tmp_path / "state.json")]) == 2
+    assert "spec d must be int" in capsys.readouterr().err
+    assert not (tmp_path / "state.json").exists()
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     outdir = tmp_path / "out"
     code = main(["run", "--d", "3", "--k", "2", "--n-requests", "10",

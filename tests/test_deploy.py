@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from miserysim.addresses import AddressServer
+from miserysim.addresses import AddressRecord, AddressServer
 from miserysim.cloud import CloudProvider, ImageKind, InstanceState
 from miserysim.deploy import (
     deploy_misery,
@@ -13,7 +13,6 @@ from miserysim.deploy import (
     swappable_image_counts,
 )
 from miserysim.eventlog import EventLog
-from miserysim.multicaster import AddressTable
 from miserysim.sim import Future, Simulation, gather
 from miserysim.topology import (
     PUBLIC_INTERNET,
@@ -97,7 +96,7 @@ def test_detach_node_forgets_runtime_and_instance():
 def test_consistency_check_flags_poisoned_table():
     env = deploy()
     runtime = env.deployment.runtimes["web"]
-    runtime.table = AddressTable(9, (("ghost", "10.9.9.9"),))
+    runtime.table = AddressRecord("web", 9, (("ghost", "10.9.9.9"),))
     problems = env.deployment.consistency_check()
     assert len(problems) == 1
     assert problems[0].startswith("web: table")

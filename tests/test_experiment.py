@@ -105,9 +105,13 @@ def test_latency_validation():
         LatencyModel(provisioning=-1.0).validate()
     for bad in ({"hop": (0.001, float("inf"))}, {"api": (float("nan"), 0.1)},
                 {"notify": (0.0, float("nan"))},
-                {"provisioning": float("nan")}, {"provisioning": float("inf")}):
+                {"provisioning": float("nan")}, {"provisioning": float("inf")},
+                # wrong types in a model built in code
+                {"hop": ("a", "b")}, {"api": (0.1,)}):
         with pytest.raises(ConfigError):
             LatencyModel(**bad).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(latency={"hop": (0.001, 0.005)}).validate()
 
 
 def test_overrides_skip_none():
@@ -315,7 +319,7 @@ def test_churn_run_leaves_no_answered_entries_at_the_leaves():
     assert all(node.registry.pending == {} for node in leaves)
     assert result.report.transformations > 0
     assert set(deployment.ps._links) <= {node.id for node in leaves}
-    assert {rs_id for rs_id, _ in deployment.ps.endpoints} == {
+    assert {rs_id for rs_id, _ in deployment.ps.table.children} == {
         node.id for node in leaves}
     counters = result.log.records[-1]["counters"]
     assert "unknown_deliveries" not in counters

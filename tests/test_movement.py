@@ -189,7 +189,7 @@ def test_cycle_switches_resets_and_propagates():
 
     # address sweep: no record references a terminated instance
     for owner in sorted(env.addresses.dump()):
-        for node, address in env.addresses.lookup(owner).entries:
+        for node, address in env.addresses.lookup(owner).children:
             inst = env.provider.instances[node]
             assert inst.state is InstanceState.RUNNING
             assert inst.address == address

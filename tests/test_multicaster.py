@@ -7,12 +7,7 @@ from miserysim import wire
 from miserysim.addresses import AddressRecord
 from miserysim.cloud import CloudProvider, ImageKind
 from miserysim.eventlog import EventLog
-from miserysim.multicaster import (
-    EMPTY_TABLE,
-    AddressTable,
-    MulticasterNode,
-    apply_address_update,
-)
+from miserysim.multicaster import MulticasterNode
 from miserysim.sim import Simulation
 from miserysim.topology import PUBLIC_INTERNET, FirewallRule
 
@@ -29,7 +24,7 @@ def setup_node(n_children=2, u=0.5, is_entry=False, hop=(0.001, 0.005)):
         provider.rewrite_rules([], [FirewallRule("web", f"c{i}", 80)])
         children.append(child)
     sim.run(until=301)
-    table = AddressTable(1, tuple((c.id, c.address) for c in children))
+    table = AddressRecord("web", 1, tuple((c.id, c.address) for c in children))
     node = MulticasterNode(provider, "web", u, is_entry=is_entry, table=table)
     return sim, provider, node, children, provider.counters
 
@@ -51,17 +46,6 @@ def run_job(sim, node, payload=b"GET k"):
     sim.run(until=sim.now + 5)
     assert len(got) == 1
     return wire.decode_frame(got[0])
-
-
-# --- address table ---------------------------------------------------------
-
-def test_address_updates_are_monotone():
-    v2 = AddressTable(2, (("a", "10.0.0.1"),))
-    v3 = AddressTable(3, (("b", "10.0.0.2"),))
-    assert apply_address_update(EMPTY_TABLE, v2) is v2
-    assert apply_address_update(v2, v3) is v3
-    assert apply_address_update(v3, v2) is v3
-    assert apply_address_update(v3, AddressTable(3, ())) is v3
 
 
 # --- fan-out ---------------------------------------------------------------------

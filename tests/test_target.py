@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from miserysim import target, wire
+from miserysim.addresses import AddressRecord
 from miserysim.cloud import CloudProvider, ImageKind
 from miserysim.eventlog import EventLog
 from miserysim.sim import Future, RequestNeverCompletes, Simulation
@@ -208,9 +209,10 @@ def poll_fixture(n_rs=4, m=0.05, hop=(0.001, 0.005)):
         provider.bind(rs_id, 3306, on_channel=node.on_poll_channel)
         nodes.append(node)
     sim.run(until=301)
-    ps = PollingServerNode(provider, "db", store, m, 3306)
-    ps.set_record([(f"rs{i}", provider.instance(f"rs{i}").address)
-                   for i in range(n_rs)])
+    leaves = tuple((f"rs{i}", provider.instance(f"rs{i}").address)
+                   for i in range(n_rs))
+    ps = PollingServerNode(provider, "db", store, m, 3306,
+                           table=AddressRecord("db", 1, leaves))
     return sim, provider, ps, nodes, store, provider.log
 
 
@@ -267,18 +269,18 @@ def test_executed_cache_drops_exactly_the_entries_older_than_the_horizon(monkeyp
     assert list(ps.executed) == [c for c, n in zip(ids, cycles) if n >= 5]
 
 
-def test_set_record_drops_links_of_removed_endpoints():
+def test_apply_update_drops_links_of_removed_endpoints():
     sim, provider, ps, nodes, _, _ = poll_fixture(n_rs=2)
     nodes[0].open_session(CORR, b"PUT k 1", lambda f: None)
     ps.start()
     sim.run(until=sim.now + 0.3)
     assert "rs0" in ps._links
     channel = ps._links["rs0"].channel
-    keep = [("rs1", provider.instance("rs1").address)]
-    ps.set_record(keep)
+    keep = AddressRecord("db", 2, (("rs1", provider.instance("rs1").address),))
+    ps.apply_update(keep)
     assert "rs0" not in ps._links
     assert channel.state == "closed"
-    assert ps.endpoints == keep
+    assert ps.table is keep
 
 
 def test_lost_delivery_is_relisted_and_answered_from_the_executed_cache():
@@ -358,14 +360,14 @@ def watch_poll_messages(provider, node, hook):
 
 def test_dropping_a_link_with_an_ask_in_flight_does_not_stall_the_poller():
     sim, provider, ps, nodes, store, _ = poll_fixture(n_rs=2)
-    keep = [("rs1", provider.instance("rs1").address)]
+    keep = AddressRecord("db", 2, (("rs1", provider.instance("rs1").address),))
     t0, dropped = sim.now + 0.5, []
 
     def drop_rs0_on_its_next_ask(data):
         # the poller holds this ask in flight until rs0's reply arrives
         if not dropped and sim.now >= t0 and data == wire.POLL_LIST_FRAME:
             dropped.append(ps.cycle_no)
-            sim.schedule(0.0, ps.set_record, keep)
+            sim.schedule(0.0, ps.apply_update, keep)
 
     watch_poll_messages(provider, nodes[0], drop_rs0_on_its_next_ask)
     # an event at t0 ends the idle dialogue's run off the heap, so the next
@@ -484,13 +486,13 @@ def test_the_replay_bound_counts_one_longest_hop_per_hop(monkeypatch):
     # at a constant hop of 12.65 ms, cycle 4 wakes at 301.35240000000016 and
     # hears rs1's empty listing at 301.4030000000002, one ulp above the
     # closed form wake + 4 * 0.01265.  Only a bound added hop by hop, as the
-    # dialogue adds, keeps that listing on the heap behind the set_record
+    # dialogue adds, keeps that listing on the heap behind the apply_update
     # tied with it, which then fails rs1's ask in flight.
     hop = (0.01265, 0.01265)
     last_listing = heap_driven_messages(monkeypatch, hop=hop)[15][1]
 
     def drop_rs1(sim, ps, notes):
-        ps.set_record(ps.endpoints[:1])
+        ps.apply_update(AddressRecord("db", 2, ps.table.children[:1]))
 
     poll_errors = lazy_and_heap_driven(
         monkeypatch, at_then_one_second(last_listing, drop_rs1),

@@ -369,6 +369,12 @@ def test_json_with_two_roots_is_rejected():
     lambda doc: doc.update(spec={"d": "three", "k": 2}),
     lambda doc: doc.update(layers=3),
     lambda doc: doc.update(poll_services=["db"]),
+    # a wrongly typed value is rejected, not coerced
+    lambda doc: doc["spec"].update(d=3.9),
+    lambda doc: doc["spec"].update(k="2"),
+    lambda doc: doc["transport_services"][0].update(port=80.7),
+    lambda doc: doc["poll_services"][0].update(name=5),
+    lambda doc: doc.update(target=7),
 ])
 def test_json_with_missing_or_mistyped_keys_is_rejected(change):
     doc = build_misery_digraph(MiseryDigraphSpec(3, 2)).to_json_dict()
