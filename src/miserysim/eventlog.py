@@ -35,8 +35,13 @@ class EventLog:
         return [r for r in self.records if r["kind"] == kind]
 
 
+# json.dumps with these options builds a new encoder per call; one shared
+# encoder writes the same bytes
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def serialize_record(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def load_records(path: str) -> list[dict[str, Any]]:

@@ -167,14 +167,25 @@ class WorkloadGenerator:
         self._rng = random.Random(f"{seed}/workload")
         self._live: dict[str, int] = {}      # confirmed key -> last touch index
         self._outstanding: dict[int, tuple[str, str]] = {}   # index -> (op, key)
+        self._touched: dict[int, str] = {}   # recent index -> the key it touched
 
     def _eligible(self, i: int) -> list[str]:
-        return [k for k, last in self._live.items() if i - last >= self.MIN_AGE]
+        """The live keys last touched MIN_AGE or more requests before i, in
+        insertion order.  Indices rise and each touches one key, so only the
+        keys of the last MIN_AGE - 1 indices can be too recent: copy the
+        live keys and drop those few instead of testing every key's age."""
+        eligible = dict(self._live)
+        for j in range(i - self.MIN_AGE + 1, i):
+            key = self._touched.get(j)
+            if key is not None and eligible.get(key) == j:
+                del eligible[key]
+        return list(eligible)
 
     def next(self, i: int) -> str:
+        self._touched.pop(i - self.MIN_AGE, None)
         roll = self._rng.random()
-        # only a read or a delete needs the eligible keys: a scan of every
-        # live key, so a write skips it
+        # only a read or a delete needs the eligible keys, so a write skips
+        # building them
         if roll >= 0.6:
             eligible = self._eligible(i)
             if eligible:
@@ -186,6 +197,10 @@ class WorkloadGenerator:
         self._outstanding[i] = ("PUT", key)
         return f"PUT {key} v{i:05d}"
 
+    def _touch(self, key: str, i: int) -> None:
+        self._live[key] = i
+        self._touched[i] = key
+
     def record_outcome(self, i: int, processed: bool) -> None:
         op_key = self._outstanding.pop(i, None)
         if op_key is None:
@@ -193,11 +208,11 @@ class WorkloadGenerator:
         op, key = op_key
         if op == "PUT":
             if processed:
-                self._live[key] = i
+                self._touch(key, i)
             # a failed write leaves the key unknown server-side: never reuse it
         elif op == "GET":
             if processed and key in self._live:
-                self._live[key] = i
+                self._touch(key, i)
         elif op == "DEL":
             # delete is terminal whether it landed or not
             self._live.pop(key, None)

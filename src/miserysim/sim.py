@@ -186,9 +186,6 @@ class Simulation:
         self._seq = itertools.count()
         self._rngs: dict[str, random.Random] = {}
         self._processed = 0
-        # events_processed when the running loop was entered: code outside
-        # the loops may have changed any state before then
-        self.loop_entry = 0
         self._horizon = math.inf    # the running loop's until or limit
 
     def rng(self, name: str) -> random.Random:
@@ -255,7 +252,6 @@ class Simulation:
         """Run events until `future` resolves, the heap drains, or the next
         live event lies past `horizon`; returns that event's time in the
         last case, else None."""
-        self.loop_entry = self._processed
         self._horizon = horizon
         heap = self._heap
         pop = heapq.heappop

@@ -19,29 +19,33 @@ does not catch leaves the event loop and ends the run.  The idle dialogue's
 two constant messages, the one-byte list ask and the empty listing, are
 matched by value and never parsed.
 
-An idle poll costs no heap event while no other event is due.  A cycle is
-quiet when every RS answered an empty listing and the simulation ran
-exactly 2n events from its wake to its last listing: the wake, n asks and
-n - 1 listings, with the last listing the one running, all in one call of
-the event loop.  No other event ran, and no code outside the loop, so
-nothing was enqueued at any RS and no poll link was cut: until some other
-event runs, every later cycle is idle too and is pure arithmetic.  When a
-quiet cycle ends, the poller asks the kernel for `next_due()` and replays
-every whole idle cycle that surely ends before it, with the same hop draws
-from the shared `net` stream (`CloudProvider.channel_arrival`), the cycle
-count and the executed-cache eviction, and no call to `list_pending`.  The
-wake of the first cycle that might not end in time is scheduled as an
-ordinary heap event, so the poller is never off the heap between two
-events, and every artifact is byte for byte what the heap-driven dialogue
-writes.
+An idle poll costs no heap event while no other event is due.  The poller
+proves a cycle idle from the RSs' intake: `CloudProvider.intake` counts the
+requests every RS has registered, and only a registration fills an RS.  A
+heap-driven cycle in which every endpoint answered a listing and every
+listed id was delivered and acked marks the intake it read at its wake:
+while the intake stays at that mark, every RS it asked is empty.  At a
+later wake whose intake still equals the mark, and whose endpoints all have
+open links, each RS the cycle would ask is one of those, because only a
+cycle makes links: an endpoint that a new record brought in has none.  That
+cycle is idle, and so is every later one until some other event runs.
+There the poller asks the kernel for `next_due()` and replays from the wake
+every whole cycle that surely ends before it, with the same hop draws from
+the shared `net` stream (`CloudProvider.channel_arrival`), the cycle count
+and the executed-cache eviction, and no call to `list_pending`.  The wake
+of the first cycle that might not end in time is scheduled as an ordinary
+heap event; when not even the cycle from this wake fits, it runs from the
+heap.  So the poller is never off the heap between two events, and every
+artifact is byte for byte what the heap-driven dialogue writes.
 
 "Surely ends before" is a bound made with the replay's own arithmetic: the
 wake plus `CloudProvider.hop_max` (the longest draw), added once per hop
-for the cycle's 2n hops.  It is exact, because in a quiet cycle no FIFO
-clamp binds (every channel end last received a message in an earlier
-cycle), so each hop ends at most one longest draw after it starts, and
-rounded addition is monotone, so the bound never falls below the real end.
-A closed form such as `wake + 2*n*hi` can round one ulp below it.
+for the cycle's 2n hops.  It is exact, because from such a wake no FIFO
+clamp binds (each ask of the marking cycle was answered before it ended,
+so every channel end last received a message before the wake), so each hop
+ends at most one longest draw after it starts, and rounded addition is
+monotone, so the bound never falls below the real end.  A closed form such
+as `wake + 2*n*hi` can round one ulp below it.
 
 Only the baseline (d=0) chain speaks the real database handshake:
 DatabaseServerNode owns it and AppServerNode is its client, so the
@@ -183,6 +187,7 @@ class RequestsServerNode:
         session = _RsSession(corr, respond)
         session.timer = self.sim.schedule(self.u, self._session_timeout, session)
         self.registry.enqueue(corr, payload).sessions.append(session)
+        self.provider.intake += 1
 
     def _session_timeout(self, session: _RsSession) -> None:
         # delivery cancels the timer, so the session is still waiting here;
@@ -310,8 +315,9 @@ class PollingServerNode:
         self._links: dict[str, _PollLink] = {}
         self.cycle_no = 0
         self._task = None     # the running _loop(), from start() on
-        # the links of a quiet cycle that just ended, in endpoint order
-        self._idle: list[_PollLink] | None = None
+        # the intake at the wake of the last cycle, if it left every RS of
+        # its record empty; see the module notes
+        self._emptied: int | None = None
 
     def apply_update(self, record: AddressRecord) -> None:
         """Poll the layer-d endpoints of the record the Address Server
@@ -328,15 +334,25 @@ class PollingServerNode:
         """Poll from now on, for the life of the simulation."""
         self._task = self.sim.spawn(self._loop())
 
-    def _replay(self, at: float) -> float:
-        """Replay the idle cycles from the wake at `at` that surely end
-        before the next due event; returns the wake of the first that might
-        not.  See the module notes."""
-        links, self._idle = self._idle, None
+    def _proven_idle(self) -> bool:
+        """Whether every RS this wake would ask is surely empty: the last
+        cycle emptied them, no RS has registered a request since, and every
+        endpoint still has an open link."""
+        links = self._links
+        return (self._emptied == self.provider.intake
+                and all(rs_id in links and links[rs_id].usable
+                        for rs_id, _ in self.table.children))
+
+    def _replay(self) -> float | None:
+        """Replay the idle cycles from this wake that surely end before the
+        next due event; returns the wake of the first that might not, or
+        None if that is this one.  See the module notes."""
+        links = [self._links[rs_id] for rs_id, _ in self.table.children]
         due = self.sim.next_due()
         hop_max = self.provider.hop_max
         arrival = self.provider.channel_arrival
         hops = range(2 * len(links))
+        at, start = self.sim.now, self.cycle_no
         while True:
             end = at
             for _ in hops:
@@ -348,6 +364,8 @@ class PollingServerNode:
                 # the ask reaches the RS, and its empty listing the poller
                 at = arrival(link.channel, arrival(link.channel.peer, at))
             at += self.m
+        if self.cycle_no == start:
+            return None
         self._evict()
         return at
 
@@ -355,10 +373,10 @@ class PollingServerNode:
         # sleep m between cycles, not on a fixed grid: a grid would let the
         # closed-loop client phase-lock to it and hide the per-endpoint cost
         while True:
-            yield from self._cycle()
-            at = self.sim.now + self.m
-            if self._idle is not None:
-                at = self._replay(at)
+            at = self._replay() if self._proven_idle() else None
+            if at is None:
+                yield from self._cycle()
+                at = self.sim.now + self.m
             self.sim.schedule_at(at, self._task.resume)
             yield
 
@@ -381,21 +399,13 @@ class PollingServerNode:
         if link is not None:
             link.channel.close()
 
-    def _quiet(self, mark: int, idle: int, n: int) -> bool:
-        """Whether the cycle whose wake ran at event count `mark` was quiet:
-        all n leaves answered an empty listing, no event but its own 2n ran,
-        and no code outside the event loop ran since its wake either."""
-        sim = self.sim
-        return (idle == n and mark >= sim.loop_entry
-                and sim.events_processed - mark == 2 * n)
-
     def _cycle(self):
         self.cycle_no += 1
-        mark = self.sim.events_processed
+        intake = self.provider.intake
         endpoints = self.table.children
         reporters: dict[bytes, list[str]] = {}
         fresh: list[tuple[bytes, bytes]] = []
-        collected = idle = 0
+        collected = listings = 0
         for rs_id, address in endpoints:
             link = self._links.get(rs_id)
             if link is None or not link.usable:
@@ -410,9 +420,9 @@ class PollingServerNode:
             if event[0] != "listing":
                 self.counters["poll_errors"] += 1
                 continue
+            listings += 1
             entries = event[1]
             if not entries:
-                idle += 1
                 continue
             collected += len(entries)
             for corr, payload in entries:
@@ -448,8 +458,8 @@ class PollingServerNode:
             self.provider.log.emit(self.sim.now, "poll.cycle", instance=self.id,
                           detail={"cycle": self.cycle_no, "collected": collected,
                                   "executed": len(fresh), "delivered": delivered})
-        if self._quiet(mark, idle, len(endpoints)):
-            self._idle = [self._links[rs_id] for rs_id, _ in endpoints]
+        emptied = listings == len(endpoints) and delivered == collected
+        self._emptied = intake if emptied else None
 
     def _evict(self) -> None:
         # the executed cache must outlive any re-listing of a still-pending

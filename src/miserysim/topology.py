@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidSpec, LayerConflict, TopologyError, UnknownNode
 
@@ -198,6 +199,8 @@ class MiseryDigraph:
                     f"layer {i} has {len(layer)} nodes, expected {expect}")
         if not self.transport_services:
             raise TopologyError("no transport services")
+        if not self.poll_services:
+            raise TopologyError("no poll services")
         leaf = self._slots.get(self.enabled_leaf)
         if leaf is None or leaf[0] != d:
             raise TopologyError(f"enabled leaf {self.enabled_leaf!r} not in layer d")
@@ -288,10 +291,10 @@ class MiseryDigraph:
                 f"malformed digraph document: {type(err).__name__}: {err}") from err
 
 
-@dataclass(frozen=True, order=True)
-class FirewallRule:
+class FirewallRule(NamedTuple):
     """One inbound permission: src may initiate a connection to dst on port.
-    Rules sort by (src, dst, port)."""
+    Rules sort by (src, dst, port), and a rule equals and hashes as that
+    plain tuple, so the firewall is checked without building one."""
 
     src: str
     dst: str

@@ -96,6 +96,19 @@ def test_deploy_rejects_a_wrongly_typed_digraph_value(tmp_path, capsys):
     assert not (tmp_path / "state.json").exists()
 
 
+def test_deploy_rejects_a_digraph_with_no_poll_service(tmp_path, capsys):
+    path = tmp_path / "digraph.json"
+    assert main(["build", "--d", "3", "--k", "2", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["poll_services"] = []   # the target would have no port to poll on
+    path.write_text(json.dumps(doc))
+    assert main(["deploy", "--digraph", str(path),
+                 "-o", str(tmp_path / "state.json")]) == 2
+    err = capsys.readouterr().err
+    assert "no poll services" in err and "runtime failure" not in err
+    assert not (tmp_path / "state.json").exists()
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     outdir = tmp_path / "out"
     code = main(["run", "--d", "3", "--k", "2", "--n-requests", "10",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from miserysim.eventlog import EventLog, load_records, serialize_record
+from miserysim.experiment import ExperimentConfig, run_experiment
 
 
 def test_emit_returns_and_stores_record():
@@ -38,3 +39,15 @@ def test_of_kind_filters():
     log.emit(2.0, "a")
     assert [r["t"] for r in log.of_kind("a")] == [0.0, 2.0]
 
+
+
+def test_serialization_writes_what_json_dumps_writes_for_a_whole_run():
+    # a churn run emits every kind of record: movement, rules, addresses,
+    # polls, requests and the summary
+    result = run_experiment(ExperimentConfig(d=3, k=2, j=60.0, r=5.0, s=16,
+                                             rng_seed=2))
+    records = result.log.records
+    assert len({record["kind"] for record in records}) > 10
+    for record in records:
+        assert serialize_record(record) == json.dumps(
+            record, sort_keys=True, separators=(",", ":"))

@@ -212,6 +212,34 @@ def test_workload_builds_the_eligible_keys_only_for_reads_and_deletes(seed):
     assert len(scans) == sum(r >= 0.6 for r in rolls) < 1500
 
 
+@pytest.mark.parametrize("seed, failure_rate, max_lag", [
+    (0, 0.2, 0), (3, 0.05, 0), (7, 0.5, 0), (11, 0.2, 4)])
+def test_eligible_keys_equal_the_age_scan_at_every_read(seed, failure_rate, max_lag):
+    # the keys _eligible drops must be exactly those the full age test
+    # rejects, in the same order, whatever the outcomes; max_lag > 0 holds
+    # up to that many outcomes back and records them in random order
+    gen = WorkloadGenerator(seed)
+    outcomes = random.Random(f"{seed}/outcomes")
+    eligible, reads = gen._eligible, []
+
+    def checked(i):
+        got = eligible(i)
+        assert got == [k for k, last in gen._live.items()
+                       if i - last >= gen.MIN_AGE], f"request {i}"
+        reads.append(len(got))
+        return got
+
+    gen._eligible = checked
+    held = []
+    for i in range(4000):
+        gen.next(i)
+        held.append(i)
+        while len(held) > outcomes.randint(0, max_lag):
+            j = held.pop(outcomes.randrange(len(held)))
+            gen.record_outcome(j, outcomes.random() >= failure_rate)
+    assert len(reads) > 1000 and max(reads) > 100
+
+
 def test_workload_mix_is_roughly_sixty_thirty_ten():
     commands = drive(3, 2000)
     ops = [c.split()[0] for c in commands]

@@ -1,11 +1,11 @@
 """The poller's idle dialogue off the event heap writes what the heap writes.
 
-When a quiet poll cycle ends, the poller replays as arithmetic every whole
-idle cycle that surely ends before the next due event, and schedules the
-wake of the first that might not as a heap event (`PollingServerNode._replay`
-up to `Simulation.next_due()`).  With the quiet test forced to fail, every
-cycle runs from the event heap.  Both runs must write the same artifacts,
-byte for byte.
+At a wake where the poller can prove every RS empty, it replays as
+arithmetic every whole idle cycle that surely ends before the next due
+event, and schedules the wake of the first that might not as a heap event
+(`PollingServerNode._replay` up to `Simulation.next_due()`).  With the idle
+proof forced to fail, every cycle runs from the event heap.  Both runs must
+write the same artifacts, byte for byte.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ GRID = {
 
 
 def heap_driven(monkeypatch):
-    """Make every cycle fail the quiet test, so the poller replays none."""
-    monkeypatch.setattr(target.PollingServerNode, "_quiet",
-                        lambda self, mark, idle, n: False)
+    """Make every wake fail the idle proof, so the poller replays none."""
+    monkeypatch.setattr(target.PollingServerNode, "_proven_idle",
+                        lambda self: False)
 
 
 def run(overrides, outdir):
@@ -64,12 +64,14 @@ def test_the_lazy_poller_writes_the_heap_driven_artifacts(name, tmp_path, monkey
     assert lazy_events < step_events, "no idle cycle ran off the heap"
 
 
-def test_a_steady_run_dispatches_at_most_60_percent_of_the_heap_driven_events(
+def test_a_steady_run_dispatches_at_most_47_percent_of_the_heap_driven_events(
         tmp_path, monkeypatch):
-    # the README shape; about half of its heap-driven events are idle polls
+    # the README shape; more than half of its heap-driven events are idle
+    # polls.  The replay from the wake after a busy cycle brings it to 0.44;
+    # replaying only after a cycle found every RS idle would give 0.53
     steady = dict(d=3, k=2, r=100.0, s=8, j=120.0, rng_seed=1,
                   request_interval=0.77)
     _, lazy_events = run(steady, tmp_path / "lazy")
     heap_driven(monkeypatch)
     _, step_events = run(steady, tmp_path / "stepwise")
-    assert lazy_events <= 0.6 * step_events
+    assert lazy_events <= 0.47 * step_events

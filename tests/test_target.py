@@ -407,7 +407,7 @@ def poll_two_idle_rss(monkeypatch, script=run_one_second, *, heap_driven,
     with monkeypatch.context() as patch:
         patch.setattr(provider, "channel_arrival", recorded)
         if heap_driven:
-            patch.setattr(PollingServerNode, "_quiet", lambda self, *args: False)
+            patch.setattr(PollingServerNode, "_proven_idle", lambda self: False)
         start = sim.events_processed
         ps.start()
         script(sim, ps, nodes, notes)
@@ -515,8 +515,9 @@ def test_an_event_scheduled_between_two_runs_keeps_its_place(monkeypatch):
 
 
 def test_a_session_opened_between_two_runs_mid_cycle_is_listed_next_cycle(monkeypatch):
-    # cycle 2, the first that could go quiet, has heard rs0's empty listing
-    # and waits on rs1's when the run stops and rs0 gains a session
+    # cycle 2, the first the poller could replay, runs from the heap because
+    # the run stops inside it: it has heard rs0's empty listing and waits on
+    # rs1's when rs0 gains a session
     sent, arrived = heap_driven_messages(monkeypatch)[6]
 
     def script(sim, ps, nodes, notes):
@@ -558,6 +559,153 @@ def test_run_until_a_limit_with_an_idle_poller_raises_never_completes(monkeypatc
     notes = lazy_and_heap_driven(monkeypatch, script)[0]
     assert notes == [(f"future unresolved at t={limit} "
                       f"(next event t={messages[28][0]})", limit)]
+
+
+def noting_listings(script, listings):
+    """Wrap script so that every RS listing appends (cycle, RS index, listed
+    ids) to listings."""
+    def wrapped(sim, ps, nodes, notes):
+        for index, node in enumerate(nodes):
+            def list_pending(orig=node.registry.list_pending, index=index):
+                batch, size = orig()
+                listings.append((ps.cycle_no, index, [corr for corr, _ in batch]))
+                return batch, size
+            node.registry.list_pending = list_pending
+        script(sim, ps, nodes, notes)
+    return wrapped
+
+
+def heap_driven_cycles(monkeypatch, script):
+    """The notes of a lazy run of script and the listings its heap-driven
+    cycles made, after checking that it writes what the heap-driven run
+    writes."""
+    notes = lazy_and_heap_driven(monkeypatch, script)[0]
+    listings = []
+    poll_two_idle_rss(monkeypatch, noting_listings(script, listings),
+                      heap_driven=False)
+    return notes, listings
+
+
+def test_the_wake_after_a_fully_delivered_cycle_replays(monkeypatch):
+    # cycle 1 lists rs0's session and has it acked: both RSs are empty and
+    # no session opened since, so the poller lists nothing more until the
+    # wake of the last cycle that might not end within the second
+    def script(sim, ps, nodes, notes):
+        nodes[0].open_session(CORR, b"GET k", notes.append)
+        run_one_second(sim, ps, nodes, notes)
+        notes.append(ps.cycle_no)
+
+    notes, listings = heap_driven_cycles(monkeypatch, script)
+    assert notes[0] == wire.encode_response(CORR, b"NIL")
+    assert listings[:2] == [(1, 0, [CORR]), (1, 1, [])]
+    assert all(cycle == 1 or cycle > 10 for cycle, _, _ in listings)
+
+
+# the sleep after cycle 6 of a second of polling two idle RSs: cycles 2 to
+# 6 are replayed from the wake of cycle 2, and cycle 7 wakes after it
+def after_cycle_6(monkeypatch):
+    messages = heap_driven_messages(monkeypatch)
+    return (messages[23][1] + messages[24][0]) / 2
+
+
+def pause_then(t, fn, *, from_event):
+    """A script that runs fn(sim, ps, nodes, notes) at t, from an event or
+    between two runs, then runs on to one second."""
+    def script(sim, ps, nodes, notes):
+        end = sim.now + 1.0
+        if from_event:
+            sim.schedule_at(t, fn, sim, ps, nodes, notes)
+        else:
+            sim.run(until=t)
+            fn(sim, ps, nodes, notes)
+        sim.run(until=end)
+    return script
+
+
+@pytest.mark.parametrize("from_event", [True, False], ids=["event", "between-runs"])
+def test_a_session_opened_while_the_poller_sleeps_is_listed_from_the_heap(
+        monkeypatch, from_event):
+    # the session's timeout is 5 s away, so only the intake proof stops the
+    # wake of cycle 7 from replaying past it
+    def open_at_rs1(sim, ps, nodes, notes):
+        nodes[1].open_session(CORR, b"GET k", notes.append)
+
+    script = pause_then(after_cycle_6(monkeypatch), open_at_rs1,
+                        from_event=from_event)
+    notes, listings = heap_driven_cycles(monkeypatch, script)
+    assert notes == [wire.encode_response(CORR, b"NIL")]
+    assert listings[:4] == [(1, 0, []), (1, 1, []), (7, 0, []), (7, 1, [CORR])]
+
+
+def sever_rs0_link(sim, ps, nodes, notes):
+    ps._links["rs0"].channel.close()
+
+
+def readdress_rs1(sim, ps, nodes, notes):
+    # a reset's record: rs1's slot under a new id, so it has no link yet
+    rs0, (_, address) = ps.table.children
+    ps.apply_update(AddressRecord("db", 2, (rs0, ("rs1b", address))))
+
+
+@pytest.mark.parametrize("change", [sever_rs0_link, readdress_rs1],
+                         ids=["severed-link", "new-record"])
+@pytest.mark.parametrize("from_event", [True, False], ids=["event", "between-runs"])
+def test_a_link_lost_before_the_wake_forces_a_heap_driven_cycle(
+        monkeypatch, change, from_event):
+    pause = pause_then(after_cycle_6(monkeypatch), change, from_event=from_event)
+
+    def script(sim, ps, nodes, notes):
+        pause(sim, ps, nodes, notes)
+        notes.append(sorted(ps._links))
+
+    notes, listings = heap_driven_cycles(monkeypatch, script)
+    assert notes == [["rs0", "rs1b" if change is readdress_rs1 else "rs1"]]
+    assert listings[:4] == [(1, 0, []), (1, 1, []), (7, 0, []), (7, 1, [])]
+
+
+def answer_first(kind, frame):
+    """A script step that makes rs0 answer the first poll message of `kind`
+    with `frame` itself, without handing that message to the RS."""
+    def rebind(sim, ps, nodes, notes):
+        answered = []
+
+        class RsView:
+            def __init__(self, channel):
+                self.channel = channel
+
+            def __getattr__(self, name):
+                return getattr(self.channel, name)
+
+            def on_message(self, fn):
+                def guarded(data):
+                    if not answered and data[0] == kind:
+                        answered.append(sim.now)
+                        self.channel.send(frame)
+                        return
+                    fn(data)
+                self.channel.on_message(guarded)
+
+        ps.provider.bind("rs0", 3306, on_channel=lambda channel:
+                         nodes[0].on_poll_channel(RsView(channel)))
+    return rebind
+
+
+@pytest.mark.parametrize("rebind", [
+    answer_first(wire.POLL_LIST, wire.POLL_ACK_FRAME),
+    answer_first(wire.POLL_DELIVER, wire.encode_poll_listing([])),
+], ids=["ack-for-a-listing", "listing-for-an-ack"])
+def test_a_reply_of_the_wrong_kind_keeps_the_next_cycle_on_the_heap(monkeypatch,
+                                                                    rebind):
+    # cycle 1 leaves rs0 holding its session over a link still open: only
+    # the count of listings or of acks shows that it was not emptied
+    def script(sim, ps, nodes, notes):
+        rebind(sim, ps, nodes, notes)
+        nodes[0].open_session(CORR, b"GET k", notes.append)
+        run_one_second(sim, ps, nodes, notes)
+
+    notes, listings = heap_driven_cycles(monkeypatch, script)
+    assert (2, 0, [CORR]) in listings
+    assert notes == [wire.encode_response(CORR, b"NIL")]
 
 
 def garble_one_poll_message(sim, node, t0, *, inbound):
