@@ -359,9 +359,11 @@ class CloudProvider:
 
     # -- rules ----------------------------------------------------------------
 
-    def _check_endpoint(self, node: str) -> None:
-        if node != PUBLIC_INTERNET and node not in self.instances:
-            raise UnknownInstance(node)
+    def _check_endpoints(self, rules) -> None:
+        for rule in rules:
+            for node in (rule.src, rule.dst):
+                if node != PUBLIC_INTERNET and node not in self.instances:
+                    raise UnknownInstance(node)
 
     def _revoke(self, rule: FirewallRule) -> None:
         self.rules.discard(rule)
@@ -373,9 +375,7 @@ class CloudProvider:
                       grant: list[FirewallRule]) -> None:
         """One atomic security-group transaction: revokes, in the given
         order, plus grants.  Every grant is checked before anything changes."""
-        for rule in grant:
-            self._check_endpoint(rule.src)
-            self._check_endpoint(rule.dst)
+        self._check_endpoints(grant)
         for rule in revoke:
             self._revoke(rule)
         self.rules.update(grant)
@@ -384,13 +384,9 @@ class CloudProvider:
                               "granted": [[r.src, r.dst, r.port] for r in sorted(grant)]})
 
     def apply_rules(self, rules: frozenset[FirewallRule]) -> None:
-        """Wholesale replacement of the rule table (initial deployment)."""
-        for rule in rules:
-            self._check_endpoint(rule.src)
-            self._check_endpoint(rule.dst)
-        for gone in sorted(self.rules - rules):
-            self._revoke(gone)
-        self.rules |= rules
+        """Install a new deployment's rule table: there is no traffic to sever."""
+        self._check_endpoints(rules)
+        self.rules = set(rules)
         self.log.emit(self.sim.now, "rules.applied", instance=None,
                       detail={"count": len(self.rules)})
 
@@ -447,15 +443,9 @@ class CloudProvider:
         return future
 
     def _deliver_request(self, ex: Exchange, data: bytes) -> None:
-        if ex.dead:
-            return
+        # terminate_instance, the only unbind, cancels this delivery
         ex._pending = None
-        handler = self._handlers.get((ex.dst, ex.port))
-        if handler is None or handler["request"] is None:
-            self._finish_exchange(ex)
-            ex.future.reject(ConnectionRefused(f"{ex.dst}:{ex.port} endpoint gone"))
-            return
-        handler["request"](ex, data)
+        self._handlers[(ex.dst, ex.port)]["request"](ex, data)
 
     def respond(self, ex: Exchange, data: bytes) -> None:
         """Called by the destination node to answer an exchange."""
@@ -464,8 +454,6 @@ class CloudProvider:
         ex._pending = self.sim.schedule(self.hop_latency(), self._deliver_reply, ex, data)
 
     def _deliver_reply(self, ex: Exchange, data: bytes) -> None:
-        if ex.dead:
-            return
         self._finish_exchange(ex)
         ex.future.resolve(data)
 
@@ -498,14 +486,9 @@ class CloudProvider:
         if channel.state != "open":
             future.reject(SessionSevered("channel severed during open"))
             return
+        # terminate_instance, the only unbind, severs the channel
         accepted = channel.peer
-        handler = self._handlers.get((accepted.node, channel.port))
-        if handler is None or handler["channel"] is None:
-            accepted.close()
-            future.reject(ConnectionRefused(
-                f"{accepted.node}:{channel.port} endpoint gone"))
-            return
-        handler["channel"](accepted)
+        self._handlers[(accepted.node, channel.port)]["channel"](accepted)
         self.sim.schedule(self.hop_latency(), self._channel_ready, channel, future)
 
     def _channel_ready(self, channel: Channel, future: Future) -> None:

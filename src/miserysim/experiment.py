@@ -33,6 +33,8 @@ from .reporting import is_int, is_number
 from .sim import Future, Simulation
 from .topology import HTTP, PUBLIC_INTERNET, MiseryDigraphSpec, build_misery_digraph
 
+DRAIN = 2.0    # the run goes on u + DRAIN seconds after the client stops
+
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -122,6 +124,12 @@ class ExperimentConfig:
         if not isinstance(self.latency, LatencyModel):
             raise ConfigError("latency must be a LatencyModel")
         self.latency.validate()
+        # with zero hop latency a poller sleeping m <= ulp(t) / 2 wakes at t
+        # forever; a run ends by provisioning + j + u + think, then u + DRAIN
+        last = (self.latency.provisioning + self.j + 2 * self.u
+                + self.request_interval + DRAIN)
+        if not self.m > math.ulp(last) / 2:
+            raise ConfigError(f"poll interval m={self.m} stalls the clock at t={last}")
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "k": self.k, "j": self.j, "r": self.r,
@@ -142,10 +150,7 @@ class ExperimentConfig:
         kwargs = dict(doc)
         if "latency" in kwargs:
             kwargs["latency"] = LatencyModel.from_json_dict(kwargs["latency"])
-        try:
-            return cls(**kwargs)
-        except TypeError as err:
-            raise ConfigError(str(err)) from err
+        return cls(**kwargs)
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         return replace(self, **{k: v for k, v in overrides.items() if v is not None})
@@ -357,9 +362,9 @@ def run_experiment(cfg: ExperimentConfig, *,
     load_task = sim.spawn(load.run())
 
     sim.run_until(load_task.future, pace=cfg.compress)
-    sim.run(until=sim.now + cfg.u + 2.0)
+    sim.run(until=sim.now + cfg.u + DRAIN)
 
-    consistency = deployment.consistency_check() if cfg.d != 0 else []
+    consistency = deployment.consistency_check()
     report = reporting.metrics_from_records(log.records)
     log.emit(sim.now, "experiment.summary", metrics=report.to_json_dict(),
              consistency=list(consistency),

@@ -15,6 +15,9 @@ provider (and with it the run's clock, event log and counters) and the
 Address Server.  Its draws come from the simulation's "movement" stream,
 through one switch_drawer bound to the deployed shape; the attacker replay
 draws its cycles from the same drawer.
+
+Address pushes are not retried: every owner a cycle pushes to is registered,
+and every child id stays in provider.instances, so an update cannot fail.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .deploy import MDG_TAGS, image_for_layer
-from .errors import CloudError, NoEligibleLayer, UnknownOwner
+from .errors import CloudError, NoEligibleLayer
 from .topology import (
     MiseryDigraph,
     MiseryDigraphSpec,
@@ -121,7 +124,6 @@ class MovementManager:
         self._draw = switch_drawer(deployment.digraph.spec,
                                    self.sim.rng("movement"))
         self._generation: dict[tuple[int, int], int] = {}
-        self._retry_owners: set[str] = set()
         self.cycle_no = 0
 
     # -- scheduling --------------------------------------------------------
@@ -140,16 +142,11 @@ class MovementManager:
             yield from self._cycle()
             next_t = max(next_t + self.r, self.sim.now)
 
-    def trigger(self):
-        """Run one cycle immediately; returns the task future (for tests)."""
-        return self.sim.spawn(self._cycle()).future
-
     # -- the cycle -----------------------------------------------------------
 
     def _cycle(self):
         self.cycle_no += 1
         cycle = self.cycle_no
-        self._flush_retries()
         digraph = self.deployment.digraph
         try:
             op = switch_op(digraph, *self._draw())
@@ -242,21 +239,10 @@ class MovementManager:
         if layer == digraph.d:
             owners.append(digraph.target)
         yield self.provider.api_latency()
-        versions: dict[str, int] = {}
-        for owner in owners:
-            version = self._update_owner(owner)
-            if version is not None:
-                versions[owner] = version
-        return versions
+        return {owner: self._update_owner(owner) for owner in owners}
 
-    def _update_owner(self, owner: str) -> int | None:
-        try:
-            record = self.addresses.update(owner, self.deployment.child_entries(owner))
-        except (UnknownOwner, CloudError):
-            self._retry_owners.add(owner)
-            self.counters["propagation_retries"] += 1
-            return None
-        return record.version
+    def _update_owner(self, owner: str) -> int:
+        return self.addresses.update(owner, self.deployment.child_entries(owner)).version
 
     def _repair_layer_tables(self, layer: int) -> None:
         """After an abort, whatever steps did apply are already in
@@ -270,11 +256,3 @@ class MovementManager:
         below = digraph.layer(layer) if layer < digraph.d else (digraph.target,)
         for owner in digraph.layer(layer - 1) + below:
             self._update_owner(owner)
-
-    def _flush_retries(self) -> None:
-        retries, self._retry_owners = self._retry_owners, set()
-        digraph = self.deployment.digraph
-        known = set(digraph.all_nodes())
-        for owner in sorted(retries):
-            if owner in known:
-                self._update_owner(owner)

@@ -259,7 +259,7 @@ class _PollLink:
         channel.on_error(self.fail)
 
     def _on_message(self, data: bytes) -> None:
-        if data == _EMPTY_LISTING:
+        if data == wire.POLL_EMPTY_LISTING_FRAME:
             events = _EMPTY_LISTING_EVENTS
         else:
             try:
@@ -288,8 +288,6 @@ class _PollLink:
         self.channel.send(frame)
 
 
-# an idle RS answers every list ask with this one message
-_EMPTY_LISTING = wire.encode_poll_listing([])
 _EMPTY_LISTING_EVENTS = (("listing", ()),)
 
 

@@ -164,12 +164,12 @@ _U32 = struct.Struct("!I")
 POLL_LIST_FRAME = bytes((POLL_LIST,))
 
 # an idle RS answers every list ask with this one frame
-_EMPTY_LISTING = _POLL_LISTING_HEAD.pack(POLL_LISTING, 0)
+POLL_EMPTY_LISTING_FRAME = _POLL_LISTING_HEAD.pack(POLL_LISTING, 0)
 
 
 def encode_poll_listing(entries: list[tuple[bytes, bytes]]) -> bytes:
     if not entries:
-        return _EMPTY_LISTING
+        return POLL_EMPTY_LISTING_FRAME
     parts = [_POLL_LISTING_HEAD.pack(POLL_LISTING, len(entries))]
     for corr, payload in entries:
         parts.append(_REQ_HEAD.pack(corr, len(payload)))

@@ -214,7 +214,7 @@ def test_transformation_cycles_preserve_isomorphism(capsys):
 
     problems: list[str] = []
     for cycle in range(100):
-        sim.run_until(manager.trigger())
+        sim.run_until(sim.spawn(manager._cycle()).future)
         sim.run(until=sim.now + 4.0)   # notifications and pool replenishment
         digraph = deployment.digraph
         digraph.validate()

@@ -14,6 +14,7 @@ import pytest
 import miserysim
 from miserysim.cli import main
 from miserysim.movement import MovementManager
+from miserysim.multicaster import MulticasterNode
 from miserysim.topology import MiseryDigraph
 
 
@@ -159,6 +160,24 @@ def test_a_crashing_movement_cycle_ends_the_run(tmp_path, capsys, monkeypatch):
     assert "runtime failure: RuntimeError: switch failed" in capsys.readouterr().err
 
 
+def test_a_run_whose_sweep_finds_stale_tables_exits_three(tmp_path, capsys,
+                                                       monkeypatch):
+    # multicasters that drop their address pushes keep routing on the tables
+    # the cycles replaced, and the end-of-run sweep reports each one
+    monkeypatch.setattr(MulticasterNode, "apply_update", lambda self, record: None)
+    assert main(["run", "--d", "3", "--k", "2", "--j", "30", "--r", "10",
+                 "--outdir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    problems = captured.err.splitlines()
+    assert problems and all(line.startswith("consistency: ") for line in problems)
+    assert any(": table " in line for line in problems)
+    lines = (tmp_path / "events.jsonl").read_text().splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["kind"] == "experiment.summary"
+    assert summary["consistency"] == [line[len("consistency: "):]
+                                      for line in problems]
+
+
 def run_cli_process(args: list[str]) -> subprocess.CompletedProcess:
     """`python -m miserysim` in a child process, so that a run which never
     returns fails on its timeout instead of stalling the suite."""
@@ -177,6 +196,24 @@ def test_run_rejects_non_finite_durations(tmp_path, flag, value):
                             flag, value, "--outdir", str(tmp_path)])
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "error:" in proc.stderr
+    assert not (tmp_path / "events.jsonl").exists()
+
+
+def test_python_m_miserysim_runs_the_cli():
+    proc = run_cli_process(["build", "--d", "2", "--k", "2"])
+    assert proc.returncode == 0, proc.stderr
+    digraph = MiseryDigraph.from_json_dict(json.loads(proc.stdout))
+    assert [len(digraph.layer(i)) for i in (1, 2)] == [1, 2]
+
+
+def test_run_rejects_a_poll_interval_that_would_stall_the_clock(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"d": 2, "k": 2, "j": 10, "m": 1e-14,
+                                    "latency": {"hop": [0.0, 0.0]}}))
+    proc = run_cli_process(["run", "--config", str(cfg_path),
+                            "--outdir", str(tmp_path)])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "error: poll interval m=1e-14" in proc.stderr
     assert not (tmp_path / "events.jsonl").exists()
 
 
@@ -285,6 +322,18 @@ def test_report_rejects_a_line_that_is_not_json(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"bad events file {events}, line 2:" in err
     assert "runtime failure" not in err
+
+
+def test_report_rejects_a_line_that_is_json_but_not_an_object(tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"t": 0.0, "kind": "experiment.config", "config": {}}\n'
+                      '[1.0, "request.done"]\n', encoding="utf-8")
+    assert main(["report", "--events", str(events),
+                 "--outdir", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad events file {events}, line 2: not a JSON object" in err
+    assert "runtime failure" not in err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_rejects_a_record_without_a_reported_field(tmp_path, capsys):

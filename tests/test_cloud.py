@@ -309,6 +309,51 @@ def test_terminating_an_endpoint_severs_its_channels():
     assert len(errors) == 1
 
 
+# terminate_instance unbinds the destination and severs its traffic in the
+# same event, so a frame in flight never reaches a missing handler: the
+# opener hears SessionSevered from the sever path, never a refusal
+
+def test_terminating_the_destination_severs_an_exchange_in_flight():
+    sim, provider = make_provider(hop_latency=(0.01, 0.01))
+    running_instance(sim, provider, instance_id="a")
+    b = running_instance(sim, provider, instance_id="b")
+    grant(provider, ("a", "b", 80))
+    delivered = []
+    provider.bind("b", 80, on_request=lambda ex, data: delivered.append(data))
+    fut = provider.request("a", b.address, 80, b"x")
+    sim.run(until=sim.now + 0.005)    # the request is half a hop out
+    provider.terminate_instance("b")
+    sim.run(until=sim.now + 1)
+    assert delivered == []
+    assert isinstance(fut.exception(), SessionSevered)
+    assert str(fut.exception()) == "instance b terminated"
+    assert provider.counters["severed"] == 1
+    assert provider.counters["refused"] == 0
+
+
+@pytest.mark.parametrize("wait, accepted_ends", [(0.005, 0), (0.015, 1)],
+                         ids=["before-accept", "before-ready"])
+def test_terminating_the_destination_severs_a_channel_being_opened(wait,
+                                                                   accepted_ends):
+    # one hop after the open the destination accepts, one more and the
+    # opener's end is ready
+    sim, provider = make_provider(hop_latency=(0.01, 0.01))
+    running_instance(sim, provider, instance_id="a")
+    b = running_instance(sim, provider, instance_id="b")
+    grant(provider, ("a", "b", 3306))
+    accepted = []
+    provider.bind("b", 3306, on_channel=accepted.append)
+    fut = provider.open_channel("a", b.address, 3306)
+    sim.run(until=sim.now + wait)
+    provider.terminate_instance("b")
+    sim.run(until=sim.now + 1)
+    assert len(accepted) == accepted_ends
+    assert isinstance(fut.exception(), SessionSevered)
+    assert str(fut.exception()) == "channel severed during open"
+    assert [ch.state for ch in provider.channels] == ["severed"]
+    assert provider.counters["refused"] == 0
+
+
 def test_severance_cuts_exchanges_then_channels_in_order(monkeypatch):
     sim, provider = make_provider()
     running_instance(sim, provider, instance_id="a")

@@ -78,6 +78,25 @@ def test_config_rejects_bad_durations_and_counts():
             ExperimentConfig(**overrides).validate()
 
 
+def test_config_rejects_a_poll_interval_the_clock_cannot_add():
+    # with zero hop latency a poll cycle takes no time, so an m below half
+    # an ulp of t=300 would wake the poller at one instant forever
+    with pytest.raises(ConfigError, match="poll interval"):
+        ExperimentConfig(d=2, k=2, j=10, m=1e-14,
+                         latency=LatencyModel(hop=(0.0, 0.0))).validate()
+    ExperimentConfig(d=2, k=2, j=10, m=1e-12,
+                     latency=LatencyModel(hop=(0.0, 0.0))).validate()
+
+
+@pytest.mark.parametrize("shape", [
+    {}, dict(j=600.0, request_interval=0.77),
+    dict(d=5, k=3, j=300.0, request_interval=0.77),
+    dict(d=4, k=2, r=5.0, s=64, j=600.0, request_interval=0.83),
+], ids=["default", "steady", "wide", "churn"])
+def test_the_default_and_the_benchmark_shapes_validate(shape):
+    ExperimentConfig(**shape).validate()
+
+
 def test_config_file_rejects_wrongly_typed_values():
     for doc in ({"hop": 5}, {"api": [0.1]}, {"notify": [0.5, "1"]},
                 {"hop": [0, True]}, {"provisioning": "300"}):

@@ -54,7 +54,7 @@ def settle(env, extra: float = 2.0) -> None:
 
 
 def run_one_cycle(env) -> None:
-    env.sim.run_until(env.manager.trigger())
+    env.sim.run_until(env.sim.spawn(env.manager._cycle()).future)
 
 
 # --- schedule and selection --------------------------------------------------

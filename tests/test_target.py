@@ -358,6 +358,18 @@ def watch_poll_messages(provider, node, hook):
                   on_channel=lambda channel: node.on_poll_channel(RsView(channel)))
 
 
+def heap_driven_wake_at(sim, ps, t0):
+    """Run the poller's first wake from t0 on from the heap.  A replayed
+    cycle's messages skip the RSs' channel views; a heap-driven cycle's pass
+    through them.  The event at t0 also ends any replay there, since a
+    replay stops before the next due event."""
+    def from_the_heap():
+        del ps._proven_idle    # later wakes prove idle cycles again
+        return False
+
+    sim.schedule_at(t0, setattr, ps, "_proven_idle", from_the_heap)
+
+
 def test_dropping_a_link_with_an_ask_in_flight_does_not_stall_the_poller():
     sim, provider, ps, nodes, store, _ = poll_fixture(n_rs=2)
     keep = AddressRecord("db", 2, (("rs1", provider.instance("rs1").address),))
@@ -370,9 +382,9 @@ def test_dropping_a_link_with_an_ask_in_flight_does_not_stall_the_poller():
             sim.schedule(0.0, ps.apply_update, keep)
 
     watch_poll_messages(provider, nodes[0], drop_rs0_on_its_next_ask)
-    # an event at t0 ends the idle dialogue's run off the heap, so the next
-    # ask passes through rs0's on_message
-    sim.schedule_at(t0, lambda: None)
+    # replayed cycles would keep rs0's on_message from seeing an ask until
+    # the last cycle before the run stops, about t0 + 0.4985
+    heap_driven_wake_at(sim, ps, t0)
     ps.start()
     sim.run(until=sim.now + 1.0)
     assert dropped, "no list ask reached rs0 after t0"
@@ -604,8 +616,32 @@ def test_the_wake_after_a_fully_delivered_cycle_replays(monkeypatch):
 # the sleep after cycle 6 of a second of polling two idle RSs: cycles 2 to
 # 6 are replayed from the wake of cycle 2, and cycle 7 wakes after it
 def after_cycle_6(monkeypatch):
-    messages = heap_driven_messages(monkeypatch)
-    return (messages[23][1] + messages[24][0]) / 2
+    """The middle of that sleep in a heap-driven run: between the last poll
+    message of cycle 6 arriving and the first of cycle 7 leaving."""
+    def script(sim, ps, nodes, notes):
+        arrival = ps.provider.channel_arrival
+
+        def noted(to, sent):
+            at = arrival(to, sent)
+            notes.append((ps.cycle_no, sent, at))
+            return at
+
+        ps.provider.channel_arrival = noted
+        run_one_second(sim, ps, nodes, notes)
+
+    notes = poll_two_idle_rss(monkeypatch, script, heap_driven=True)[0]
+    end = max(at for cycle, _, at in notes if cycle == 6)
+    wake = min(sent for cycle, sent, _ in notes if cycle == 7)
+    return (end + wake) / 2
+
+
+def by_cycle(listings, count):
+    """The first `count` cycles that listed, each with its (RS index, listed
+    ids) pairs sorted: RSs polled at once may answer in either order."""
+    cycles: dict[int, list] = {}
+    for cycle, index, ids in listings:
+        cycles.setdefault(cycle, []).append((index, ids))
+    return [(cycle, sorted(pairs)) for cycle, pairs in cycles.items()][:count]
 
 
 def pause_then(t, fn, *, from_event):
@@ -634,7 +670,8 @@ def test_a_session_opened_while_the_poller_sleeps_is_listed_from_the_heap(
                         from_event=from_event)
     notes, listings = heap_driven_cycles(monkeypatch, script)
     assert notes == [wire.encode_response(CORR, b"NIL")]
-    assert listings[:4] == [(1, 0, []), (1, 1, []), (7, 0, []), (7, 1, [CORR])]
+    assert by_cycle(listings, 2) == [(1, [(0, []), (1, [])]),
+                                     (7, [(0, []), (1, [CORR])])]
 
 
 def sever_rs0_link(sim, ps, nodes, notes):
@@ -749,9 +786,9 @@ def test_poller_survives_a_broken_poll_channel(inbound):
     on_channel, fired, opened = garble_one_poll_message(
         sim, nodes[0], sim.now + 0.5, inbound=inbound)
     provider.bind("rs0", 3306, on_channel=on_channel)
-    # an event at t0 ends the idle dialogue's run off the heap, so the next
-    # message passes through rs0's channel view
-    sim.schedule_at(sim.now + 0.5, lambda: None)
+    # replayed cycles would keep every message out of rs0's channel view
+    # until the last cycle before the run stops, about t0 + 0.4985
+    heap_driven_wake_at(sim, ps, sim.now + 0.5)
     ps.start()
     sim.run(until=sim.now + 1.0)
     assert fired, "no poll message crossed the channel after t0"

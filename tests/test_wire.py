@@ -16,6 +16,7 @@ from miserysim.wire import (
     HS_OK,
     MAX_PAYLOAD,
     POLL_ACK_FRAME,
+    POLL_EMPTY_LISTING_FRAME,
     POLL_LIST_FRAME,
     TYPE_ERROR,
     TYPE_REQUEST,
@@ -191,6 +192,8 @@ def test_poll_list_and_empty_listing_bytes_are_pinned():
     # the prebuilt frames are immutable bytes, so sharing them is safe
     assert type(POLL_LIST_FRAME) is bytes
     assert type(encode_poll_listing([])) is bytes
+    # the poller compares replies with the one frame every idle RS sends
+    assert encode_poll_listing([]) is POLL_EMPTY_LISTING_FRAME
 
 
 POLL_ENTRIES = [(CORR, b"GET a"), (bytes(16), b"PUT b c")]
