@@ -47,26 +47,25 @@ def attack_digraph(d: int, k: int) -> MiseryDigraph:
     return build_misery_digraph(MiseryDigraphSpec(d, k))
 
 
-def _checked_spec(d: int, k: int, hop_time: float,
-                  r: float | None) -> MiseryDigraphSpec:
+def _checked_spec(d: int, k: int, hop_time: float, r: float | None,
+                  horizon: float) -> MiseryDigraphSpec:
     # a period or hop that is not finite and > 0 hangs the walk or times it
-    # wrong: an infinite hop makes the default horizon infinite too
+    # wrong: an infinite hop makes the default horizon infinite too.  An r
+    # <= ulp(horizon) / 2 can stop next_move += r short of the horizon.
     if not (hop_time > 0 and math.isfinite(hop_time)):
         raise ValueError(f"hop_time must be finite and > 0, got {hop_time}")
-    if r is not None and not (r > 0 and math.isfinite(r)):
-        raise ValueError(f"movement period r must be None or finite and > 0, "
-                         f"got {r}")
+    if r is not None and not (r > math.ulp(horizon) / 2 and math.isfinite(r)):
+        raise ValueError(f"movement period r must be None or finite and "
+                         f"above half an ulp of the horizon {horizon}, got {r}")
     return MiseryDigraphSpec(d, k)
 
 
 def _walk(spec: MiseryDigraphSpec, hop_time: float, strategy: Strategy,
-          r: float | None, seed: int, horizon: float | None) -> float:
+          r: float | None, seed: int, horizon: float) -> float:
     d, k = spec.d, spec.k
     draw = switch_drawer(spec, random.Random(f"{seed}/movement"))
     pick = random.Random(f"{seed}/attack").randrange
     depth_first = strategy is Strategy.DEPTH_FIRST
-    if horizon is None:
-        horizon = 500.0 * hop_time
 
     def choose(slot: int) -> int:
         """The slot of the child to attack next, one layer down."""
@@ -110,16 +109,18 @@ def simulate_one(d: int, k: int, *, hop_time: float, strategy: Strategy,
                  r: float | None, seed: int,
                  horizon: float | None = None) -> float:
     """Time for one attacker to compromise a layer-d node; inf if the
-    horizon passes first.  r=None runs against a static digraph."""
-    return _walk(_checked_spec(d, k, hop_time, r), hop_time, strategy, r,
-                 seed, horizon)
+    horizon (default 500 hops) passes first.  r=None: a static digraph."""
+    return simulate_attacker(d, k, hop_time=hop_time, strategy=strategy, r=r,
+                             seeds=range(seed, seed + 1), horizon=horizon)[0]
 
 
 def simulate_attacker(d: int, k: int, *, hop_time: float, strategy: Strategy,
                       r: float | None, seeds: range,
                       horizon: float | None = None) -> list[float]:
     """simulate_one for each seed, with the arguments checked once."""
-    spec = _checked_spec(d, k, hop_time, r)
+    if horizon is None:
+        horizon = 500.0 * hop_time
+    spec = _checked_spec(d, k, hop_time, r, horizon)
     return [_walk(spec, hop_time, strategy, r, seed, horizon) for seed in seeds]
 
 

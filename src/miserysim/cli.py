@@ -148,14 +148,15 @@ def cmd_attack(args: argparse.Namespace) -> int:
     strategy = attacker_mod.Strategy(args.strategy)
     if args.r is not None and not math.isfinite(args.r):
         raise ConfigError("--r must be finite (omit it or pass <= 0 for static)")
-    if not (math.isfinite(args.hop) and args.hop > 0):
-        raise ConfigError("--hop must be finite and > 0")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     r = None if args.r is None or args.r <= 0 else args.r
-    times = attacker_mod.simulate_attacker(
-        args.d, args.k, hop_time=args.hop, strategy=strategy, r=r,
-        seeds=range(args.seeds))
+    try:
+        times = attacker_mod.simulate_attacker(
+            args.d, args.k, hop_time=args.hop, strategy=strategy, r=r,
+            seeds=range(args.seeds))
+    except ValueError as err:   # the replay's own check of --hop and --r
+        raise ConfigError(str(err)) from None
     doc = attacker_mod.summarize(times)
     doc.update({"d": args.d, "k": args.k, "hop_time": args.hop,
                 "r": r, "strategy": strategy.value})

@@ -9,6 +9,10 @@ acceptor the other, and each end sends to its peer.  Both check the
 firewall at the attempt instant; a later rule revocation or instance
 termination severs them, which is how transformation windows surface as
 failed requests.  The firewall holds topology.FirewallRule values.
+
+The registries hold only what is in flight: an exchange is live while it is
+a key of `_exchanges`, a pipe open while its opener end is a key of
+`channels`.  Both dicts keep insertion order, which severance walks.
 """
 
 from __future__ import annotations
@@ -61,15 +65,13 @@ class Instance:
 class Exchange:
     """One request frame and one reply frame between two endpoints."""
 
-    __slots__ = ("seq", "src", "dst", "port", "future", "dead", "_pending")
+    __slots__ = ("src", "dst", "port", "future", "_pending")
 
-    def __init__(self, seq: int, src: str, dst: str, port: int, future: Future):
-        self.seq = seq
+    def __init__(self, src: str, dst: str, port: int, future: Future):
         self.src = src
         self.dst = dst
         self.port = port
         self.future = future
-        self.dead = False
         self._pending = None  # handle of the in-flight delivery event
 
 
@@ -122,6 +124,8 @@ class Channel:
         if self.state != "open":
             return
         self.state = self.peer.state = "closed"
+        channels = self._provider.channels
+        del channels[self if self in channels else self.peer]
         fn = self.peer._on_error
         if fn is not None:
             self._provider.sim.schedule(
@@ -139,6 +143,7 @@ class Channel:
     def _sever(self, reason: Exception) -> None:
         """Sever the pipe from the opener's end: this end hears it first."""
         self.state = self.peer.state = "severed"
+        del self._provider.channels[self]
         for end in (self, self.peer):
             if end._on_error is not None:
                 self._provider.sim.schedule(
@@ -181,41 +186,31 @@ class InstancePool:
                    if inst.state == InstanceState.RUNNING)
 
     def allocate(self, image: ImageKind) -> Future:
-        """Future resolving to a Running instance; instant on a pool hit."""
-        out = Future()
+        """The ready future of the instance handed out: already resolved on a
+        pool hit, the on-demand instance's own on a miss."""
         stock = self.available[image]
-        ready = None
+        inst = None
         while stock:
             candidate = stock.pop(0)
             if candidate.state == InstanceState.RUNNING:
-                ready = candidate
+                inst = candidate
                 break
-        if ready is not None:
-            ready.tags.pop("pool", None)
+        if inst is not None:
             self.provider.log.emit(self.provider.sim.now, "pool.allocate",
-                                   instance=ready.id,
+                                   instance=inst.id,
                                    detail={"image": image.value, "hit": True})
-            out.resolve(ready)
         else:
             self.provider.counters["pool_misses"] += 1
             self.provider.log.emit(self.provider.sim.now, "pool.allocate",
                                    instance=None,
                                    detail={"image": image.value, "hit": False})
-            on_demand = self._create(image)
-            on_demand.tags.pop("pool", None)
-
-            def _done(fut: Future, inst: Instance = on_demand) -> None:
-                if fut.failed:
-                    out.reject(fut.exception())
-                else:
-                    out.resolve(inst)
-
-            on_demand.ready.add_done_callback(_done)
+            inst = self._create(image)
+        inst.tags.pop("pool", None)
         # One replacement per consumed instance keeps the pool at its minimum;
         # an s=0 pool has no minimum to hold.
         if self.s > 0:
             self._create(image)
-        return out
+        return inst.ready
 
 
 def min_pool_requirements(running: dict[ImageKind, int], s: int) -> dict[ImageKind, int]:
@@ -262,9 +257,8 @@ class CloudProvider:
         self._by_address: dict[str, str] = {}
         self.rules: set[FirewallRule] = set()
         self._handlers: dict[tuple[str, int], dict] = {}
-        self._exchanges: dict[int, Exchange] = {}
-        self.channels: list[Channel] = []    # opener ends, in open order
-        self._seq = itertools.count(1)
+        self._exchanges: dict[Exchange, None] = {}
+        self.channels: dict[Channel, None] = {}    # open pipes' opener ends
         self._addr_seq = itertools.count(1)
         self.counters: Counter[str] = Counter()
         # requests every RS has registered: the poller's idle proof reads it,
@@ -437,8 +431,8 @@ class CloudProvider:
         inst, latency = self._admit(src, dst_address, port, "request", future)
         if inst is None:
             return future
-        ex = Exchange(next(self._seq), src, inst.id, port, future)
-        self._exchanges[ex.seq] = ex
+        ex = Exchange(src, inst.id, port, future)
+        self._exchanges[ex] = None
         ex._pending = self.sim.schedule(latency, self._deliver_request, ex, data)
         return future
 
@@ -449,7 +443,7 @@ class CloudProvider:
 
     def respond(self, ex: Exchange, data: bytes) -> None:
         """Called by the destination node to answer an exchange."""
-        if ex.dead:
+        if ex not in self._exchanges:
             return
         ex._pending = self.sim.schedule(self.hop_latency(), self._deliver_reply, ex, data)
 
@@ -458,11 +452,10 @@ class CloudProvider:
         ex.future.resolve(data)
 
     def _finish_exchange(self, ex: Exchange) -> None:
-        ex.dead = True
         if ex._pending is not None:
             ex._pending.cancel()
             ex._pending = None
-        self._exchanges.pop(ex.seq, None)
+        del self._exchanges[ex]
 
     # -- channels ------------------------------------------------------------------
 
@@ -473,12 +466,10 @@ class CloudProvider:
         inst, latency = self._admit(src, dst_address, port, "channel", future)
         if inst is None:
             return future
-        if len(self.channels) > 64:
-            self.channels = [c for c in self.channels if c.state == "open"]
         channel = Channel(self, src, port)
         channel.peer = Channel(self, inst.id, port)
         channel.peer.peer = channel
-        self.channels.append(channel)
+        self.channels[channel] = None
         self.sim.schedule(latency, self._accept_channel, channel, future)
         return future
 
@@ -519,11 +510,10 @@ class CloudProvider:
         """Cut every in-flight exchange, in insertion order, and then every
         open channel, in open order, whose (src, dst, port) is a hit.  Each
         cut draws a hop latency, so this order is part of the run."""
-        for ex in [e for e in self._exchanges.values() if hit(e.src, e.dst, e.port)]:
+        for ex in [e for e in self._exchanges if hit(e.src, e.dst, e.port)]:
             self._kill_exchange(ex, reason)
-        for ch in self.channels:
-            if ch.state == "open" and hit(ch.node, ch.peer.node, ch.port):
-                ch._sever(reason)
+        for ch in [c for c in self.channels if hit(c.node, c.peer.node, c.port)]:
+            ch._sever(reason)
 
     def _kill_exchange(self, ex: Exchange, reason: Exception) -> None:
         self._finish_exchange(ex)

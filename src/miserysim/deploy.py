@@ -24,7 +24,6 @@ from .addresses import AddressServer
 from .cloud import CloudProvider, ImageKind, min_pool_requirements
 from .errors import TopologyError
 from .multicaster import MulticasterNode
-from .sim import gather
 from .target import (
     AppServerNode,
     BackendStore,
@@ -75,7 +74,6 @@ class Deployment:
         self.digraph: MiseryDigraph | None = None
         self.runtimes: dict[str, object] = {}
         self.store = BackendStore()
-        self.ps: PollingServerNode | None = None
         self.entry_address: str | None = None
 
     # -- runtime construction ------------------------------------------------
@@ -123,7 +121,6 @@ class Deployment:
         ps = PollingServerNode(self.provider, target, self.store, m,
                                digraph.poll_services[0].port, table=record)
         self.addresses.subscribe(target, ps.apply_update)
-        self.ps = ps
         self.runtimes[target] = ps
         ps.start()
 
@@ -171,7 +168,8 @@ def deploy_misery(provider: CloudProvider, addresses: AddressServer,
 
     # spares provision in parallel with the topology, so waiting for them
     # costs nothing and completion means the pool holds its minimums
-    yield gather(ready + [inst.ready for inst in standbys])
+    for future in ready + [inst.ready for inst in standbys]:
+        yield future
 
     provider.apply_rules(derive_firewall_rules(digraph))
     for layer_no in range(1, digraph.d + 1):
@@ -197,7 +195,8 @@ def deploy_normal(provider: CloudProvider, addresses: AddressServer, *,
         inst = provider.create_instance(images[node], instance_id=node,
                                         tags={**NORMAL_TAGS, "role": roles[node]})
         ready.append(inst.ready)
-    yield gather(ready)
+    for future in ready:
+        yield future
 
     provider.apply_rules(frozenset({
         FirewallRule(PUBLIC_INTERNET, web, HTTP.port),

@@ -125,11 +125,15 @@ class ExperimentConfig:
             raise ConfigError("latency must be a LatencyModel")
         self.latency.validate()
         # with zero hop latency a poller sleeping m <= ulp(t) / 2 wakes at t
-        # forever; a run ends by provisioning + j + u + think, then u + DRAIN
+        # forever, and so does a movement loop of skipped cycles (they take
+        # no time) at r <= ulp(t) / 2; a run ends by provisioning + j + u +
+        # think, then u + DRAIN
         last = (self.latency.provisioning + self.j + 2 * self.u
                 + self.request_interval + DRAIN)
-        if not self.m > math.ulp(last) / 2:
-            raise ConfigError(f"poll interval m={self.m} stalls the clock at t={last}")
+        for name, what in (("m", "poll interval"), ("r", "movement period")):
+            value = getattr(self, name)
+            if not value > math.ulp(last) / 2:
+                raise ConfigError(f"{what} {name}={value} stalls the clock at t={last}")
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "k": self.k, "j": self.j, "r": self.r,
@@ -239,7 +243,6 @@ class LoadGenerator:
         self.log = provider.log
         self.workload = workload
         self.replay = replay
-        self.issued = 0
 
     def run(self):
         cfg = self.cfg
@@ -273,9 +276,9 @@ class LoadGenerator:
                           response=body.decode("utf-8", "replace"))
             if self.workload is not None:
                 self.workload.record_outcome(i, processed)
-            self.issued = i = i + 1
+            i += 1
             yield cfg.request_interval
-        return self.issued
+        return i
 
     def _await(self, future: Future):
         """Race the reply against the client timeout u."""

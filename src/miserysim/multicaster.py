@@ -21,10 +21,11 @@ from .errors import ProtocolViolation
 
 class _Job:
     """One in-flight request at this node: its fan-out bookkeeping.  The
-    first successful child reply answers it, inside its own delivery."""
+    first successful child reply answers it, inside its own delivery; an
+    error answers it once its `pending` children have all failed."""
 
     __slots__ = ("node", "corr", "respond", "deadline_handle", "decided",
-                 "fanout", "failures")
+                 "pending")
 
     def __init__(self, node: "MulticasterNode", corr: bytes, respond) -> None:
         self.node = node
@@ -32,8 +33,7 @@ class _Job:
         self.respond = respond
         self.deadline_handle = None
         self.decided = False
-        self.fanout = 0
-        self.failures = 0
+        self.pending = 0
 
     def child_done(self, fut) -> None:
         """A child's exchange settled: a response frame answers the job,
@@ -52,8 +52,8 @@ class _Job:
         self.node.counters["child_failures"] += 1
         if self.decided:
             return
-        self.failures += 1
-        if self.failures >= self.fanout:
+        self.pending -= 1
+        if self.pending == 0:
             self._finish_error(b"no-upstream")
 
     def timed_out(self) -> None:
@@ -146,7 +146,7 @@ class MulticasterNode:
             self.counters["no_children"] += 1
             job._finish_error(b"no-children")
             return
-        job.fanout = len(children)
+        job.pending = len(children)
         frame = wire.encode_request(corr, payload)
         futures = [self.provider.request(self.id, address, port, frame)
                    for _, address in children]

@@ -3,9 +3,10 @@
 A single virtual clock, a binary-heap event queue, deterministic named RNG
 streams, and a small cooperative-task layer (generators yielding delays,
 futures, or None to park until resumed) that the node runtimes are written
-against.  Determinism contract: identical seed and identical call sequence
-produce identical event order; ties at the same instant run in schedule
-order.
+against.  A task waits on one future at a time; there is no combinator, so
+a task that needs several results yields their futures one after another.
+Determinism contract: identical seed and identical call sequence produce
+identical event order; ties at the same instant run in schedule order.
 
 Each heap entry is a `(t, seq, handle)` tuple, as the heapq documentation's
 recipe has it: tuples compare in C, and `seq` is unique, so a comparison is
@@ -107,32 +108,6 @@ class Future:
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(self)
-
-
-def gather(futures: list[Future]) -> Future:
-    """Future resolving to all results in order; rejects on the first failure."""
-    out = Future()
-    results: list = [None] * len(futures)
-    remaining = len(futures)
-    if remaining == 0:
-        out.resolve(results)
-        return out
-
-    def make_cb(index: int):
-        def cb(fut: Future) -> None:
-            nonlocal remaining
-            if fut.failed:
-                out.reject(fut.exception())
-                return
-            results[index] = fut.result()
-            remaining -= 1
-            if remaining == 0:
-                out.resolve(results)
-        return cb
-
-    for index, fut in enumerate(futures):
-        fut.add_done_callback(make_cb(index))
-    return out
 
 
 class Task:

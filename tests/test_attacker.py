@@ -172,6 +172,17 @@ def test_replay_rejects_a_period_that_is_not_positive_and_finite(r):
                      r=r, seed=0)
 
 
+@pytest.mark.parametrize("hop_time, r", [(1.0, 1e-300), (1e20, 0.5),
+                                         (1e307, 0.5)],
+                         ids=["tiny-period", "huge-hop", "horizon-overflows"])
+def test_replay_rejects_a_period_the_horizon_cannot_add(hop_time, r):
+    # once next_move + r == next_move below the horizon (500 hops) the walk
+    # never ends; at a hop of 1e307 the horizon itself overflows to inf
+    with pytest.raises(ValueError, match="ulp"):
+        attacker._checked_spec(3, 2, hop_time, r, 500.0 * hop_time)
+    attacker._checked_spec(3, 2, hop_time, None, 500.0 * hop_time)
+
+
 @pytest.mark.parametrize("hop_time", [0.0, -1.0, math.inf, math.nan])
 def test_replay_rejects_a_hop_that_is_not_positive_and_finite(hop_time):
     # an infinite hop made the default horizon infinite too, so the walk hung;

@@ -217,6 +217,21 @@ def test_run_rejects_a_poll_interval_that_would_stall_the_clock(tmp_path):
     assert not (tmp_path / "events.jsonl").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--j", "20", "--r", "1e-300", "--s", "2"],
+    ["attack", "--d", "3", "--k", "2", "--r", "1e-300", "--seeds", "1"],
+    ["attack", "--d", "3", "--k", "2", "--r", "0.5", "--hop", "1e20",
+     "--seeds", "1"],
+], ids=["run", "attack", "attack-huge-hop"])
+def test_a_movement_period_that_stalls_the_clock_is_a_config_error(tmp_path,
+                                                                    args):
+    proc = run_cli_process(args + (["--outdir", str(tmp_path)]
+                                   if args[0] == "run" else []))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == "" and "error: movement period r" in proc.stderr
+    assert not (tmp_path / "events.jsonl").exists()
+
+
 # json reads NaN and Infinity, so a config file can carry them too, and a
 # wrongly typed value must be a config error, not a crash inside the run
 @pytest.mark.parametrize("extra", [

@@ -350,8 +350,46 @@ def test_terminating_the_destination_severs_a_channel_being_opened(wait,
     assert len(accepted) == accepted_ends
     assert isinstance(fut.exception(), SessionSevered)
     assert str(fut.exception()) == "channel severed during open"
-    assert [ch.state for ch in provider.channels] == ["severed"]
+    assert provider.channels == {}    # the severed pipe left the registry
     assert provider.counters["refused"] == 0
+
+
+def test_channel_registry_holds_open_pipes_only():
+    sim, provider = make_provider()
+    running_instance(sim, provider, instance_id="a")
+    b = running_instance(sim, provider, instance_id="b")
+    grant(provider, ("a", "b", 3306), ("a", "b", 3307))
+    provider.bind("b", 3306, on_channel=lambda end: None)
+    provider.bind("b", 3307, on_channel=lambda end: None)
+    closed, kept, severed = (
+        sim.run_until(provider.open_channel("a", b.address, port))
+        for port in (3306, 3306, 3307))
+    closed.peer.close()
+    revoke(provider, ("a", "b", 3307))
+    assert (closed.state, kept.state, severed.state) == ("closed", "open", "severed")
+    assert list(provider.channels) == [kept]
+
+
+def test_respond_on_a_cut_exchange_schedules_nothing(monkeypatch):
+    sim, provider = make_provider()
+    running_instance(sim, provider, instance_id="a")
+    b = running_instance(sim, provider, instance_id="b")
+    grant(provider, ("a", "b", 80))
+    held = []
+    provider.bind("b", 80, on_request=lambda ex, data: held.append(ex))
+    fut = provider.request("a", b.address, 80, b"x")
+    sim.run(until=sim.now + 0.01)
+    revoke(provider, ("a", "b", 80))
+
+    def forbidden(*args):
+        pytest.fail("respond on a cut exchange drew a hop or scheduled")
+
+    monkeypatch.setattr(provider, "hop_latency", forbidden)
+    monkeypatch.setattr(sim, "schedule_at", forbidden)
+    provider.respond(held[0], b"late")
+    monkeypatch.undo()
+    sim.run(until=sim.now + 1)
+    assert isinstance(fut.exception(), SessionSevered)
 
 
 def test_severance_cuts_exchanges_then_channels_in_order(monkeypatch):
@@ -409,6 +447,18 @@ def test_pool_miss_falls_back_to_on_demand():
     assert inst.state == InstanceState.RUNNING
     assert [r["detail"]["hit"] for r in provider.log.of_kind("pool.allocate")] == [False]
     assert provider.counters["pool_misses"] == 1
+
+
+def test_terminating_an_on_demand_instance_rejects_its_allocation():
+    sim, provider = make_provider()
+    pool = provider.configure_pool(0)
+    fut = pool.allocate(ImageKind.REQUESTS_SERVER)
+    (on_demand,) = provider.instances.values()
+    provider.terminate_instance(on_demand.id)
+    assert isinstance(fut.exception(), InvalidState)
+    sim.run(until=301)    # its provisioning event finds it terminated
+    assert on_demand.state == InstanceState.TERMINATED
+    assert pool.available[ImageKind.REQUESTS_SERVER] == []
 
 
 def test_pool_replenishes_one_for_one():

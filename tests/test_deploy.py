@@ -13,7 +13,7 @@ from miserysim.deploy import (
     swappable_image_counts,
 )
 from miserysim.eventlog import EventLog
-from miserysim.sim import Future, Simulation, gather
+from miserysim.sim import Simulation
 from miserysim.topology import (
     PUBLIC_INTERNET,
     FirewallRule,
@@ -117,25 +117,6 @@ def test_image_for_layer_maps_roles():
     assert image_for_layer(digraph, 2) is ImageKind.MULTICASTER
     assert image_for_layer(digraph, 3) is ImageKind.REQUESTS_SERVER
     assert image_for_layer(digraph, 4) is ImageKind.POLLING_TARGET
-
-
-def test_gather_orders_results():
-    futures = [Future(), Future(), Future()]
-    out = gather(futures)
-    futures[2].resolve("c")
-    futures[0].resolve("a")
-    assert not out.done
-    futures[1].resolve("b")
-    assert out.result() == ["a", "b", "c"]
-
-
-def test_gather_empty_and_failure():
-    assert gather([]).result() == []
-    futures = [Future(), Future()]
-    out = gather(futures)
-    boom = RuntimeError("boom")
-    futures[1].reject(boom)
-    assert out.failed and out.exception() is boom
 
 
 def test_normal_chain_deploys():

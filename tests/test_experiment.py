@@ -88,6 +88,14 @@ def test_config_rejects_a_poll_interval_the_clock_cannot_add():
                      latency=LatencyModel(hop=(0.0, 0.0))).validate()
 
 
+def test_config_rejects_a_movement_period_the_clock_cannot_add():
+    # a skipped cycle takes no time, so once next_t + r == next_t the
+    # movement loop schedules its next cycle at one instant forever
+    with pytest.raises(ConfigError, match="movement period r=1e-300"):
+        ExperimentConfig(j=20, r=1e-300, s=2).validate()
+    ExperimentConfig(j=20, r=1e-12, s=2).validate()
+
+
 @pytest.mark.parametrize("shape", [
     {}, dict(j=600.0, request_interval=0.77),
     dict(d=5, k=3, j=300.0, request_interval=0.77),
@@ -365,9 +373,9 @@ def test_churn_run_leaves_no_answered_entries_at_the_leaves():
     assert len(leaves) == 8
     assert all(node.registry.pending == {} for node in leaves)
     assert result.report.transformations > 0
-    assert set(deployment.ps._links) <= {node.id for node in leaves}
-    assert {rs_id for rs_id, _ in deployment.ps.table.children} == {
-        node.id for node in leaves}
+    ps = deployment.runtimes[deployment.digraph.target]
+    assert set(ps._links) <= {node.id for node in leaves}
+    assert {rs_id for rs_id, _ in ps.table.children} == {node.id for node in leaves}
     counters = result.log.records[-1]["counters"]
     assert "unknown_deliveries" not in counters
 

@@ -318,8 +318,9 @@ def test_leaf_cycle_prunes_poll_links():
         if env.log.of_kind("movement")[-1]["layer"] == env.deployment.digraph.d:
             leaf_cycles += 1
     assert leaf_cycles >= 1, "seed never selected the leaf layer"
-    leaves = set(env.deployment.digraph.layer(env.deployment.digraph.d))
-    assert set(env.deployment.ps._links) <= leaves
+    digraph = env.deployment.digraph
+    ps = env.deployment.runtimes[digraph.target]
+    assert set(ps._links) <= set(digraph.layer(digraph.d))
 
 
 # --- determinism -----------------------------------------------------------------

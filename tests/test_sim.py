@@ -12,7 +12,6 @@ from miserysim.sim import (
     Handle,
     RequestNeverCompletes,
     Simulation,
-    gather,
 )
 
 
@@ -124,7 +123,7 @@ def test_every_event_is_scheduled_through_schedule_at(monkeypatch):
             timer = sim.schedule(rng.uniform(0.5, 2.0), lambda: None)
             fut = Future()
             sim.schedule(rng.uniform(0.0, 1.0), fut.resolve, n)
-            yield gather([fut])
+            yield fut
             if rng.random() < 0.5:
                 timer.cancel()
             yield rng.uniform(0.0, 0.5)
