@@ -18,6 +18,14 @@ the children of slot s are slots s*k .. s*k+k-1 of the next layer.  No
 digraph is rebuilt per cycle, and no knowledge of discovered child lists is
 kept: a cached list would be dropped by exactly the cycles that change it,
 so it always equals this fresh lookup and draws the same attack choices.
+
+Each walk seeds only the streams it draws from: "{seed}/attack" for a
+uniform-child walk, whose every pick is randrange(k) taken by the loop of
+Random._randbelow_with_getrandbits, and "{seed}/movement" when r is set.
+A depth-first walk always takes slot s*k and a static walk (r=None) never
+reaches a cycle, so the stream each skips would never be drawn from; the
+streams are separate generators seeded from separate strings, so leaving
+one unbuilt changes no draw of the other.
 """
 
 from __future__ import annotations
@@ -63,19 +71,31 @@ def _checked_spec(d: int, k: int, hop_time: float, r: float | None,
 def _walk(spec: MiseryDigraphSpec, hop_time: float, strategy: Strategy,
           r: float | None, seed: int, horizon: float) -> float:
     d, k = spec.d, spec.k
-    draw = switch_drawer(spec, random.Random(f"{seed}/movement"))
-    pick = random.Random(f"{seed}/attack").randrange
-    depth_first = strategy is Strategy.DEPTH_FIRST
+    if strategy is Strategy.DEPTH_FIRST:
+        def choose(slot: int) -> int:
+            """The slot of the child to attack next, one layer down."""
+            return slot * k
+    else:
+        getrandbits = random.Random(f"{seed}/attack").getrandbits
+        bits = k.bit_length()
 
-    def choose(slot: int) -> int:
-        """The slot of the child to attack next, one layer down."""
-        return slot * k if depth_first else slot * k + pick(k)
+        def choose(slot: int) -> int:
+            # randrange(k), by the loop of Random._randbelow_with_getrandbits
+            i = getrandbits(bits)
+            while i >= k:
+                i = getrandbits(bits)
+            return slot * k + i
+
+    if r is None:   # a static digraph draws no cycle
+        next_move = math.inf
+    else:
+        draw = switch_drawer(spec, random.Random(f"{seed}/movement"))
+        next_move = r
 
     # the foothold is (layer, slot); the goal is slot `goal` of layer + 1
     layer, slot = ENTRY
     goal = choose(slot)
     hop_end = hop_time
-    next_move = r if r is not None else math.inf
     while True:
         while next_move < hop_end:
             t = next_move

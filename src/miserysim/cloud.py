@@ -448,6 +448,8 @@ class CloudProvider:
         ex._pending = self.sim.schedule(self.hop_latency(), self._deliver_reply, ex, data)
 
     def _deliver_reply(self, ex: Exchange, data: bytes) -> None:
+        # the pending handle is this delivery, which has run: nothing to cancel
+        ex._pending = None
         self._finish_exchange(ex)
         ex.future.resolve(data)
 

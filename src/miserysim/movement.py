@@ -22,6 +22,7 @@ and every child id stays in provider.instances, so an update cannot fail.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Callable
@@ -58,41 +59,65 @@ def rule_delta(before: MiseryDigraph, after: MiseryDigraph,
     return sorted(old - new), sorted(new - old)
 
 
+@functools.lru_cache(maxsize=None)
+def _switch_table(spec: MiseryDigraphSpec) -> tuple[tuple[int, ...], ...]:
+    """(layer, width, width's bit length, width - 1's bit length) for each
+    middle layer with two or more nodes, the layers a cycle can switch in."""
+    sizes = layer_sizes(spec)
+    return tuple((a, w, w.bit_length(), (w - 1).bit_length())
+                 for a, w in enumerate(sizes[1:], 2) if w >= 2)
+
+
 def switch_drawer(spec: MiseryDigraphSpec,
                   rng: random.Random) -> Callable[[], tuple[int, int, int]]:
     """A draw() of (layer, slot_a, slot_b): a uniform layer among the middle
     layers with two or more nodes, then a uniform pair of distinct slots in
     that layer.  The live cycle and the attacker replay both draw here; the
-    shape's layer table is built once, with the drawer.
+    shape's layer table is built once per shape.
 
     Each draw takes from rng exactly what rng.choice(layers) followed by
     rng.sample(range(width), 2) takes, and returns the same values: all of
-    them draw through _randbelow(n), as randrange(n) does.  sample picks by
-    index, so the pair is also the one that sampling the layer's node tuple
-    gives.  For a shape without such a layer every draw raises
-    NoEligibleLayer, so each cycle can be counted as skipped."""
-    sizes = layer_sizes(spec)
-    table = tuple((a, sizes[a - 1]) for a in range(2, spec.d + 1)
-                  if sizes[a - 1] >= 2)
+    them draw through _randbelow(n), as randrange(n) does, and each index
+    here is taken with the loop of CPython's
+    Random._randbelow_with_getrandbits, inlined: getrandbits(n.bit_length())
+    until the value is below n.  sample picks by index, so the pair is also
+    the one that sampling the layer's node tuple gives.
+    test_movement.test_switch_drawer_draws_as_choice_then_sample pins the
+    values and the generator state left behind, and
+    test_attacker.test_replay_matches_the_digraph_walking_oracle pins both
+    against a replay that calls choice and sample itself.  For a shape
+    without such a layer every draw raises NoEligibleLayer, so each cycle
+    can be counted as skipped."""
+    table = _switch_table(spec)
     n = len(table)
-    randrange = rng.randrange
+    n_bits = n.bit_length()
+    getrandbits = rng.getrandbits
 
     def draw() -> tuple[int, int, int]:
         if not n:
             raise NoEligibleLayer(
                 f"no layer in 2..{spec.d} has two nodes (k={spec.k})")
-        layer, width = table[randrange(n)]
-        a = randrange(width)
+        i = getrandbits(n_bits)
+        while i >= n:
+            i = getrandbits(n_bits)
+        layer, width, bits, pool_bits = table[i]
+        a = getrandbits(bits)
+        while a >= width:
+            a = getrandbits(bits)
         if width <= 21:
             # sample's pool branch: the last slot fills the drawn one's place
-            b = randrange(width - 1)
+            b = getrandbits(pool_bits)
+            while b >= width - 1:
+                b = getrandbits(pool_bits)
             if b == a:
                 b = width - 1
         else:
             # sample's set branch: redraw until the slot is a new one
-            b = randrange(width)
+            b = a
             while b == a:
-                b = randrange(width)
+                b = getrandbits(bits)
+                while b >= width:
+                    b = getrandbits(bits)
         return layer, a, b
 
     return draw

@@ -51,14 +51,15 @@ def test_simulation_is_seed_deterministic():
 
 # --- the digraph-walking reference replay ------------------------------------------
 
-def _oracle(d, k, *, hop_time, strategy, r, seed, horizon=None):
+def _oracle(d, k, *, hop_time, strategy, r, streams, horizon=None):
     """The replay walked on node ids: every cycle derives a new digraph by
     swapping and replacing the drawn pair, and the attacker caches each
-    child list it discovers and forgets the lists a cycle touches."""
+    child list it discovers and forgets the lists a cycle touches.  It
+    draws from streams["movement"] and streams["attack"] with choice and
+    sample."""
     digraph = attack_digraph(d, k)
     eligible = [a for a in range(2, d + 1) if len(digraph.layer(a)) >= 2]
-    move_rng = random.Random(f"{seed}/movement")
-    attack_rng = random.Random(f"{seed}/attack")
+    move_rng, attack_rng = streams["movement"], streams["attack"]
     generations: dict = {}
     knowledge: dict[str, tuple[str, ...]] = {}
     entry = current = digraph.root
@@ -120,9 +121,32 @@ def _oracle(d, k, *, hop_time, strategy, r, seed, horizon=None):
         hop_end = t + hop_time
 
 
+STREAMS = ("movement", "attack")
+
+
+def _seeded_streams(seed):
+    return {name: random.Random(f"{seed}/{name}") for name in STREAMS}
+
+
+def _replay_recording_streams(monkeypatch, walk, **kwargs):
+    """walk(**kwargs) with every random.Random it builds recorded, as a list
+    of (seed string, stream) in order of construction."""
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, x):
+            super().__init__(x)
+            made.append((x, self))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(random, "Random", Recorded)
+        result = walk(**kwargs)
+    return result, made
+
+
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 @pytest.mark.parametrize("r", [None, 0.2, 0.5, 3.0])
-def test_replay_matches_the_digraph_walking_oracle(r, strategy):
+def test_replay_matches_the_digraph_walking_oracle(monkeypatch, r, strategy):
     delayed = censored = 0
     for d in range(2, 7):
         for k in range(1, 5):
@@ -130,15 +154,47 @@ def test_replay_matches_the_digraph_walking_oracle(r, strategy):
             for seed in seeds:
                 for horizon in (None, 4.0):
                     kwargs = dict(hop_time=1.0, strategy=strategy, r=r,
-                                  seed=seed, horizon=horizon)
-                    t = simulate_one(d, k, **kwargs)
-                    assert t == _oracle(d, k, **kwargs), (d, k, seed, horizon)
+                                  horizon=horizon)
+                    t, made = _replay_recording_streams(
+                        monkeypatch, simulate_one, d=d, k=k, seed=seed, **kwargs)
+                    streams = _seeded_streams(seed)
+                    assert t == _oracle(d, k, streams=streams, **kwargs), \
+                        (d, k, seed, horizon)
+                    # the replay consumed what the oracle consumed, stream by
+                    # stream, and a stream it did not seed the oracle left
+                    # as seeded (k=1 still spends bits on randrange(1))
+                    replayed = {x.rpartition("/")[2]: rng for x, rng in made}
+                    fresh = _seeded_streams(seed)
+                    for name in STREAMS:
+                        state = replayed.get(name, fresh[name]).getstate()
+                        assert streams[name].getstate() == state, \
+                            (name, d, k, seed, horizon)
                     censored += t == math.inf
                     delayed += d - 1 < t < math.inf
     # the comparison covers censored walks and, under movement, resets of
     # the foothold or the goal, not only undisturbed walks
     assert censored
     assert delayed if r is not None else not delayed
+
+
+@pytest.mark.parametrize("strategy, r, streams", [
+    (Strategy.UNIFORM_CHILD, 0.5, ("attack", "movement")),
+    (Strategy.DEPTH_FIRST, 0.5, ("movement",)),
+    (Strategy.UNIFORM_CHILD, None, ("attack",)),
+    (Strategy.DEPTH_FIRST, None, ()),
+], ids=["uniform-child-moving", "depth-first-moving", "uniform-child-static",
+        "depth-first-static"])
+def test_a_replay_seeds_only_the_streams_it_draws_from(monkeypatch, strategy,
+                                                       r, streams):
+    # a depth-first walk draws no attack choice and a static one no cycle,
+    # and every string seeding is a fixed cost on each walk
+    seeds = range(5)
+    walk = dict(hop_time=1.0, strategy=strategy, r=r, seeds=seeds)
+    times, made = _replay_recording_streams(monkeypatch, simulate_attacker,
+                                            d=3, k=2, **walk)
+    expected = [f"{seed}/{name}" for seed in seeds for name in streams]
+    assert sorted(x for x, _ in made) == sorted(expected)
+    assert times == simulate_attacker(3, 2, **walk)
 
 
 def test_replay_builds_no_digraph(monkeypatch):

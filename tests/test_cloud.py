@@ -22,7 +22,7 @@ from miserysim.errors import (
     UnknownInstance,
 )
 from miserysim.eventlog import EventLog
-from miserysim.sim import Simulation
+from miserysim.sim import Handle, Simulation
 from miserysim.topology import PUBLIC_INTERNET, FirewallRule
 
 
@@ -390,6 +390,37 @@ def test_respond_on_a_cut_exchange_schedules_nothing(monkeypatch):
     monkeypatch.undo()
     sim.run(until=sim.now + 1)
     assert isinstance(fut.exception(), SessionSevered)
+
+
+@pytest.mark.parametrize("cut_at, cancels", [(None, 0), (0.005, 1), (0.015, 1)],
+                         ids=["settled", "cut-before-request", "cut-before-reply"])
+def test_an_exchange_cancels_only_a_delivery_still_queued(monkeypatch, cut_at,
+                                                          cancels):
+    # the reply delivery is the exchange's pending handle while it runs, so
+    # settling cancels nothing; a cut cancels the one delivery still queued
+    sim, provider = make_provider(hop_latency=(0.01, 0.01))
+    running_instance(sim, provider, instance_id="a")
+    b = running_instance(sim, provider, instance_id="b")
+    grant(provider, ("a", "b", 80))
+    echo_server(provider, "b")
+    cancelled = []
+    cancel = Handle.cancel
+
+    def counted(handle):
+        cancelled.append(handle)
+        cancel(handle)
+
+    monkeypatch.setattr(Handle, "cancel", counted)
+    fut = provider.request("a", b.address, 80, b"x")
+    if cut_at is not None:
+        sim.run(until=sim.now + cut_at)
+        revoke(provider, ("a", "b", 80))
+    sim.run(until=sim.now + 1)
+    assert len(cancelled) == cancels
+    if cut_at is None:
+        assert fut.result() == b"echo:x"
+    else:
+        assert isinstance(fut.exception(), SessionSevered)
 
 
 def test_severance_cuts_exchanges_then_channels_in_order(monkeypatch):
