@@ -97,16 +97,13 @@ class Deployment:
             runtime = MulticasterNode(self.provider, node, self.u,
                                       is_entry=(layer == 1), table=record)
             handler = runtime.on_http if layer == 1 else runtime.on_request
-            for service in digraph.transport_services:
-                self.provider.bind(node, service.port, on_request=handler)
+            self.provider.bind(node, HTTP.port, on_request=handler)
             self.addresses.subscribe(node, runtime.apply_update)
         elif layer == digraph.d:
             runtime = RequestsServerNode(self.provider, node, self.u)
-            for service in digraph.transport_services:
-                self.provider.bind(node, service.port, on_request=runtime.on_request)
-            for service in digraph.poll_services:
-                self.provider.bind(node, service.port,
-                                   on_channel=runtime.on_poll_channel)
+            self.provider.bind(node, HTTP.port, on_request=runtime.on_request)
+            self.provider.bind(node, DATABASE.port,
+                               on_channel=runtime.on_poll_channel)
         else:
             raise TopologyError(f"cannot attach {node!r} at layer {layer}")
         self.runtimes[node] = runtime
@@ -118,8 +115,7 @@ class Deployment:
         digraph = self.digraph
         target = digraph.target
         record = self.addresses.register(target, self.child_entries(target))
-        ps = PollingServerNode(self.provider, target, self.store, m,
-                               digraph.poll_services[0].port, table=record)
+        ps = PollingServerNode(self.provider, target, self.store, m, table=record)
         self.addresses.subscribe(target, ps.apply_update)
         self.runtimes[target] = ps
         ps.start()

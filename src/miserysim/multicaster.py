@@ -7,8 +7,9 @@ discard (but count) whatever arrives later.  The first success answers
 inside its own delivery event, so of two successes at one instant the one
 scheduled first wins; which one wins shows nowhere, since every successful
 reply for an id carries the cached response of its one execution.  A
-timeout of u applies at every layer.  The entry point additionally
-translates between its public HTTP surface and the internal framing.
+timeout of u applies at every layer.  Every hop, the public one included,
+rides HTTP's port.  The entry point additionally translates between its
+public HTTP surface and the internal framing.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import wire
 from .addresses import AddressRecord
 from .cloud import CloudProvider, Exchange
 from .errors import ProtocolViolation
+from .topology import HTTP
 
 
 class _Job:
@@ -99,7 +101,7 @@ class MulticasterNode:
         if error is not None:
             self.provider.respond(ex, error)
             return
-        self.handle_request(corr, payload, ex.port,
+        self.handle_request(corr, payload,
                             lambda frame: self.provider.respond(ex, frame))
 
     def on_http(self, ex: Exchange, data: bytes) -> None:
@@ -133,13 +135,12 @@ class MulticasterNode:
             else:
                 self.provider.respond(ex, wire.encode_http_response(502, answer, headers))
 
-        # The public port doubles as the tree transport port.
-        self.handle_request(corr, payload, ex.port, respond)
+        self.handle_request(corr, payload, respond)
 
     # -- core ----------------------------------------------------------------
 
-    def handle_request(self, corr: bytes, payload: bytes, port: int, respond) -> None:
-        """Fan out to every child on the same service port; first success wins."""
+    def handle_request(self, corr: bytes, payload: bytes, respond) -> None:
+        """Fan out to every child on HTTP; first success wins."""
         children = self.table.children
         job = _Job(self, corr, respond)
         if not children:
@@ -148,7 +149,7 @@ class MulticasterNode:
             return
         job.pending = len(children)
         frame = wire.encode_request(corr, payload)
-        futures = [self.provider.request(self.id, address, port, frame)
+        futures = [self.provider.request(self.id, address, HTTP.port, frame)
                    for _, address in children]
         job.deadline_handle = self.sim.schedule(self.u, job.timed_out)
         for future in futures:

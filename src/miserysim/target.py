@@ -299,14 +299,12 @@ class PollingServerNode:
     """Target-resident poller: the only component that touches the store."""
 
     def __init__(self, provider: CloudProvider, node_id: str,
-                 store: BackendStore, m: float, poll_port: int, *,
-                 table: AddressRecord):
+                 store: BackendStore, m: float, *, table: AddressRecord):
         self.sim = provider.sim
         self.provider = provider
         self.id = node_id
         self.store = store
         self.m = m
-        self.poll_port = poll_port
         self.counters = provider.counters
         self.table = table    # children: the layer-d endpoints it polls
         self.executed: dict[bytes, tuple[int, bytes]] = {}
@@ -382,7 +380,7 @@ class PollingServerNode:
         """Dial rs_id afresh, replacing a missing or unusable link."""
         self._links.pop(rs_id, None)
         try:
-            channel = yield self.provider.open_channel(self.id, address, self.poll_port)
+            channel = yield self.provider.open_channel(self.id, address, DATABASE.port)
         except (ConnectionRefused, SessionSevered):
             self.counters["poll_errors"] += 1
             return None

@@ -11,6 +11,9 @@ target sits alone past layer d with no inbound edges at all.  Storing
 positions instead of an edge list makes switches (position exchanges) and
 resets (id substitutions) trivial and keeps the k-ary shape true by
 construction.
+
+The services are part of the protocol, not of a digraph: HTTP (port 80)
+rides every tree edge and DATABASE (port 3306) carries every poll.
 """
 
 from __future__ import annotations
@@ -40,22 +43,13 @@ def _typed(value, kind: type, what: str):
 
 @dataclass(frozen=True)
 class ServiceKind:
-    """A network service as (name, port); (name, port) unique per network."""
+    """A network service as (name, port)."""
 
     name: str
     port: int
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.port <= 65535):
-            raise TopologyError(f"port {self.port} out of range for {self.name!r}")
-
     def to_dict(self) -> dict:
         return {"name": self.name, "port": self.port}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ServiceKind":
-        return cls(_typed(d["name"], str, "service name"),
-                   _typed(d["port"], int, "service port"))
 
 
 # The web -> app -> db chain the system protects: the d=0 baseline deploys
@@ -99,15 +93,14 @@ class MiseryDigraph:
 
     layers[i] holds layer i+1 left to right; layer 1 is the single root, the
     public entry point.  The target is not part of any layer tuple and has no
-    parent edges (Isolated Target).  transport_services ride every edge;
-    poll_services are the services the target uses to poll layer d.
+    parent edges (Isolated Target).  HTTP rides every edge and the target
+    polls layer d on DATABASE; no id may be PUBLIC_INTERNET, which the
+    firewall reads as the Internet.
     """
 
     spec: MiseryDigraphSpec
     layers: tuple[tuple[str, ...], ...]
     target: str
-    transport_services: tuple[ServiceKind, ...]
-    poll_services: tuple[ServiceKind, ...]
     enabled_leaf: str
     _slots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -119,6 +112,8 @@ class MiseryDigraph:
                 self._slots[node] = (layer_idx, slot)
         if self.target in self._slots:
             raise TopologyError("target also occurs in a layer")
+        if PUBLIC_INTERNET in self._slots or self.target == PUBLIC_INTERNET:
+            raise TopologyError(f"node id {PUBLIC_INTERNET!r} is reserved")
         self.validate()
 
     # -- shape ---------------------------------------------------------------
@@ -180,9 +175,9 @@ class MiseryDigraph:
             return ROLE_REQUESTS_SERVER
         return ROLE_MULTICASTER
 
-    def edges(self) -> list[tuple[str, str, tuple[ServiceKind, ...]]]:
-        """All parent->child edges with their service labels, layer by layer."""
-        return [(node, child, self.transport_services)
+    def edges(self) -> list[tuple[str, str]]:
+        """All parent->child edges, layer by layer; HTTP rides each."""
+        return [(node, child)
                 for layer in self.layers[:-1] for node in layer
                 for child in self.children_of(node)]
 
@@ -197,10 +192,6 @@ class MiseryDigraph:
             if len(layer) != expect:
                 raise TopologyError(
                     f"layer {i} has {len(layer)} nodes, expected {expect}")
-        if not self.transport_services:
-            raise TopologyError("no transport services")
-        if not self.poll_services:
-            raise TopologyError("no poll services")
         leaf = self._slots.get(self.enabled_leaf)
         if leaf is None or leaf[0] != d:
             raise TopologyError(f"enabled leaf {self.enabled_leaf!r} not in layer d")
@@ -226,6 +217,8 @@ class MiseryDigraph:
             raise TopologyError("entry points are never replaced")
         if new in self._slots or new == self.target:
             raise TopologyError(f"replacement id {new!r} already present")
+        if new == PUBLIC_INTERNET:
+            raise TopologyError(f"node id {PUBLIC_INTERNET!r} is reserved")
         enabled = new if self.enabled_leaf == old else self.enabled_leaf
         return self._derive(layer, {slot: new}, enabled, gone=old)
 
@@ -247,9 +240,7 @@ class MiseryDigraph:
         out.__dict__.update(
             spec=self.spec,
             layers=self.layers[:layer - 1] + (tuple(row),) + self.layers[layer:],
-            target=self.target, transport_services=self.transport_services,
-            poll_services=self.poll_services, enabled_leaf=enabled_leaf,
-            _slots=slots)
+            target=self.target, enabled_leaf=enabled_leaf, _slots=slots)
         out.validate()
         return out
 
@@ -262,20 +253,21 @@ class MiseryDigraph:
             "target": self.target,
             "roles": {n: self.role_of(n) for n in self.all_nodes()},
             "edges": [
-                {"src": src, "dst": dst, "services": [s.to_dict() for s in services]}
-                for src, dst, services in self.edges()
+                {"src": src, "dst": dst, "services": [HTTP.to_dict()]}
+                for src, dst in self.edges()
             ],
-            "transport_services": [s.to_dict() for s in self.transport_services],
-            "poll_services": [s.to_dict() for s in self.poll_services],
+            "transport_services": [HTTP.to_dict()],
+            "poll_services": [DATABASE.to_dict()],
             "enabled_leaf": self.enabled_leaf,
             "enabled_path": enabled_path(self),
         }
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "MiseryDigraph":
-        """Inverse of to_json_dict (roles, edges and enabled_path are derived,
-        so they are not read).  A document with a missing key, a value of the
-        wrong type or more than one root raises TopologyError."""
+        """Inverse of to_json_dict: it reads spec, layers, target and
+        enabled_leaf, and every other key is derived, so it is not read.  A
+        document with a missing key, a value of the wrong type or more than
+        one root raises TopologyError."""
         try:
             spec = MiseryDigraphSpec(_typed(doc["spec"]["d"], int, "spec d"),
                                      _typed(doc["spec"]["k"], int, "spec k"))
@@ -283,8 +275,6 @@ class MiseryDigraph:
                                  for node in _typed(layer, list, "layer"))
                            for layer in doc["layers"])
             return cls(spec, layers, _typed(doc["target"], str, "target"),
-                       tuple(ServiceKind.from_dict(s) for s in doc["transport_services"]),
-                       tuple(ServiceKind.from_dict(s) for s in doc["poll_services"]),
                        _typed(doc["enabled_leaf"], str, "enabled_leaf"))
         except (KeyError, TypeError, ValueError) as err:
             raise TopologyError(
@@ -324,34 +314,33 @@ def build_misery_digraph(spec: MiseryDigraphSpec) -> MiseryDigraph:
 
     web is the root, app sits at layer-d slot 0 (it carries the application
     logic) and is the enabled leaf, every other slot of layers 2..d holds a
-    fresh decoy, and db is the isolated target.  HTTP rides every edge and
-    DATABASE is the poll service.
+    fresh decoy, and db is the isolated target.
     """
     web, app, db = CHAIN
     layers = [(web,)] + [
         tuple(decoy_id(layer_idx, slot) for slot in range(spec.layer_width(layer_idx)))
         for layer_idx in range(2, spec.d + 1)]
     layers[-1] = (app,) + layers[-1][1:]
-    return MiseryDigraph(spec, tuple(layers), db, (HTTP,), (DATABASE,), app)
+    return MiseryDigraph(spec, tuple(layers), db, app)
 
 
 def inbound_rules(mdg: MiseryDigraph, node: str) -> list[FirewallRule]:
     """The rules that let traffic into one non-target node: from its parent
-    (the public internet for the root) on the transport ports, and at layer
-    d from the target on the poll ports.  Every rule of a digraph is the
-    inbound rule of exactly one such node."""
+    (the public internet for the root) on HTTP, and at layer d from the
+    target on DATABASE.  Every rule of a digraph is the inbound rule of
+    exactly one such node."""
     parent = mdg.parent_of(node)
-    src = PUBLIC_INTERNET if parent is None else parent
-    rules = [FirewallRule(src, node, s.port) for s in mdg.transport_services]
+    rules = [FirewallRule(PUBLIC_INTERNET if parent is None else parent,
+                          node, HTTP.port)]
     if mdg.position(node)[0] == mdg.d:
-        rules += [FirewallRule(mdg.target, node, s.port) for s in mdg.poll_services]
+        rules.append(FirewallRule(mdg.target, node, DATABASE.port))
     return rules
 
 
 def derive_firewall_rules(mdg: MiseryDigraph) -> frozenset[FirewallRule]:
-    """Rule per tree edge and service, plus the two exceptions: public ->
-    root on transport ports, and target -> each layer-d node on poll ports
-    (the target itself gets zero inbound rules)."""
+    """One HTTP rule per tree edge, plus the two exceptions: public ->
+    root on HTTP, and target -> each layer-d node on DATABASE (the target
+    itself gets zero inbound rules)."""
     mdg.validate()
     return frozenset(rule for layer in mdg.layers for node in layer
                      for rule in inbound_rules(mdg, node))

@@ -304,7 +304,7 @@ def test_duplicate_collapse(capsys):
         node.open_session(dup, b"PUT shared 1", answers.append)
     leaves = tuple((f"rs{i}", provider.instance(f"rs{i}").address)
                    for i in range(4))
-    ps = PollingServerNode(provider, "db", store, 0.05, 3306,
+    ps = PollingServerNode(provider, "db", store, 0.05,
                            table=AddressRecord("db", 1, leaves))
     ps.start()
     sim.run(until=sim.now + 2.0)

@@ -20,9 +20,12 @@ from miserysim.topology import MiseryDigraph
 
 def test_build_writes_digraph_to_stdout(capsys):
     assert main(["build", "--d", "3", "--k", "2"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    digraph = MiseryDigraph.from_json_dict(doc)
+    out = capsys.readouterr().out
+    digraph = MiseryDigraph.from_json_dict(json.loads(out))
     assert [len(digraph.layer(i)) for i in (1, 2, 3)] == [1, 2, 4]
+    # the whole document, derived keys included, is a pure function of (d, k)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a9ea0fa6cbe8072a8da6bb38703c27b0eeb89bfeba9dd8aea43eecf70b1ba7f9")
 
 
 def test_build_writes_digraph_file(tmp_path, capsys):
@@ -97,16 +100,22 @@ def test_deploy_rejects_a_wrongly_typed_digraph_value(tmp_path, capsys):
     assert not (tmp_path / "state.json").exists()
 
 
-def test_deploy_rejects_a_digraph_with_no_poll_service(tmp_path, capsys):
+@pytest.mark.parametrize("where", ["node", "target"])
+def test_deploy_rejects_a_digraph_naming_the_internet(tmp_path, capsys, where):
+    # the firewall reads the id as the Internet: a decoy so named would
+    # grant the Internet its children's port 80
     path = tmp_path / "digraph.json"
     assert main(["build", "--d", "3", "--k", "2", "-o", str(path)]) == 0
     doc = json.loads(path.read_text())
-    doc["poll_services"] = []   # the target would have no port to poll on
+    if where == "node":
+        doc["layers"][1][1] = "public-internet"
+    else:
+        doc["target"] = "public-internet"
     path.write_text(json.dumps(doc))
     assert main(["deploy", "--digraph", str(path),
                  "-o", str(tmp_path / "state.json")]) == 2
     err = capsys.readouterr().err
-    assert "no poll services" in err and "runtime failure" not in err
+    assert "reserved" in err and "runtime failure" not in err
     assert not (tmp_path / "state.json").exists()
 
 

@@ -42,7 +42,7 @@ def reply_child(sim, provider, node_id, body=b"pong", delay=0.0):
 
 def run_job(sim, node, payload=b"GET k"):
     got = []
-    node.handle_request(CORR, payload, 80, got.append)
+    node.handle_request(CORR, payload, got.append)
     sim.run(until=sim.now + 5)
     assert len(got) == 1
     return wire.decode_frame(got[0])
@@ -69,7 +69,7 @@ def test_first_success_answers_in_its_own_delivery_and_a_tie_is_discarded():
     reply_child(sim, provider, "c1", b"from-1")
     got = []
     t0, start = sim.now, sim.events_processed
-    node.handle_request(CORR, b"x", 80, lambda frame: got.append(
+    node.handle_request(CORR, b"x", lambda frame: got.append(
         (sim.now, sim.events_processed - start, frame)))
     # two request deliveries and two reply deliveries; the deadline is cancelled
     assert sim.run(until=sim.now + 1) == 4
@@ -100,7 +100,7 @@ def test_timeout_fires_at_exactly_u():
     reply_child(sim, provider, "c1", delay=10.0)
     got = []
     t0 = sim.now
-    node.handle_request(CORR, b"x", 80, lambda f: got.append((sim.now, f)))
+    node.handle_request(CORR, b"x", lambda f: got.append((sim.now, f)))
     sim.run(until=sim.now + 2)
     at, frame = got[0]
     assert at == t0 + 0.3
@@ -133,7 +133,7 @@ def test_inflight_job_keeps_its_fanout_snapshot():
     sim, provider, node, children, _ = setup_node(n_children=1)
     reply_child(sim, provider, "c0", b"old-child", delay=0.05)
     got = []
-    node.handle_request(CORR, b"x", 80, got.append)
+    node.handle_request(CORR, b"x", got.append)
     # table moves on mid-flight; the answer still comes from the old child
     node.apply_update(AddressRecord("web", 2, (("c9", "10.9.9.9"),)))
     sim.run(until=sim.now + 1)

@@ -211,7 +211,7 @@ def poll_fixture(n_rs=4, m=0.05, hop=(0.001, 0.005)):
     sim.run(until=301)
     leaves = tuple((f"rs{i}", provider.instance(f"rs{i}").address)
                    for i in range(n_rs))
-    ps = PollingServerNode(provider, "db", store, m, 3306,
+    ps = PollingServerNode(provider, "db", store, m,
                            table=AddressRecord("db", 1, leaves))
     return sim, provider, ps, nodes, store, provider.log
 

@@ -22,7 +22,6 @@ from miserysim.topology import (
     FirewallRule,
     MiseryDigraph,
     MiseryDigraphSpec,
-    ServiceKind,
     build_misery_digraph,
     decoy_id,
     derive_firewall_rules,
@@ -38,12 +37,12 @@ def oracle_layer_count(k: int, layer: int) -> int:
     return k ** (layer - 1)
 
 
-def oracle_rule_count(k: int, d: int, n_transport: int, n_poll: int) -> int:
-    """public->root + every tree edge x transport services + target->leaf
-    polls, counted from scratch."""
+def oracle_rule_count(k: int, d: int) -> int:
+    """public->root + one HTTP rule per tree edge + target->leaf polls,
+    counted from scratch."""
     edges = sum(oracle_layer_count(k, i + 1) for i in range(1, d))
-    polls = oracle_layer_count(k, d) * n_poll
-    return n_transport + edges * n_transport + polls
+    polls = oracle_layer_count(k, d)
+    return 1 + edges + polls
 
 
 def oracle_expand_edges(digraph: MiseryDigraph) -> set[tuple[str, str]]:
@@ -105,8 +104,7 @@ def test_expansion_layer_counts_match_oracle():
 def test_edges_match_positional_oracle():
     for d, k in ((2, 1), (3, 2), (4, 2), (3, 3), (5, 2)):
         dg = build_misery_digraph(MiseryDigraphSpec(d, k))
-        got = {(src, dst) for src, dst, _ in dg.edges()}
-        assert got == oracle_expand_edges(dg)
+        assert set(dg.edges()) == oracle_expand_edges(dg)
 
 
 def test_parent_child_are_mutually_consistent():
@@ -127,11 +125,10 @@ def test_node_ids_are_unique():
 # --- firewall rules -----------------------------------------------------------
 
 def test_rule_count_matches_oracle_fig_style():
-    # d=3, k=2, one transport service, one poll service:
-    # 1 public + 6 edges + 4 polls = 11
+    # d=3, k=2: 1 public + 6 edges + 4 polls = 11
     dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     rules = derive_firewall_rules(dg)
-    assert oracle_rule_count(2, 3, 1, 1) == 11
+    assert oracle_rule_count(2, 3) == 11
     assert len(rules) == 11
     assert len([r for r in rules if r.src == PUBLIC_INTERNET]) == 1
     assert len([r for r in rules if r.src not in (PUBLIC_INTERNET, dg.target)]) == 6
@@ -142,7 +139,7 @@ def test_rule_counts_match_oracle_across_shapes():
     for d in range(2, 6):
         for k in range(1, 4):
             dg = build_misery_digraph(MiseryDigraphSpec(d, k))
-            assert len(derive_firewall_rules(dg)) == oracle_rule_count(k, d, 1, 1)
+            assert len(derive_firewall_rules(dg)) == oracle_rule_count(k, d)
 
 
 def test_target_has_zero_inbound_rules():
@@ -248,8 +245,8 @@ def test_random_transform_sequences_preserve_invariants():
             _, slot = dg.position(old)
             dg = dg.with_node_replaced(old, f"fresh.g{gen}.{slot}")
         dg.validate()
-        assert {(s, t) for s, t, _ in dg.edges()} == oracle_expand_edges(dg)
-        assert len(derive_firewall_rules(dg)) == oracle_rule_count(2, 4, 1, 1)
+        assert set(dg.edges()) == oracle_expand_edges(dg)
+        assert len(derive_firewall_rules(dg)) == oracle_rule_count(2, 4)
 
 
 # --- incremental transforms against full rebuilds -------------------------------
@@ -257,8 +254,7 @@ def test_random_transform_sequences_preserve_invariants():
 def rebuilt(dg: MiseryDigraph) -> MiseryDigraph:
     """The same layers through the full constructor: index every id, check
     for duplicates, validate."""
-    return MiseryDigraph(dg.spec, dg.layers, dg.target, dg.transport_services,
-                         dg.poll_services, dg.enabled_leaf)
+    return MiseryDigraph(dg.spec, dg.layers, dg.target, dg.enabled_leaf)
 
 
 @pytest.mark.parametrize("start", [
@@ -302,9 +298,10 @@ def test_incremental_transforms_equal_full_rebuilds(start):
     ("replace", "web", "fresh", TopologyError, "never replaced"),
     ("replace", "app", "L2.s1.g0", TopologyError, "already present"),
     ("replace", "app", "db", TopologyError, "already present"),
+    ("replace", "L2.s1.g0", PUBLIC_INTERNET, TopologyError, "reserved"),
 ], ids=["swap-unknown", "swap-self", "swap-cross-layer",
         "replace-unknown", "replace-layer-1", "replace-id-present",
-        "replace-id-is-target"])
+        "replace-id-is-target", "replace-id-is-the-internet"])
 def test_transforms_still_reject_invalid_requests(case):
     op, a, b, error, message = case
     dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
@@ -324,16 +321,17 @@ def test_transforms_still_reject_invalid_requests(case):
      "duplicate node id"),
     ("layers", lambda ls: ls[:2] + (("app", "db") + ls[2][2:],),
      "target also occurs"),
-    ("transport_services", lambda ts: (), "no transport services"),
+    # the firewall reads this id as the Internet
+    ("layers", lambda ls: (ls[0], (ls[1][0], PUBLIC_INTERNET), ls[2]), "reserved"),
+    ("target", lambda target: PUBLIC_INTERNET, "reserved"),
     ("enabled_leaf", lambda leaf: "L2.s0.g0", "enabled leaf"),
     ("enabled_leaf", lambda leaf: "db", "enabled leaf"),
 ], ids=["no-roots", "two-roots", "layer-count", "layer-size", "duplicate-id",
-        "target-in-layer", "no-transport-services",
+        "target-in-layer", "node-is-the-internet", "target-is-the-internet",
         "leaf-not-in-layer-d", "leaf-is-target"])
 def test_constructor_still_rejects_invalid_shapes(name, change, message):
     dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     fields = {f: getattr(dg, f) for f in ("spec", "layers", "target",
-                                          "transport_services", "poll_services",
                                           "enabled_leaf")}
     fields[name] = change(fields[name])
     with pytest.raises(TopologyError, match=message):
@@ -350,9 +348,15 @@ def test_json_round_trip():
     assert back.layers == dg.layers
     assert back.spec == dg.spec
     assert back.target == dg.target
-    assert back.transport_services == dg.transport_services
-    assert back.poll_services == dg.poll_services
     assert back.enabled_leaf == dg.enabled_leaf
+    # the services are derived: written, never read
+    del doc["transport_services"], doc["poll_services"]
+    assert MiseryDigraph.from_json_dict(doc).to_json_dict() == dg.to_json_dict()
+    other = [{"name": "https", "port": 443}]
+    doc.update(transport_services=other, poll_services=other)
+    for edge in doc["edges"]:
+        edge["services"] = other
+    assert MiseryDigraph.from_json_dict(doc).to_json_dict() == dg.to_json_dict()
 
 
 def test_json_with_two_roots_is_rejected():
@@ -363,18 +367,19 @@ def test_json_with_two_roots_is_rejected():
 
 
 @pytest.mark.parametrize("change", [
+    # each of the four keys that are read
     lambda doc: doc.pop("layers"),
-    lambda doc: doc.pop("transport_services"),
+    lambda doc: doc.pop("spec"),
+    lambda doc: doc.pop("target"),
+    lambda doc: doc.pop("enabled_leaf"),
     lambda doc: doc.update(spec=[3, 2]),
     lambda doc: doc.update(spec={"d": "three", "k": 2}),
     lambda doc: doc.update(layers=3),
-    lambda doc: doc.update(poll_services=["db"]),
     # a wrongly typed value is rejected, not coerced
     lambda doc: doc["spec"].update(d=3.9),
     lambda doc: doc["spec"].update(k="2"),
-    lambda doc: doc["transport_services"][0].update(port=80.7),
-    lambda doc: doc["poll_services"][0].update(name=5),
     lambda doc: doc.update(target=7),
+    lambda doc: doc["layers"][2].__setitem__(1, 5),
 ])
 def test_json_with_missing_or_mistyped_keys_is_rejected(change):
     doc = build_misery_digraph(MiseryDigraphSpec(3, 2)).to_json_dict()
@@ -383,19 +388,3 @@ def test_json_with_missing_or_mistyped_keys_is_rejected(change):
         MiseryDigraph.from_json_dict(doc)
     with pytest.raises(TopologyError, match="malformed digraph document"):
         MiseryDigraph.from_json_dict([doc])
-
-
-# --- several services --------------------------------------------------------
-
-def test_two_service_entry_labels_every_edge():
-    base = build_misery_digraph(MiseryDigraphSpec(3, 2))
-    services = (ServiceKind("http", 80), ServiceKind("https", 443))
-    dg = MiseryDigraph(base.spec, base.layers, base.target, services, services,
-                       base.enabled_leaf)
-    assert dg.root == "web"
-    assert all(labels == services for _, _, labels in dg.edges())
-    # both services ride every edge and both are polled
-    assert len(derive_firewall_rules(dg)) == oracle_rule_count(2, 3, 2, 2)
-    # a document naming several services is outside input; it round-trips
-    back = MiseryDigraph.from_json_dict(dg.to_json_dict())
-    assert (back.transport_services, back.poll_services) == (services, services)
