@@ -31,7 +31,7 @@ from .errors import (
 )
 from .eventlog import EventLog
 from .sim import Future, Simulation
-from .topology import PUBLIC_INTERNET, FirewallRule
+from .topology import POOL_ID_PREFIX, PUBLIC_INTERNET, FirewallRule
 
 
 class ImageKind(Enum):
@@ -170,7 +170,7 @@ class InstancePool:
         short = {ImageKind.MULTICASTER: "m", ImageKind.REQUESTS_SERVER: "r",
                  ImageKind.POLLING_TARGET: "t"}[image]
         inst = self.provider.create_instance(
-            image, instance_id=f"pool-{short}-{next(self._counter)}",
+            image, instance_id=f"{POOL_ID_PREFIX}{short}-{next(self._counter)}",
             tags={"pool": "standby"})
         inst.ready.add_done_callback(lambda fut, i=inst: self._on_ready(i, fut))
         return inst

@@ -26,12 +26,24 @@ from typing import NamedTuple
 from .errors import InvalidSpec, LayerConflict, TopologyError, UnknownNode
 
 PUBLIC_INTERNET = "public-internet"
+# every warm standby the instance pool creates has an id with this prefix
+POOL_ID_PREFIX = "pool-"
 
 ROLE_ENTRY = "entry-point"
 ROLE_TARGET = "target"
 
 ROLE_MULTICASTER = "multicaster"
 ROLE_REQUESTS_SERVER = "requests-server"
+
+
+def _check_not_reserved(node: str) -> None:
+    """A node may not be named PUBLIC_INTERNET, which the firewall reads as
+    the Internet, nor like a pool standby, whose id the pool would reuse."""
+    if node == PUBLIC_INTERNET:
+        raise TopologyError(f"node id {PUBLIC_INTERNET!r} is reserved")
+    if node.startswith(POOL_ID_PREFIX):
+        raise TopologyError(
+            f"node id {node!r} is reserved: {POOL_ID_PREFIX!r} names pool standbys")
 
 
 def _typed(value, kind: type, what: str):
@@ -95,7 +107,7 @@ class MiseryDigraph:
     public entry point.  The target is not part of any layer tuple and has no
     parent edges (Isolated Target).  HTTP rides every edge and the target
     polls layer d on DATABASE; no id may be PUBLIC_INTERNET, which the
-    firewall reads as the Internet.
+    firewall reads as the Internet, or start with POOL_ID_PREFIX.
     """
 
     spec: MiseryDigraphSpec
@@ -112,8 +124,8 @@ class MiseryDigraph:
                 self._slots[node] = (layer_idx, slot)
         if self.target in self._slots:
             raise TopologyError("target also occurs in a layer")
-        if PUBLIC_INTERNET in self._slots or self.target == PUBLIC_INTERNET:
-            raise TopologyError(f"node id {PUBLIC_INTERNET!r} is reserved")
+        for node in (*self._slots, self.target):
+            _check_not_reserved(node)
         self.validate()
 
     # -- shape ---------------------------------------------------------------
@@ -217,8 +229,7 @@ class MiseryDigraph:
             raise TopologyError("entry points are never replaced")
         if new in self._slots or new == self.target:
             raise TopologyError(f"replacement id {new!r} already present")
-        if new == PUBLIC_INTERNET:
-            raise TopologyError(f"node id {PUBLIC_INTERNET!r} is reserved")
+        _check_not_reserved(new)
         enabled = new if self.enabled_leaf == old else self.enabled_leaf
         return self._derive(layer, {slot: new}, enabled, gone=old)
 

@@ -17,10 +17,26 @@ Three byte-level protocols share this module:
 Every decoder takes one whole message, and a message that is cut, carries a
 trailing byte or is oversized is a violation.  The simulated bus hands each
 send over whole.
+
+The same bytes cross the bus many times: a multicaster forwards one request
+frame to each of its k children, and the target hands one response to every
+Requests Server that holds the request.  So encode_frame, decode_frame,
+decode_poll and encode_poll_delivery keep a value-keyed least-recently-used
+cache of their results, and a repeat is a dictionary lookup.  That is safe
+because each is a pure function of its arguments, every result is immutable
+(bytes, ints and tuples, which is why decode_poll returns tuples), and a
+raised error is never stored, so a malformed message is parsed again and
+raises on every delivery.  Keys are the arguments themselves, so callers pass
+bytes: a bytearray or memoryview is not hashable.  The repeats come close
+together, a copy within one fan-out or one poll cycle of the first, so 64
+entries per function are plenty: on every benchmark workload the hit share
+already reaches its ceiling at 16.  The handshake, HTTP and
+encode_poll_listing (whose argument is a list) are left uncached.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from random import Random
 
@@ -51,7 +67,11 @@ POLL_ACK = 0x13
 
 MAX_PAYLOAD = 1 << 20
 
+# see the module notes: pure functions, immutable results, errors not cached
+_codec_cache = functools.lru_cache(maxsize=64)
 
+
+@_codec_cache
 def encode_frame(ftype: int, corr: bytes, payload: bytes) -> bytes:
     if len(corr) != CORR_LEN:
         raise ValueError(f"correlation id must be {CORR_LEN} bytes")
@@ -72,6 +92,7 @@ def encode_error(corr: bytes, reason: bytes) -> bytes:
     return encode_frame(TYPE_ERROR, corr, reason)
 
 
+@_codec_cache
 def decode_frame(data: bytes) -> tuple[int, bytes, bytes]:
     """Decode one whole message as exactly one frame; a cut or trailing
     byte is a violation."""
@@ -177,6 +198,7 @@ def encode_poll_listing(entries: list[tuple[bytes, bytes]]) -> bytes:
     return b"".join(parts)
 
 
+@_codec_cache
 def encode_poll_delivery(corr: bytes, response: bytes) -> bytes:
     return _POLL_DELIVER_HEAD.pack(POLL_DELIVER, corr, len(response)) + response
 
@@ -196,9 +218,10 @@ def _poll_record(data: bytes, offset: int) -> tuple[bytes, bytes, int]:
     return corr, data[start:end], end
 
 
-def decode_poll(data: bytes) -> list[tuple]:
+@_codec_cache
+def decode_poll(data: bytes) -> tuple[tuple, ...]:
     """Decode one whole poll message (either direction, one or more frames)
-    into ("list",), ("listing", [(corr, payload), ...]),
+    into a tuple of ("list",), ("listing", ((corr, payload), ...)),
     ("deliver", corr, response) and ("ack",) events."""
     if not data:
         raise ProtocolViolation("empty poll message")
@@ -217,7 +240,7 @@ def decode_poll(data: bytes) -> list[tuple]:
                 for _ in range(count):
                     corr, payload, offset = _poll_record(data, offset)
                     entries.append((corr, payload))
-                events.append(("listing", entries))
+                events.append(("listing", tuple(entries)))
             elif kind == POLL_DELIVER:
                 corr, response, offset = _poll_record(data, offset + 1)
                 events.append(("deliver", corr, response))
@@ -228,7 +251,7 @@ def decode_poll(data: bytes) -> list[tuple]:
                 raise ProtocolViolation(f"unknown poll frame type 0x{kind:02x}")
     except struct.error:
         raise ProtocolViolation("poll message ends inside a frame head") from None
-    return events
+    return tuple(events)
 
 
 # --- minimal HTTP/1.1 (entry point's public surface) -----------------------

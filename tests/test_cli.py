@@ -119,6 +119,21 @@ def test_deploy_rejects_a_digraph_naming_the_internet(tmp_path, capsys, where):
     assert not (tmp_path / "state.json").exists()
 
 
+def test_deploy_rejects_a_digraph_naming_a_pool_standby(tmp_path, capsys):
+    # the pool would create a second instance of that id during the deploy
+    path = tmp_path / "digraph.json"
+    assert main(["build", "--d", "3", "--k", "2", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["layers"][1][1] == "L2.s1.g0"
+    doc["layers"][1][1] = "pool-m-1"
+    path.write_text(json.dumps(doc))
+    assert main(["deploy", "--digraph", str(path),
+                 "-o", str(tmp_path / "state.json")]) == 2
+    err = capsys.readouterr().err
+    assert "reserved" in err and "runtime failure" not in err
+    assert not (tmp_path / "state.json").exists()
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     outdir = tmp_path / "out"
     code = main(["run", "--d", "3", "--k", "2", "--n-requests", "10",

@@ -299,9 +299,11 @@ def test_incremental_transforms_equal_full_rebuilds(start):
     ("replace", "app", "L2.s1.g0", TopologyError, "already present"),
     ("replace", "app", "db", TopologyError, "already present"),
     ("replace", "L2.s1.g0", PUBLIC_INTERNET, TopologyError, "reserved"),
+    ("replace", "L2.s1.g0", "pool-m-1", TopologyError, "reserved"),
 ], ids=["swap-unknown", "swap-self", "swap-cross-layer",
         "replace-unknown", "replace-layer-1", "replace-id-present",
-        "replace-id-is-target", "replace-id-is-the-internet"])
+        "replace-id-is-target", "replace-id-is-the-internet",
+        "replace-id-is-a-pool-standby"])
 def test_transforms_still_reject_invalid_requests(case):
     op, a, b, error, message = case
     dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
@@ -324,10 +326,14 @@ def test_transforms_still_reject_invalid_requests(case):
     # the firewall reads this id as the Internet
     ("layers", lambda ls: (ls[0], (ls[1][0], PUBLIC_INTERNET), ls[2]), "reserved"),
     ("target", lambda target: PUBLIC_INTERNET, "reserved"),
+    # the instance pool names its standbys so
+    ("layers", lambda ls: (ls[0], (ls[1][0], "pool-m-1"), ls[2]), "reserved"),
+    ("target", lambda target: "pool-t-1", "reserved"),
     ("enabled_leaf", lambda leaf: "L2.s0.g0", "enabled leaf"),
     ("enabled_leaf", lambda leaf: "db", "enabled leaf"),
 ], ids=["no-roots", "two-roots", "layer-count", "layer-size", "duplicate-id",
         "target-in-layer", "node-is-the-internet", "target-is-the-internet",
+        "node-is-a-pool-standby", "target-is-a-pool-standby",
         "leaf-not-in-layer-d", "leaf-is-target"])
 def test_constructor_still_rejects_invalid_shapes(name, change, message):
     dg = build_misery_digraph(MiseryDigraphSpec(3, 2))

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from miserysim.errors import ProtocolViolation
+from miserysim.experiment import ExperimentConfig, run_experiment
 from miserysim.wire import (
     CORR_LEN,
     HS_OK,
@@ -202,17 +203,17 @@ POLL_FRAMES = [POLL_LIST_FRAME,
                encode_poll_delivery(CORR, b"VAL x"),
                POLL_ACK_FRAME,
                encode_poll_listing([])]
-POLL_EVENTS = [("list",),
-               ("listing", POLL_ENTRIES),
+POLL_EVENTS = (("list",),
+               ("listing", tuple(POLL_ENTRIES)),
                ("deliver", CORR, b"VAL x"),
                ("ack",),
-               ("listing", [])]
+               ("listing", ()))
 
 
 def test_decode_poll_mixed_message():
     assert decode_poll(b"".join(POLL_FRAMES)) == POLL_EVENTS
     for frame, event in zip(POLL_FRAMES, POLL_EVENTS):
-        assert decode_poll(frame) == [event]
+        assert decode_poll(frame) == (event,)
 
 
 def test_decode_poll_rejects_every_cut_frame():
@@ -242,6 +243,87 @@ def test_decode_poll_rejects_oversized_entries():
 def test_poll_parser_rejects_unknown_type():
     with pytest.raises(ProtocolViolation):
         decode_poll(b"\x77")
+
+
+# --- the codec cache ----------------------------------------------------------
+
+CACHED = (encode_frame, decode_frame, decode_poll, encode_poll_delivery)
+
+# every message above, whole and cut at every byte, and one byte too long
+FRAME_CORPUS = [encode_frame(ftype, CORR, payload)
+                for ftype, payload in [(TYPE_REQUEST, b"one"), (TYPE_RESPONSE, b""),
+                                       (TYPE_ERROR, b"boom" * 100)]]
+POLL_CORPUS = [b"".join(POLL_FRAMES), *POLL_FRAMES]
+
+
+def cuts(message: bytes) -> list[bytes]:
+    return [message[:cut] for cut in range(len(message) + 1)] + [message + b"\x00"]
+
+
+def codec_calls():
+    """(cached function, arguments) over the corpus, malformed ones included."""
+    for frame in FRAME_CORPUS:
+        _, corr, payload = decode_frame(frame)
+        for ftype in (TYPE_REQUEST, TYPE_RESPONSE, TYPE_ERROR):
+            yield encode_frame, (ftype, corr, payload)
+        for cut in cuts(corr):
+            yield encode_frame, (TYPE_REQUEST, cut, payload)
+            yield encode_poll_delivery, (cut, payload)
+        for cut in cuts(frame):
+            yield decode_frame, (cut,)
+    yield encode_frame, (TYPE_REQUEST, CORR, b"x" * (MAX_PAYLOAD + 1))
+    for message in POLL_CORPUS:
+        for cut in cuts(message):
+            yield decode_poll, (cut,)
+
+
+def immutable(value) -> bool:
+    if type(value) is tuple:
+        return all(immutable(item) for item in value)
+    return type(value) in (bytes, int, str)
+
+
+def test_each_cached_codec_answers_as_its_uncached_original():
+    # the first call may fill the cache and the second reads it; both
+    # return what the original returns or raise what it raises
+    for fn in CACHED:
+        fn.cache_clear()
+    for fn, args in codec_calls():
+        try:
+            want = fn.__wrapped__(*args)
+        except (ProtocolViolation, ValueError) as err:
+            for _ in range(2):
+                with pytest.raises(type(err)) as got:
+                    fn(*args)
+                assert str(got.value) == str(err)
+        else:
+            for _ in range(2):
+                got = fn(*args)
+                assert got == want and immutable(got), (fn.__name__, args)
+    assert all(fn.cache_info().hits > 0 for fn in CACHED)
+
+
+def test_a_malformed_frame_is_parsed_and_rejected_on_every_call():
+    for fn, bad in [(decode_frame, FRAME_CORPUS[0][:-1]), (decode_poll, b"\x77")]:
+        fn.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ProtocolViolation):
+                fn(bad)
+        info = fn.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+
+def test_the_codec_cache_serves_the_repeats_of_a_fanned_out_run():
+    # one request frame crosses every hop of a k=3 tree and each response
+    # reaches every RS that holds its request, so nearly every decode
+    # repeats an earlier input
+    for fn in CACHED:
+        fn.cache_clear()
+    result = run_experiment(ExperimentConfig(d=4, k=3, j=30.0, rng_seed=1))
+    assert result.report.processed > 0
+    for fn in (decode_frame, decode_poll):
+        info = fn.cache_info()
+        assert info.hits / (info.hits + info.misses) >= 0.9, (fn.__name__, info)
 
 
 # --- HTTP ---------------------------------------------------------------------
