@@ -42,6 +42,10 @@ from .topology import MiseryDigraph, MiseryDigraphSpec, build_misery_digraph
 
 ENTRY = (1, 0)
 
+# a cap on horizon / r, the movement cycles one walk may draw, so that every
+# replay ends in bounded host time; over 100x what any shipped replay needs
+MAX_WALK_CYCLES = 10_000_000
+
 
 class Strategy(Enum):
     UNIFORM_CHILD = "uniform-child"
@@ -65,6 +69,9 @@ def _checked_spec(d: int, k: int, hop_time: float, r: float | None,
     if r is not None and not (r > math.ulp(horizon) / 2 and math.isfinite(r)):
         raise ValueError(f"movement period r must be None or finite and "
                          f"above half an ulp of the horizon {horizon}, got {r}")
+    if r is not None and horizon / r > MAX_WALK_CYCLES:
+        raise ValueError(f"horizon / r = {horizon / r:.4g} movement cycles per "
+                         f"walk, above the cap of {MAX_WALK_CYCLES}")
     return MiseryDigraphSpec(d, k)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import reporting, wire
 from .addresses import AddressServer
@@ -34,6 +34,12 @@ from .sim import Future, Simulation
 from .topology import HTTP, PUBLIC_INTERNET, MiseryDigraphSpec, build_misery_digraph
 
 DRAIN = 2.0    # the run goes on u + DRAIN seconds after the client stops
+
+# caps on the work a valid config implies, so that every run ends in bounded
+# host time; each is over 100x what any shipped shape or test needs
+MAX_INSTANCES = 100_000
+MAX_POLL_CYCLES = 10_000_000
+MAX_MOVEMENT_CYCLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -59,15 +65,11 @@ class LatencyModel:
                 and math.isfinite(provisioning)):
             raise ConfigError("provisioning latency must be a finite number >= 0")
 
-    def to_json_dict(self) -> dict:
-        return {"hop": list(self.hop), "api": list(self.api),
-                "notify": list(self.notify), "provisioning": self.provisioning}
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LatencyModel":
         if not isinstance(doc, dict):
             raise ConfigError("latency must be an object")
-        unknown = set(doc) - {"hop", "api", "notify", "provisioning"}
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown latency keys: {sorted(unknown)}")
         # a JSON [lo, hi] list is the model's (lo, hi) tuple
@@ -134,14 +136,27 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not value > math.ulp(last) / 2:
                 raise ConfigError(f"{what} {name}={value} stalls the clock at t={last}")
-
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "k": self.k, "j": self.j, "r": self.r,
-                "u": self.u, "m": self.m, "s": self.s,
-                "request_interval": self.request_interval,
-                "compress": self.compress, "rng_seed": self.rng_seed,
-                "n_requests": self.n_requests,
-                "latency": self.latency.to_json_dict()}
+        # a value just above those floors still runs for as long as its work
+        # takes: count the instances (without building the digraph, and
+        # stopping past the cap), then the poll and movement cycles
+        instances, width = 0, 1
+        for _ in range(self.d):
+            instances += width
+            width *= self.k
+            if instances > MAX_INSTANCES:
+                raise ConfigError(
+                    f"d={self.d}, k={self.k} makes over {MAX_INSTANCES} instances "
+                    f"(the sum of k**(i-1) for i = 1..d), above the cap")
+        polls = ((self.j + 2 * self.u + self.request_interval + DRAIN)
+                 / (self.m + 2 * self.latency.hop[0]))
+        if polls > MAX_POLL_CYCLES:
+            raise ConfigError(
+                f"(j + 2u + request_interval + {DRAIN}) / (m + 2 hop_lo) = "
+                f"{polls:.4g} poll cycles, above the cap of {MAX_POLL_CYCLES}")
+        if self.j / self.r > MAX_MOVEMENT_CYCLES:
+            raise ConfigError(
+                f"j / r = {self.j / self.r:.4g} movement cycles, above the cap "
+                f"of {MAX_MOVEMENT_CYCLES}")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -343,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig, *,
     the event log, and the live deployment for inspection."""
     cfg.validate()
     log = EventLog()
-    log.emit(0.0, "experiment.config", config=cfg.to_json_dict())
+    log.emit(0.0, "experiment.config", config=asdict(cfg))
     provider, addresses = build_cloud(cfg, log)
     sim = provider.sim
 
@@ -369,7 +384,7 @@ def run_experiment(cfg: ExperimentConfig, *,
 
     consistency = deployment.consistency_check()
     report = reporting.metrics_from_records(log.records)
-    log.emit(sim.now, "experiment.summary", metrics=report.to_json_dict(),
+    log.emit(sim.now, "experiment.summary", metrics=asdict(report),
              consistency=list(consistency),
              counters=dict(sorted(provider.counters.items())))
     return ExperimentResult(cfg, report, log, deployment, sim, consistency)

@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 def is_int(value) -> bool:
@@ -85,21 +85,6 @@ class MetricsReport:
     pool_misses: int = 0
     failures_by_layer: dict[str, int] = field(default_factory=dict)
     failures_by_cycle: list[dict] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "issued": self.issued,
-            "processed": self.processed,
-            "failed": self.failed,
-            "latency_p50_ms": self.latency_p50_ms,
-            "latency_p95_ms": self.latency_p95_ms,
-            "latency_p99_ms": self.latency_p99_ms,
-            "transformations": self.transformations,
-            "pool_misses": self.pool_misses,
-            "failures_by_layer": {k: self.failures_by_layer[k]
-                                  for k in sorted(self.failures_by_layer)},
-            "failures_by_cycle": list(self.failures_by_cycle),
-        }
 
 
 def _quantile(ordered: list[float], q: float) -> float | None:
@@ -195,7 +180,7 @@ def emit_report(records: list[dict], outdir: str) -> tuple[str, str]:
             config = rec["config"]
             break
     summary = {"config": config,
-               "metrics": metrics_from_records(records).to_json_dict()}
+               "metrics": asdict(metrics_from_records(records))}
     json_path = os.path.join(outdir, "summary.json")
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)

@@ -15,9 +15,9 @@ Task.  It parks on each ask (the ask returns None, so no Future is made per
 ask), and the link resumes the task straight from its message callback with
 the reply or the error that ends it.  A dial is an ordinary Future, and the
 sleep of m between cycles is one scheduled `resume`.  An exception the task
-does not catch leaves the event loop and ends the run.  The idle dialogue's
-two constant messages, the one-byte list ask and the empty listing, are
-matched by value and never parsed.
+does not catch leaves the event loop and ends the run.  No poll message is
+matched by value: both ends parse every one through `wire.decode_poll`,
+whose cache serves the idle dialogue's list ask and empty listing.
 
 An idle poll costs no heap event while no other event is due.  The poller
 proves a cycle idle from the RSs' intake: `CloudProvider.intake` counts the
@@ -214,10 +214,6 @@ class RequestsServerNode:
 
     def on_poll_channel(self, channel: Channel) -> None:
         def on_message(data: bytes) -> None:
-            if data == wire.POLL_LIST_FRAME:
-                batch, _ = self.registry.list_pending()
-                channel.send(wire.encode_poll_listing(batch))
-                return
             try:
                 events = wire.decode_poll(data)
             except ProtocolViolation:
@@ -259,14 +255,11 @@ class _PollLink:
         channel.on_error(self.fail)
 
     def _on_message(self, data: bytes) -> None:
-        if data == wire.POLL_EMPTY_LISTING_FRAME:
-            events = _EMPTY_LISTING_EVENTS
-        else:
-            try:
-                events = wire.decode_poll(data)
-            except ProtocolViolation as err:
-                self.fail(err)
-                return
+        try:
+            events = wire.decode_poll(data)
+        except ProtocolViolation as err:
+            self.fail(err)
+            return
         for event in events:
             if self.inflight:
                 self.inflight -= 1
@@ -286,9 +279,6 @@ class _PollLink:
         until the link hands it the reply."""
         self.inflight += 1
         self.channel.send(frame)
-
-
-_EMPTY_LISTING_EVENTS = (("listing", ()),)
 
 
 # poll cycles an executed id stays cached: a minute or more at m = 0.1 s

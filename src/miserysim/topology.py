@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidSpec, LayerConflict, TopologyError, UnknownNode
@@ -59,9 +59,6 @@ class ServiceKind:
 
     name: str
     port: int
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "port": self.port}
 
 
 # The web -> app -> db chain the system protects: the d=0 baseline deploys
@@ -264,11 +261,11 @@ class MiseryDigraph:
             "target": self.target,
             "roles": {n: self.role_of(n) for n in self.all_nodes()},
             "edges": [
-                {"src": src, "dst": dst, "services": [HTTP.to_dict()]}
+                {"src": src, "dst": dst, "services": [asdict(HTTP)]}
                 for src, dst in self.edges()
             ],
-            "transport_services": [HTTP.to_dict()],
-            "poll_services": [DATABASE.to_dict()],
+            "transport_services": [asdict(HTTP)],
+            "poll_services": [asdict(DATABASE)],
             "enabled_leaf": self.enabled_leaf,
             "enabled_path": enabled_path(self),
         }

@@ -239,6 +239,14 @@ def test_replay_rejects_a_period_the_horizon_cannot_add(hop_time, r):
     attacker._checked_spec(3, 2, hop_time, None, 500.0 * hop_time)
 
 
+def test_replay_caps_the_movement_cycles_of_one_walk():
+    # r = 1e-6 gives 5e8 cycles in a 500-hop horizon, minutes per walk
+    horizon, cap = 500.0, attacker.MAX_WALK_CYCLES
+    with pytest.raises(ValueError, match="movement cycles per walk, above the cap"):
+        attacker._checked_spec(3, 2, 1.0, horizon / cap * 0.999, horizon)
+    attacker._checked_spec(3, 2, 1.0, horizon / cap * 1.001, horizon)
+
+
 @pytest.mark.parametrize("hop_time", [0.0, -1.0, math.inf, math.nan])
 def test_replay_rejects_a_hop_that_is_not_positive_and_finite(hop_time):
     # an infinite hop made the default horizon infinite too, so the walk hung;

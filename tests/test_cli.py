@@ -202,14 +202,14 @@ def test_a_run_whose_sweep_finds_stale_tables_exits_three(tmp_path, capsys,
                                       for line in problems]
 
 
-def run_cli_process(args: list[str]) -> subprocess.CompletedProcess:
+def run_cli_process(args: list[str], timeout: float = 30) -> subprocess.CompletedProcess:
     """`python -m miserysim` in a child process, so that a run which never
     returns fails on its timeout instead of stalling the suite."""
     src = str(Path(miserysim.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "miserysim", *args], env=env,
-                          capture_output=True, text=True, timeout=30)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("flag, value", [("--m", "nan"), ("--u", "inf"),
@@ -253,6 +253,25 @@ def test_a_movement_period_that_stalls_the_clock_is_a_config_error(tmp_path,
                                    if args[0] == "run" else []))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stdout == "" and "error: movement period r" in proc.stderr
+    assert not (tmp_path / "events.jsonl").exists()
+
+
+@pytest.mark.parametrize("args, bound", [
+    (["run", "--j", "20", "--r", "1e-6", "--s", "2"], "movement cycles"),
+    # the idle replay would run through a drain of u + 2 s
+    (["run", "--d", "3", "--k", "2", "--j", "10", "--u", "1e7"], "poll cycles"),
+    (["attack", "--d", "3", "--k", "2", "--r", "1e-6", "--hop", "1",
+      "--seeds", "1"], "movement cycles per walk"),
+    # 2**28 - 1 instances: the build ran out of memory before the cap
+    (["build", "--d", "28", "--k", "2"], "instances"),
+], ids=["run-r", "run-u", "attack-r", "build-d"])
+def test_a_config_whose_work_is_over_a_cap_is_a_config_error(tmp_path, args,
+                                                              bound):
+    # each command passes every other check and once ran past a 15 s timeout
+    proc = run_cli_process(args + (["--outdir", str(tmp_path)]
+                                   if args[0] == "run" else []), timeout=10)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == "" and bound in proc.stderr and "cap" in proc.stderr
     assert not (tmp_path / "events.jsonl").exists()
 
 

@@ -7,12 +7,16 @@ import json
 import random
 import re
 import time
+from dataclasses import asdict
 
 import pytest
 
 from miserysim.errors import ConfigError
 from miserysim.eventlog import serialize_record
 from miserysim.experiment import (
+    DRAIN,
+    MAX_MOVEMENT_CYCLES,
+    MAX_POLL_CYCLES,
     ExperimentConfig,
     LatencyModel,
     LoadGenerator,
@@ -49,7 +53,7 @@ def test_config_round_trips_through_json():
     cfg = ExperimentConfig(d=4, k=3, j=120.0, r=10.0, rng_seed=7,
                            n_requests=50,
                            latency=LatencyModel(hop=(0.002, 0.004)))
-    assert ExperimentConfig.from_json_dict(cfg.to_json_dict()) == cfg
+    assert ExperimentConfig.from_json_dict(asdict(cfg)) == cfg
 
 
 def test_config_rejects_bad_shapes():
@@ -84,7 +88,14 @@ def test_config_rejects_a_poll_interval_the_clock_cannot_add():
     with pytest.raises(ConfigError, match="poll interval"):
         ExperimentConfig(d=2, k=2, j=10, m=1e-14,
                          latency=LatencyModel(hop=(0.0, 0.0))).validate()
-    ExperimentConfig(d=2, k=2, j=10, m=1e-12,
+    # m = 1e-12 advances the clock, but its 1.5e13 poll cycles are over the
+    # cap; an m whose cycles are just under the cap validates
+    m_at_cap = (10 + 2 * 1.0 + 0.8 + DRAIN) / MAX_POLL_CYCLES
+    for m in (1e-12, m_at_cap * 0.999):
+        with pytest.raises(ConfigError, match="poll cycles, above the cap"):
+            ExperimentConfig(d=2, k=2, j=10, m=m,
+                             latency=LatencyModel(hop=(0.0, 0.0))).validate()
+    ExperimentConfig(d=2, k=2, j=10, m=m_at_cap * 1.001,
                      latency=LatencyModel(hop=(0.0, 0.0))).validate()
 
 
@@ -93,7 +104,24 @@ def test_config_rejects_a_movement_period_the_clock_cannot_add():
     # movement loop schedules its next cycle at one instant forever
     with pytest.raises(ConfigError, match="movement period r=1e-300"):
         ExperimentConfig(j=20, r=1e-300, s=2).validate()
-    ExperimentConfig(j=20, r=1e-12, s=2).validate()
+    # r = 1e-12 advances the clock, but its 2e13 cycles are over the cap
+    r_at_cap = 20 / MAX_MOVEMENT_CYCLES
+    for r in (1e-12, r_at_cap * 0.999):
+        with pytest.raises(ConfigError, match="movement cycles, above the cap"):
+            ExperimentConfig(j=20, r=r, s=2).validate()
+    ExperimentConfig(j=20, r=r_at_cap * 1.001, s=2).validate()
+
+
+@pytest.mark.parametrize("d, k", [(17, 2), (28, 2), (10**9, 1), (3, 10**9)])
+def test_config_caps_the_instances_of_a_shape(d, k):
+    # counted layer by layer and stopped past the cap, so a huge d or k
+    # costs no more than a small one
+    with pytest.raises(ConfigError, match="instances"):
+        ExperimentConfig(d=d, k=k).validate()
+
+
+def test_config_accepts_a_shape_just_under_the_instance_cap():
+    ExperimentConfig(d=16, k=2).validate()     # 2**16 - 1 = 65,535 instances
 
 
 @pytest.mark.parametrize("shape", [

@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -138,7 +139,7 @@ def test_emit_report_writes_rows_and_summary(tmp_path):
     assert lines[2].endswith(",failed,0.05,0,2")
     summary = json.loads(Path(json_path).read_text(encoding="utf-8"))
     assert summary["config"] == {"d": 3}
-    assert summary["metrics"] == metrics_from_records(records).to_json_dict()
+    assert summary["metrics"] == asdict(metrics_from_records(records))
 
 
 def test_emit_report_empty_records_header_only(tmp_path):

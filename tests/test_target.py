@@ -174,6 +174,49 @@ def test_rs_answers_an_empty_payload_with_a_violation():
     assert len(got) == 1
 
 
+class ScriptedChannel:
+    """One end of a poll channel: it records what its owner sends, and
+    `deliver` hands the owner a message."""
+
+    def __init__(self):
+        self.sent = []
+        self.deliver = None
+
+    def on_message(self, fn):
+        self.deliver = fn
+
+    def on_error(self, fn):
+        pass
+
+    def send(self, data):
+        self.sent.append(data)
+
+
+def test_rs_answers_a_joined_list_ask_and_delivery_with_one_message():
+    _, _, node, _ = rs_fixture()
+    got = []
+    node.open_session(CORR, b"GET k", got.append)
+    channel = ScriptedChannel()
+    node.on_poll_channel(channel)
+    channel.deliver(wire.POLL_LIST_FRAME + wire.encode_poll_delivery(CORR, b"NIL"))
+    # the listing is taken before the delivery drops the entry
+    assert channel.sent == [wire.encode_poll_listing([(CORR, b"GET k")])
+                            + wire.POLL_ACK_FRAME]
+    assert got == [wire.encode_response(CORR, b"NIL")]
+    assert node.registry.pending == {}
+
+
+def test_a_poll_link_hands_a_joined_reply_to_its_asks_in_order():
+    channel = ScriptedChannel()
+    replies = []
+    link = target._PollLink(channel, lambda event, err: replies.append((event, err)))
+    link.ask(wire.POLL_LIST_FRAME)
+    link.ask(wire.encode_poll_delivery(CORR, b"NIL"))
+    channel.deliver(wire.encode_poll_listing([(CORR, b"GET k")]) + wire.POLL_ACK_FRAME)
+    assert replies == [(("listing", ((CORR, b"GET k"),)), None), (("ack",), None)]
+    assert link.inflight == 0
+
+
 def test_rs_transport_endpoint_round_trip():
     sim, provider, node, _ = rs_fixture()
     provider.create_instance(ImageKind.MULTICASTER, instance_id="parent")

@@ -193,7 +193,8 @@ def test_poll_list_and_empty_listing_bytes_are_pinned():
     # the prebuilt frames are immutable bytes, so sharing them is safe
     assert type(POLL_LIST_FRAME) is bytes
     assert type(encode_poll_listing([])) is bytes
-    # the poller compares replies with the one frame every idle RS sends
+    # every idle RS sends this one object, so decode_poll's cache hashes
+    # one key, and a bytes object computes its hash only once
     assert encode_poll_listing([]) is POLL_EMPTY_LISTING_FRAME
 
 
