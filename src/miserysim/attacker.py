@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-import statistics
 from enum import Enum
 
 from .errors import NoEligibleLayer
@@ -164,12 +163,19 @@ def sign_test(greater: int, less: int) -> float:
 def summarize(times: list[float]) -> dict:
     """JSON-safe summary: a median that falls on censored runs is None."""
     finite = sorted(x for x in times if math.isfinite(x))
-    median = statistics.median(times) if times else math.inf
+    # statistics.median and fmean's own arithmetic, without importing the
+    # module: a censored walk is math.inf, so these are the times sorted
+    ranked = finite + [math.inf] * (len(times) - len(finite))
+    half = len(ranked) // 2
+    if len(ranked) % 2:
+        median = ranked[half]
+    else:
+        median = (ranked[half - 1] + ranked[half]) / 2 if ranked else math.inf
     return {
         "runs": len(times),
         "censored": len(times) - len(finite),
         "median": median if math.isfinite(median) else None,
-        "mean": statistics.fmean(finite) if finite else None,
+        "mean": math.fsum(finite) / len(finite) if finite else None,
         "min": finite[0] if finite else None,
         "max": finite[-1] if finite else None,
     }

@@ -106,8 +106,10 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as err:
             raise ConfigError(f"bad digraph file {args.digraph}: {err}") from err
     digraph = MiseryDigraph.from_json_dict(doc)
-    # the digraph comes from the file; everything else is the run's default
-    cfg = ExperimentConfig(s=args.s, rng_seed=args.seed)
+    # the digraph comes from the file, and its shape counts into the
+    # instance cap; everything else is the run's default
+    cfg = ExperimentConfig(d=digraph.spec.d, k=digraph.spec.k, s=args.s,
+                           rng_seed=args.seed)
     cfg.validate()
     provider, addresses = build_cloud(cfg, EventLog())
     sim = provider.sim

@@ -137,16 +137,20 @@ class ExperimentConfig:
             if not value > math.ulp(last) / 2:
                 raise ConfigError(f"{what} {name}={value} stalls the clock at t={last}")
         # a value just above those floors still runs for as long as its work
-        # takes: count the instances (without building the digraph, and
-        # stopping past the cap), then the poll and movement cycles
-        instances, width = 0, 1
+        # takes: count the instances, the digraph's and the s standbys
+        # (without building the digraph, and stopping past the cap), then
+        # the poll and movement cycles
+        instances, width = self.s, 1
         for _ in range(self.d):
             instances += width
             width *= self.k
             if instances > MAX_INSTANCES:
-                raise ConfigError(
-                    f"d={self.d}, k={self.k} makes over {MAX_INSTANCES} instances "
-                    f"(the sum of k**(i-1) for i = 1..d), above the cap")
+                break
+        if instances > MAX_INSTANCES:
+            raise ConfigError(
+                f"d={self.d}, k={self.k}, s={self.s} makes over {MAX_INSTANCES} "
+                f"instances (the sum of k**(i-1) for i = 1..d, plus s), above "
+                f"the cap")
         polls = ((self.j + 2 * self.u + self.request_interval + DRAIN)
                  / (self.m + 2 * self.latency.hop[0]))
         if polls > MAX_POLL_CYCLES:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import statistics
@@ -300,6 +301,36 @@ def test_summarize_counts_censored_runs():
     assert out["median"] == 2.5
     assert out["mean"] == 2.0
     assert out["min"] == 1.0 and out["max"] == 3.0
+
+
+def reference_summary(times: list[float]) -> dict:
+    """summarize written on the statistics module: the reference it must equal."""
+    finite = sorted(x for x in times if math.isfinite(x))
+    median = statistics.median(times) if times else math.inf
+    return {
+        "runs": len(times),
+        "censored": len(times) - len(finite),
+        "median": median if math.isfinite(median) else None,
+        "mean": statistics.fmean(finite) if finite else None,
+        "min": finite[0] if finite else None,
+        "max": finite[-1] if finite else None,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10, 99, 100])
+@pytest.mark.parametrize("censored", ["none", "some", "majority"])
+def test_summarize_equals_the_statistics_module(n, censored):
+    rng = random.Random(f"summarize/{n}/{censored}")
+    for _ in range(40):
+        inf = {"none": 0, "some": rng.randint(1, max(1, (n - 1) // 2)),
+               "majority": rng.randint(n // 2 + 1, n)}[censored]
+        # hop multiples tie as replay times do; uniform draws do not
+        times = [rng.choice((rng.randint(1, 40) * 0.5, rng.uniform(0, 1e3)))
+                 for _ in range(n - inf)] + [math.inf] * inf
+        rng.shuffle(times)
+        got, expected = summarize(times), reference_summary(times)
+        assert got == expected
+        assert json.dumps(got) == json.dumps(expected)
 
 
 def test_summarize_empty_and_all_censored():

@@ -264,15 +264,25 @@ def test_a_movement_period_that_stalls_the_clock_is_a_config_error(tmp_path,
       "--seeds", "1"], "movement cycles per walk"),
     # 2**28 - 1 instances: the build ran out of memory before the cap
     (["build", "--d", "28", "--k", "2"], "instances"),
-], ids=["run-r", "run-u", "attack-r", "build-d"])
+    # a million standbys: the pool fill ran past an 8 s timeout
+    (["run", "--s", "1000000", "--j", "10"], "plus s"),
+    (["deploy", "--s", "1000000"], "plus s"),
+], ids=["run-r", "run-u", "attack-r", "build-d", "run-s", "deploy-s"])
 def test_a_config_whose_work_is_over_a_cap_is_a_config_error(tmp_path, args,
                                                               bound):
-    # each command passes every other check and once ran past a 15 s timeout
-    proc = run_cli_process(args + (["--outdir", str(tmp_path)]
-                                   if args[0] == "run" else []), timeout=10)
+    # each command passes every other check and once ran past a timeout
+    if args[0] == "run":
+        args = args + ["--outdir", str(tmp_path)]
+    elif args[0] == "deploy":
+        digraph_path = tmp_path / "digraph.json"
+        assert main(["build", "--d", "3", "--k", "2", "-o", str(digraph_path)]) == 0
+        args = args + ["--digraph", str(digraph_path),
+                       "-o", str(tmp_path / "state.json")]
+    proc = run_cli_process(args, timeout=10)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stdout == "" and bound in proc.stderr and "cap" in proc.stderr
     assert not (tmp_path / "events.jsonl").exists()
+    assert not (tmp_path / "state.json").exists()
 
 
 # json reads NaN and Infinity, so a config file can carry them too, and a

@@ -15,6 +15,7 @@ from miserysim.errors import ConfigError
 from miserysim.eventlog import serialize_record
 from miserysim.experiment import (
     DRAIN,
+    MAX_INSTANCES,
     MAX_MOVEMENT_CYCLES,
     MAX_POLL_CYCLES,
     ExperimentConfig,
@@ -122,6 +123,10 @@ def test_config_caps_the_instances_of_a_shape(d, k):
 
 def test_config_accepts_a_shape_just_under_the_instance_cap():
     ExperimentConfig(d=16, k=2).validate()     # 2**16 - 1 = 65,535 instances
+    # the s standbys count too: d=3 k=2 is 7 instances before them
+    ExperimentConfig(d=3, k=2, s=MAX_INSTANCES - 7).validate()
+    with pytest.raises(ConfigError, match=r"plus s\), above the cap"):
+        ExperimentConfig(d=3, k=2, s=MAX_INSTANCES - 6).validate()
 
 
 @pytest.mark.parametrize("shape", [

@@ -1,8 +1,10 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and importing
+it leaves out the standard library's statistics module."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +41,17 @@ def test_the_guard_sees_every_import_form():
               "def lazy():\n    import yaml\n")
     assert list(imported_modules(source)) == [
         "json", "xml", "miserysim", "miserysim", "numpy", "yaml"]
+
+
+def test_importing_the_package_leaves_out_statistics():
+    # statistics pulls fractions, decimal and numbers into every interpreter
+    # that imports it: a few ms of each CLI call's start-up, for a median
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import miserysim, miserysim.cli, miserysim.attacker; "
+            "print(*sorted({'statistics', 'fractions', 'decimal'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code,
+                           str(PACKAGE_DIR.parent)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
