@@ -88,7 +88,7 @@ class Channel:
     for movement).
     """
 
-    __slots__ = ("node", "port", "peer", "state", "_provider",
+    __slots__ = ("node", "port", "peer", "state", "server", "_provider",
                  "_on_message", "_on_error", "_inbox", "_last_at")
 
     def __init__(self, provider: "CloudProvider", node: str, port: int):
@@ -96,6 +96,9 @@ class Channel:
         self.port = port
         self.peer: Channel | None = None
         self.state = "open"
+        # the node serving this end's messages, if it says so; the poller
+        # replays its round trips only to an end a requests server marked
+        self.server = None
         self._provider = provider
         self._on_message: Callable[[bytes], None] | None = None
         self._on_error: Callable[[Exception], None] | None = None
@@ -261,9 +264,6 @@ class CloudProvider:
         self.channels: dict[Channel, None] = {}    # open pipes' opener ends
         self._addr_seq = itertools.count(1)
         self.counters: Counter[str] = Counter()
-        # requests every RS has registered: the poller's idle proof reads it,
-        # and it stays out of counters, which summary.json reports
-        self.intake = 0
         self.pool: InstancePool | None = None
         self._net_rng = sim.rng("net")
         self._api_rng = sim.rng("cloud-api")
@@ -496,7 +496,7 @@ class CloudProvider:
         FIFO per direction: a frame must not overtake an earlier one even
         when it draws a shorter hop latency.  The draw is hop_latency()
         inline: random.uniform's own expression, so bit-identical.  The
-        poller's replayed idle cycles draw their arrivals here too.
+        poller's replayed round trips draw their arrivals here too.
         """
         lo, hi = self._hop
         at = sent + (lo + (hi - lo) * self._net_rng.random())

@@ -151,12 +151,19 @@ class ExperimentConfig:
                 f"d={self.d}, k={self.k}, s={self.s} makes over {MAX_INSTANCES} "
                 f"instances (the sum of k**(i-1) for i = 1..d, plus s), above "
                 f"the cap")
-        polls = ((self.j + 2 * self.u + self.request_interval + DRAIN)
-                 / (self.m + 2 * self.latency.hop[0]))
+        span = self.j + 2 * self.u + self.request_interval + DRAIN
+        terms = f"j + 2u + request_interval + {DRAIN}"
+        if self.s == 0 and self.d > 0:
+            # each reset of the last movement cycle, which may start at j,
+            # waits out provisioning, and the run waits for its tables
+            span += (2 * self.latency.provisioning + 6 * self.latency.api[1]
+                     + self.latency.notify[1])
+            terms += " + 2 provisioning + 6 api_hi + notify_hi"
+        polls = span / (self.m + 2 * self.latency.hop[0])
         if polls > MAX_POLL_CYCLES:
             raise ConfigError(
-                f"(j + 2u + request_interval + {DRAIN}) / (m + 2 hop_lo) = "
-                f"{polls:.4g} poll cycles, above the cap of {MAX_POLL_CYCLES}")
+                f"({terms}) / (m + 2 hop_lo) = {polls:.4g} poll cycles, above "
+                f"the cap of {MAX_POLL_CYCLES}")
         if self.j / self.r > MAX_MOVEMENT_CYCLES:
             raise ConfigError(
                 f"j / r = {self.j / self.r:.4g} movement cycles, above the cap "
@@ -375,8 +382,10 @@ def run_experiment(cfg: ExperimentConfig, *,
     deployment = sim.run_until(deploy_task.future)
     epoch = sim.now
 
+    movement = None
     if cfg.d != 0:
-        MovementManager(deployment, cfg.r).start(epoch, cfg.j)
+        movement = MovementManager(deployment, cfg.r)
+        movement.start(epoch, cfg.j)
 
     workload = WorkloadGenerator(cfg.rng_seed) if replay is None else None
     load = LoadGenerator(provider, deployment.entry_address, cfg,
@@ -385,6 +394,12 @@ def run_experiment(cfg: ExperimentConfig, *,
 
     sim.run_until(load_task.future, pace=cfg.compress)
     sim.run(until=sim.now + cfg.u + DRAIN)
+    if movement is not None and not movement.settled.done:
+        # a cycle still runs (with s=0 each reset waits out provisioning):
+        # the sweep must not compare its switched digraph with tables it has
+        # not pushed yet, so let it end and its updates land
+        sim.run_until(movement.settled)
+        sim.run(until=sim.now + addresses.notify_bound)
 
     consistency = deployment.consistency_check()
     report = reporting.metrics_from_records(log.records)

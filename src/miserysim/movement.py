@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from .deploy import MDG_TAGS, image_for_layer
 from .errors import CloudError, NoEligibleLayer
+from .sim import Future
 from .topology import (
     MiseryDigraph,
     MiseryDigraphSpec,
@@ -150,6 +151,9 @@ class MovementManager:
                                    self.sim.rng("movement"))
         self._generation: dict[tuple[int, int], int] = {}
         self.cycle_no = 0
+        # resolved whenever no cycle is running
+        self.settled = Future()
+        self.settled.resolve()
 
     # -- scheduling --------------------------------------------------------
 
@@ -164,7 +168,9 @@ class MovementManager:
             delay = next_t - self.sim.now
             if delay > 0:
                 yield delay
+            self.settled = Future()
             yield from self._cycle()
+            self.settled.resolve()
             next_t = max(next_t + self.r, self.sim.now)
 
     # -- the cycle -----------------------------------------------------------

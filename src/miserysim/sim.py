@@ -20,11 +20,19 @@ or `limit`).  An exception that an event raises, a task's included, leaves
 the loop and ends the run.
 
 `next_due()` is the time of the next live heap event, or the running loop's
-horizon if that is sooner.  The poller replays its idle cycles as arithmetic
-up to it: events that schedule only each other and fall strictly before it
-run before any other event in a stepwise dispatch too.  Replayed events have
-no heap entry to set the clock, so `run(until)` leaves the clock at `until`
-and a `run_until` that hits its `limit` leaves it at `limit`.
+horizon if that is sooner.  The poller replays poll round trips as
+arithmetic up to it: events that schedule only each other and fall strictly
+before it run before any other event in a stepwise dispatch too.  Inside an
+event, `advance(t)` moves the clock to such a replayed instant, so what the
+event does next is stamped as the heap would have stamped it; it refuses any
+`t` before the clock or at or past `next_due()`.  Between two runs
+`next_due()` is -inf, so nothing is replayed there: a task resumed by a
+plain call, say a poller whose ask a test fails through `apply_update`,
+goes back to the heap.  Before the first run no task has run, and
+`next_due()` reads the heap as a loop without a horizon would.  Replayed
+events have no heap entry to set the clock, so `run(until)` leaves the
+clock at `until` and a `run_until` that hits its `limit` leaves it at
+`limit`.
 """
 
 from __future__ import annotations
@@ -161,7 +169,8 @@ class Simulation:
         self._seq = itertools.count()
         self._rngs: dict[str, random.Random] = {}
         self._processed = 0
-        self._horizon = math.inf    # the running loop's until or limit
+        # the running loop's until or limit; -inf once a loop has returned
+        self._horizon = math.inf
 
     def rng(self, name: str) -> random.Random:
         """Deterministic per-subsystem stream, independent of other streams."""
@@ -190,12 +199,21 @@ class Simulation:
 
     def next_due(self) -> float:
         """The time of the next live heap event, or the horizon of the loop
-        running this event if that is sooner; inf if there is neither.
-        Call it from an event."""
+        running this event if that is sooner; inf if there is neither, and
+        -inf between two runs."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         return min(heap[0][0], self._horizon) if heap else self._horizon
+
+    def advance(self, t: float) -> None:
+        """Move the clock to `t`, the instant of a step replayed as
+        arithmetic inside the running event; `t` must lie before
+        `next_due()`, so no heap event is overtaken."""
+        if not self.now <= t < self.next_due():
+            raise ValueError(f"cannot advance the clock from {self.now} to {t}: "
+                             f"not before the next due event")
+        self.now = t
 
     def run(self, until: float | None = None) -> int:
         """Process events until the queue drains or the clock passes `until`.
@@ -231,22 +249,25 @@ class Simulation:
         heap = self._heap
         pop = heapq.heappop
         pending = Future._PENDING
-        while future._state == pending and heap:
-            t, _, handle = heap[0]
-            if handle.cancelled:
+        try:
+            while future._state == pending and heap:
+                t, _, handle = heap[0]
+                if handle.cancelled:
+                    pop(heap)
+                    continue
+                if t > horizon:
+                    return t
+                if pace > 0.0 and t > self.now:
+                    time.sleep((t - self.now) / pace)
                 pop(heap)
-                continue
-            if t > horizon:
-                return t
-            if pace > 0.0 and t > self.now:
-                time.sleep((t - self.now) / pace)
-            pop(heap)
-            self.now = t
-            fn, args = handle.fn, handle.args
-            handle.fn, handle.args = None, ()
-            fn(*args)
-            self._processed += 1
-        return None
+                self.now = t
+                fn, args = handle.fn, handle.args
+                handle.fn, handle.args = None, ()
+                fn(*args)
+                self._processed += 1
+            return None
+        finally:
+            self._horizon = -math.inf
 
     @property
     def events_processed(self) -> int:

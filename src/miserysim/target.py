@@ -19,33 +19,62 @@ does not catch leaves the event loop and ends the run.  No poll message is
 matched by value: both ends parse every one through `wire.decode_poll`,
 whose cache serves the idle dialogue's list ask and empty listing.
 
-An idle poll costs no heap event while no other event is due.  The poller
-proves a cycle idle from the RSs' intake: `CloudProvider.intake` counts the
-requests every RS has registered, and only a registration fills an RS.  A
-heap-driven cycle in which every endpoint answered a listing and every
-listed id was delivered and acked marks the intake it read at its wake:
-while the intake stays at that mark, every RS it asked is empty.  At a
-later wake whose intake still equals the mark, and whose endpoints all have
-open links, each RS the cycle would ask is one of those, because only a
-cycle makes links: an endpoint that a new record brought in has none.  That
-cycle is idle, and so is every later one until some other event runs.
-There the poller asks the kernel for `next_due()` and replays from the wake
-every whole cycle that surely ends before it, with the same hop draws from
-the shared `net` stream (`CloudProvider.channel_arrival`), the cycle count
-and the executed-cache eviction, and no call to `list_pending`.  The wake
-of the first cycle that might not end in time is scheduled as an ordinary
-heap event; when not even the cycle from this wake fits, it runs from the
-heap.  So the poller is never off the heap between two events, and every
-artifact is byte for byte what the heap-driven dialogue writes.
+Pure round trips run off the heap.  Most of the dialogue touches only one
+RS's registry and the shared `net` stream: a list ask on a usable link,
+whatever the listing holds, and a delivery whose pending entry has no
+waiting session, or is not pending at all (the RS then only pops and counts
+it, as `late_deliveries` or `unknown_deliveries`, and acks).  A delivery to
+an entry with a waiting session answers each session with a `net` draw and
+an exchange event, and a dial opens its channel through heap events; both
+stay on the heap.  By conservative lookahead (Chandy and Misra, IEEE TSE
+1979), a sequence of events that surely ends before the next due event may
+run without the queue, so `_cycle` runs a pure round trip inline whenever
+`(now + hop_max) + hop_max < sim.next_due() < inf`, with
+`CloudProvider.hop_max` the longest draw.  It draws the ask's arrival with
+`CloudProvider.channel_arrival` at the send, moves the clock there with
+`Simulation.advance`, runs the RS side (`registry.list_pending()`, or
+`deliver(corr, response)`), draws the reply's arrival from that instant and
+moves the clock there.  Those are the draws the heap-driven dialogue makes,
+in its order and at its instants, and every later stamp (an execution, a
+`poll.cycle` record) reads the same clock, so every artifact is byte for
+byte what the heap writes.
 
-"Surely ends before" is a bound made with the replay's own arithmetic: the
-wake plus `CloudProvider.hop_max` (the longest draw), added once per hop
-for the cycle's 2n hops.  It is exact, because from such a wake no FIFO
-clamp binds (each ask of the marking cycle was answered before it ended,
-so every channel end last received a message before the wake), so each hop
+The bound is exact.  No FIFO clamp binds on a link the poller asks: it asks
+only after its previous ask was answered, and an RS sends only replies, so
+each end of the link last received a message before now.  Each hop then
 ends at most one longest draw after it starts, and rounded addition is
-monotone, so the bound never falls below the real end.  A closed form such
-as `wake + 2*n*hi` can round one ulp below it.
+monotone, so the bound, added hop by hop as the dialogue adds, never falls
+below the real end; a closed form such as `now + 2*hi` can round one ulp
+below it.  The RS side schedules nothing, so `next_due()` stays put.
+
+The poller reaches an RS through the channel: `RequestsServerNode.
+on_poll_channel` marks the end it serves (`Channel.server`), and a link
+replays only if its peer end is marked.  A view that wraps an RS's channel
+(the fault tests' RSs) gets the mark instead of the real end, so such a
+link keeps the heap-driven dialogue.
+
+Whole idle cycles have a faster path.  At a wake where every endpoint has a
+usable, marked link and every registry is empty, `_replay` replays from the
+wake every whole cycle that surely ends before the next due event (the same
+bound, added once per hop over the cycle's 2n hops), with the same draws,
+the cycle count and the executed-cache eviction, and no call to
+`list_pending`.  It schedules the wake of the first cycle that might not as
+an ordinary heap event; when not even the cycle from this wake fits, that
+cycle runs through `_cycle`.  So the poller is never off the heap between
+two events.
+
+A replay moves the clock, so nothing may follow the poller's resume in the
+same event.  The task resumes at its wake, a heap event of its own; at a
+reply, in `_PollLink._on_message`, the last step of a channel delivery (a
+real RS answers each message with one message of one reply); at `fail`,
+from an `on_error` event of its own, or from `apply_update`, which closes
+every dropped link first (a close schedules nothing there, because the RS
+end installs no `on_error`) and then fails their asks, at most one of which
+is in flight; and at a dial future, which `_accept_channel`,
+`_channel_ready` or a refusal settles as its last step.  The Address Server
+delivers `apply_update` as an event of its own.  Outside a loop
+`next_due()` is -inf, so a poller resumed between two runs (tests call
+`apply_update` there) replays nothing.
 
 Only the baseline (d=0) chain speaks the real database handshake:
 DatabaseServerNode owns it and AppServerNode is its client, so the
@@ -187,7 +216,6 @@ class RequestsServerNode:
         session = _RsSession(corr, respond)
         session.timer = self.sim.schedule(self.u, self._session_timeout, session)
         self.registry.enqueue(corr, payload).sessions.append(session)
-        self.provider.intake += 1
 
     def _session_timeout(self, session: _RsSession) -> None:
         # delivery cancels the timer, so the session is still waiting here;
@@ -213,6 +241,8 @@ class RequestsServerNode:
     # -- poll endpoint ----------------------------------------------------------
 
     def on_poll_channel(self, channel: Channel) -> None:
+        channel.server = self    # the poller may replay this end's replies
+
         def on_message(data: bytes) -> None:
             try:
                 events = wire.decode_poll(data)
@@ -301,9 +331,6 @@ class PollingServerNode:
         self._links: dict[str, _PollLink] = {}
         self.cycle_no = 0
         self._task = None     # the running _loop(), from start() on
-        # the intake at the wake of the last cycle, if it left every RS of
-        # its record empty; see the module notes
-        self._emptied: int | None = None
 
     def apply_update(self, record: AddressRecord) -> None:
         """Poll the layer-d endpoints of the record the Address Server
@@ -312,8 +339,11 @@ class PollingServerNode:
         self.table = record
         live = {rs_id for rs_id, _ in record.children}
         dropped = [self._links.pop(r) for r in list(self._links) if r not in live]
+        # every close before the fail that may resume the poller: see the
+        # module notes
         for link in dropped:
             link.channel.close()
+        for link in dropped:
             link.fail(SessionSevered("endpoint left the poll record"))
 
     def start(self) -> None:
@@ -321,13 +351,17 @@ class PollingServerNode:
         self._task = self.sim.spawn(self._loop())
 
     def _proven_idle(self) -> bool:
-        """Whether every RS this wake would ask is surely empty: the last
-        cycle emptied them, no RS has registered a request since, and every
-        endpoint still has an open link."""
+        """Whether every endpoint has a usable link to an RS that holds
+        nothing, so that this wake's cycle is idle."""
         links = self._links
-        return (self._emptied == self.provider.intake
-                and all(rs_id in links and links[rs_id].usable
-                        for rs_id, _ in self.table.children))
+        for rs_id, _ in self.table.children:
+            link = links.get(rs_id)
+            if link is None or not link.usable:
+                return False
+            rs = link.channel.peer.server
+            if rs is None or rs.registry.pending:
+                return False
+        return True
 
     def _replay(self) -> float | None:
         """Replay the idle cycles from this wake that surely end before the
@@ -354,6 +388,23 @@ class PollingServerNode:
             return None
         self._evict()
         return at
+
+    def _fits(self) -> bool:
+        """Whether a round trip from now surely ends before the next due
+        event: the module notes' bound."""
+        hop_max = self.provider.hop_max
+        return (self.sim.now + hop_max) + hop_max < self.sim.next_due() < math.inf
+
+    def _round_trip(self, link: _PollLink, serve, *args):
+        """Run a pure round trip on link as arithmetic: the ask reaches the
+        RS, `serve(*args)` runs there, and the reply reaches the poller,
+        each at the instant the heap would give it.  Returns what serve
+        returned."""
+        sim, arrival = self.sim, self.provider.channel_arrival
+        sim.advance(arrival(link.channel.peer, sim.now))
+        served = serve(*args)
+        sim.advance(arrival(link.channel, sim.now))
+        return served
 
     def _loop(self):
         # sleep m between cycles, not on a fixed grid: a grid would let the
@@ -387,27 +438,29 @@ class PollingServerNode:
 
     def _cycle(self):
         self.cycle_no += 1
-        intake = self.provider.intake
         endpoints = self.table.children
         reporters: dict[bytes, list[str]] = {}
         fresh: list[tuple[bytes, bytes]] = []
-        collected = listings = 0
+        collected = 0
         for rs_id, address in endpoints:
             link = self._links.get(rs_id)
             if link is None or not link.usable:
                 link = yield from self._dial_link(rs_id, address)
                 if link is None:
                     continue
-            try:
-                event = yield link.ask(wire.POLL_LIST_FRAME)
-            except _LINK_FAILURES:
-                self._drop_link(rs_id)
-                continue
-            if event[0] != "listing":
-                self.counters["poll_errors"] += 1
-                continue
-            listings += 1
-            entries = event[1]
+            rs = link.channel.peer.server
+            if rs is not None and self._fits():
+                entries = self._round_trip(link, rs.registry.list_pending)[0]
+            else:
+                try:
+                    event = yield link.ask(wire.POLL_LIST_FRAME)
+                except _LINK_FAILURES:
+                    self._drop_link(rs_id)
+                    continue
+                if event[0] != "listing":
+                    self.counters["poll_errors"] += 1
+                    continue
+                entries = event[1]
             if not entries:
                 continue
             collected += len(entries)
@@ -431,9 +484,17 @@ class PollingServerNode:
             for corr in reported.get(rs_id, ()):
                 if link is None or not link.usable:
                     break
+                response = self.executed[corr][1]
+                rs = link.channel.peer.server
+                if rs is not None:
+                    # pure unless a session waits on the entry
+                    entry = rs.registry.pending.get(corr)
+                    if (entry is None or not entry.sessions) and self._fits():
+                        self._round_trip(link, rs.deliver, corr, response)
+                        delivered += 1
+                        continue
                 try:
-                    event = yield link.ask(
-                        wire.encode_poll_delivery(corr, self.executed[corr][1]))
+                    event = yield link.ask(wire.encode_poll_delivery(corr, response))
                 except _LINK_FAILURES:
                     self._drop_link(rs_id)
                     break
@@ -444,8 +505,6 @@ class PollingServerNode:
             self.provider.log.emit(self.sim.now, "poll.cycle", instance=self.id,
                           detail={"cycle": self.cycle_no, "collected": collected,
                                   "executed": len(fresh), "delivered": delivered})
-        emptied = listings == len(endpoints) and delivered == collected
-        self._emptied = intake if emptied else None
 
     def _evict(self) -> None:
         # the executed cache must outlive any re-listing of a still-pending

@@ -285,6 +285,28 @@ def test_a_config_whose_work_is_over_a_cap_is_a_config_error(tmp_path, args,
     assert not (tmp_path / "state.json").exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"latency": {"hop": [0, 0]}},
+    {"latency": {"hop": [0, 5]}},
+    {"latency": {"hop": [5, 5]}},
+    {"n_requests": 1},
+    {"u": 1e-9},
+    # the clock floor at t = provisioning + j + 2u + think + drain is 5.7e-14
+    {"m": 1e-12},
+    {"r": 1e-3, "s": 2, "j": 20},
+    # every reset waits out on-demand provisioning, past the drain
+    {"s": 0, "r": 1, "j": 60},
+], ids=["hop-0-0", "hop-0-5", "hop-5-5", "one-request", "u-tiny", "m-floor",
+        "r-tiny-s2", "s0-r1"])
+def test_a_corner_config_finishes_or_is_a_config_error(tmp_path, config):
+    cfg_path = tmp_path / "corner.json"
+    cfg_path.write_text(json.dumps(config))
+    proc = run_cli_process(["run", "--config", str(cfg_path),
+                            "--outdir", str(tmp_path)], timeout=10)
+    assert proc.returncode in (0, 2), proc.stdout + proc.stderr
+    assert (tmp_path / "summary.json").exists() == (proc.returncode == 0)
+
+
 # json reads NaN and Infinity, so a config file can carry them too, and a
 # wrongly typed value must be a config error, not a crash inside the run
 @pytest.mark.parametrize("extra", [

@@ -100,6 +100,23 @@ def test_config_rejects_a_poll_interval_the_clock_cannot_add():
                      latency=LatencyModel(hop=(0.0, 0.0))).validate()
 
 
+def test_the_poll_cycle_cap_counts_the_tail_of_an_empty_pool():
+    # with s=0 the last movement cycle, which may start at j, waits out two
+    # provisioning runs and six API calls, and the run waits for its tables
+    zero_hop = LatencyModel(hop=(0.0, 0.0))
+    span = 10 + 2 * 1.0 + 0.8 + DRAIN
+    tail = 2 * 300.0 + 6 * 0.2 + 1.5
+    m = span / MAX_POLL_CYCLES * 1.001
+    ExperimentConfig(d=2, k=2, j=10, m=m, s=1, latency=zero_hop).validate()
+    with pytest.raises(ConfigError, match=r"\+ 2 provisioning \+ 6 api_hi "
+                                          r"\+ notify_hi\) / \(m \+ 2 hop_lo\)"):
+        ExperimentConfig(d=2, k=2, j=10, m=m, s=0, latency=zero_hop).validate()
+    ExperimentConfig(d=2, k=2, j=10, m=(span + tail) / MAX_POLL_CYCLES * 1.001,
+                     s=0, latency=zero_hop).validate()
+    # the plain chain runs no movement, so it has no tail
+    ExperimentConfig(d=0, k=0, j=10, m=m, s=0, latency=zero_hop).validate()
+
+
 def test_config_rejects_a_movement_period_the_clock_cannot_add():
     # a skipped cycle takes no time, so once next_t + r == next_t the
     # movement loop schedules its next cycle at one instant forever

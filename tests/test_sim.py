@@ -395,3 +395,59 @@ def test_run_until_a_limit_caps_next_due_and_leaves_the_clock_there():
     with pytest.raises(RequestNeverCompletes, match=r"next event t=7\.0"):
         sim.run_until(Future(), limit=5.5)
     assert (seen, sim.now) == ([5.5], 5.5)
+
+
+def test_next_due_is_minus_inf_between_two_runs():
+    sim = Simulation(0)
+    sim.schedule_at(5.0, lambda: None)
+    sim.run(until=1.0)
+    assert sim.next_due() == -math.inf
+    done = Future()
+    sim.schedule(0.5, done.resolve)
+    sim.run_until(done)
+    assert sim.next_due() == -math.inf
+
+    def crash():
+        raise RuntimeError("boom")
+
+    sim.schedule(0.0, crash)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.next_due() == -math.inf
+
+
+def test_advance_moves_the_clock_only_up_to_before_the_next_due_event():
+    sim = Simulation(0)
+    seen = []
+
+    def replay():
+        sim.advance(1.5)
+        seen.append(sim.now)
+        for t in (2.0, 1.25, 3.0):    # due, past, beyond the due event
+            with pytest.raises(ValueError, match="cannot advance"):
+                sim.advance(t)
+        seen.append(sim.now)
+
+    sim.schedule_at(1.0, replay)
+    sim.schedule_at(2.0, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [1.5, 1.5, 2.0]
+    # between two runs nothing is due, so the clock cannot move
+    with pytest.raises(ValueError, match="cannot advance"):
+        sim.advance(sim.now)
+
+
+def test_advance_stops_before_the_horizon_of_the_running_loop():
+    sim = Simulation(0)
+    seen = []
+
+    def replay():
+        with pytest.raises(ValueError):
+            sim.advance(3.0)
+        sim.advance(2.5)
+        seen.append(sim.now)
+
+    sim.schedule_at(1.0, replay)
+    sim.schedule_at(5.0, lambda: None)
+    sim.run(until=3.0)
+    assert (seen, sim.now) == ([2.5], 3.0)

@@ -3,11 +3,14 @@ server sessions, the polling loop, and the baseline database pair."""
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 
 from miserysim import target, wire
 from miserysim.addresses import AddressRecord
-from miserysim.cloud import CloudProvider, ImageKind
+from miserysim.cloud import Channel, CloudProvider, ImageKind
 from miserysim.eventlog import EventLog
 from miserysim.sim import Future, RequestNeverCompletes, Simulation
 from miserysim.target import (
@@ -401,18 +404,6 @@ def watch_poll_messages(provider, node, hook):
                   on_channel=lambda channel: node.on_poll_channel(RsView(channel)))
 
 
-def heap_driven_wake_at(sim, ps, t0):
-    """Run the poller's first wake from t0 on from the heap.  A replayed
-    cycle's messages skip the RSs' channel views; a heap-driven cycle's pass
-    through them.  The event at t0 also ends any replay there, since a
-    replay stops before the next due event."""
-    def from_the_heap():
-        del ps._proven_idle    # later wakes prove idle cycles again
-        return False
-
-    sim.schedule_at(t0, setattr, ps, "_proven_idle", from_the_heap)
-
-
 def test_dropping_a_link_with_an_ask_in_flight_does_not_stall_the_poller():
     sim, provider, ps, nodes, store, _ = poll_fixture(n_rs=2)
     keep = AddressRecord("db", 2, (("rs1", provider.instance("rs1").address),))
@@ -424,10 +415,9 @@ def test_dropping_a_link_with_an_ask_in_flight_does_not_stall_the_poller():
             dropped.append(ps.cycle_no)
             sim.schedule(0.0, ps.apply_update, keep)
 
+    # the view leaves rs0's real channel end unmarked, so every ask to rs0
+    # crosses the heap and the view
     watch_poll_messages(provider, nodes[0], drop_rs0_on_its_next_ask)
-    # replayed cycles would keep rs0's on_message from seeing an ask until
-    # the last cycle before the run stops, about t0 + 0.4985
-    heap_driven_wake_at(sim, ps, t0)
     ps.start()
     sim.run(until=sim.now + 1.0)
     assert dropped, "no list ask reached rs0 after t0"
@@ -440,8 +430,108 @@ def test_dropping_a_link_with_an_ask_in_flight_does_not_stall_the_poller():
     assert ps.counters["poll_errors"] == 1
 
 
+def recording_sends(monkeypatch):
+    """Count every message a channel end sends, by the node it goes to."""
+    sends = Counter()
+    send = Channel.send
+
+    def counted(channel, data):
+        sends[channel.peer.node] += 1
+        send(channel, data)
+
+    monkeypatch.setattr(Channel, "send", counted)
+    return sends
+
+
+@pytest.mark.parametrize("waiting", [True, False], ids=["session-waits", "timed-out"])
+def test_only_a_delivery_no_session_waits_on_is_replayed(monkeypatch, waiting):
+    # a waiting session is answered with a net draw and an exchange event,
+    # so its delivery crosses the heap; an entry whose session timed out is
+    # only popped and counted, so its delivery is replayed like every ask
+    sim, _, ps, nodes, store, _ = poll_fixture(n_rs=1)
+    sends = recording_sends(monkeypatch)
+    if not waiting:
+        nodes[0].u = 0.0    # the session times out before the first wake
+    answers = []
+    nodes[0].open_session(CORR, b"GET k", answers.append)
+    sim.schedule(10.0, lambda: None)    # a due event far off
+    ps.start()
+    sim.run(until=sim.now + 1.0)
+    assert store.execution_counts() == {CORR: 1}
+    assert nodes[0].registry.pending == {}
+    # rs0 hears one message, the delivery frame, only if a session waits
+    assert sends["rs0"] == (1 if waiting else 0)
+    assert sends["db"] == sends["rs0"]
+    assert ps.counters["late_deliveries"] == (0 if waiting else 1)
+    assert answers == [wire.encode_response(CORR, b"NIL") if waiting
+                       else wire.encode_error(CORR, b"timeout")]
+
+
+def test_an_rs_behind_a_channel_view_keeps_the_heap_driven_dialogue(monkeypatch):
+    sim, provider, ps, nodes, _, _ = poll_fixture(n_rs=2)
+    sends = recording_sends(monkeypatch)
+    asks = []
+    watch_poll_messages(provider, nodes[0], asks.append)
+    sim.schedule(10.0, lambda: None)    # a due event far off
+    ps.start()
+    sim.run(until=sim.now + 1.0)
+    assert ps.cycle_no > 10
+    # the view took rs0's mark, so every ask to rs0 crossed the heap and
+    # the view, and none to rs1 did
+    links = ps._links
+    assert links["rs0"].channel.peer.server is None
+    assert links["rs1"].channel.peer.server is nodes[1]
+    assert ps.cycle_no - 1 <= len(asks) <= ps.cycle_no
+    assert asks == [wire.POLL_LIST_FRAME] * len(asks)
+    assert sends["rs1"] == 0
+
+
+def test_a_poller_resumed_between_two_runs_replays_nothing():
+    # rs0's view swallows its first list ask after t0, so the run stops
+    # with the poller waiting on it; failing that ask between two runs
+    # resumes the poller, and its ask to rs1 must then cross the heap
+    sim, provider, ps, nodes, _, _ = poll_fixture(n_rs=2)
+    t0, swallowed = sim.now + 0.5, Future()
+
+    class SwallowingView:
+        def __init__(self, channel):
+            self.channel = channel
+
+        def __getattr__(self, name):
+            return getattr(self.channel, name)
+
+        def on_message(self, fn):
+            def guarded(data):
+                if sim.now >= t0 and not swallowed.done:
+                    swallowed.resolve(sim.now)
+                    return
+                fn(data)
+            self.channel.on_message(guarded)
+
+    provider.bind("rs0", 3306, on_channel=lambda channel:
+                  nodes[0].on_poll_channel(SwallowingView(channel)))
+    sim.schedule_at(t0 + 10.0, lambda: None)    # a due event far off
+    ps.start()
+    paused = sim.run_until(swallowed)
+    rs1 = ps._links["rs1"]
+    ps.apply_update(AddressRecord("db", 2, ps.table.children[1:]))
+    assert sim.now == paused
+    assert rs1.inflight == 1, "rs1's list ask did not go to the heap"
+    cycles = ps.cycle_no
+    sim.run(until=sim.now + 1.0)
+    assert ps.cycle_no > cycles + 5
+    assert list(ps._links) == ["rs1"]
+    assert ps.counters["poll_errors"] == 1
+
+
 def run_one_second(sim, ps, nodes, notes):
     sim.run(until=sim.now + 1.0)
+
+
+def heap_only(monkeypatch):
+    """Make the next due event -inf, as between two runs, so the poller
+    replays nothing: every poll message crosses the heap."""
+    monkeypatch.setattr(Simulation, "next_due", lambda self: -math.inf)
 
 
 def poll_two_idle_rss(monkeypatch, script=run_one_second, *, heap_driven,
@@ -462,7 +552,7 @@ def poll_two_idle_rss(monkeypatch, script=run_one_second, *, heap_driven,
     with monkeypatch.context() as patch:
         patch.setattr(provider, "channel_arrival", recorded)
         if heap_driven:
-            patch.setattr(PollingServerNode, "_proven_idle", lambda self: False)
+            heap_only(patch)
         start = sim.events_processed
         ps.start()
         script(sim, ps, nodes, notes)
@@ -472,8 +562,7 @@ def poll_two_idle_rss(monkeypatch, script=run_one_second, *, heap_driven,
 
 def test_a_heap_driven_idle_poll_makes_no_future(monkeypatch):
     # each ask parks the poller's task and its link resumes it; a Future per
-    # ask would slow the wide workload, whose poller runs almost all from
-    # the heap
+    # ask would slow every ask that crosses the heap
     made = []
 
     def script(sim, ps, nodes, notes):
@@ -502,7 +591,7 @@ def lazy_and_heap_driven(monkeypatch, script=run_one_second, **kwargs):
     lazy = poll_two_idle_rss(monkeypatch, script, heap_driven=False, **kwargs)
     stepwise = poll_two_idle_rss(monkeypatch, script, heap_driven=True, **kwargs)
     assert lazy[:-1] == stepwise[:-1]
-    assert lazy[-1] < stepwise[-1], "no idle cycle was replayed"
+    assert lazy[-1] < stepwise[-1], "no round trip was replayed"
     return lazy
 
 
@@ -704,8 +793,8 @@ def pause_then(t, fn, *, from_event):
 @pytest.mark.parametrize("from_event", [True, False], ids=["event", "between-runs"])
 def test_a_session_opened_while_the_poller_sleeps_is_listed_from_the_heap(
         monkeypatch, from_event):
-    # the session's timeout is 5 s away, so only the intake proof stops the
-    # wake of cycle 7 from replaying past it
+    # the session's timeout is 5 s away, so only the registry check of the
+    # idle proof stops the wake of cycle 7 from replaying past it
     def open_at_rs1(sim, ps, nodes, notes):
         nodes[1].open_session(CORR, b"GET k", notes.append)
 
@@ -829,9 +918,6 @@ def test_poller_survives_a_broken_poll_channel(inbound):
     on_channel, fired, opened = garble_one_poll_message(
         sim, nodes[0], sim.now + 0.5, inbound=inbound)
     provider.bind("rs0", 3306, on_channel=on_channel)
-    # replayed cycles would keep every message out of rs0's channel view
-    # until the last cycle before the run stops, about t0 + 0.4985
-    heap_driven_wake_at(sim, ps, sim.now + 0.5)
     ps.start()
     sim.run(until=sim.now + 1.0)
     assert fired, "no poll message crossed the channel after t0"
