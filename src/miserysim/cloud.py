@@ -97,7 +97,7 @@ class Channel:
         self.peer: Channel | None = None
         self.state = "open"
         # the node serving this end's messages, if it says so; the poller
-        # replays its round trips only to an end a requests server marked
+        # runs its round trips inline only to an end a requests server marked
         self.server = None
         self._provider = provider
         self._on_message: Callable[[bytes], None] | None = None
@@ -496,7 +496,7 @@ class CloudProvider:
         FIFO per direction: a frame must not overtake an earlier one even
         when it draws a shorter hop latency.  The draw is hop_latency()
         inline: random.uniform's own expression, so bit-identical.  The
-        poller's replayed round trips draw their arrivals here too.
+        poller's inline round trips draw their arrivals here too.
         """
         lo, hi = self._hop
         at = sent + (lo + (hi - lo) * self._net_rng.random())

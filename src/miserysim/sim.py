@@ -201,10 +201,13 @@ class Simulation:
         """The time of the next live heap event, or the horizon of the loop
         running this event if that is sooner; inf if there is neither, and
         -inf between two runs."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
+        heap, horizon = self._heap, self._horizon
+        while heap:
+            t, _, handle = heap[0]
+            if not handle.cancelled:
+                return t if t < horizon else horizon
             heapq.heappop(heap)
-        return min(heap[0][0], self._horizon) if heap else self._horizon
+        return horizon
 
     def advance(self, t: float) -> None:
         """Move the clock to `t`, the instant of a step replayed as
@@ -249,6 +252,9 @@ class Simulation:
         heap = self._heap
         pop = heapq.heappop
         pending = Future._PENDING
+        # pace against the start, so a clock that advance() moved inside an
+        # event is slept too
+        wall_start, sim_start = time.monotonic(), self.now
         try:
             while future._state == pending and heap:
                 t, _, handle = heap[0]
@@ -257,8 +263,10 @@ class Simulation:
                     continue
                 if t > horizon:
                     return t
-                if pace > 0.0 and t > self.now:
-                    time.sleep((t - self.now) / pace)
+                if pace > 0.0:
+                    lag = wall_start + (t - sim_start) / pace - time.monotonic()
+                    if lag > 0.0:
+                        time.sleep(lag)
                 pop(heap)
                 self.now = t
                 fn, args = handle.fn, handle.args

@@ -14,67 +14,66 @@ The poller runs from `start()` for the life of the simulation, as a kernel
 Task.  It parks on each ask (the ask returns None, so no Future is made per
 ask), and the link resumes the task straight from its message callback with
 the reply or the error that ends it.  A dial is an ordinary Future, and the
-sleep of m between cycles is one scheduled `resume`.  An exception the task
-does not catch leaves the event loop and ends the run.  No poll message is
-matched by value: both ends parse every one through `wire.decode_poll`,
-whose cache serves the idle dialogue's list ask and empty listing.
+sleep of m between cycles is one scheduled `resume` unless it runs inline.
+An exception the task does not catch leaves the event loop and ends the
+run.  No poll message is matched by value: both ends parse every one
+through `wire.decode_poll`, whose cache serves the idle dialogue's list ask
+and empty listing.
 
 Pure round trips run off the heap.  Most of the dialogue touches only one
 RS's registry and the shared `net` stream: a list ask on a usable link,
 whatever the listing holds, and a delivery whose pending entry has no
 waiting session, or is not pending at all (the RS then only pops and counts
 it, as `late_deliveries` or `unknown_deliveries`, and acks).  A delivery to
-an entry with a waiting session answers each session with a `net` draw and
-an exchange event, and a dial opens its channel through heap events; both
-stay on the heap.  By conservative lookahead (Chandy and Misra, IEEE TSE
-1979), a sequence of events that surely ends before the next due event may
-run without the queue, so `_cycle` runs a pure round trip inline whenever
-`(now + hop_max) + hop_max < sim.next_due() < inf`, with
-`CloudProvider.hop_max` the longest draw.  It draws the ask's arrival with
-`CloudProvider.channel_arrival` at the send, moves the clock there with
-`Simulation.advance`, runs the RS side (`registry.list_pending()`, or
-`deliver(corr, response)`), draws the reply's arrival from that instant and
-moves the clock there.  Those are the draws the heap-driven dialogue makes,
-in its order and at its instants, and every later stamp (an execution, a
-`poll.cycle` record) reads the same clock, so every artifact is byte for
-byte what the heap writes.
+a waiting session answers it with a `net` draw and an exchange event, and a
+dial opens its channel through heap events; both stay on the heap.  By
+conservative lookahead (Chandy and Misra, IEEE TSE 1979), events that
+surely end before the next due event may run without the queue.  So the
+poller reads `due = sim.next_due()` after every yield and keeps the clock
+of its inline round trips in a local `at`; `_cycle` runs a pure round trip
+inline whenever `(at + hop_max) + hop_max < due < inf`, with
+`CloudProvider.hop_max` the longest draw, drawing both arrivals with
+`CloudProvider.channel_arrival` as the heap would, and `_loop` sleeps
+inline whenever the next wake falls before `due`.  An ask to an empty
+registry lists nothing, and a cycle that listed nothing delivers nothing,
+so a run of idle cycles crosses no heap event.  Nothing run inline
+schedules an event, so `due` stays valid between two yields.
+
+The clock moves only before something reads it: `Simulation.advance` takes
+it to `at` before a heap ask or a dial, before the RS lists a non-empty
+registry (perfbench's tracer stamps that listing), before the executions
+and the `poll.cycle` record, and at an inline wake.  It is called only when
+`at` differs from the clock, since it refuses the clock's own instant when
+an event is due there.  The draws are the heap-driven dialogue's, in its
+order, and every stamp reads the clock the heap would set, so every
+artifact is byte for byte what the heap writes.
 
 The bound is exact.  No FIFO clamp binds on a link the poller asks: it asks
 only after its previous ask was answered, and an RS sends only replies, so
-each end of the link last received a message before now.  Each hop then
+each end of the link last received a message before `at`.  Each hop then
 ends at most one longest draw after it starts, and rounded addition is
 monotone, so the bound, added hop by hop as the dialogue adds, never falls
-below the real end; a closed form such as `now + 2*hi` can round one ulp
-below it.  The RS side schedules nothing, so `next_due()` stays put.
+below the real end; a closed form such as `at + 2*hi` can round one ulp
+below it.
 
 The poller reaches an RS through the channel: `RequestsServerNode.
 on_poll_channel` marks the end it serves (`Channel.server`), and a link
-replays only if its peer end is marked.  A view that wraps an RS's channel
-(the fault tests' RSs) gets the mark instead of the real end, so such a
-link keeps the heap-driven dialogue.
+runs inline only if its peer end is marked.  A view that wraps an RS's
+channel (the fault tests' RSs) gets the mark instead of the real end, so
+such a link keeps the heap-driven dialogue.
 
-Whole idle cycles have a faster path.  At a wake where every endpoint has a
-usable, marked link and every registry is empty, `_replay` replays from the
-wake every whole cycle that surely ends before the next due event (the same
-bound, added once per hop over the cycle's 2n hops), with the same draws,
-the cycle count and the executed-cache eviction, and no call to
-`list_pending`.  It schedules the wake of the first cycle that might not as
-an ordinary heap event; when not even the cycle from this wake fits, that
-cycle runs through `_cycle`.  So the poller is never off the heap between
-two events.
-
-A replay moves the clock, so nothing may follow the poller's resume in the
-same event.  The task resumes at its wake, a heap event of its own; at a
-reply, in `_PollLink._on_message`, the last step of a channel delivery (a
-real RS answers each message with one message of one reply); at `fail`,
-from an `on_error` event of its own, or from `apply_update`, which closes
-every dropped link first (a close schedules nothing there, because the RS
-end installs no `on_error`) and then fails their asks, at most one of which
-is in flight; and at a dial future, which `_accept_channel`,
+The inline dialogue moves the clock, so nothing may follow the poller's
+resume in the same event.  The task resumes at its wake, a heap event of
+its own; at a reply, in `_PollLink._on_message`, the last step of a channel
+delivery (a real RS answers each message with one message of one reply); at
+`fail`, from an `on_error` event of its own, or from `apply_update`, which
+closes every dropped link first (a close schedules nothing there, because
+the RS end installs no `on_error`) and then fails their asks, at most one
+of which is in flight; and at a dial future, which `_accept_channel`,
 `_channel_ready` or a refusal settles as its last step.  The Address Server
 delivers `apply_update` as an event of its own.  Outside a loop
 `next_due()` is -inf, so a poller resumed between two runs (tests call
-`apply_update` there) replays nothing.
+`apply_update` there) runs nothing inline.
 
 Only the baseline (d=0) chain speaks the real database handshake:
 DatabaseServerNode owns it and AppServerNode is its client, so the
@@ -241,7 +240,7 @@ class RequestsServerNode:
     # -- poll endpoint ----------------------------------------------------------
 
     def on_poll_channel(self, channel: Channel) -> None:
-        channel.server = self    # the poller may replay this end's replies
+        channel.server = self    # the poller may run this end's replies inline
 
         def on_message(data: bytes) -> None:
             try:
@@ -350,72 +349,22 @@ class PollingServerNode:
         """Poll from now on, for the life of the simulation."""
         self._task = self.sim.spawn(self._loop())
 
-    def _proven_idle(self) -> bool:
-        """Whether every endpoint has a usable link to an RS that holds
-        nothing, so that this wake's cycle is idle."""
-        links = self._links
-        for rs_id, _ in self.table.children:
-            link = links.get(rs_id)
-            if link is None or not link.usable:
-                return False
-            rs = link.channel.peer.server
-            if rs is None or rs.registry.pending:
-                return False
-        return True
-
-    def _replay(self) -> float | None:
-        """Replay the idle cycles from this wake that surely end before the
-        next due event; returns the wake of the first that might not, or
-        None if that is this one.  See the module notes."""
-        links = [self._links[rs_id] for rs_id, _ in self.table.children]
-        due = self.sim.next_due()
-        hop_max = self.provider.hop_max
-        arrival = self.provider.channel_arrival
-        hops = range(2 * len(links))
-        at, start = self.sim.now, self.cycle_no
-        while True:
-            end = at
-            for _ in hops:
-                end += hop_max
-            if not end < due < math.inf:
-                break
-            self.cycle_no += 1
-            for link in links:
-                # the ask reaches the RS, and its empty listing the poller
-                at = arrival(link.channel, arrival(link.channel.peer, at))
-            at += self.m
-        if self.cycle_no == start:
-            return None
-        self._evict()
-        return at
-
-    def _fits(self) -> bool:
-        """Whether a round trip from now surely ends before the next due
-        event: the module notes' bound."""
-        hop_max = self.provider.hop_max
-        return (self.sim.now + hop_max) + hop_max < self.sim.next_due() < math.inf
-
-    def _round_trip(self, link: _PollLink, serve, *args):
-        """Run a pure round trip on link as arithmetic: the ask reaches the
-        RS, `serve(*args)` runs there, and the reply reaches the poller,
-        each at the instant the heap would give it.  Returns what serve
-        returned."""
-        sim, arrival = self.sim, self.provider.channel_arrival
-        sim.advance(arrival(link.channel.peer, sim.now))
-        served = serve(*args)
-        sim.advance(arrival(link.channel, sim.now))
-        return served
-
     def _loop(self):
         # sleep m between cycles, not on a fixed grid: a grid would let the
-        # closed-loop client phase-lock to it and hide the per-endpoint cost
+        # closed-loop client phase-lock to it and hide the per-endpoint cost.
+        # A wake before the next due event is slept inline, on the clock
+        sim = self.sim
+        due = sim.next_due()
         while True:
-            at = self._replay() if self._proven_idle() else None
-            if at is None:
-                yield from self._cycle()
-                at = self.sim.now + self.m
-            self.sim.schedule_at(at, self._task.resume)
-            yield
+            at, due = yield from self._cycle(due)
+            wake = at + self.m
+            self._evict()
+            if sim.now < wake < due < math.inf:
+                sim.advance(wake)
+            else:
+                sim.schedule_at(wake, self._task.resume)
+                yield
+                due = sim.next_due()
 
     def _dial_link(self, rs_id: str, address: str):
         """Dial rs_id afresh, replacing a missing or unusable link."""
@@ -436,26 +385,52 @@ class PollingServerNode:
         if link is not None:
             link.channel.close()
 
-    def _cycle(self):
+    def _catch_up(self, at: float) -> None:
+        """Move the clock to `at`, where the inline round trips ended,
+        before something reads it."""
+        if at != self.sim.now:
+            self.sim.advance(at)
+
+    def _cycle(self, due: float):
+        """Poll every endpoint once, with `due` the next due event.  Returns
+        the instant the cycle ends, which the clock reaches only if
+        something read it on the way, and the next due event then.  See the
+        module notes."""
+        sim = self.sim
+        hop_max, arrival = self.provider.hop_max, self.provider.channel_arrival
         self.cycle_no += 1
         endpoints = self.table.children
         reporters: dict[bytes, list[str]] = {}
         fresh: list[tuple[bytes, bytes]] = []
         collected = 0
+        at, links, inf = sim.now, self._links, math.inf
         for rs_id, address in endpoints:
-            link = self._links.get(rs_id)
+            link = links.get(rs_id)
             if link is None or not link.usable:
+                self._catch_up(at)
                 link = yield from self._dial_link(rs_id, address)
+                due, at = sim.next_due(), sim.now
                 if link is None:
                     continue
-            rs = link.channel.peer.server
-            if rs is not None and self._fits():
-                entries = self._round_trip(link, rs.registry.list_pending)[0]
+            channel = link.channel
+            rs = channel.peer.server
+            if rs is not None and (at + hop_max) + hop_max < due < inf:
+                # the ask reaches the RS, and its listing the poller
+                at = arrival(channel.peer, at)
+                entries = ()
+                if rs.registry.pending:
+                    self._catch_up(at)
+                    entries = rs.registry.list_pending()[0]
+                at = arrival(channel, at)
             else:
+                self._catch_up(at)
                 try:
                     event = yield link.ask(wire.POLL_LIST_FRAME)
                 except _LINK_FAILURES:
                     self._drop_link(rs_id)
+                    event = None
+                due, at = sim.next_due(), sim.now
+                if event is None:
                     continue
                 if event[0] != "listing":
                     self.counters["poll_errors"] += 1
@@ -468,6 +443,9 @@ class PollingServerNode:
                 if corr not in self.executed and corr not in reporters:
                     fresh.append((corr, payload))
                 reporters.setdefault(corr, []).append(rs_id)
+        if not collected:
+            return at, due
+        self._catch_up(at)
         for corr, payload in fresh:
             response = self.store.execute(corr, payload)
             self.executed[corr] = (self.cycle_no, response)
@@ -480,31 +458,37 @@ class PollingServerNode:
                 reported.setdefault(rs_id, []).append(corr)
         delivered = 0
         for rs_id, _ in endpoints:
-            link = self._links.get(rs_id)
+            link = links.get(rs_id)
             for corr in reported.get(rs_id, ()):
                 if link is None or not link.usable:
                     break
                 response = self.executed[corr][1]
                 rs = link.channel.peer.server
-                if rs is not None:
+                if rs is not None and (at + hop_max) + hop_max < due < inf:
                     # pure unless a session waits on the entry
                     entry = rs.registry.pending.get(corr)
-                    if (entry is None or not entry.sessions) and self._fits():
-                        self._round_trip(link, rs.deliver, corr, response)
+                    if entry is None or not entry.sessions:
+                        at = arrival(link.channel.peer, at)
+                        rs.deliver(corr, response)
+                        at = arrival(link.channel, at)
                         delivered += 1
                         continue
+                self._catch_up(at)
                 try:
                     event = yield link.ask(wire.encode_poll_delivery(corr, response))
                 except _LINK_FAILURES:
                     self._drop_link(rs_id)
+                    event = None
+                due, at = sim.next_due(), sim.now
+                if event is None:
                     break
                 if event[0] == "ack":
                     delivered += 1
-        self._evict()
-        if fresh or collected or delivered:
-            self.provider.log.emit(self.sim.now, "poll.cycle", instance=self.id,
-                          detail={"cycle": self.cycle_no, "collected": collected,
-                                  "executed": len(fresh), "delivered": delivered})
+        self._catch_up(at)
+        self.provider.log.emit(at, "poll.cycle", instance=self.id,
+                               detail={"cycle": self.cycle_no, "collected": collected,
+                                       "executed": len(fresh), "delivered": delivered})
+        return at, due
 
     def _evict(self) -> None:
         # the executed cache must outlive any re-listing of a still-pending

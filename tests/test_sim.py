@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -311,6 +312,18 @@ def test_run_until_future_honors_limit():
     sim.spawn(keep_alive())
     with pytest.raises(RequestNeverCompletes):
         sim.run_until(fut, limit=5.0)
+
+
+def test_a_paced_run_sleeps_the_clock_that_advance_moved():
+    # one simulated second at pace 10 takes 0.1 s of wall time, although
+    # the event at 1.0 finds the clock already at 0.9
+    sim = Simulation(0)
+    done = Future()
+    sim.schedule_at(0.0, sim.advance, 0.9)
+    sim.schedule_at(1.0, done.resolve)
+    start = time.monotonic()
+    sim.run_until(done, pace=10.0)
+    assert time.monotonic() - start >= 0.1 - 1e-6
 
 
 def test_named_rng_streams_are_stable_and_independent():

@@ -705,48 +705,59 @@ def test_run_until_a_limit_with_an_idle_poller_raises_never_completes(monkeypatc
                       f"(next event t={messages[28][0]})", limit)]
 
 
-def noting_listings(script, listings):
-    """Wrap script so that every RS listing appends (cycle, RS index, listed
-    ids) to listings."""
+def noting_listed_ids(script):
+    """Wrap script so that every RS listing that holds ids notes (cycle, RS
+    index, listed ids).  An inline ask to an empty registry lists nothing,
+    so only these listings are the same in a lazy and a heap-driven run."""
     def wrapped(sim, ps, nodes, notes):
         for index, node in enumerate(nodes):
             def list_pending(orig=node.registry.list_pending, index=index):
                 batch, size = orig()
-                listings.append((ps.cycle_no, index, [corr for corr, _ in batch]))
+                if batch:
+                    notes.append((ps.cycle_no, index, [corr for corr, _ in batch]))
                 return batch, size
             node.registry.list_pending = list_pending
         script(sim, ps, nodes, notes)
     return wrapped
 
 
-def heap_driven_cycles(monkeypatch, script):
-    """The notes of a lazy run of script and the listings its heap-driven
-    cycles made, after checking that it writes what the heap-driven run
-    writes."""
-    notes = lazy_and_heap_driven(monkeypatch, script)[0]
-    listings = []
-    poll_two_idle_rss(monkeypatch, noting_listings(script, listings),
-                      heap_driven=False)
-    return notes, listings
+def noting_dials(script):
+    """Wrap script so that every dial notes (cycle, endpoint id)."""
+    def wrapped(sim, ps, nodes, notes):
+        dial = ps._dial_link
+
+        def noted(rs_id, address):
+            notes.append((ps.cycle_no, rs_id))
+            return dial(rs_id, address)
+
+        ps._dial_link = noted
+        script(sim, ps, nodes, notes)
+    return wrapped
 
 
 def test_the_wake_after_a_fully_delivered_cycle_replays(monkeypatch):
-    # cycle 1 lists rs0's session and has it acked: both RSs are empty and
-    # no session opened since, so the poller lists nothing more until the
-    # wake of the last cycle that might not end within the second
+    # cycle 1 lists rs0's session and has it acked; the next second is
+    # idle, so the lazy poller runs all of it inline from the one wake it
+    # dispatches, where the heap-driven poller dispatches every message
+    idle_events = []
+
     def script(sim, ps, nodes, notes):
         nodes[0].open_session(CORR, b"GET k", notes.append)
+        sim.run(until=sim.now + 0.1)
+        notes.append(ps.cycle_no)
+        start = sim.events_processed
         run_one_second(sim, ps, nodes, notes)
+        idle_events.append(sim.events_processed - start)
         notes.append(ps.cycle_no)
 
-    notes, listings = heap_driven_cycles(monkeypatch, script)
-    assert notes[0] == wire.encode_response(CORR, b"NIL")
-    assert listings[:2] == [(1, 0, [CORR]), (1, 1, [])]
-    assert all(cycle == 1 or cycle > 10 for cycle, _, _ in listings)
+    notes = lazy_and_heap_driven(monkeypatch, noting_listed_ids(script))[0]
+    assert notes[:2] == [(1, 0, [CORR]), wire.encode_response(CORR, b"NIL")]
+    assert notes[3] > notes[2] + 10
+    lazy, stepwise = idle_events
+    assert lazy <= 1 < stepwise
 
 
-# the sleep after cycle 6 of a second of polling two idle RSs: cycles 2 to
-# 6 are replayed from the wake of cycle 2, and cycle 7 wakes after it
+# the sleep after cycle 6 of a second of polling two idle RSs
 def after_cycle_6(monkeypatch):
     """The middle of that sleep in a heap-driven run: between the last poll
     message of cycle 6 arriving and the first of cycle 7 leaving."""
@@ -767,15 +778,6 @@ def after_cycle_6(monkeypatch):
     return (end + wake) / 2
 
 
-def by_cycle(listings, count):
-    """The first `count` cycles that listed, each with its (RS index, listed
-    ids) pairs sorted: RSs polled at once may answer in either order."""
-    cycles: dict[int, list] = {}
-    for cycle, index, ids in listings:
-        cycles.setdefault(cycle, []).append((index, ids))
-    return [(cycle, sorted(pairs)) for cycle, pairs in cycles.items()][:count]
-
-
 def pause_then(t, fn, *, from_event):
     """A script that runs fn(sim, ps, nodes, notes) at t, from an event or
     between two runs, then runs on to one second."""
@@ -791,19 +793,18 @@ def pause_then(t, fn, *, from_event):
 
 
 @pytest.mark.parametrize("from_event", [True, False], ids=["event", "between-runs"])
-def test_a_session_opened_while_the_poller_sleeps_is_listed_from_the_heap(
+def test_a_session_opened_while_the_poller_sleeps_is_listed_in_the_next_cycle(
         monkeypatch, from_event):
-    # the session's timeout is 5 s away, so only the registry check of the
-    # idle proof stops the wake of cycle 7 from replaying past it
+    # the session's timeout is 5 s away, so only the registry the wake of
+    # cycle 7 reads stops the poller from running past it idle
     def open_at_rs1(sim, ps, nodes, notes):
-        nodes[1].open_session(CORR, b"GET k", notes.append)
+        nodes[1].open_session(CORR, b"GET k", lambda frame: notes.append(
+            (ps.cycle_no, frame)))
 
     script = pause_then(after_cycle_6(monkeypatch), open_at_rs1,
                         from_event=from_event)
-    notes, listings = heap_driven_cycles(monkeypatch, script)
-    assert notes == [wire.encode_response(CORR, b"NIL")]
-    assert by_cycle(listings, 2) == [(1, [(0, []), (1, [])]),
-                                     (7, [(0, []), (1, [CORR])])]
+    notes = lazy_and_heap_driven(monkeypatch, noting_listed_ids(script))[0]
+    assert notes == [(7, 1, [CORR]), (7, wire.encode_response(CORR, b"NIL"))]
 
 
 def sever_rs0_link(sim, ps, nodes, notes):
@@ -821,15 +822,19 @@ def readdress_rs1(sim, ps, nodes, notes):
 @pytest.mark.parametrize("from_event", [True, False], ids=["event", "between-runs"])
 def test_a_link_lost_before_the_wake_forces_a_heap_driven_cycle(
         monkeypatch, change, from_event):
+    # the dial crosses the heap, so cycle 7 does, and the poller runs on
     pause = pause_then(after_cycle_6(monkeypatch), change, from_event=from_event)
 
     def script(sim, ps, nodes, notes):
         pause(sim, ps, nodes, notes)
+        notes.append(ps.cycle_no)
         notes.append(sorted(ps._links))
 
-    notes, listings = heap_driven_cycles(monkeypatch, script)
-    assert notes == [["rs0", "rs1b" if change is readdress_rs1 else "rs1"]]
-    assert listings[:4] == [(1, 0, []), (1, 1, []), (7, 0, []), (7, 1, [])]
+    notes = lazy_and_heap_driven(monkeypatch, noting_dials(script))[0]
+    redialled = "rs1b" if change is readdress_rs1 else "rs0"
+    assert notes[:3] == [(1, "rs0"), (1, "rs1"), (7, redialled)]
+    assert notes[3] > 10
+    assert notes[4] == ["rs0", "rs1b" if change is readdress_rs1 else "rs1"]
 
 
 def answer_first(kind, frame):
@@ -872,9 +877,9 @@ def test_a_reply_of_the_wrong_kind_keeps_the_next_cycle_on_the_heap(monkeypatch,
         nodes[0].open_session(CORR, b"GET k", notes.append)
         run_one_second(sim, ps, nodes, notes)
 
-    notes, listings = heap_driven_cycles(monkeypatch, script)
-    assert (2, 0, [CORR]) in listings
-    assert notes == [wire.encode_response(CORR, b"NIL")]
+    notes = lazy_and_heap_driven(monkeypatch, noting_listed_ids(script))[0]
+    assert (2, 0, [CORR]) in notes
+    assert wire.encode_response(CORR, b"NIL") in notes
 
 
 def garble_one_poll_message(sim, node, t0, *, inbound):
