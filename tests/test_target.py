@@ -864,22 +864,26 @@ def answer_first(kind, frame):
     return rebind
 
 
-@pytest.mark.parametrize("rebind", [
-    answer_first(wire.POLL_LIST, wire.POLL_ACK_FRAME),
-    answer_first(wire.POLL_DELIVER, wire.encode_poll_listing([])),
+@pytest.mark.parametrize("rebind, listed_in", [
+    (answer_first(wire.POLL_LIST, wire.POLL_ACK_FRAME), [2]),
+    (answer_first(wire.POLL_DELIVER, wire.encode_poll_listing([])), [1, 2]),
 ], ids=["ack-for-a-listing", "listing-for-an-ack"])
 def test_a_reply_of_the_wrong_kind_keeps_the_next_cycle_on_the_heap(monkeypatch,
-                                                                    rebind):
+                                                                    rebind,
+                                                                    listed_in):
     # cycle 1 leaves rs0 holding its session over a link still open: only
-    # the count of listings or of acks shows that it was not emptied
+    # the count of listings or of acks shows that it was not emptied.  An
+    # ack for a listing means rs0 never listed in cycle 1; a listing for an
+    # ack means it listed but its delivery never ran.  Either way cycle 2
+    # lists the session again and it is answered once.
     def script(sim, ps, nodes, notes):
         rebind(sim, ps, nodes, notes)
         nodes[0].open_session(CORR, b"GET k", notes.append)
         run_one_second(sim, ps, nodes, notes)
 
     notes = lazy_and_heap_driven(monkeypatch, noting_listed_ids(script))[0]
-    assert (2, 0, [CORR]) in notes
-    assert wire.encode_response(CORR, b"NIL") in notes
+    assert notes == [(cycle, 0, [CORR]) for cycle in listed_in] + [
+        wire.encode_response(CORR, b"NIL")]
 
 
 def garble_one_poll_message(sim, node, t0, *, inbound):
