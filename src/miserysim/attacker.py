@@ -37,13 +37,21 @@ from enum import Enum
 
 from .errors import NoEligibleLayer
 from .movement import switch_drawer
-from .topology import MiseryDigraph, MiseryDigraphSpec, build_misery_digraph
+from .topology import (
+    MAX_INSTANCES,
+    MiseryDigraph,
+    MiseryDigraphSpec,
+    build_misery_digraph,
+    node_count,
+)
 
 ENTRY = (1, 0)
 
-# a cap on horizon / r, the movement cycles one walk may draw, so that every
-# replay ends in bounded host time; over 100x what any shipped replay needs
+# caps on the work a replay implies, so that every replay ends in bounded
+# host time; each is over 100x what any shipped replay needs.  A walk takes
+# up to d hops and may draw horizon / r movement cycles.
 MAX_WALK_CYCLES = 10_000_000
+MAX_REPLAY_STEPS = 200_000_000
 
 
 class Strategy(Enum):
@@ -59,19 +67,32 @@ def attack_digraph(d: int, k: int) -> MiseryDigraph:
 
 
 def _checked_spec(d: int, k: int, hop_time: float, r: float | None,
-                  horizon: float) -> MiseryDigraphSpec:
+                  horizon: float, walks: int) -> MiseryDigraphSpec:
     # a period or hop that is not finite and > 0 hangs the walk or times it
-    # wrong: an infinite hop makes the default horizon infinite too.  An r
-    # <= ulp(horizon) / 2 can stop next_move += r short of the horizon.
+    # wrong, and so does a horizon that is not finite: a hop of 1e308 makes
+    # the default horizon, 500 hops, inf.  An r <= ulp(horizon) / 2 can stop
+    # next_move += r short of the horizon.
     if not (hop_time > 0 and math.isfinite(hop_time)):
         raise ValueError(f"hop_time must be finite and > 0, got {hop_time}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon} "
+                         f"(hop_time {hop_time}; the default is 500 hops)")
     if r is not None and not (r > math.ulp(horizon) / 2 and math.isfinite(r)):
         raise ValueError(f"movement period r must be None or finite and "
                          f"above half an ulp of the horizon {horizon}, got {r}")
     if r is not None and horizon / r > MAX_WALK_CYCLES:
         raise ValueError(f"horizon / r = {horizon / r:.4g} movement cycles per "
                          f"walk, above the cap of {MAX_WALK_CYCLES}")
-    return MiseryDigraphSpec(d, k)
+    spec = MiseryDigraphSpec(d, k)
+    if node_count(d, k, MAX_INSTANCES) > MAX_INSTANCES:
+        raise ValueError(f"d={d}, k={k} makes over {MAX_INSTANCES} instances "
+                         f"(the sum of k**(i-1) for i = 1..d), above the cap")
+    steps = walks * (d + (0 if r is None else horizon / r))
+    if steps > MAX_REPLAY_STEPS:
+        raise ValueError(f"{walks} seeds x (d + horizon / r) = {steps:.4g} hops "
+                         f"and movement cycles per replay, above the cap of "
+                         f"{MAX_REPLAY_STEPS}")
+    return spec
 
 
 def _walk(spec: MiseryDigraphSpec, hop_time: float, strategy: Strategy,
@@ -146,7 +167,7 @@ def simulate_attacker(d: int, k: int, *, hop_time: float, strategy: Strategy,
     """simulate_one for each seed, with the arguments checked once."""
     if horizon is None:
         horizon = 500.0 * hop_time
-    spec = _checked_spec(d, k, hop_time, r, horizon)
+    spec = _checked_spec(d, k, hop_time, r, horizon, len(seeds))
     return [_walk(spec, hop_time, strategy, r, seed, horizon) for seed in seeds]
 
 

@@ -14,19 +14,7 @@ class ConfigError(MiserySimError):
 # --- topology ---
 
 class TopologyError(MiserySimError):
-    """Base class for digraph construction/transform errors."""
-
-
-class InvalidSpec(TopologyError):
-    """Digraph shape parameters out of range (d < 2 or k < 1)."""
-
-
-class LayerConflict(TopologyError):
-    """A switch names two nodes at different layers."""
-
-
-class UnknownNode(TopologyError):
-    """A node id does not occur in the digraph."""
+    """An invalid digraph shape, document or transform."""
 
 
 # --- simulated cloud provider ---

@@ -31,13 +31,19 @@ from .eventlog import EventLog
 from .movement import MovementManager
 from .reporting import is_int, is_number
 from .sim import Future, Simulation
-from .topology import HTTP, PUBLIC_INTERNET, MiseryDigraphSpec, build_misery_digraph
+from .topology import (
+    HTTP,
+    MAX_INSTANCES,
+    PUBLIC_INTERNET,
+    MiseryDigraphSpec,
+    build_misery_digraph,
+    node_count,
+)
 
 DRAIN = 2.0    # the run goes on u + DRAIN seconds after the client stops
 
 # caps on the work a valid config implies, so that every run ends in bounded
 # host time; each is over 100x what any shipped shape or test needs
-MAX_INSTANCES = 100_000
 MAX_POLL_CYCLES = 10_000_000
 MAX_MOVEMENT_CYCLES = 100_000
 
@@ -138,14 +144,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{what} {name}={value} stalls the clock at t={last}")
         # a value just above those floors still runs for as long as its work
         # takes: count the instances, the digraph's and the s standbys
-        # (without building the digraph, and stopping past the cap), then
-        # the poll and movement cycles
-        instances, width = self.s, 1
-        for _ in range(self.d):
-            instances += width
-            width *= self.k
-            if instances > MAX_INSTANCES:
-                break
+        # (without building the digraph), then the poll and movement cycles
+        instances = self.s + node_count(self.d, self.k, MAX_INSTANCES - self.s)
         if instances > MAX_INSTANCES:
             raise ConfigError(
                 f"d={self.d}, k={self.k}, s={self.s} makes over {MAX_INSTANCES} "

@@ -7,7 +7,9 @@ wholesale on every transformation; nothing here mutates in place.
 A misery digraph is stored positionally: layer i (1-based, i = 1..d) is a
 tuple of node ids, and the parent/child edges are implied by slot arithmetic
 (slot g of layer i+1 hangs under slot g // k of layer i).  The
-target sits alone past layer d with no inbound edges at all.  Storing
+target sits alone past layer d with no inbound edges at all.  Every node
+forwards to all its children and the target polls every layer-d node, so no
+leaf is special: a digraph is its layers and its target.  Storing
 positions instead of an edge list makes switches (position exchanges) and
 resets (id substitutions) trivial and keeps the k-ary shape true by
 construction.
@@ -23,7 +25,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
-from .errors import InvalidSpec, LayerConflict, TopologyError, UnknownNode
+from .errors import TopologyError
 
 PUBLIC_INTERNET = "public-internet"
 # every warm standby the instance pool creates has an id with this prefix
@@ -34,6 +36,10 @@ ROLE_TARGET = "target"
 
 ROLE_MULTICASTER = "multicaster"
 ROLE_REQUESTS_SERVER = "requests-server"
+
+# a cap on a shape's nodes (plus a run's standbys), so that a build, run or
+# replay ends in bounded host time; over 100x what any shipped shape needs
+MAX_INSTANCES = 100_000
 
 
 def _check_not_reserved(node: str) -> None:
@@ -79,21 +85,27 @@ class MiseryDigraphSpec:
 
     def __post_init__(self) -> None:
         if self.d < 2:
-            raise InvalidSpec(f"d must be >= 2, got {self.d}")
+            raise TopologyError(f"d must be >= 2, got {self.d}")
         if self.k < 1:
-            raise InvalidSpec(f"k must be >= 1, got {self.k}")
-
-    def layer_width(self, layer: int) -> int:
-        """Nodes at a 1-based layer in 1..d."""
-        if not 1 <= layer <= self.d:
-            raise InvalidSpec(f"layer {layer} outside 1..{self.d}")
-        return self.k ** (layer - 1)
+            raise TopologyError(f"k must be >= 1, got {self.k}")
 
 
 @functools.lru_cache(maxsize=None)
 def layer_sizes(spec: MiseryDigraphSpec) -> tuple[int, ...]:
-    """Node count of layers 1..d."""
-    return tuple(spec.layer_width(i) for i in range(1, spec.d + 1))
+    """Node count of layers 1..d: layer i holds k ** (i - 1)."""
+    return tuple(spec.k ** (i - 1) for i in range(1, spec.d + 1))
+
+
+def node_count(d: int, k: int, cap: int) -> int:
+    """The nodes of layers 1..d, summed layer by layer and stopped once past
+    `cap`, so a huge d or k costs no more than a small one."""
+    nodes, width = 0, 1
+    for _ in range(d):
+        nodes += width
+        width *= k
+        if nodes > cap:
+            break
+    return nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +122,6 @@ class MiseryDigraph:
     spec: MiseryDigraphSpec
     layers: tuple[tuple[str, ...], ...]
     target: str
-    enabled_leaf: str
     _slots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -141,7 +152,7 @@ class MiseryDigraph:
 
     def layer(self, i: int) -> tuple[str, ...]:
         if not 1 <= i <= self.d:
-            raise UnknownNode(f"layer {i} outside 1..{self.d}")
+            raise TopologyError(f"layer {i} outside 1..{self.d}")
         return self.layers[i - 1]
 
     def all_nodes(self) -> list[str]:
@@ -154,7 +165,7 @@ class MiseryDigraph:
         try:
             return self._slots[node]
         except KeyError:
-            raise UnknownNode(node) from None
+            raise TopologyError(f"unknown node {node!r}") from None
 
     def layer_of(self, node: str) -> int:
         if node == self.target:
@@ -201,9 +212,6 @@ class MiseryDigraph:
             if len(layer) != expect:
                 raise TopologyError(
                     f"layer {i} has {len(layer)} nodes, expected {expect}")
-        leaf = self._slots.get(self.enabled_leaf)
-        if leaf is None or leaf[0] != d:
-            raise TopologyError(f"enabled leaf {self.enabled_leaf!r} not in layer d")
 
     # -- transforms ----------------------------------------------------------
 
@@ -216,21 +224,20 @@ class MiseryDigraph:
         if u == v:
             raise TopologyError("cannot switch a node with itself")
         if lu != lv:
-            raise LayerConflict(f"{u!r} at layer {lu}, {v!r} at layer {lv}")
-        return self._derive(lu, {su: v, sv: u}, self.enabled_leaf)
+            raise TopologyError(f"{u!r} at layer {lu}, {v!r} at layer {lv}")
+        return self._derive(lu, {su: v, sv: u})
 
     def with_node_replaced(self, old: str, new: str) -> "MiseryDigraph":
-        """Substitute a fresh id at old's position; designation follows."""
+        """Substitute a fresh id at old's position."""
         layer, slot = self.position(old)
         if layer == 1:
             raise TopologyError("entry points are never replaced")
         if new in self._slots or new == self.target:
             raise TopologyError(f"replacement id {new!r} already present")
         _check_not_reserved(new)
-        enabled = new if self.enabled_leaf == old else self.enabled_leaf
-        return self._derive(layer, {slot: new}, enabled, gone=old)
+        return self._derive(layer, {slot: new}, gone=old)
 
-    def _derive(self, layer: int, placed: dict[int, str], enabled_leaf: str,
+    def _derive(self, layer: int, placed: dict[int, str],
                 gone: str | None = None) -> "MiseryDigraph":
         """A copy with `placed` (slot -> node) written into one layer and
         `gone` dropped.  Only the changed slots are re-indexed, on a copy of
@@ -248,7 +255,7 @@ class MiseryDigraph:
         out.__dict__.update(
             spec=self.spec,
             layers=self.layers[:layer - 1] + (tuple(row),) + self.layers[layer:],
-            target=self.target, enabled_leaf=enabled_leaf, _slots=slots)
+            target=self.target, _slots=slots)
         out.validate()
         return out
 
@@ -266,14 +273,12 @@ class MiseryDigraph:
             ],
             "transport_services": [asdict(HTTP)],
             "poll_services": [asdict(DATABASE)],
-            "enabled_leaf": self.enabled_leaf,
-            "enabled_path": enabled_path(self),
         }
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "MiseryDigraph":
-        """Inverse of to_json_dict: it reads spec, layers, target and
-        enabled_leaf, and every other key is derived, so it is not read.  A
+        """Inverse of to_json_dict: it reads spec, layers and target, and
+        every other key, derived or left by an older build, is not read.  A
         document with a missing key, a value of the wrong type or more than
         one root raises TopologyError."""
         try:
@@ -282,8 +287,7 @@ class MiseryDigraph:
             layers = tuple(tuple(_typed(node, str, "node id")
                                  for node in _typed(layer, list, "layer"))
                            for layer in doc["layers"])
-            return cls(spec, layers, _typed(doc["target"], str, "target"),
-                       _typed(doc["enabled_leaf"], str, "enabled_leaf"))
+            return cls(spec, layers, _typed(doc["target"], str, "target"))
         except (KeyError, TypeError, ValueError) as err:
             raise TopologyError(
                 f"malformed digraph document: {type(err).__name__}: {err}") from err
@@ -320,16 +324,16 @@ def next_replacement_id(digraph: MiseryDigraph, node: str,
 def build_misery_digraph(spec: MiseryDigraphSpec) -> MiseryDigraph:
     """Expand CHAIN to a k-ary misery digraph of depth d.
 
-    web is the root, app sits at layer-d slot 0 (it carries the application
-    logic) and is the enabled leaf, every other slot of layers 2..d holds a
-    fresh decoy, and db is the isolated target.
+    web is the root, app sits at layer-d slot 0 as one requests server
+    among the k ** (d - 1) that the target polls alike, every other slot of
+    layers 2..d holds a fresh decoy, and db is the isolated target.
     """
     web, app, db = CHAIN
     layers = [(web,)] + [
-        tuple(decoy_id(layer_idx, slot) for slot in range(spec.layer_width(layer_idx)))
-        for layer_idx in range(2, spec.d + 1)]
+        tuple(decoy_id(layer_idx, slot) for slot in range(width))
+        for layer_idx, width in enumerate(layer_sizes(spec)[1:], 2)]
     layers[-1] = (app,) + layers[-1][1:]
-    return MiseryDigraph(spec, tuple(layers), db, app)
+    return MiseryDigraph(spec, tuple(layers), db)
 
 
 def inbound_rules(mdg: MiseryDigraph, node: str) -> list[FirewallRule]:
@@ -352,15 +356,3 @@ def derive_firewall_rules(mdg: MiseryDigraph) -> frozenset[FirewallRule]:
     mdg.validate()
     return frozenset(rule for layer in mdg.layers for node in layer
                      for rule in inbound_rules(mdg, node))
-
-
-def enabled_path(mdg: MiseryDigraph) -> list[str]:
-    """The unique root-to-layer-d path ending at the designated leaf."""
-    path = [mdg.enabled_leaf]
-    while True:
-        parent = mdg.parent_of(path[-1])
-        if parent is None:
-            break
-        path.append(parent)
-    path.reverse()
-    return path

@@ -19,7 +19,7 @@ from miserysim.attacker import (
     simulate_one,
     summarize,
 )
-from miserysim.errors import InvalidSpec
+from miserysim.errors import TopologyError
 from miserysim.topology import next_replacement_id
 
 
@@ -213,10 +213,10 @@ def test_replay_builds_no_digraph(monkeypatch):
 
 
 def test_replay_rejects_bad_shapes():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(TopologyError, match="d must be >= 2"):
         simulate_one(1, 2, hop_time=1.0, strategy=Strategy.DEPTH_FIRST,
                      r=None, seed=0)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(TopologyError, match="k must be >= 1"):
         simulate_one(3, 0, hop_time=1.0, strategy=Strategy.DEPTH_FIRST,
                      r=None, seed=0)
 
@@ -229,23 +229,64 @@ def test_replay_rejects_a_period_that_is_not_positive_and_finite(r):
                      r=r, seed=0)
 
 
-@pytest.mark.parametrize("hop_time, r", [(1.0, 1e-300), (1e20, 0.5),
-                                         (1e307, 0.5)],
-                         ids=["tiny-period", "huge-hop", "horizon-overflows"])
+@pytest.mark.parametrize("hop_time, r", [(1.0, 1e-300), (1e20, 0.5)],
+                         ids=["tiny-period", "huge-hop"])
 def test_replay_rejects_a_period_the_horizon_cannot_add(hop_time, r):
     # once next_move + r == next_move below the horizon (500 hops) the walk
-    # never ends; at a hop of 1e307 the horizon itself overflows to inf
+    # never ends
     with pytest.raises(ValueError, match="ulp"):
-        attacker._checked_spec(3, 2, hop_time, r, 500.0 * hop_time)
-    attacker._checked_spec(3, 2, hop_time, None, 500.0 * hop_time)
+        attacker._checked_spec(3, 2, hop_time, r, 500.0 * hop_time, 1)
+    attacker._checked_spec(3, 2, hop_time, None, 500.0 * hop_time, 1)
+
+
+@pytest.mark.parametrize("r", [0.5, None], ids=["moving", "static"])
+def test_replay_rejects_a_horizon_that_is_not_finite(r):
+    # at a hop of 1e307 the default horizon, 500 hops, overflows to inf: a
+    # static replay read as all censored, and a moving one blamed r
+    with pytest.raises(ValueError, match=r"horizon must be finite, got inf "
+                                         r"\(hop_time 1e\+307"):
+        simulate_one(3, 2, hop_time=1e307, strategy=Strategy.DEPTH_FIRST,
+                     r=r, seed=0)
+    with pytest.raises(ValueError, match="horizon must be finite, got nan"):
+        simulate_one(3, 2, hop_time=1.0, strategy=Strategy.DEPTH_FIRST,
+                     r=r, seed=0, horizon=math.nan)
 
 
 def test_replay_caps_the_movement_cycles_of_one_walk():
     # r = 1e-6 gives 5e8 cycles in a 500-hop horizon, minutes per walk
     horizon, cap = 500.0, attacker.MAX_WALK_CYCLES
     with pytest.raises(ValueError, match="movement cycles per walk, above the cap"):
-        attacker._checked_spec(3, 2, 1.0, horizon / cap * 0.999, horizon)
-    attacker._checked_spec(3, 2, 1.0, horizon / cap * 1.001, horizon)
+        attacker._checked_spec(3, 2, 1.0, horizon / cap * 0.999, horizon, 1)
+    attacker._checked_spec(3, 2, 1.0, horizon / cap * 1.001, horizon, 1)
+
+
+@pytest.mark.parametrize("d, k", [(17, 2), (100_000, 2), (10**9, 1), (3, 10**9)])
+def test_replay_caps_the_instances_of_a_shape(d, k):
+    # counted before any layer width is, so a huge d or k costs no more
+    # than a small one
+    with pytest.raises(ValueError, match=r"instances \(the sum of k\*\*\(i-1\) "
+                                         r"for i = 1..d\), above the cap"):
+        simulate_one(d, k, hop_time=1.0, strategy=Strategy.DEPTH_FIRST,
+                     r=0.5, seed=0)
+
+
+def test_replay_accepts_a_shape_just_under_the_instance_cap():
+    attacker._checked_spec(16, 2, 1.0, 0.5, 500.0, 1)     # 2**16 - 1 = 65,535
+
+
+def test_replay_caps_the_hops_and_cycles_of_all_walks():
+    # a walk counts d hops plus horizon / r cycles: 1003 at d=3, r=0.5
+    horizon, cap = 500.0, attacker.MAX_REPLAY_STEPS
+    walks = cap // 1003
+    attacker._checked_spec(3, 2, 1.0, 0.5, horizon, walks)
+    message = "hops and movement cycles per replay, above the cap"
+    with pytest.raises(ValueError, match=message):
+        attacker._checked_spec(3, 2, 1.0, 0.5, horizon, walks + 1)
+    # a static walk counts its d hops, and the check runs before any walk
+    attacker._checked_spec(3, 2, 1.0, None, horizon, cap // 3)
+    with pytest.raises(ValueError, match=message):
+        simulate_attacker(3, 2, hop_time=1.0, strategy=Strategy.DEPTH_FIRST,
+                          r=None, seeds=range(cap // 3 + 1))
 
 
 @pytest.mark.parametrize("hop_time", [0.0, -1.0, math.inf, math.nan])

@@ -17,6 +17,10 @@ from miserysim.movement import MovementManager
 from miserysim.multicaster import MulticasterNode
 from miserysim.topology import MiseryDigraph
 
+# SHA-256 of the state.json `deploy --s 4` writes for the d=3 k=2 build
+DEPLOY_STATE_SHA256 = (
+    "52e57daa7dbe7322037a7b7eb30f001b45a90881de5230e08ef6962aa9f29fb7")
+
 
 def test_build_writes_digraph_to_stdout(capsys):
     assert main(["build", "--d", "3", "--k", "2"]) == 0
@@ -25,7 +29,7 @@ def test_build_writes_digraph_to_stdout(capsys):
     assert [len(digraph.layer(i)) for i in (1, 2, 3)] == [1, 2, 4]
     # the whole document, derived keys included, is a pure function of (d, k)
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a9ea0fa6cbe8072a8da6bb38703c27b0eeb89bfeba9dd8aea43eecf70b1ba7f9")
+        "255bd75716989df5c2b77d4e6f6af001b843b377903476b59ded55d23ce75328")
 
 
 def test_build_writes_digraph_file(tmp_path, capsys):
@@ -59,8 +63,22 @@ def test_deploy_dumps_cloud_state(tmp_path, capsys):
     assert state["cloud"]["rules"]
     assert "web" in state["addresses"]
     # the whole dump is a pure function of the digraph, the seed and s
-    assert hashlib.sha256(state_path.read_bytes()).hexdigest() == (
-        "52e57daa7dbe7322037a7b7eb30f001b45a90881de5230e08ef6962aa9f29fb7")
+    assert hashlib.sha256(state_path.read_bytes()).hexdigest() == DEPLOY_STATE_SHA256
+
+
+def test_deploy_reads_an_older_digraph_file_the_same(tmp_path, capsys):
+    # an older build also wrote a designated leaf and its path; deploy
+    # reads spec, layers and target only
+    digraph_path = tmp_path / "digraph.json"
+    state_path = tmp_path / "state.json"
+    assert main(["build", "--d", "3", "--k", "2", "-o", str(digraph_path)]) == 0
+    doc = json.loads(digraph_path.read_text())
+    doc.update(enabled_leaf="app", enabled_path=["web", "L2.s0.g0", "app"])
+    digraph_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    assert main(["deploy", "--digraph", str(digraph_path), "--s", "4",
+                 "-o", str(state_path)]) == 0
+    assert "deployed 8 nodes" in capsys.readouterr().out
+    assert hashlib.sha256(state_path.read_bytes()).hexdigest() == DEPLOY_STATE_SHA256
 
 
 def test_deploy_rejects_a_negative_pool_size(tmp_path, capsys):
@@ -262,12 +280,19 @@ def test_a_movement_period_that_stalls_the_clock_is_a_config_error(tmp_path,
     (["run", "--d", "3", "--k", "2", "--j", "10", "--u", "1e7"], "poll cycles"),
     (["attack", "--d", "3", "--k", "2", "--r", "1e-6", "--hop", "1",
       "--seeds", "1"], "movement cycles per walk"),
+    # a 2**100000 - 1 node shape: the replay took 13 s to build its widths
+    (["attack", "--d", "100000", "--k", "2", "--r", "0.5", "--seeds", "1"],
+     "instances"),
+    # 10**7 cycles per walk is at the per-walk cap; the default 1000 seeds
+    # would run for about 85 minutes
+    (["attack", "--d", "5", "--k", "3", "--r", "5e-5"], "per replay"),
     # 2**28 - 1 instances: the build ran out of memory before the cap
     (["build", "--d", "28", "--k", "2"], "instances"),
     # a million standbys: the pool fill ran past an 8 s timeout
     (["run", "--s", "1000000", "--j", "10"], "plus s"),
     (["deploy", "--s", "1000000"], "plus s"),
-], ids=["run-r", "run-u", "attack-r", "build-d", "run-s", "deploy-s"])
+], ids=["run-r", "run-u", "attack-r", "attack-d", "attack-seeds", "build-d",
+        "run-s", "deploy-s"])
 def test_a_config_whose_work_is_over_a_cap_is_a_config_error(tmp_path, args,
                                                               bound):
     # each command passes every other check and once ran past a timeout
@@ -385,6 +410,17 @@ def test_attack_prints_a_censored_median_as_null(capsys):
     out = capsys.readouterr().out
     doc = json.loads(out, parse_constant=pytest.fail)
     assert doc["censored"] == doc["runs"] == 5 and doc["median"] is None
+
+
+@pytest.mark.parametrize("movement", [[], ["--r", "0.5"]], ids=["static", "moving"])
+def test_attack_rejects_a_hop_whose_horizon_overflows(capsys, movement):
+    # the default horizon, 500 hops, is inf: a static replay read as all
+    # censored, and a moving one blamed r
+    assert main(["attack", "--d", "3", "--k", "2", "--hop", "1e308",
+                 "--seeds", "3", *movement]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "horizon must be finite, got inf (hop_time 1e+308" in captured.err
 
 
 def test_report_regenerates_identical_artifacts(tmp_path):

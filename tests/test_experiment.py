@@ -34,9 +34,9 @@ KEY = re.compile(r"k(\d{5})")
 
 # SHA-256 of the digraph document `miserysim build` writes (sorted keys)
 BUILD_DIGESTS = {
-    (3, 2): "5c71f48b0af6553af3cee34231584119770ab6d2166c78075f0640827c87c62a",
-    (4, 2): "12162db15e011a09b9dccb06d3133a87bf09af19fc668af490f33ff8087c4bd3",
-    (5, 3): "1ea162d6c4c8bcf62924d69eee01694baa3f87f4b0fcf5c00d289e3f1f036a11",
+    (3, 2): "4974856d61776e6bcd9c299dce6798e2be6ab45d13bb6dc65249f512d8e10e6e",
+    (4, 2): "45d66e19c9a722657349af3311d741e857b3c53784bc039e6918871dcc890864",
+    (5, 3): "81ad0bb4c5d456314f83253456b2873c0a46cd1a15a8da99015978d29f65bc7c",
 }
 
 

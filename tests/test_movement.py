@@ -108,13 +108,13 @@ def test_switch_drawer_draws_as_choice_then_sample(d, k):
     # widths on both sides of random.sample's switch from a pool to a set
     # of drawn indices at 21 elements
     spec = MiseryDigraphSpec(d, k)
-    eligible = [a for a in range(2, d + 1) if spec.layer_width(a) >= 2]
+    eligible = [a for a in range(2, d + 1) if k ** (a - 1) >= 2]
     for seed in range(30):
         rng, reference = random.Random(seed), random.Random(seed)
         draw = switch_drawer(spec, rng)
         for _ in range(50):
             layer = reference.choice(eligible)
-            pair = reference.sample(range(spec.layer_width(layer)), 2)
+            pair = reference.sample(range(k ** (layer - 1)), 2)
             assert draw() == (layer, *pair), (seed, layer)
         assert rng.getstate() == reference.getstate()
 
@@ -299,7 +299,7 @@ def test_repeated_cycles_preserve_shape():
         digraph = env.deployment.digraph
         digraph.validate()
         for layer_no in range(1, digraph.d + 1):
-            assert len(digraph.layer(layer_no)) == spec.layer_width(layer_no)
+            assert len(digraph.layer(layer_no)) == spec.k ** (layer_no - 1)
         edges = {(p, c) for i in range(1, digraph.d)
                  for p in digraph.layer(i) for c in digraph.children_of(p)}
         assert edges == expected_edges(digraph)

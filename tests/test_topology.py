@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from miserysim.errors import LayerConflict, TopologyError, UnknownNode
+from miserysim.errors import TopologyError
 from miserysim.topology import (
     PUBLIC_INTERNET,
     ROLE_ENTRY,
@@ -25,7 +25,7 @@ from miserysim.topology import (
     build_misery_digraph,
     decoy_id,
     derive_firewall_rules,
-    enabled_path,
+    layer_sizes,
     next_replacement_id,
 )
 from miserysim.movement import rule_delta
@@ -61,18 +61,17 @@ def oracle_expand_edges(digraph: MiseryDigraph) -> set[tuple[str, str]]:
 # --- spec and expansion ------------------------------------------------------
 
 def test_spec_rejects_degenerate_shapes():
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match="d must be >= 2"):
         MiseryDigraphSpec(1, 2)
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match="k must be >= 1"):
         MiseryDigraphSpec(3, 0)
 
 
 def test_layer_widths_closed_form():
     for d in range(2, 6):
         for k in range(1, 4):
-            spec = MiseryDigraphSpec(d, k)
-            for layer in range(1, d + 1):
-                assert spec.layer_width(layer) == k ** (layer - 1)
+            assert layer_sizes(MiseryDigraphSpec(d, k)) == tuple(
+                oracle_layer_count(k, layer) for layer in range(1, d + 1))
 
 
 def test_expansion_shape_d3_k2():
@@ -191,42 +190,23 @@ def test_swap_rewires_children_with_position():
 
 def test_swap_rejects_cross_layer_and_boundary_layers():
     dg = build_misery_digraph(MiseryDigraphSpec(4, 2))
-    with pytest.raises(LayerConflict):
+    with pytest.raises(TopologyError, match="at layer 2"):
         dg.with_positions_swapped(dg.layer(2)[0], dg.layer(3)[0])
     with pytest.raises(TopologyError):
         dg.with_positions_swapped(dg.layer(2)[0], dg.layer(2)[0])
 
 
-def test_replace_preserves_position_and_moves_enabled_leaf():
+def test_replace_preserves_position():
     dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
     pos = dg.position("app")
     replaced = dg.with_node_replaced("app", decoy_id(3, 0, 1))
     assert replaced.position("L3.s0.g1") == pos
+    assert replaced.role_of("L3.s0.g1") == ROLE_REQUESTS_SERVER
     assert "app" not in replaced.all_nodes()
-    assert replaced.enabled_leaf == "L3.s0.g1"
     with pytest.raises(TopologyError):
         dg.with_node_replaced("web", "other")
     with pytest.raises(TopologyError):
         dg.with_node_replaced("app", dg.layer(2)[0])
-
-
-def test_enabled_path_walks_root_to_designated_leaf():
-    dg = build_misery_digraph(MiseryDigraphSpec(4, 2))
-    path = enabled_path(dg)
-    assert path[0] == "web"
-    assert path[-1] == dg.enabled_leaf
-    assert len(path) == 4
-    for parent, child in zip(path, path[1:]):
-        assert child in dg.children_of(parent)
-
-
-def test_enabled_path_follows_swaps():
-    dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
-    a, b = dg.layer(2)
-    on_path = enabled_path(dg)[1]
-    swapped = dg.with_positions_swapped(a, b)
-    other = b if on_path == a else a
-    assert enabled_path(swapped)[1] == other
 
 
 def test_random_transform_sequences_preserve_invariants():
@@ -254,7 +234,7 @@ def test_random_transform_sequences_preserve_invariants():
 def rebuilt(dg: MiseryDigraph) -> MiseryDigraph:
     """The same layers through the full constructor: index every id, check
     for duplicates, validate."""
-    return MiseryDigraph(dg.spec, dg.layers, dg.target, dg.enabled_leaf)
+    return MiseryDigraph(dg.spec, dg.layers, dg.target)
 
 
 @pytest.mark.parametrize("start", [
@@ -281,7 +261,6 @@ def test_incremental_transforms_equal_full_rebuilds(start):
         assert dg_next._slots == full._slots
         for node in full.all_nodes()[:-1]:
             assert dg_next.position(node) == full.position(node)
-        assert dg_next.enabled_leaf == full.enabled_leaf
         assert dg_next.edges() == full.edges()
         before, after = derive_firewall_rules(dg), derive_firewall_rules(full)
         assert derive_firewall_rules(dg_next) == after
@@ -291,10 +270,10 @@ def test_incremental_transforms_equal_full_rebuilds(start):
 
 
 @pytest.mark.parametrize("case", [
-    ("swap", "nowhere", "L2.s0.g0", UnknownNode, "nowhere"),
+    ("swap", "nowhere", "L2.s0.g0", TopologyError, "unknown node 'nowhere'"),
     ("swap", "L2.s0.g0", "L2.s0.g0", TopologyError, "with itself"),
-    ("swap", "L2.s0.g0", "L3.s1.g0", LayerConflict, "at layer 2"),
-    ("replace", "nowhere", "fresh", UnknownNode, "nowhere"),
+    ("swap", "L2.s0.g0", "L3.s1.g0", TopologyError, "at layer 2"),
+    ("replace", "nowhere", "fresh", TopologyError, "unknown node 'nowhere'"),
     ("replace", "web", "fresh", TopologyError, "never replaced"),
     ("replace", "app", "L2.s1.g0", TopologyError, "already present"),
     ("replace", "app", "db", TopologyError, "already present"),
@@ -329,16 +308,12 @@ def test_transforms_still_reject_invalid_requests(case):
     # the instance pool names its standbys so
     ("layers", lambda ls: (ls[0], (ls[1][0], "pool-m-1"), ls[2]), "reserved"),
     ("target", lambda target: "pool-t-1", "reserved"),
-    ("enabled_leaf", lambda leaf: "L2.s0.g0", "enabled leaf"),
-    ("enabled_leaf", lambda leaf: "db", "enabled leaf"),
 ], ids=["no-roots", "two-roots", "layer-count", "layer-size", "duplicate-id",
         "target-in-layer", "node-is-the-internet", "target-is-the-internet",
-        "node-is-a-pool-standby", "target-is-a-pool-standby",
-        "leaf-not-in-layer-d", "leaf-is-target"])
+        "node-is-a-pool-standby", "target-is-a-pool-standby"])
 def test_constructor_still_rejects_invalid_shapes(name, change, message):
     dg = build_misery_digraph(MiseryDigraphSpec(3, 2))
-    fields = {f: getattr(dg, f) for f in ("spec", "layers", "target",
-                                          "enabled_leaf")}
+    fields = {f: getattr(dg, f) for f in ("spec", "layers", "target")}
     fields[name] = change(fields[name])
     with pytest.raises(TopologyError, match=message):
         MiseryDigraph(**fields)
@@ -354,7 +329,6 @@ def test_json_round_trip():
     assert back.layers == dg.layers
     assert back.spec == dg.spec
     assert back.target == dg.target
-    assert back.enabled_leaf == dg.enabled_leaf
     # the services are derived: written, never read
     del doc["transport_services"], doc["poll_services"]
     assert MiseryDigraph.from_json_dict(doc).to_json_dict() == dg.to_json_dict()
@@ -373,11 +347,11 @@ def test_json_with_two_roots_is_rejected():
 
 
 @pytest.mark.parametrize("change", [
-    # each of the four keys that are read
+    # each of the three keys that are read, and a key inside spec
     lambda doc: doc.pop("layers"),
     lambda doc: doc.pop("spec"),
     lambda doc: doc.pop("target"),
-    lambda doc: doc.pop("enabled_leaf"),
+    lambda doc: doc["spec"].pop("k"),
     lambda doc: doc.update(spec=[3, 2]),
     lambda doc: doc.update(spec={"d": "three", "k": 2}),
     lambda doc: doc.update(layers=3),
