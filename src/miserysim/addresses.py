@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import AlreadyRegistered, UnknownOwner
+from .errors import MiserySimError
 from .eventlog import EventLog
 from .sim import Simulation
 
@@ -43,7 +43,7 @@ class AddressServer:
     def register(self, owner: str,
                  children: Iterable[tuple[str, str]]) -> AddressRecord:
         if owner in self._records:
-            raise AlreadyRegistered(owner)
+            raise MiserySimError(f"{owner} is already registered")
         record = AddressRecord(owner, 1, tuple(children))
         self._records[owner] = record
         self.log.emit(self.sim.now, "address.register", instance=owner,
@@ -57,7 +57,7 @@ class AddressServer:
         new version."""
         current = self._records.get(owner)
         if current is None:
-            raise UnknownOwner(owner)
+            raise MiserySimError(f"{owner} never registered")
         record = AddressRecord(owner, current.version + 1, tuple(children))
         self._records[owner] = record
         self.log.emit(self.sim.now, "address.update", instance=owner,
@@ -77,7 +77,7 @@ class AddressServer:
     def lookup(self, owner: str) -> AddressRecord:
         record = self._records.get(owner)
         if record is None:
-            raise UnknownOwner(owner)
+            raise MiserySimError(f"{owner} never registered")
         return record
 
     def subscribe(self, owner: str, fn: Callable[[AddressRecord], None]) -> None:

@@ -21,11 +21,12 @@ so it always equals this fresh lookup and draws the same attack choices.
 
 Each walk seeds only the streams it draws from: "{seed}/attack" for a
 uniform-child walk, whose every pick is randrange(k) taken by the loop of
-Random._randbelow_with_getrandbits, and "{seed}/movement" when r is set.
-A depth-first walk always takes slot s*k and a static walk (r=None) never
-reaches a cycle, so the stream each skips would never be drawn from; the
-streams are separate generators seeded from separate strings, so leaving
-one unbuilt changes no draw of the other.
+Random._randbelow_with_getrandbits, and "{seed}/movement" when r is set
+and the shape has a layer to switch.  A depth-first walk always takes slot
+s*k, and a static walk (r=None, or a shape where every cycle would be
+skipped) never reaches a cycle, so the stream each skips would never be
+drawn from; the streams are separate generators seeded from separate
+strings, so leaving one unbuilt changes no draw of the other.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import math
 import random
 from enum import Enum
 
-from .errors import NoEligibleLayer
-from .movement import switch_drawer
+from .movement import switch_drawer, switch_table
 from .topology import (
     MAX_INSTANCES,
     MiseryDigraph,
@@ -129,10 +129,7 @@ def _walk(spec: MiseryDigraphSpec, hop_time: float, strategy: Strategy,
             next_move += r
             if t > horizon:
                 return math.inf
-            try:
-                moved, a, b = draw()
-            except NoEligibleLayer:
-                continue
+            moved, a, b = draw()
             if moved == layer and (slot == a or slot == b):
                 # current foothold reset: back to the entry point
                 layer, slot = ENTRY
@@ -168,17 +165,9 @@ def simulate_attacker(d: int, k: int, *, hop_time: float, strategy: Strategy,
     if horizon is None:
         horizon = 500.0 * hop_time
     spec = _checked_spec(d, k, hop_time, r, horizon, len(seeds))
+    if not switch_table(spec):
+        r = None    # every cycle would be skipped: the walk is a static one
     return [_walk(spec, hop_time, strategy, r, seed, horizon) for seed in seeds]
-
-
-def sign_test(greater: int, less: int) -> float:
-    """Exact one-sided sign test: P(X >= greater) for X ~ Binomial(n, 1/2)
-    where n = greater + less (ties already excluded)."""
-    n = greater + less
-    if n == 0:
-        return 1.0
-    tail = sum(math.comb(n, i) for i in range(greater, n + 1))
-    return tail / 2 ** n
 
 
 def summarize(times: list[float]) -> dict:

@@ -33,14 +33,19 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in `path`; a file that cannot be read or parsed is
+    a ConfigError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as err:   # ValueError: bad UTF-8 or JSON
+        raise ConfigError(f"bad {what} file {path}: {err}") from err
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"bad config file {args.config}: {err}") from err
-        cfg = ExperimentConfig.from_json_dict(doc)
+        cfg = ExperimentConfig.from_json_dict(_read_json(args.config, "config"))
     else:
         cfg = ExperimentConfig()
     rate = getattr(args, "rate", None)
@@ -100,16 +105,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_deploy(args: argparse.Namespace) -> int:
-    with open(args.digraph, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"bad digraph file {args.digraph}: {err}") from err
-    digraph = MiseryDigraph.from_json_dict(doc)
+    digraph = MiseryDigraph.from_json_dict(_read_json(args.digraph, "digraph"))
     # the digraph comes from the file, and its shape counts into the
-    # instance cap; everything else is the run's default
-    cfg = ExperimentConfig(d=digraph.spec.d, k=digraph.spec.k, s=args.s,
-                           rng_seed=args.seed)
+    # instance cap; everything else is the run's default.  The rollout
+    # draws from no stream, so no seed is asked for.
+    cfg = ExperimentConfig(d=digraph.spec.d, k=digraph.spec.k, s=args.s)
     cfg.validate()
     provider, addresses = build_cloud(cfg, EventLog())
     sim = provider.sim
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                                              "fresh simulated cloud")
     p_deploy.add_argument("--digraph", required=True, help="digraph JSON path")
     p_deploy.add_argument("--output", "-o", help="state dump path")
-    p_deploy.add_argument("--seed", type=int, default=0)
     p_deploy.add_argument("--s", type=int, default=8, help="standby pool size")
     p_deploy.set_defaults(fn=cmd_deploy)
 

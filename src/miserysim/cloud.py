@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .errors import (
-    ConnectionRefused,
-    InvalidState,
-    SessionSevered,
-    UnknownInstance,
-)
+from .errors import CloudError, ConnectionRefused, SessionSevered
 from .eventlog import EventLog
 from .sim import Future, Simulation
 from .topology import POOL_ID_PREFIX, PUBLIC_INTERNET, FirewallRule
@@ -287,11 +282,11 @@ class CloudProvider:
     def create_instance(self, image: ImageKind, *, instance_id: str,
                         tags: dict[str, str] | None = None) -> Instance:
         if instance_id in self.instances:
-            raise InvalidState(f"instance id {instance_id!r} already exists")
+            raise CloudError(f"instance id {instance_id!r} already exists")
         # host n of 10.0.0.0/8; the last one (10.255.255.255) is broadcast
         n = next(self._addr_seq)
         if n >= 0xFFFFFF:
-            raise InvalidState("address space 10.0.0.0/8 exhausted")
+            raise CloudError("address space 10.0.0.0/8 exhausted")
         address = f"10.{n >> 16}.{(n >> 8) & 0xFF}.{n & 0xFF}"
         inst = Instance(instance_id, image, address, InstanceState.PROVISIONING,
                         dict(tags or {}), self.sim.now)
@@ -314,9 +309,9 @@ class CloudProvider:
         """Rename an unattached instance to its digraph node id at attach time."""
         inst = self.instance(old_id)
         if inst.state != InstanceState.RUNNING:
-            raise InvalidState(f"{old_id!r} is {inst.state.value}, not running")
+            raise CloudError(f"{old_id!r} is {inst.state.value}, not running")
         if new_id in self.instances:
-            raise InvalidState(f"node id {new_id!r} already exists")
+            raise CloudError(f"node id {new_id!r} already exists")
         del self.instances[old_id]
         inst.id = new_id
         if tags:
@@ -330,7 +325,7 @@ class CloudProvider:
     def terminate_instance(self, instance_id: str) -> None:
         inst = self.instance(instance_id)
         if inst.state == InstanceState.TERMINATED:
-            raise UnknownInstance(f"{instance_id!r} already terminated")
+            raise CloudError(f"{instance_id!r} already terminated")
         inst.state = InstanceState.TERMINATED
         self._by_address.pop(inst.address, None)
         self.unbind(instance_id)
@@ -343,13 +338,13 @@ class CloudProvider:
         self.log.emit(self.sim.now, "instance.terminated", instance=instance_id,
                       detail={"rules_dropped": len(dropped)})
         if not inst.ready.done:
-            inst.ready.reject(InvalidState(f"{instance_id!r} terminated"))
+            inst.ready.reject(CloudError(f"{instance_id!r} terminated"))
 
     def instance(self, instance_id: str) -> Instance:
         try:
             return self.instances[instance_id]
         except KeyError:
-            raise UnknownInstance(instance_id) from None
+            raise CloudError(instance_id) from None
 
     # -- rules ----------------------------------------------------------------
 
@@ -357,7 +352,7 @@ class CloudProvider:
         for rule in rules:
             for node in (rule.src, rule.dst):
                 if node != PUBLIC_INTERNET and node not in self.instances:
-                    raise UnknownInstance(node)
+                    raise CloudError(node)
 
     def _revoke(self, rule: FirewallRule) -> None:
         self.rules.discard(rule)

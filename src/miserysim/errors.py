@@ -20,15 +20,8 @@ class TopologyError(MiserySimError):
 # --- simulated cloud provider ---
 
 class CloudError(MiserySimError):
-    """Base class for simulated-provider errors."""
-
-
-class UnknownInstance(CloudError):
-    """An operation referenced an instance id the provider does not know."""
-
-
-class InvalidState(CloudError):
-    """An instance is not in a state that permits the operation."""
+    """A provider operation that cannot proceed: an unknown or terminated
+    instance, an id already in use, or an instance in the wrong state."""
 
 
 # --- transport ---
@@ -43,25 +36,3 @@ class SessionSevered(MiserySimError):
 
 class ProtocolViolation(MiserySimError):
     """A peer sent bytes that do not conform to the wire protocol."""
-
-
-# --- multicaster ---
-
-class TimeoutFailure(MiserySimError):
-    """All children exceeded the response timeout u."""
-
-
-# --- movement ---
-
-class NoEligibleLayer(MiserySimError):
-    """No layer in 2..d holds two or more nodes to switch."""
-
-
-# --- address server ---
-
-class UnknownOwner(MiserySimError):
-    """Lookup or update for an owner that never registered."""
-
-
-class AlreadyRegistered(MiserySimError):
-    """Registration for an owner that already has a record."""

@@ -50,16 +50,21 @@ def load_records(path: str) -> list[dict[str, Any]]:
 
 def numbered_records(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
     """(line number, record) for each non-blank line of an events file; a
-    line that is not a JSON object is a ConfigError naming the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"bad events file {path}, line {n}: {err}") from err
-            if not isinstance(record, dict):
-                raise ConfigError(
-                    f"bad events file {path}, line {n}: not a JSON object")
-            yield n, record
+    file that cannot be read, or a line that is not a JSON object, is a
+    ConfigError naming the file (and the line)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise ConfigError(
+                        f"bad events file {path}, line {n}: {err}") from err
+                if not isinstance(record, dict):
+                    raise ConfigError(
+                        f"bad events file {path}, line {n}: not a JSON object")
+                yield n, record
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"bad events file {path}: {err}") from err

@@ -26,7 +26,7 @@ from . import reporting, wire
 from .addresses import AddressServer
 from .cloud import CloudProvider
 from .deploy import deploy_misery, deploy_normal
-from .errors import ConfigError, MiserySimError
+from .errors import ConfigError, ConnectionRefused, MiserySimError
 from .eventlog import EventLog
 from .movement import MovementManager
 from .reporting import is_int, is_number
@@ -320,8 +320,8 @@ class LoadGenerator:
         if raced is None:
             return "timeout", None, {}, b""
         if raced.failed:
-            name = type(raced.exception()).__name__
-            kind = "refused" if name == "ConnectionRefused" else "severed"
+            refused = isinstance(raced.exception(), ConnectionRefused)
+            kind = "refused" if refused else "severed"
             return kind, None, {}, b""
         try:
             status, headers, body = wire.parse_http_response(raced.result())

@@ -29,7 +29,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .deploy import MDG_TAGS, image_for_layer
-from .errors import CloudError, NoEligibleLayer
+from .errors import CloudError
 from .sim import Future
 from .topology import (
     MiseryDigraph,
@@ -61,7 +61,7 @@ def rule_delta(before: MiseryDigraph, after: MiseryDigraph,
 
 
 @functools.lru_cache(maxsize=None)
-def _switch_table(spec: MiseryDigraphSpec) -> tuple[tuple[int, ...], ...]:
+def switch_table(spec: MiseryDigraphSpec) -> tuple[tuple[int, ...], ...]:
     """(layer, width, width's bit length, width - 1's bit length) for each
     middle layer with two or more nodes, the layers a cycle can switch in."""
     sizes = layer_sizes(spec)
@@ -70,7 +70,7 @@ def _switch_table(spec: MiseryDigraphSpec) -> tuple[tuple[int, ...], ...]:
 
 
 def switch_drawer(spec: MiseryDigraphSpec,
-                  rng: random.Random) -> Callable[[], tuple[int, int, int]]:
+                  rng: random.Random) -> Callable[[], tuple[int, int, int]] | None:
     """A draw() of (layer, slot_a, slot_b): a uniform layer among the middle
     layers with two or more nodes, then a uniform pair of distinct slots in
     that layer.  The live cycle and the attacker replay both draw here; the
@@ -86,18 +86,16 @@ def switch_drawer(spec: MiseryDigraphSpec,
     test_movement.test_switch_drawer_draws_as_choice_then_sample pins the
     values and the generator state left behind, and
     test_attacker.test_replay_matches_the_digraph_walking_oracle pins both
-    against a replay that calls choice and sample itself.  For a shape
-    without such a layer every draw raises NoEligibleLayer, so each cycle
-    can be counted as skipped."""
-    table = _switch_table(spec)
+    against a replay that calls choice and sample itself.  A shape without
+    such a layer has nothing to draw: its drawer is None."""
+    table = switch_table(spec)
+    if not table:
+        return None
     n = len(table)
     n_bits = n.bit_length()
     getrandbits = rng.getrandbits
 
     def draw() -> tuple[int, int, int]:
-        if not n:
-            raise NoEligibleLayer(
-                f"no layer in 2..{spec.d} has two nodes (k={spec.k})")
         i = getrandbits(n_bits)
         while i >= n:
             i = getrandbits(n_bits)
@@ -146,7 +144,8 @@ class MovementManager:
         self.r = r
         self.log = provider.log
         self.counters = provider.counters
-        # the shape never changes, so one drawer serves every cycle
+        # the shape never changes, so one drawer serves every cycle; None
+        # when no layer can switch, and then every cycle is skipped
         self._draw = switch_drawer(deployment.digraph.spec,
                                    self.sim.rng("movement"))
         self._generation: dict[tuple[int, int], int] = {}
@@ -178,12 +177,11 @@ class MovementManager:
     def _cycle(self):
         self.cycle_no += 1
         cycle = self.cycle_no
-        digraph = self.deployment.digraph
-        try:
-            op = switch_op(digraph, *self._draw())
-        except NoEligibleLayer:
+        if self._draw is None:
             self.counters["skipped_cycles"] += 1
             return
+        digraph = self.deployment.digraph
+        op = switch_op(digraph, *self._draw())
         # Don't start a switch the pool cannot finish: a reset stalled on
         # provisioning would leave the switched layer routing nowhere for the
         # whole provisioning latency.
@@ -207,7 +205,7 @@ class MovementManager:
             # so the next cycle starts from a consistent state.
             self.counters["aborted_cycles"] += 1
             self.log.emit(self.sim.now, "movement.abort", instance=None,
-                          detail={"cycle": cycle, "error": type(err).__name__})
+                          detail={"cycle": cycle, "error": str(err)})
             self._repair_layer_tables(op.layer)
             return
         for old, new in zip(op.nodes, new_ids):

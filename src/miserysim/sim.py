@@ -230,6 +230,8 @@ class Simulation:
     def run_until(self, future: Future, limit: float | None = None,
                   pace: float = 0.0) -> Any:
         """Process events until `future` resolves; returns its result.
+        A RuntimeError says the heap drained first, or names the next event
+        past `limit`.
 
         `pace` > 0 throttles to that many simulated seconds per wall-clock
         second so a human can watch; 0 runs as fast as possible.
@@ -241,7 +243,7 @@ class Simulation:
             raise RuntimeError("event queue drained before future resolved")
         if self.now < limit:
             self.now = limit
-        raise RequestNeverCompletes(
+        raise RuntimeError(
             f"future unresolved at t={limit} (next event t={late})")
 
     def _dispatch(self, future: Future, horizon: float, pace: float) -> float | None:
@@ -280,10 +282,6 @@ class Simulation:
     @property
     def events_processed(self) -> int:
         return self._processed
-
-
-class RequestNeverCompletes(RuntimeError):
-    """run_until hit its limit with the future still pending."""
 
 
 # the future run() waits on: nothing resolves it

@@ -88,7 +88,7 @@ import math
 from . import wire
 from .addresses import AddressRecord
 from .cloud import Channel, CloudProvider, Exchange
-from .errors import ConnectionRefused, ProtocolViolation, SessionSevered, TimeoutFailure
+from .errors import ConnectionRefused, ProtocolViolation, SessionSevered
 from .sim import Future
 from .topology import DATABASE
 
@@ -596,18 +596,19 @@ class AppServerNode:
 
         channel.on_message(on_message)
         channel.on_error(done.reject)
-        timer = self.sim.schedule(self.u, done.reject, TimeoutFailure("db timeout"))
+        # the timer resolves done with None: no backend response is None
+        timer = self.sim.schedule(self.u, done.resolve, None)
         try:
             response = yield done
-        except TimeoutFailure:
-            self.provider.respond(ex, wire.encode_error(corr, b"timeout"))
-            channel.close()
-            return
         except (ProtocolViolation, SessionSevered):
             self.provider.respond(ex, wire.encode_error(corr, b"upstream-failure"))
             channel.close()
             return
         finally:
             timer.cancel()
+        if response is None:
+            self.provider.respond(ex, wire.encode_error(corr, b"timeout"))
+            channel.close()
+            return
         channel.close()
         self.provider.respond(ex, wire.encode_response(corr, response))

@@ -20,7 +20,7 @@ import pytest
 
 from miserysim import reporting, wire
 from miserysim.addresses import AddressRecord, AddressServer
-from miserysim.attacker import Strategy, sign_test, simulate_attacker
+from miserysim.attacker import Strategy, simulate_attacker
 from miserysim.cli import main as cli_main
 from miserysim.cloud import CloudProvider, ImageKind, InstanceState
 from miserysim.deploy import deploy_misery
@@ -40,6 +40,7 @@ from miserysim.topology import (
     build_misery_digraph,
     derive_firewall_rules,
 )
+from signtest import sign_test
 
 
 def announce(capsys, name: str, ok: bool, evidence: str) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from miserysim.addresses import AddressServer
-from miserysim.errors import AlreadyRegistered, UnknownOwner
+from miserysim.errors import MiserySimError
 from miserysim.eventlog import EventLog
 from miserysim.sim import Simulation
 
@@ -25,15 +25,15 @@ def test_register_starts_at_version_one():
 def test_register_twice_is_an_error():
     _, server = make_server()
     server.register("web", [])
-    with pytest.raises(AlreadyRegistered):
+    with pytest.raises(MiserySimError, match="^web is already registered$"):
         server.register("web", [])
 
 
 def test_unknown_owner_errors():
     _, server = make_server()
-    with pytest.raises(UnknownOwner):
+    with pytest.raises(MiserySimError, match="^ghost never registered$"):
         server.lookup("ghost")
-    with pytest.raises(UnknownOwner):
+    with pytest.raises(MiserySimError, match="^ghost never registered$"):
         server.update("ghost", [])
 
 
@@ -86,7 +86,7 @@ def test_remove_drops_record_and_subscription():
     seen = []
     server.subscribe("web", seen.append)
     server.remove("web")
-    with pytest.raises(UnknownOwner):
+    with pytest.raises(MiserySimError, match="^web never registered$"):
         server.lookup("web")
     server.register("web", [])
     server.update("web", [])

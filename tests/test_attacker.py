@@ -14,13 +14,13 @@ from miserysim import attacker
 from miserysim.attacker import (
     Strategy,
     attack_digraph,
-    sign_test,
     simulate_attacker,
     simulate_one,
     summarize,
 )
 from miserysim.errors import TopologyError
 from miserysim.topology import next_replacement_id
+from signtest import sign_test
 
 
 # --- static digraph: pure hop arithmetic ---------------------------------------
@@ -178,24 +178,28 @@ def test_replay_matches_the_digraph_walking_oracle(monkeypatch, r, strategy):
     assert delayed if r is not None else not delayed
 
 
-@pytest.mark.parametrize("strategy, r, streams", [
-    (Strategy.UNIFORM_CHILD, 0.5, ("attack", "movement")),
-    (Strategy.DEPTH_FIRST, 0.5, ("movement",)),
-    (Strategy.UNIFORM_CHILD, None, ("attack",)),
-    (Strategy.DEPTH_FIRST, None, ()),
+@pytest.mark.parametrize("strategy, r, k, streams", [
+    (Strategy.UNIFORM_CHILD, 0.5, 2, ("attack", "movement")),
+    (Strategy.DEPTH_FIRST, 0.5, 2, ("movement",)),
+    (Strategy.UNIFORM_CHILD, None, 2, ("attack",)),
+    (Strategy.DEPTH_FIRST, None, 2, ()),
+    (Strategy.UNIFORM_CHILD, 0.5, 1, ("attack",)),
+    (Strategy.DEPTH_FIRST, 0.5, 1, ()),
 ], ids=["uniform-child-moving", "depth-first-moving", "uniform-child-static",
-        "depth-first-static"])
+        "depth-first-static", "uniform-child-nothing-to-switch",
+        "depth-first-nothing-to-switch"])
 def test_a_replay_seeds_only_the_streams_it_draws_from(monkeypatch, strategy,
-                                                       r, streams):
-    # a depth-first walk draws no attack choice and a static one no cycle,
-    # and every string seeding is a fixed cost on each walk
+                                                       r, k, streams):
+    # a depth-first walk draws no attack choice, and a static one, or one
+    # on a shape with no layer to switch, no cycle; every string seeding is
+    # a fixed cost on each walk
     seeds = range(5)
     walk = dict(hop_time=1.0, strategy=strategy, r=r, seeds=seeds)
     times, made = _replay_recording_streams(monkeypatch, simulate_attacker,
-                                            d=3, k=2, **walk)
+                                            d=3, k=k, **walk)
     expected = [f"{seed}/{name}" for seed in seeds for name in streams]
     assert sorted(x for x, _ in made) == sorted(expected)
-    assert times == simulate_attacker(3, 2, **walk)
+    assert times == simulate_attacker(3, k, **walk)
 
 
 def test_replay_builds_no_digraph(monkeypatch):

@@ -439,6 +439,24 @@ def test_report_missing_events_file(tmp_path):
                  "--outdir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "non-utf-8"])
+@pytest.mark.parametrize("command, flag", [("run", "--config"),
+                                           ("deploy", "--digraph"),
+                                           ("report", "--events")])
+def test_an_input_file_that_cannot_be_read_is_a_config_error(
+        tmp_path, capsys, command, flag, unreadable):
+    path = tmp_path / "input"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"d": "\xff"}\n')
+    out = ["-o" if command == "deploy" else "--outdir", str(tmp_path / "out")]
+    assert main([command, flag, str(path), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and str(path) in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_rejects_a_line_that_is_not_json(tmp_path, capsys):
     events = tmp_path / "events.jsonl"
     events.write_text('{"t": 0.0, "kind": "experiment.config", "config": {}}\n'

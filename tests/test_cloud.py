@@ -15,12 +15,7 @@ from miserysim.cloud import (
     InstanceState,
     min_pool_requirements,
 )
-from miserysim.errors import (
-    ConnectionRefused,
-    InvalidState,
-    SessionSevered,
-    UnknownInstance,
-)
+from miserysim.errors import CloudError, ConnectionRefused, SessionSevered
 from miserysim.eventlog import EventLog
 from miserysim.sim import Handle, Simulation
 from miserysim.topology import PUBLIC_INTERNET, FirewallRule
@@ -68,7 +63,7 @@ def test_provisioning_latency_is_configurable():
 def test_duplicate_instance_id_rejected():
     _, provider = make_provider()
     provider.create_instance(ImageKind.MULTICASTER, instance_id="x")
-    with pytest.raises(InvalidState):
+    with pytest.raises(CloudError, match="^instance id 'x' already exists$"):
         provider.create_instance(ImageKind.REQUESTS_SERVER, instance_id="x")
 
 
@@ -91,7 +86,7 @@ def test_addresses_use_all_host_bits_of_the_private_range():
     provider._addr_seq = itertools.count(0xFFFFFE)
     last = provider.create_instance(ImageKind.MULTICASTER, instance_id="last")
     assert last.address == "10.255.255.254"
-    with pytest.raises(InvalidState):
+    with pytest.raises(CloudError, match="^address space 10.0.0.0/8 exhausted$"):
         provider.create_instance(ImageKind.MULTICASTER, instance_id="over")
     assert "over" not in provider.instances
 
@@ -109,13 +104,13 @@ def test_adopt_renames_and_remaps_address():
 def test_adopt_requires_running_and_free_name():
     sim, provider = make_provider()
     cold = provider.create_instance(ImageKind.MULTICASTER, instance_id="cold")
-    with pytest.raises(InvalidState):
+    with pytest.raises(CloudError, match="^'cold' is provisioning, not running$"):
         provider.adopt_instance("cold", "n")
     sim.run_until(cold.ready)
     running_instance(sim, provider, instance_id="taken")
-    with pytest.raises(InvalidState):
+    with pytest.raises(CloudError, match="^node id 'taken' already exists$"):
         provider.adopt_instance("cold", "taken")
-    with pytest.raises(UnknownInstance):
+    with pytest.raises(CloudError, match="^ghost$"):
         provider.adopt_instance("ghost", "n")
 
 
@@ -132,7 +127,7 @@ def test_terminate_drops_rules_address_and_pending_ready():
     assert not provider.allows("a", "b", 80)
     assert not provider.allows("b", "a", 80)
     assert provider.allows(PUBLIC_INTERNET, "b", 80)
-    with pytest.raises(UnknownInstance):
+    with pytest.raises(CloudError, match="^'a' already terminated$"):
         provider.terminate_instance("a")
 
 
@@ -143,9 +138,9 @@ def test_grant_validates_endpoints_but_public_is_virtual():
     running_instance(sim, provider, instance_id="web")
     grant(provider, (PUBLIC_INTERNET, "web", 80))
     assert provider.allows(PUBLIC_INTERNET, "web", 80)
-    with pytest.raises(UnknownInstance):
+    with pytest.raises(CloudError, match="^ghost$"):
         grant(provider, ("web", "ghost", 80))
-    with pytest.raises(UnknownInstance):
+    with pytest.raises(CloudError, match="^ghost$"):
         grant(provider, ("ghost", "web", 80))
 
 
@@ -154,7 +149,7 @@ def test_rewrite_rules_validates_grants_before_revoking():
     running_instance(sim, provider, instance_id="a")
     running_instance(sim, provider, instance_id="b")
     grant(provider, ("a", "b", 80))
-    with pytest.raises(UnknownInstance):
+    with pytest.raises(CloudError, match="^ghost$"):
         provider.rewrite_rules(revoke=[FirewallRule("a", "b", 80)],
                                grant=[FirewallRule("a", "ghost", 80)])
     # the failed transaction must not have revoked anything
@@ -486,7 +481,8 @@ def test_terminating_an_on_demand_instance_rejects_its_allocation():
     fut = pool.allocate(ImageKind.REQUESTS_SERVER)
     (on_demand,) = provider.instances.values()
     provider.terminate_instance(on_demand.id)
-    assert isinstance(fut.exception(), InvalidState)
+    assert isinstance(fut.exception(), CloudError)
+    assert str(fut.exception()) == f"{on_demand.id!r} terminated"
     sim.run(until=301)    # its provisioning event finds it terminated
     assert on_demand.state == InstanceState.TERMINATED
     assert pool.available[ImageKind.REQUESTS_SERVER] == []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -45,6 +46,10 @@ GRID = {
                                    rng_seed=11,
                                    latency=LatencyModel(hop=(0.003, 0.003))),
 }
+
+# drawn configs beyond the grid, by random_config: 140 take about 12 s on
+# two shared CPUs
+RANDOM_CONFIGS = 140
 
 # the kinds of round trip each case must run inline at least once
 INLINE = {name: {"listing with ids", "late delivery"}
@@ -119,14 +124,14 @@ def stamping(monkeypatch, stamps):
 
 def run(overrides, outdir):
     """Run like `miserysim run`; returns each artifact's digest and the
-    number of events dispatched from the heap."""
+    run's result."""
     outdir.mkdir()
     result = run_experiment(ExperimentConfig(**overrides))
     result.log.dump(str(outdir / "events.jsonl"))
     reporting.emit_report(result.records, str(outdir))
     digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
                for name in ARTIFACTS}
-    return digests, result.sim.events_processed
+    return digests, result
 
 
 @pytest.mark.parametrize("name", sorted(GRID))
@@ -135,14 +140,46 @@ def test_the_lazy_poller_writes_the_heap_driven_artifacts(name, tmp_path, monkey
     with monkeypatch.context() as patch:
         recording_inline_trips(patch, kinds)
         stamping(patch, lazy_stamps)
-        lazy, lazy_events = run(GRID[name], tmp_path / "lazy")
+        lazy, lazy_result = run(GRID[name], tmp_path / "lazy")
     assert INLINE.get(name, set()) <= kinds
     heap_driven(monkeypatch)
     stamping(monkeypatch, step_stamps)
-    stepwise, step_events = run(GRID[name], tmp_path / "stepwise")
+    stepwise, step_result = run(GRID[name], tmp_path / "stepwise")
     assert lazy == stepwise
     assert lazy_stamps == step_stamps
-    assert lazy_events < step_events, "nothing ran off the heap"
+    assert (lazy_result.sim.events_processed
+            < step_result.sim.events_processed), "nothing ran off the heap"
+
+
+def random_config(i):
+    """Config i of the random sweep: any shape up to d=5, k=3 (81 leaves),
+    hop ranges from [0, 0] to [0.01, 0.03], constant hops included, and
+    the other durations and the pool across their useful ranges."""
+    rng = random.Random(i)
+    lo = rng.choice((0.0, rng.uniform(0.0, 0.01)))
+    hi = rng.choice((lo, lo + rng.uniform(0.0, 0.02)))
+    return dict(d=rng.randint(2, 5), k=rng.randint(1, 3),
+                j=rng.uniform(30.0, 300.0), r=rng.uniform(2.0, 60.0),
+                u=rng.uniform(0.05, 2.0), m=rng.uniform(0.02, 0.5),
+                s=rng.choice((0, 2, 8, 64)),
+                request_interval=rng.uniform(0.3, 1.5), rng_seed=i,
+                latency=LatencyModel(hop=(lo, hi)))
+
+
+@pytest.mark.parametrize("i", range(RANDOM_CONFIGS))
+def test_a_random_config_runs_lazily_as_heap_driven_and_keeps_the_invariants(
+        i, tmp_path, monkeypatch):
+    config = random_config(i)
+    where = f"random config {i}: {config}"
+    lazy, result = run(config, tmp_path / "lazy")
+    counts = result.store.execution_counts()
+    assert [corr for corr, n in counts.items() if n != 1] == [], where
+    report = result.report
+    assert report.processed + report.failed == report.issued, where
+    assert result.consistency == [], where
+    heap_driven(monkeypatch)
+    stepwise, _ = run(config, tmp_path / "stepwise")
+    assert lazy == stepwise, where
 
 
 def test_a_steady_run_dispatches_at_most_28_5_percent_of_the_heap_driven_events(
@@ -152,7 +189,7 @@ def test_a_steady_run_dispatches_at_most_28_5_percent_of_the_heap_driven_events(
     # ends before the next due event inline brings it to 3,384 / 11,893
     steady = dict(d=3, k=2, r=100.0, s=8, j=120.0, rng_seed=1,
                   request_interval=0.77)
-    _, lazy_events = run(steady, tmp_path / "lazy")
+    _, lazy = run(steady, tmp_path / "lazy")
     heap_driven(monkeypatch)
-    _, step_events = run(steady, tmp_path / "stepwise")
-    assert lazy_events <= 0.285 * step_events
+    _, stepwise = run(steady, tmp_path / "stepwise")
+    assert lazy.sim.events_processed <= 0.285 * stepwise.sim.events_processed

@@ -17,7 +17,7 @@ import pytest
 from miserysim.addresses import AddressServer
 from miserysim.cloud import CloudProvider, InstanceState
 from miserysim.deploy import deploy_misery
-from miserysim.errors import CloudError, NoEligibleLayer
+from miserysim.errors import CloudError
 from miserysim.eventlog import EventLog
 from miserysim.movement import MovementManager, switch_drawer, switch_op
 from miserysim.sim import Simulation
@@ -97,9 +97,7 @@ def test_select_pairs_are_distinct_layer_members():
 
 def test_select_rejects_all_narrow_layers():
     digraph = make_digraph(d=3, k=1)
-    draw = switch_drawer(digraph.spec, random.Random(0))
-    with pytest.raises(NoEligibleLayer):
-        switch_op(digraph, *draw())
+    assert switch_drawer(digraph.spec, random.Random(0)) is None
 
 
 @pytest.mark.parametrize("d,k", [(3, 2), (4, 2), (5, 2), (6, 2), (4, 3),
@@ -120,7 +118,7 @@ def test_switch_drawer_draws_as_choice_then_sample(d, k):
 
 
 def test_a_shape_without_eligible_layer_skips_each_cycle():
-    # the manager binds its drawer when built; only a draw raises
+    # the manager binds its drawer when built: None, so each cycle is skipped
     env = deployed(d=3, k=1)
     run_one_cycle(env)
     run_one_cycle(env)
@@ -266,7 +264,7 @@ def test_abort_on_capacity_error_repairs_tables(monkeypatch):
     assert "transformations" not in env.counters
     aborts = env.log.of_kind("movement.abort")
     assert len(aborts) == 1
-    assert aborts[0]["detail"]["error"] == "CloudError"
+    assert aborts[0]["detail"]["error"] == "no capacity for a multicaster instance"
     assert [rec["op"] for rec in env.log.of_kind("movement")] == ["switch"]
     digraph = env.deployment.digraph
     digraph.validate()

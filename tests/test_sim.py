@@ -8,12 +8,7 @@ import time
 
 import pytest
 
-from miserysim.sim import (
-    Future,
-    Handle,
-    RequestNeverCompletes,
-    Simulation,
-)
+from miserysim.sim import Future, Handle, Simulation
 
 
 def test_clock_starts_at_zero():
@@ -78,14 +73,15 @@ def test_cancelled_head_past_limit_does_not_end_run_until():
     sim.schedule(2.0, lambda: None)
     sim.schedule(6.0, fut.resolve, "cancelled").cancel()
     # only the cancelled entry lies past the limit: the queue drains instead
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(RuntimeError,
+                       match="^event queue drained before future resolved$"):
         sim.run_until(fut, limit=5.0)
-    assert not isinstance(info.value, RequestNeverCompletes)
     assert sim.now == 2.0
     # behind a cancelled head, the limit is checked against the live event
     sim.schedule_at(6.0, fut.resolve, "cancelled").cancel()
     sim.schedule_at(8.0, fut.resolve, "late")
-    with pytest.raises(RequestNeverCompletes, match="next event t=8.0"):
+    with pytest.raises(RuntimeError, match=r"^future unresolved at t=5\.0 "
+                                           r"\(next event t=8\.0\)$"):
         sim.run_until(fut, limit=5.0)
 
 
@@ -310,7 +306,8 @@ def test_run_until_future_honors_limit():
             yield 1.0
 
     sim.spawn(keep_alive())
-    with pytest.raises(RequestNeverCompletes):
+    with pytest.raises(RuntimeError, match=r"^future unresolved at t=5\.0 "
+                                           r"\(next event t=6\.0\)$"):
         sim.run_until(fut, limit=5.0)
 
 
@@ -405,7 +402,8 @@ def test_run_until_a_limit_caps_next_due_and_leaves_the_clock_there():
     seen = []
     sim.schedule_at(1.0, lambda: seen.append(sim.next_due()))
     sim.schedule_at(7.0, lambda: None)
-    with pytest.raises(RequestNeverCompletes, match=r"next event t=7\.0"):
+    with pytest.raises(RuntimeError, match=r"^future unresolved at t=5\.5 "
+                                           r"\(next event t=7\.0\)$"):
         sim.run_until(Future(), limit=5.5)
     assert (seen, sim.now) == ([5.5], 5.5)
 
