@@ -10,10 +10,12 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from . import attacker as attacker_mod
 from . import reporting
@@ -43,26 +45,30 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"bad {what} file {path}: {err}") from err
 
 
+def _prepare_output(make, path: str, *args, **kwargs):
+    """make(path, ...), the creation or opening of an output path, before
+    the work: a path that cannot be used is a ConfigError that names it."""
+    try:
+        return make(path, *args, **kwargs)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_json_dict(_read_json(args.config, "config"))
-    else:
-        cfg = ExperimentConfig()
+    """The --config document with the given flags merged into its fields,
+    built, and so checked, once."""
+    doc = _read_json(args.config, "config") if args.config else {}
+    # each flag's dest is the name of the field it sets
+    flags = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     rate = getattr(args, "rate", None)
-    interval = None
     if rate is not None:
         if not (rate > 0 and math.isfinite(rate)):
             raise ConfigError("--rate must be finite and > 0")
-        interval = 1.0 / rate
-    cfg = cfg.with_overrides(
-        d=getattr(args, "d", None), k=getattr(args, "k", None),
-        j=getattr(args, "j", None), r=getattr(args, "r", None),
-        u=getattr(args, "u", None), m=getattr(args, "m", None),
-        s=getattr(args, "s", None), rng_seed=getattr(args, "seed", None),
-        request_interval=interval, compress=getattr(args, "compress", None),
-        n_requests=getattr(args, "n_requests", None))
-    cfg.validate()
-    return cfg
+        flags["request_interval"] = 1.0 / rate
+    if isinstance(doc, dict):   # from_json_dict rejects any other document
+        doc = {**doc, **{name: value for name, value in flags.items()
+                         if value is not None}}
+    return ExperimentConfig.from_json_dict(doc)
 
 
 def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
@@ -78,7 +84,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--u", type=float, help="client/forwarding timeout, seconds")
     parser.add_argument("--m", type=float, help="target poll interval, seconds")
     parser.add_argument("--s", type=int, help="standby pool size")
-    parser.add_argument("--seed", type=int, help="experiment rng seed")
+    parser.add_argument("--seed", type=int, dest="rng_seed", metavar="SEED",
+                        help="experiment rng seed")
     parser.add_argument("--rate", type=float,
                         help="requests per second (sets the think interval)")
     parser.add_argument("--compress", type=float,
@@ -91,16 +98,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if cfg.d == 0:
         raise ConfigError("build requires d >= 2 (d=0 has no digraph)")
-    digraph = build_experiment_digraph(cfg)
-    doc = digraph.to_json_dict()
+    out = (_prepare_output(open, args.output, "w", encoding="utf-8")
+           if args.output else contextlib.nullcontext(sys.stdout))
+    with out as fh:
+        json.dump(build_experiment_digraph(cfg).to_json_dict(), fh,
+                  sort_keys=True, indent=2)
+        fh.write("\n")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
         print(f"wrote {args.output}")
-    else:
-        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-        print()
     return EXIT_OK
 
 
@@ -110,16 +115,15 @@ def cmd_deploy(args: argparse.Namespace) -> int:
     # instance cap; everything else is the run's default.  The rollout
     # draws from no stream, so no seed is asked for.
     cfg = ExperimentConfig(d=digraph.spec.d, k=digraph.spec.k, s=args.s)
-    cfg.validate()
-    provider, addresses = build_cloud(cfg, EventLog())
-    sim = provider.sim
-    task = sim.spawn(deploy_misery(provider, addresses, digraph,
-                                   u=cfg.u, m=cfg.m, s=cfg.s))
-    sim.run_until(task.future)
-    state = {"cloud": provider.snapshot(),
-             "addresses": addresses.dump(), "t": sim.now}
     out = args.output or "state.json"
-    with open(out, "w", encoding="utf-8") as fh:
+    with _prepare_output(open, out, "w", encoding="utf-8") as fh:
+        provider, addresses = build_cloud(cfg, EventLog())
+        sim = provider.sim
+        task = sim.spawn(deploy_misery(provider, addresses, digraph,
+                                       u=cfg.u, m=cfg.m, s=cfg.s))
+        sim.run_until(task.future)
+        state = {"cloud": provider.snapshot(),
+                 "addresses": addresses.dump(), "t": sim.now}
         json.dump(state, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"deployed {len(digraph.all_nodes())} nodes; wrote {out}")
@@ -128,9 +132,9 @@ def cmd_deploy(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    result = run_experiment(cfg)
     outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
+    _prepare_output(os.makedirs, outdir, exist_ok=True)
+    result = run_experiment(cfg)
     events_path = os.path.join(outdir, "events.jsonl")
     result.log.dump(events_path)
     reporting.emit_report(result.records, outdir)
@@ -175,6 +179,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise ConfigError(f"bad events file {args.events}, line {n}: "
                               f"{record['kind']} record {problem}")
         records.append(record)
+    _prepare_output(os.makedirs, args.outdir, exist_ok=True)
     csv_path, json_path = reporting.emit_report(records, args.outdir)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
@@ -232,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(err.code) if err.code else EXIT_OK
     try:
         return args.fn(args)
-    except (ConfigError, TopologyError, FileNotFoundError) as err:
+    except (ConfigError, TopologyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except MiserySimError as err:

@@ -147,7 +147,6 @@ class Deployment:
 def deploy_misery(provider: CloudProvider, addresses: AddressServer,
                   digraph: MiseryDigraph, *, u: float, m: float, s: int):
     """Generator task: provision, rule, wire and start a misery digraph."""
-    digraph.validate()
     deployment = Deployment(provider, addresses, u=u)
     deployment.digraph = digraph
 

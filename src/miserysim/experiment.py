@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 from . import reporting, wire
 from .addresses import AddressServer
@@ -48,16 +48,26 @@ MAX_POLL_CYCLES = 10_000_000
 MAX_MOVEMENT_CYCLES = 100_000
 
 
+def _known_keys(cls, doc, what: str) -> dict:
+    """doc as keyword arguments of `cls`: a JSON object of its fields."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be an object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(doc)
+
+
 @dataclass(frozen=True)
 class LatencyModel:
-    """Uniform ranges (seconds) for the simulated physical world."""
+    """Uniform ranges (seconds) of the simulated world; checked when built."""
 
     hop: tuple[float, float] = (0.001, 0.005)
     api: tuple[float, float] = (0.05, 0.2)
     notify: tuple[float, float] = (0.5, 1.5)
     provisioning: float = 300.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # a file or a caller can hand in any type: check it before comparing
         for name in ("hop", "api", "notify"):
             pair = getattr(self, name)
@@ -73,20 +83,16 @@ class LatencyModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LatencyModel":
-        if not isinstance(doc, dict):
-            raise ConfigError("latency must be an object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown latency keys: {sorted(unknown)}")
         # a JSON [lo, hi] list is the model's (lo, hi) tuple
-        model = cls(**{name: tuple(value) if isinstance(value, list) else value
-                       for name, value in doc.items()})
-        model.validate()
-        return model
+        return cls(**{name: tuple(value) if isinstance(value, list) else value
+                      for name, value in _known_keys(cls, doc, "latency").items()})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's parameters, checked whenever one is built: directly, by
+    from_json_dict or by dataclasses.replace (ConfigError)."""
+
     d: int = 3
     k: int = 2
     j: float = 600.0
@@ -100,7 +106,7 @@ class ExperimentConfig:
     n_requests: int | None = None
     latency: LatencyModel = field(default_factory=LatencyModel)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # a config file can carry any JSON type; check them before comparing
         for name in ("d", "k", "s", "rng_seed"):
             if not is_int(getattr(self, name)):
@@ -131,7 +137,6 @@ class ExperimentConfig:
             raise ConfigError("n_requests must be >= 1 when set")
         if not isinstance(self.latency, LatencyModel):
             raise ConfigError("latency must be a LatencyModel")
-        self.latency.validate()
         # with zero hop latency a poller sleeping m <= ulp(t) / 2 wakes at t
         # forever, and so does a movement loop of skipped cycles (they take
         # no time) at r <= ulp(t) / 2; a run ends by provisioning + j + u +
@@ -171,19 +176,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be an object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
+        kwargs = _known_keys(cls, doc, "config")
         if "latency" in kwargs:
             kwargs["latency"] = LatencyModel.from_json_dict(kwargs["latency"])
         return cls(**kwargs)
-
-    def with_overrides(self, **overrides) -> "ExperimentConfig":
-        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
 
 class WorkloadGenerator:
@@ -367,7 +363,6 @@ def run_experiment(cfg: ExperimentConfig, *,
                    replay: list[str] | None = None) -> ExperimentResult:
     """Run one full experiment on a fresh virtual clock; returns the report,
     the event log, and the live deployment for inspection."""
-    cfg.validate()
     log = EventLog()
     log.emit(0.0, "experiment.config", config=asdict(cfg))
     provider, addresses = build_cloud(cfg, log)

@@ -353,6 +353,5 @@ def derive_firewall_rules(mdg: MiseryDigraph) -> frozenset[FirewallRule]:
     """One HTTP rule per tree edge, plus the two exceptions: public ->
     root on HTTP, and target -> each layer-d node on DATABASE (the target
     itself gets zero inbound rules)."""
-    mdg.validate()
     return frozenset(rule for layer in mdg.layers for node in layer
                      for rule in inbound_rules(mdg, node))

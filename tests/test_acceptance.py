@@ -199,6 +199,36 @@ def test_failures_concentrate_in_transformation_windows(capsys, batch):
     assert ok
 
 
+# --- 12: the depth ordering at every think time ---------------------------------
+
+THINKS = (0.77, 0.80, 0.83)
+PHASE_SEEDS = range(3)
+
+
+def test_depth_ordering_holds_at_every_think_time(capsys):
+    # the batch above thinks 0.8 s in every run, and one closed-loop client
+    # processes about j / (think + latency): paired by seed and think time,
+    # d=3 must beat d=4 at each think time, not at one phase only
+    t_start = time.monotonic()
+    diffs = {}
+    for think in THINKS:
+        for seed in PHASE_SEEDS:
+            d3, d4 = (run_experiment(ExperimentConfig(
+                rng_seed=seed, **{**BASE, "request_interval": think},
+                d=d, k=2)).report.processed for d in (3, 4))
+            diffs[think, seed] = d3 - d4
+    elapsed = time.monotonic() - t_start
+    held = sum(diff > 0 for diff in diffs.values())
+    ok = held == len(diffs)
+    smallest = ", ".join(
+        f"{min(diffs[think, seed] for seed in PHASE_SEEDS):+d} at {think:.2f}s"
+        for think in THINKS)
+    announce(capsys, "depth-ordering-by-think-time", ok,
+             f"d=3 > d=4 in {held}/{len(diffs)} (seed, think) pairs, smallest "
+             f"difference {smallest}, {elapsed:.1f}s for {2 * len(diffs)} runs")
+    assert ok
+
+
 # --- 4: transformation cycles preserve the shape -----------------------------------
 
 def test_transformation_cycles_preserve_isomorphism(capsys):

@@ -363,6 +363,23 @@ def test_run_reads_config_file_with_overrides(tmp_path):
     assert summary["config"]["rng_seed"] == 9
 
 
+def test_run_merges_the_flags_into_the_config_file_before_checking(tmp_path,
+                                                                  capsys):
+    # {"d": 0} alone is not a config (d=0 needs k=0), and --k 0 makes it one:
+    # the file and the flags are one document, built and checked once
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"d": 0}))
+    assert main(["run", "--config", str(cfg_path), "--outdir",
+                 str(tmp_path / "alone")]) == 2
+    assert "error: d=0 (normal cloud) requires k=0" in capsys.readouterr().err
+    assert not (tmp_path / "alone").exists()
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--k", "0",
+                 "--n-requests", "3", "--outdir", str(outdir)]) == 0
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert (summary["config"]["d"], summary["config"]["k"]) == (0, 0)
+
+
 def test_run_rejects_bad_config_files(tmp_path, capsys):
     bad_keys = tmp_path / "bad.json"
     bad_keys.write_text(json.dumps({"depth": 3}))
@@ -455,6 +472,35 @@ def test_an_input_file_that_cannot_be_read_is_a_config_error(
     err = capsys.readouterr().err
     assert err.startswith("error: bad ") and str(path) in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "build-in-missing-directory",
+                                     "deploy", "run", "report"])
+def test_an_output_path_that_cannot_be_used_is_a_config_error(tmp_path,
+                                                              command):
+    # the path is created or opened before the work, so the default 600 s
+    # run does not run first only to fail on its output directory
+    directory, file = tmp_path / "directory", tmp_path / "file"
+    directory.mkdir()
+    file.write_text("")
+    digraph, events = tmp_path / "digraph.json", tmp_path / "events.jsonl"
+    missing = tmp_path / "missing" / "digraph.json"
+    assert main(["build", "--d", "3", "--k", "2", "-o", str(digraph)]) == 0
+    events.write_text('{"t": 0.0, "kind": "experiment.config", "config": {}}\n',
+                      encoding="utf-8")
+    blocked, args = {
+        "build": (directory, ["build", "-o", str(directory)]),
+        "build-in-missing-directory": (missing, ["build", "-o", str(missing)]),
+        "deploy": (directory, ["deploy", "--digraph", str(digraph),
+                               "-o", str(directory)]),
+        "run": (file, ["run", "--outdir", str(file)]),
+        "report": (file, ["report", "--events", str(events),
+                          "--outdir", str(file)]),
+    }[command]
+    proc = run_cli_process(args, timeout=10)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "issued=" not in proc.stdout
+    assert proc.stderr.startswith(f"error: cannot write {blocked}: "), proc.stderr
 
 
 def test_report_rejects_a_line_that_is_not_json(tmp_path, capsys):

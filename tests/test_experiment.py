@@ -7,7 +7,7 @@ import json
 import random
 import re
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -59,12 +59,12 @@ def test_config_round_trips_through_json():
 
 def test_config_rejects_bad_shapes():
     with pytest.raises(ConfigError):
-        ExperimentConfig(d=0, k=2).validate()
+        ExperimentConfig(d=0, k=2)
     with pytest.raises(ConfigError):
-        ExperimentConfig(d=1, k=2).validate()
+        ExperimentConfig(d=1, k=2)
     with pytest.raises(ConfigError):
-        ExperimentConfig(d=3, k=0).validate()
-    ExperimentConfig(d=0, k=0).validate()
+        ExperimentConfig(d=3, k=0)
+    ExperimentConfig(d=0, k=0)
 
 
 def test_config_rejects_bad_durations_and_counts():
@@ -80,7 +80,7 @@ def test_config_rejects_bad_durations_and_counts():
                       {"n_requests": 5.0}, {"j": "600"}, {"u": True},
                       {"compress": None}):
         with pytest.raises(ConfigError):
-            ExperimentConfig(**overrides).validate()
+            ExperimentConfig(**overrides)
 
 
 def test_config_rejects_a_poll_interval_the_clock_cannot_add():
@@ -88,16 +88,16 @@ def test_config_rejects_a_poll_interval_the_clock_cannot_add():
     # an ulp of t=300 would wake the poller at one instant forever
     with pytest.raises(ConfigError, match="poll interval"):
         ExperimentConfig(d=2, k=2, j=10, m=1e-14,
-                         latency=LatencyModel(hop=(0.0, 0.0))).validate()
+                         latency=LatencyModel(hop=(0.0, 0.0)))
     # m = 1e-12 advances the clock, but its 1.5e13 poll cycles are over the
     # cap; an m whose cycles are just under the cap validates
     m_at_cap = (10 + 2 * 1.0 + 0.8 + DRAIN) / MAX_POLL_CYCLES
     for m in (1e-12, m_at_cap * 0.999):
         with pytest.raises(ConfigError, match="poll cycles, above the cap"):
             ExperimentConfig(d=2, k=2, j=10, m=m,
-                             latency=LatencyModel(hop=(0.0, 0.0))).validate()
+                             latency=LatencyModel(hop=(0.0, 0.0)))
     ExperimentConfig(d=2, k=2, j=10, m=m_at_cap * 1.001,
-                     latency=LatencyModel(hop=(0.0, 0.0))).validate()
+                     latency=LatencyModel(hop=(0.0, 0.0)))
 
 
 def test_the_poll_cycle_cap_counts_the_tail_of_an_empty_pool():
@@ -107,27 +107,27 @@ def test_the_poll_cycle_cap_counts_the_tail_of_an_empty_pool():
     span = 10 + 2 * 1.0 + 0.8 + DRAIN
     tail = 2 * 300.0 + 6 * 0.2 + 1.5
     m = span / MAX_POLL_CYCLES * 1.001
-    ExperimentConfig(d=2, k=2, j=10, m=m, s=1, latency=zero_hop).validate()
+    ExperimentConfig(d=2, k=2, j=10, m=m, s=1, latency=zero_hop)
     with pytest.raises(ConfigError, match=r"\+ 2 provisioning \+ 6 api_hi "
                                           r"\+ notify_hi\) / \(m \+ 2 hop_lo\)"):
-        ExperimentConfig(d=2, k=2, j=10, m=m, s=0, latency=zero_hop).validate()
+        ExperimentConfig(d=2, k=2, j=10, m=m, s=0, latency=zero_hop)
     ExperimentConfig(d=2, k=2, j=10, m=(span + tail) / MAX_POLL_CYCLES * 1.001,
-                     s=0, latency=zero_hop).validate()
+                     s=0, latency=zero_hop)
     # the plain chain runs no movement, so it has no tail
-    ExperimentConfig(d=0, k=0, j=10, m=m, s=0, latency=zero_hop).validate()
+    ExperimentConfig(d=0, k=0, j=10, m=m, s=0, latency=zero_hop)
 
 
 def test_config_rejects_a_movement_period_the_clock_cannot_add():
     # a skipped cycle takes no time, so once next_t + r == next_t the
     # movement loop schedules its next cycle at one instant forever
     with pytest.raises(ConfigError, match="movement period r=1e-300"):
-        ExperimentConfig(j=20, r=1e-300, s=2).validate()
+        ExperimentConfig(j=20, r=1e-300, s=2)
     # r = 1e-12 advances the clock, but its 2e13 cycles are over the cap
     r_at_cap = 20 / MAX_MOVEMENT_CYCLES
     for r in (1e-12, r_at_cap * 0.999):
         with pytest.raises(ConfigError, match="movement cycles, above the cap"):
-            ExperimentConfig(j=20, r=r, s=2).validate()
-    ExperimentConfig(j=20, r=r_at_cap * 1.001, s=2).validate()
+            ExperimentConfig(j=20, r=r, s=2)
+    ExperimentConfig(j=20, r=r_at_cap * 1.001, s=2)
 
 
 @pytest.mark.parametrize("d, k", [(17, 2), (28, 2), (10**9, 1), (3, 10**9)])
@@ -135,15 +135,15 @@ def test_config_caps_the_instances_of_a_shape(d, k):
     # counted layer by layer and stopped past the cap, so a huge d or k
     # costs no more than a small one
     with pytest.raises(ConfigError, match="instances"):
-        ExperimentConfig(d=d, k=k).validate()
+        ExperimentConfig(d=d, k=k)
 
 
 def test_config_accepts_a_shape_just_under_the_instance_cap():
-    ExperimentConfig(d=16, k=2).validate()     # 2**16 - 1 = 65,535 instances
+    ExperimentConfig(d=16, k=2)     # 2**16 - 1 = 65,535 instances
     # the s standbys count too: d=3 k=2 is 7 instances before them
-    ExperimentConfig(d=3, k=2, s=MAX_INSTANCES - 7).validate()
+    ExperimentConfig(d=3, k=2, s=MAX_INSTANCES - 7)
     with pytest.raises(ConfigError, match=r"plus s\), above the cap"):
-        ExperimentConfig(d=3, k=2, s=MAX_INSTANCES - 6).validate()
+        ExperimentConfig(d=3, k=2, s=MAX_INSTANCES - 6)
 
 
 @pytest.mark.parametrize("shape", [
@@ -152,7 +152,7 @@ def test_config_accepts_a_shape_just_under_the_instance_cap():
     dict(d=4, k=2, r=5.0, s=64, j=600.0, request_interval=0.83),
 ], ids=["default", "steady", "wide", "churn"])
 def test_the_default_and_the_benchmark_shapes_validate(shape):
-    ExperimentConfig(**shape).validate()
+    ExperimentConfig(**shape)
 
 
 def test_config_file_rejects_wrongly_typed_values():
@@ -175,27 +175,44 @@ def test_config_rejects_unknown_keys():
 
 def test_latency_validation():
     with pytest.raises(ConfigError):
-        LatencyModel(hop=(0.005, 0.001)).validate()
+        LatencyModel(hop=(0.005, 0.001))
     with pytest.raises(ConfigError):
-        LatencyModel(notify=(-0.1, 0.5)).validate()
+        LatencyModel(notify=(-0.1, 0.5))
     with pytest.raises(ConfigError):
-        LatencyModel(provisioning=-1.0).validate()
+        LatencyModel(provisioning=-1.0)
     for bad in ({"hop": (0.001, float("inf"))}, {"api": (float("nan"), 0.1)},
                 {"notify": (0.0, float("nan"))},
                 {"provisioning": float("nan")}, {"provisioning": float("inf")},
                 # wrong types in a model built in code
                 {"hop": ("a", "b")}, {"api": (0.1,)}):
         with pytest.raises(ConfigError):
-            LatencyModel(**bad).validate()
+            LatencyModel(**bad)
     with pytest.raises(ConfigError):
-        ExperimentConfig(latency={"hop": (0.001, 0.005)}).validate()
+        ExperimentConfig(latency={"hop": (0.001, 0.005)})
 
 
-def test_overrides_skip_none():
+def test_replace_builds_a_new_checked_config():
     cfg = ExperimentConfig()
-    out = cfg.with_overrides(d=4, k=None, rng_seed=9)
+    out = replace(cfg, d=4, rng_seed=9)
     assert (out.d, out.k, out.rng_seed) == (4, 2, 9)
     assert cfg.d == 3
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: replace(ExperimentConfig(), m=float("nan")),
+     "duration m must be finite and > 0"),
+    (lambda: ExperimentConfig.from_json_dict({"d": 1}),
+     "d must be 0 or >= 2, got 1"),
+    (lambda: LatencyModel(hop=(0.005, 0.001)),
+     "latency range hop must be a (lo, hi) pair"),
+    (lambda: replace(LatencyModel(), provisioning=-1.0),
+     "provisioning latency must be a finite number >= 0"),
+], ids=["replace", "from-json", "latency", "latency-replace"])
+def test_a_config_checks_itself_when_built(build, message):
+    # a config is checked whenever one is built: no unchecked one can exist
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value).startswith(message)
 
 
 # --- workload causality ---------------------------------------------------------
@@ -440,7 +457,7 @@ def test_paced_run_emits_the_free_run_records():
     cfg = ExperimentConfig(n_requests=10, j=60.0, r=5.0, rng_seed=2)
     free = run_experiment(cfg)
     t0 = time.monotonic()
-    paced = run_experiment(cfg.with_overrides(compress=200.0))
+    paced = run_experiment(replace(cfg, compress=200.0))
     elapsed = time.monotonic() - t0
     assert paced.log.records[0]["config"]["compress"] == 200.0
     assert lines(paced.log)[1:] == lines(free.log)[1:]
@@ -455,5 +472,5 @@ def test_same_seed_reproduces_event_log():
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     assert lines(a.log) == lines(b.log)
-    c = run_experiment(cfg.with_overrides(rng_seed=5))
+    c = run_experiment(replace(cfg, rng_seed=5))
     assert lines(a.log) != lines(c.log)
